@@ -3,9 +3,11 @@
 Each pass of the solver re-fits b on the current adjusted residuals z so
 that the average derivative of the effective score matches the target
 slope s/n. Smooth-score losses (least squares, Huber) solve the empirical
-equation directly by bracketing and bisection. Kinked-score losses
-(absolute, quantile) go through a plug-in estimate of the population
-slope built from the ECDF and a density estimate, solved on a log grid.
+equation directly with `solve_increasing`, the bracketed root finder that
+state evolution also uses for the population equation. Kinked-score
+losses (absolute, quantile) go through a plug-in estimate of the
+population slope built from the ECDF and a density estimate, solved on a
+log grid.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import optimize
 
 from . import losses
 from .gauss import norm_pdf
 from .losses import LossSpec, effective_score_deriv
 
-# log grid for the b search; widened by a decade per side on failure,
-# at most twice
+# log grid for the kinked b search; widened by a decade per side on
+# failure, at most twice
 GRID_LO = 1e-4
 GRID_HI = 1e2
 GRID_POINTS = 400
@@ -31,10 +34,10 @@ KINKED_FAMILIES = (losses.ABSOLUTE, losses.QUANTILE)
 
 
 class CalibrationError(RuntimeError):
-    """Raised when the slope equation has no crossing on the search grid.
+    """Raised when the slope equation has no crossing on the search range.
 
-    Carries the final grid endpoints and the fitted-slope values there, so
-    callers can see on which side the target was missed.
+    Carries the final bracket (or grid) endpoints and the slope values
+    there, so callers can see on which side the target was missed.
     """
 
     def __init__(self, message, grid_lo=None, grid_hi=None, value_lo=None, value_hi=None):
@@ -170,15 +173,41 @@ def _base_grid(extensions: int) -> np.ndarray:
     return np.geomspace(lo, hi, GRID_POINTS)
 
 
+def solve_increasing(curve: Callable, target: float) -> float:
+    """Root b of the nondecreasing map b -> curve(b) = target.
+
+    The bracket starts at [1e-4, 1e2]; each end that misses the target
+    moves out a decade at a time, to at most [1e-12, 1e12]. Brent's method
+    then runs on log10 b to 1e-13. Where the map steps across the target
+    without touching it, the result is the jump point.
+    """
+    lo_exp, hi_exp = -4, 2
+    f_lo, f_hi = curve(10.0 ** lo_exp), curve(10.0 ** hi_exp)
+    while f_lo > target and lo_exp > -12:
+        lo_exp -= 1
+        f_lo = curve(10.0 ** lo_exp)
+    while f_hi < target and hi_exp < 12:
+        hi_exp += 1
+        f_hi = curve(10.0 ** hi_exp)
+    if f_lo > target or f_hi < target:
+        lo, hi = 10.0 ** lo_exp, 10.0 ** hi_exp
+        raise CalibrationError(
+            f"slope {target} not bracketed on [{lo:g}, {hi:g}]",
+            grid_lo=lo, grid_hi=hi, value_lo=f_lo, value_hi=f_hi)
+    # on log10 b the bracket ends are the exact points evaluated above
+    log_b = optimize.brentq(lambda e: curve(10.0 ** e) - target,
+                            lo_exp, hi_exp, xtol=1e-13)
+    return 10.0 ** log_b
+
+
 def calibrate_smooth(target: CalibrationTarget) -> float:
-    """Solve mean_i d1Phi(z_i; b) = slope for b by bracketing + bisection.
+    """Solve mean_i d1Phi(z_i; b) = slope for b with `solve_increasing`.
 
     Least squares short-circuits to the closed form slope/(1 - slope).
-    The fitted-slope map is nondecreasing in b for both smooth families, so
-    a sign change between adjacent grid points brackets the root. Bisection
-    runs the bracket down to ~1e-15 relative width and returns its midpoint,
-    which doubles as the tie rule b = (b_plus + b_minus)/2 when the
-    empirical map steps across the target without touching it.
+    The fitted-slope map is nondecreasing in b for both smooth families.
+    Where the empirical map steps across the target without touching it,
+    the jump point is returned, which is the tie rule
+    b = (b_plus + b_minus)/2 with both sides meeting at the step.
     """
     if target.loss.family not in SMOOTH_FAMILIES:
         raise ValueError("calibrate_smooth handles least-squares and huber losses only")
@@ -187,36 +216,7 @@ def calibrate_smooth(target: CalibrationTarget) -> float:
     if target.loss.family == losses.LEAST_SQUARES:
         # the derivative b/(1+b) does not depend on z, so the root is exact
         return slope / (1.0 - slope)
-
-    for ext in range(MAX_EXTENSIONS + 1):
-        grid = _base_grid(ext)
-        vals = np.array([_empirical_slope(target.loss, z, b) for b in grid])
-        diff = vals - slope
-        exact = np.flatnonzero(diff == 0.0)
-        if exact.size:
-            return float(grid[exact[0]])
-        cross = np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)
-        if cross.size:
-            lo, hi = grid[cross[0]], grid[cross[0] + 1]
-            break
-    else:
-        raise CalibrationError(
-            "fitted slope never crosses the target on the extended grid",
-            grid_lo=grid[0], grid_hi=grid[-1], value_lo=vals[0], value_hi=vals[-1])
-
-    f_lo = _empirical_slope(target.loss, z, lo) - slope
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = _empirical_slope(target.loss, z, mid) - slope
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return solve_increasing(lambda b: _empirical_slope(target.loss, z, b), slope)
 
 
 # ---------------------------------------------------------------------------

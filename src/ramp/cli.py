@@ -53,7 +53,6 @@ from .state_evolution import (
 
 EXIT_OK = 0
 EXIT_FAILED = 1
-EXIT_USAGE = 2
 EXIT_MAX_ITER = 2
 EXIT_DIVERGED = 3
 

@@ -216,6 +216,35 @@ def noise_label(noise):
 # studies
 
 
+def _replicate(spec, loss, alpha):
+    """Run the solver at threshold multiplier alpha on every draw of spec.
+
+    Returns the (result, mse) pairs of the runs that finished, in seed
+    order, and the number of runs that failed with a runaway scale or a
+    calibration breakdown.
+    """
+    runs = []
+    failures = 0
+    for seed in spec.seeds[:spec.replications]:
+        inst = generate_instance(spec, seed)
+        try:
+            res = run_ramp(inst, loss, SolverConfig(alpha=alpha))
+        except (CalibrationError, DivergenceError):
+            failures += 1
+            continue
+        err = res.state.x - inst.x_true
+        runs.append((res, float(np.mean(err * err))))
+    return runs, failures
+
+
+def _mean_and_se(values):
+    """Sample mean and its standard error; nan where too few values."""
+    m = len(values)
+    mean = float(np.mean(values)) if m else math.nan
+    se = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+    return mean, se
+
+
 def run_convergence_study(spec=None, se_config=None):
     """Empirical runs at the theoretically tuned threshold, one row per loss.
 
@@ -235,32 +264,19 @@ def run_convergence_study(spec=None, se_config=None):
         tuned = tune_alpha(dist, loss, delta, alpha_grid=spec.alphas,
                            config=se_config)
         alpha = float(tuned.alpha_star)
-        mses, iters, taus, bs = [], [], [], []
-        converged = 0
-        failures = 0
-        for rep in range(spec.replications):
-            inst = generate_instance(spec, spec.seeds[rep])
-            try:
-                res = run_ramp(inst, loss, SolverConfig(alpha=alpha))
-            except (CalibrationError, DivergenceError):
-                failures += 1
-                continue
-            st = res.state
-            err = st.x - inst.x_true
-            mses.append(float(np.mean(err * err)))
-            iters.append(res.iterations)
-            taus.append(st.tau_hat_sq)
-            bs.append(st.b)
-            converged += res.converged
-        m = len(mses)
-        amse = float(np.mean(mses)) if m else math.nan
-        amse_se = float(np.std(mses, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+        runs, failures = _replicate(spec, loss, alpha)
+        amse, amse_se = _mean_and_se([mse for _, mse in runs])
+
+        def mean_of(field):
+            return float(np.mean([field(res) for res, _ in runs])) if runs else math.nan
+
         rows.append((
             loss_label(loss), alpha, tuned.lambda_star,
-            float(np.mean(bs)) if m else math.nan,
-            float(np.mean(iters)) if m else math.nan,
-            float(np.mean(taus)) if m else math.nan,
-            amse, amse_se, converged, failures, spec.replications,
+            mean_of(lambda res: res.state.b),
+            mean_of(lambda res: res.iterations),
+            mean_of(lambda res: res.state.tau_hat_sq),
+            amse, amse_se, sum(res.converged for res, _ in runs), failures,
+            spec.replications,
         ))
 
     meta = {
@@ -448,22 +464,10 @@ def run_design_study(loss=least_squares(),
                 n=n, p=p, s=s, noise=noise, losses=(loss,), design=design,
                 replications=replications,
                 seeds=tuple(base_seed + i for i in range(replications)))
-            mses = []
-            failures = 0
-            for rep in range(replications):
-                inst = generate_instance(spec, spec.seeds[rep])
-                try:
-                    res = run_ramp(inst, loss, SolverConfig(alpha=alpha))
-                except (CalibrationError, DivergenceError):
-                    failures += 1
-                    continue
-                err = res.state.x - inst.x_true
-                mses.append(float(np.mean(err * err)))
-            m = len(mses)
-            amse = float(np.mean(mses)) if m else math.nan
-            se = float(np.std(mses, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+            runs, failures = _replicate(spec, loss, alpha)
+            amse, se = _mean_and_se([mse for _, mse in runs])
             rows.append((design, alpha, lambda_labels[alpha], amse, se,
-                         m, failures))
+                         len(runs), failures))
     meta = {
         "study": "design_robustness", "loss": loss_label(loss),
         "n": n, "p": p, "s": s, "noise": noise_label(noise),

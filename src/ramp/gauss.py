@@ -25,12 +25,6 @@ def norm_cdf(x):
     return 0.5 * special.erfc(-x / _SQRT2)
 
 
-def norm_sf(x):
-    """Upper tail 1 - cdf, computed without cancellation."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * special.erfc(x / _SQRT2)
-
-
 def norm_ppf(q):
     return special.ndtri(q)
 
@@ -102,29 +96,9 @@ def soft_threshold_risk(m, alpha):
     return r
 
 
-def soft_threshold_keep_prob(m, alpha):
-    """P(|m + Z| > alpha): the fraction soft thresholding leaves nonzero."""
-    m = np.asarray(m, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    return norm_sf(alpha - m) + norm_cdf(-alpha - m)
-
-
 def gamma_cap(alpha):
     """E[eta(Z; alpha)^2]: soft-threshold risk of the zero signal."""
     return soft_threshold_risk(0.0, alpha)
-
-
-@lru_cache(maxsize=8)
-def hermite_nodes(n: int = 64):
-    """Gauss-Hermite nodes/weights rescaled for E[g(Z)], Z standard normal."""
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x * _SQRT2, w / np.sqrt(np.pi)
-
-
-def hermite_expect(g, mu=0.0, sigma=1.0, n: int = 64):
-    """Deterministic E[g(v)] for v ~ N(mu, sigma^2) by Gauss-Hermite."""
-    x, w = hermite_nodes(n)
-    return float(np.sum(w * g(mu + sigma * x)))
 
 
 @lru_cache(maxsize=8)

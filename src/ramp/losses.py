@@ -15,7 +15,7 @@ closed forms, so nothing here runs an inner optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -212,45 +212,3 @@ def soft_threshold(x, theta):
     x = np.asarray(x, dtype=float)
     out = np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
     return _maybe_scalar(out)
-
-
-# ---------------------------------------------------------------------------
-# score decomposition bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScoreDecomposition:
-    """Structure of rho' split into a smooth part, linear pieces, and jumps.
-
-    v1_prime is the derivative of the absolutely continuous part (None when
-    absent), v2_prime_pieces lists ((lo, hi), slope) for the piecewise-linear
-    part, and v3_steps lists (location, jump size) for step discontinuities.
-    All four shipped families leave v3_steps empty: their nonsmoothness shows
-    up as kinks of the effective score, not as score jumps.
-    """
-
-    v1_prime: Optional[Callable]
-    v2_prime_pieces: tuple = ()
-    v3_steps: tuple = ()
-
-    def __post_init__(self):
-        locs = [r for r, _ in self.v3_steps]
-        if any(not b > a for a, b in zip(locs, locs[1:])):
-            raise ValueError("jump locations must be strictly increasing")
-        for (_, _), slope in self.v2_prime_pieces:
-            if not np.isfinite(slope):
-                raise ValueError("piece slopes must be finite")
-
-
-def score_decomposition(spec: LossSpec) -> ScoreDecomposition:
-    """Return the rho' decomposition for one family."""
-    if spec.family == LEAST_SQUARES:
-        return ScoreDecomposition(v1_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
-    if spec.family == HUBER:
-        g = spec.gamma
-        pieces = (((-np.inf, -g), 0.0), ((-g, g), 1.0), ((g, np.inf), 0.0))
-        return ScoreDecomposition(v1_prime=None, v2_prime_pieces=pieces)
-    # absolute / quantile: rho' is flat off the origin; the sign levels are
-    # constants, so the derivative data is all zero slopes
-    pieces = (((-np.inf, 0.0), 0.0), ((0.0, np.inf), 0.0))
-    return ScoreDecomposition(v1_prime=None, v2_prime_pieces=pieces)

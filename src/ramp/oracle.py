@@ -55,15 +55,6 @@ def penalized_objective(inst, loss, lam, x):
     return float(np.sum(loss_value(loss, r)) + lam * np.sum(np.abs(x)))
 
 
-def _subgradient_residual(inst, loss, lam, x):
-    """Distance of A^T rho'(residual) from lam times a valid sign vector."""
-    g = inst.A.T @ loss_grad(loss, inst.y - inst.A @ x)
-    on = np.abs(x) > 0
-    m_on = np.max(np.abs(g[on] - lam * np.sign(x[on]))) if on.any() else 0.0
-    m_off = max(0.0, float(np.max(np.abs(g[~on]))) - lam) if (~on).any() else 0.0
-    return max(float(m_on), m_off)
-
-
 def _directional_residual(inst, loss, lam, x, h):
     """Largest per-coordinate descent rate found by probing x +- h e_j.
 

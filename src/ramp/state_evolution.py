@@ -2,16 +2,18 @@
 
 Tracks the scalar channel pair (sigma_sq, tau_sq) across iterations for a
 given signal prior, noise law, loss, and threshold policy. The tau update
-calibrates the score parameter b against the population slope, mirroring
-what the solver does empirically on residuals. Fixed points feed the
-benchmark tables and the tuning of the threshold multiplier alpha.
+calibrates the score parameter b against the population slope with
+`calibration.solve_increasing`, the root finder the solver uses on its
+empirical residuals. Fixed points feed the benchmark tables and the
+tuning of the threshold multiplier alpha.
 
 Expectations over the effective residual W + sigma Z are computed from
 truncated-normal closed forms conditional on W. Normal noise (and normal
 mixtures) therefore collapse exactly; heavy-tailed laws are integrated
 over W with Gauss-Legendre nodes on the inverse cdf, split at the median
 so the Laplace kink sits on a panel edge. A seeded Monte Carlo engine is
-kept alongside for cross-checks.
+kept alongside for cross-checks; it draws its sample once and reuses it
+for every b of a tau update.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize, stats
 
-from .calibration import CalibrationError
+from .calibration import solve_increasing
 from .gauss import (
     gamma_cap,
     legendre_nodes_01,
@@ -359,18 +361,32 @@ def _score_moments_quad(loss, b, noise, sigma):
     return float(weights @ d), float(weights @ q)
 
 
-def _score_moments_mc(loss, b, noise, sigma, n_samples, seed):
+@lru_cache(maxsize=1)
+def _mc_residuals(noise, sigma, n_samples, seed):
+    """Seeded draws of v = W + sigma Z, in chunks of at most _MC_CHUNK.
+
+    Cached because every curve evaluation of one tau update asks for the
+    same sample; the arrays are read-only so no caller can alter it.
+    """
     rng = np.random.default_rng(seed)
-    d_sum = 0.0
-    q_sum = 0.0
+    chunks = []
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
         v = noise.sample(rng, m) + sigma * rng.standard_normal(m)
+        v.flags.writeable = False
+        chunks.append(v)
+        done += m
+    return tuple(chunks)
+
+
+def _score_moments_mc(loss, b, noise, sigma, n_samples, seed):
+    d_sum = 0.0
+    q_sum = 0.0
+    for v in _mc_residuals(noise, sigma, n_samples, seed):
         d_sum += float(np.sum(effective_score_deriv(loss, v, b)))
         phi = effective_score(loss, v, b)
         q_sum += float(np.sum(phi * phi))
-        done += m
     return d_sum / n_samples, q_sum / n_samples
 
 
@@ -388,40 +404,15 @@ def score_moments(loss, b, noise, sigma, engine="auto", mc_samples=10 ** 6, seed
 # ---------------------------------------------------------------------------
 
 
-def _population_calibrate(curve, slope):
-    """Root of the increasing map b -> curve(b) = slope, by log bisection."""
-    lo, hi = 1e-4, 1e2
-    f_lo, f_hi = curve(lo), curve(hi)
-    while f_lo > slope and lo > 1e-12:
-        lo /= 10.0
-        f_lo = curve(lo)
-    while f_hi < slope and hi < 1e12:
-        hi *= 10.0
-        f_hi = curve(hi)
-    if f_lo > slope or f_hi < slope:
-        raise CalibrationError(
-            f"population slope {slope} not bracketed on [{lo:g}, {hi:g}]",
-            grid_lo=lo, grid_hi=hi, value_lo=f_lo, value_hi=f_hi)
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        f_mid = curve(mid)
-        if f_mid == slope:
-            return mid
-        if f_mid < slope:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def se_tau_update(sigma_sq, dist, loss, slope, engine="auto",
                   mc_samples=10 ** 6, seed=0):
     """Calibrate b on the current residual law and advance tau_sq.
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
-    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2.
+    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. Least squares has the
+    closed form b = slope/(1 - slope); the other losses find b with
+    `solve_increasing`, which raises CalibrationError when the slope is
+    not bracketed on [1e-12, 1e12].
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
@@ -435,7 +426,7 @@ def se_tau_update(sigma_sq, dist, loss, slope, engine="auto",
             return score_moments(loss, bb, noise, sigma, engine=engine,
                                  mc_samples=mc_samples, seed=seed)[0]
 
-        b = _population_calibrate(curve, slope)
+        b = solve_increasing(curve, slope)
     _, sq = score_moments(loss, b, noise, sigma, engine=engine,
                           mc_samples=mc_samples, seed=seed)
     return sq / (slope * slope), b
@@ -467,8 +458,6 @@ class SeConfig:
     mc_samples: int = 10 ** 6
     seed: int = 0
 
-
-SE_ROW_FIELDS = ("t", "sigma_sq", "tau_sq", "b", "theta")
 
 _TAU_SQ_CAP = 1e14
 
@@ -611,26 +600,22 @@ def amse_monte_carlo(prior, tau, theta, samples=10 ** 6, seed=0):
 def amse_closed_form(prior, tau, alpha):
     """Exact E[(eta(X0 + tau Z; alpha tau) - X0)^2] split as nu1 tau^2 + nu2.
 
-    nu1 collects the variance-and-threshold part of the risk per atom and
-    nu2 the residual squared-bias part; both are truncated-normal sums over
-    the prior atoms (the zero atom contributes gamma_cap(alpha) to nu1).
+    The value is tau^2 times the prior average of
+    soft_threshold_risk(x0/tau, alpha). nu2 is the squared-bias part, from
+    the atoms the threshold kills: sum p x0^2 (Phi(alpha - m) - Phi(-alpha - m))
+    with m = x0/tau. nu1 is the rest divided by tau^2; the zero atom
+    contributes gamma_cap(alpha) to it.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    nu1 = 0.0
+    risk = 0.0
     nu2 = 0.0
     for p, x0 in prior.full_atoms:
         m = x0 / tau
-        a = alpha - m
-        bb = -alpha - m
-        cdf_a = float(norm_cdf(a))
-        cdf_b = float(norm_cdf(bb))
-        tail = (1.0 - cdf_a) + cdf_b
-        nu1 += p * ((1.0 + alpha * alpha) * tail
-                    - (alpha + m) * float(norm_pdf(a))
-                    - (alpha - m) * float(norm_pdf(bb)))
-        nu2 += p * x0 * x0 * (cdf_a - cdf_b)
-    return AmseParts(nu1 * tau * tau + nu2, nu1, nu2)
+        risk += p * float(soft_threshold_risk(m, alpha))
+        nu2 += p * x0 * x0 * float(norm_cdf(alpha - m) - norm_cdf(-alpha - m))
+    value = tau * tau * risk
+    return AmseParts(value, (value - nu2) / (tau * tau), nu2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import brentq
 
-from ramp import calibration
+from ramp import calibration, state_evolution
 from ramp.calibration import (
     CalibrationError,
     CalibrationTarget,
@@ -14,8 +14,11 @@ from ramp.calibration import (
     ecdf,
     kde,
     plugin_slope_curve,
+    solve_increasing,
 )
+from ramp.experiments import convergence_study_spec, generate_instance
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile
+from ramp.state_evolution import DistributionModel, Laplace, pm_one_prior, se_tau_update
 
 
 def exact_lad_root(slope):
@@ -111,6 +114,59 @@ class TestKde:
             kde(np.array([1.0, 2.0]), method="epanechnikov")
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSolveIncreasing:
+    def test_continuous_root(self):
+        assert solve_increasing(lambda b: b / (1.0 + b), 0.3) == pytest.approx(3.0 / 7.0, rel=1e-12)
+        # the root lies outside the starting bracket on either side
+        assert solve_increasing(np.sqrt, 1e3) == pytest.approx(1e6, rel=1e-12)
+        assert solve_increasing(np.sqrt, 1e-4) == pytest.approx(1e-8, rel=1e-12)
+
+    def test_step_map_returns_jump(self):
+        for jump in (2.5, 3e-7, 4e8):
+            b = solve_increasing(lambda bb: 0.0 if bb < jump else 1.0, 0.5)
+            assert b == pytest.approx(jump, rel=1e-12)
+
+    def test_unreachable_target_carries_bracket(self):
+        with pytest.raises(CalibrationError) as err:
+            solve_increasing(lambda b: b / (1.0 + b), 1.0)
+        assert err.value.grid_hi == pytest.approx(1e12)
+        assert err.value.value_hi < 1.0
+        with pytest.raises(CalibrationError) as err:
+            solve_increasing(lambda b: 0.5 + b / (1.0 + b), 0.2)
+        assert err.value.grid_lo == pytest.approx(1e-12)
+        assert err.value.value_lo > 0.2
+
+    def test_huber_slope_evaluations(self, monkeypatch):
+        # raw residuals of the benchmark draw, as in the solver's first pass
+        spec = convergence_study_spec(replications=1)
+        inst = generate_instance(spec, 20_000)
+        calls = counting(monkeypatch, calibration, "effective_score_deriv")
+        b = calibrate_smooth(CalibrationTarget(inst.slope, huber(1.0), inst.y))
+        assert len(calls) <= 60
+        assert np.mean(effective_score_deriv(huber(1.0), inst.y, b)) == pytest.approx(inst.slope, rel=1e-8)
+
+    def test_se_tau_update_curve_evaluations(self, monkeypatch):
+        dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
+        calls = counting(monkeypatch, state_evolution, "score_moments")
+        _, b = se_tau_update(0.5, dist, absolute(), 0.2)
+        assert len(calls) <= 25
+        deriv, _ = state_evolution.score_moments(absolute(), b, Laplace(1.0), np.sqrt(0.5))
+        assert deriv == pytest.approx(0.2, rel=1e-10)
+
+
 class TestTargetValidation:
     def test_slope_range(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
@@ -162,8 +218,9 @@ class TestCalibrateSmooth:
             calibrate_smooth(CalibrationTarget(0.2, absolute(), np.ones(5)))
 
     def test_failure_carries_interval(self):
-        # residuals so large that the huber window never captures them
-        z = 1e7 * np.random.default_rng(42).standard_normal(100)
+        # residuals so large that the huber window never captures them,
+        # even at the widest bracket end b = 1e12
+        z = 1e14 * np.random.default_rng(42).standard_normal(100)
         with pytest.raises(CalibrationError) as err:
             calibrate_smooth(CalibrationTarget(0.2, huber(1.0), z))
         assert err.value.grid_hi is not None

@@ -13,7 +13,6 @@ from ramp.losses import (
     loss_value,
     prox,
     quantile,
-    score_decomposition,
     soft_threshold,
 )
 
@@ -226,25 +225,3 @@ class TestSpecValidation:
             LossSpec(losses.LEAST_SQUARES, gamma=1.0)
         with pytest.raises(ValueError):
             LossSpec(losses.ABSOLUTE, tau_q=0.5)
-
-
-class TestScoreDecomposition:
-    def test_huber_pieces(self):
-        dec = score_decomposition(huber(1.5))
-        slopes = [s for _, s in dec.v2_prime_pieces]
-        assert slopes == [0.0, 1.0, 0.0]
-        assert dec.v3_steps == ()
-
-    def test_ls_smooth_part(self):
-        dec = score_decomposition(least_squares())
-        assert dec.v2_prime_pieces == ()
-        assert_allclose(dec.v1_prime(np.array([0.0, 3.0])), [1.0, 1.0])
-
-    def test_no_jumps_for_shipped_losses(self):
-        for spec in ALL_LOSSES:
-            assert score_decomposition(spec).v3_steps == ()
-
-    def test_jump_ordering_enforced(self):
-        from ramp.losses import ScoreDecomposition
-        with pytest.raises(ValueError):
-            ScoreDecomposition(v1_prime=None, v3_steps=((1.0, 0.5), (0.5, 0.5)))

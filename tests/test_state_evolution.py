@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import brentq
 
+from ramp import state_evolution
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, soft_threshold
 from ramp.state_evolution import (
     Cauchy,
@@ -218,6 +219,27 @@ class TestScoreMoments:
         b = score_moments(absolute(), 0.9, Laplace(1.0), 0.6, engine="mc",
                           mc_samples=100_000, seed=11)
         assert a == b
+
+    def test_mc_engine_matches_fresh_draws(self):
+        # the engine reuses one drawn sample across b values; a fresh seeded
+        # draw per call, chunk by chunk, must give the same bits
+        def fresh(loss, b, noise, sigma, n, seed):
+            rng = np.random.default_rng(seed)
+            d_sum = q_sum = 0.0
+            done = 0
+            while done < n:
+                m = min(state_evolution._MC_CHUNK, n - done)
+                v = noise.sample(rng, m) + sigma * rng.standard_normal(m)
+                d_sum += float(np.sum(effective_score_deriv(loss, v, b)))
+                q_sum += float(np.sum(effective_score(loss, v, b) ** 2))
+                done += m
+            return d_sum / n, q_sum / n
+
+        n = 2 * state_evolution._MC_CHUNK + 1000
+        for b in (0.9, 1.3, 0.9):
+            got = score_moments(absolute(), b, Laplace(1.0), 0.6, engine="mc",
+                                mc_samples=n, seed=5)
+            assert got == fresh(absolute(), b, Laplace(1.0), 0.6, n, 5)
 
     def test_least_squares_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
