@@ -12,6 +12,7 @@ log grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -173,14 +174,34 @@ def _base_grid(extensions: int) -> np.ndarray:
     return np.geomspace(lo, hi, GRID_POINTS)
 
 
-def solve_increasing(curve: Callable, target: float) -> float:
+def solve_increasing(curve: Callable, target: float, start: Optional[float] = None,
+                     fprime: bool = False) -> float:
     """Root b of the nondecreasing map b -> curve(b) = target.
 
-    The bracket starts at [1e-4, 1e2]; each end that misses the target
-    moves out a decade at a time, to at most [1e-12, 1e12]. Brent's method
-    then runs on log10 b to 1e-13. Where the map steps across the target
-    without touching it, the result is the jump point.
+    Without a derivative, the bracket starts at [1e-4, 1e2]; each end that
+    misses the target moves out a decade at a time, to at most
+    [1e-12, 1e12]. Brent's method then runs on log10 b to 1e-13. Where the
+    map steps across the target without touching it, the result is the
+    jump point.
+
+    With fprime=True, curve(b) returns (value, d value / d b) and the root
+    is found by safeguarded Newton steps on log10 b, starting from `start`
+    (b = 1 when None), the natural choice when a nearby root is known from
+    a previous solve. Every evaluated point narrows a bracket around the
+    root. A Newton step that leaves the bracket, or (once both ends are
+    known) is longer than half the step before last, is replaced by
+    bisection on log10 b; while one side of the bracket is still unknown,
+    the replacement moves a decade outward from the known side instead,
+    up to the same limits [1e-12, 1e12]. Newton stops once a step is
+    below 1e-13 on log10 b.
+
+    Either way an unreachable target raises CalibrationError carrying the
+    outermost points evaluated and the curve values there.
     """
+    if fprime:
+        return _newton_increasing(curve, target, 0.0 if start is None else math.log10(start))
+    if start is not None:
+        raise ValueError("a start point needs fprime=True")
     lo_exp, hi_exp = -4, 2
     f_lo, f_hi = curve(10.0 ** lo_exp), curve(10.0 ** hi_exp)
     while f_lo > target and lo_exp > -12:
@@ -198,6 +219,58 @@ def solve_increasing(curve: Callable, target: float) -> float:
     log_b = optimize.brentq(lambda e: curve(10.0 ** e) - target,
                             lo_exp, hi_exp, xtol=1e-13)
     return 10.0 ** log_b
+
+
+_LOG10_LIMIT = 12
+_LOG10_XTOL = 1e-13
+_MAX_NEWTON_EVALS = 200
+
+
+def _newton_increasing(curve: Callable, target: float, u: float) -> float:
+    """Safeguarded Newton on u = log10 b for `solve_increasing`, from u."""
+    limit, ln10 = _LOG10_LIMIT, math.log(10.0)
+    u = min(max(u, -limit), limit)
+    lo = hi = None                 # (u, value) of the bracket ends so far
+    outer_lo = outer_hi = None     # (u, value) of the outermost points
+    step = step_old = 2.0 * limit
+    for _ in range(_MAX_NEWTON_EVALS):
+        b = 10.0 ** u
+        f, df = curve(b)
+        g = f - target
+        if g == 0.0:
+            return b
+        if g < 0.0:
+            lo = (u, f)
+        else:
+            hi = (u, f)
+        if outer_lo is None or u < outer_lo[0]:
+            outer_lo = (u, f)
+        if outer_hi is None or u > outer_hi[0]:
+            outer_hi = (u, f)
+        a = -limit if lo is None else lo[0]
+        c = limit if hi is None else hi[0]
+        newton = u - g / (df * b * ln10) if df > 0.0 else math.nan
+        step_older, step_old = step_old, step
+        if a < newton < c and (lo is None or hi is None
+                               or abs(newton - u) <= 0.5 * abs(step_older)):
+            u_next = newton
+        elif lo is not None and hi is not None:
+            u_next = 0.5 * (a + c)
+        elif lo is not None and a < limit:
+            u_next = min(a + 1, limit)
+        elif hi is not None and c > -limit:
+            u_next = max(c - 1, -limit)
+        else:
+            break
+        step = u_next - u
+        if abs(step) <= _LOG10_XTOL:
+            return 10.0 ** u_next
+        u = u_next
+    lo_b, hi_b = 10.0 ** outer_lo[0], 10.0 ** outer_hi[0]
+    missed = "not bracketed" if lo is None or hi is None else "not settled"
+    raise CalibrationError(
+        f"slope {target} {missed} on [{lo_b:g}, {hi_b:g}]",
+        grid_lo=lo_b, grid_hi=hi_b, value_lo=outer_lo[1], value_hi=outer_hi[1])
 
 
 def calibrate_smooth(target: CalibrationTarget) -> float:

@@ -43,7 +43,6 @@ from .state_evolution import (
     DistributionModel,
     Laplace,
     Normal,
-    NormalMixture,
     SeConfig,
     StudentT,
     info_lower_bound,

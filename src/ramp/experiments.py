@@ -25,7 +25,6 @@ from .losses import (
     ABSOLUTE,
     HUBER,
     LEAST_SQUARES,
-    LossSpec,
     absolute,
     huber,
     least_squares,

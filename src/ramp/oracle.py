@@ -20,7 +20,6 @@ from .losses import (
     ABSOLUTE,
     HUBER,
     LEAST_SQUARES,
-    QUANTILE,
     LossSpec,
     loss_value,
     soft_threshold,
@@ -106,7 +105,7 @@ def _kkt_from_grad(grad, lam, x):
     return max(float(m_on), m_off)
 
 
-def _solve_kinked(inst, loss, lam, tol, max_iter, target_objective):
+def _solve_kinked(inst, loss, lam, tol, max_iter):
     A, y = inst.A, inst.y
     x = np.zeros(inst.p)
     best_x = x
@@ -132,10 +131,7 @@ def _solve_kinked(inst, loss, lam, tol, max_iter, target_objective):
                 since_improved = 0
         g = -(A.T @ loss_grad(loss, r))
         gnorm_sq = float(g @ g) + inst.p * lam * lam
-        if target_objective is not None:
-            target = target_objective
-        else:
-            target = max(best_obj - margin, 0.0)
+        target = max(best_obj - margin, 0.0)
         step = max(obj - target, 0.0) / gnorm_sq
         # keep single steps from teleporting once the gradient flattens out
         cap = 5.0 * (1.0 + float(np.linalg.norm(x))) / math.sqrt(gnorm_sq)
@@ -151,8 +147,7 @@ def _solve_kinked(inst, loss, lam, tol, max_iter, target_objective):
     return OracleResult(best_x, best_obj, resid, it)
 
 
-def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000,
-                    target_objective=None):
+def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     """Minimize sum of rho(y - Ax) plus lam * l1, certifying the result.
 
     tol defaults to 1e-4 * lam * sqrt(n). The returned kkt_residual is the
@@ -174,7 +169,7 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000,
 
     if loss.family in _SMOOTH:
         return _solve_smooth(inst, loss, lam, tol, max_iter)
-    return _solve_kinked(inst, loss, lam, tol, max_iter, target_objective)
+    return _solve_kinked(inst, loss, lam, tol, max_iter)
 
 
 def check_oracle_distance(inst, loss, lam, ramp_result, tol=None):

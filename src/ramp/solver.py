@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibrationTarget, calibrate
-from .losses import LossSpec, effective_score, soft_threshold
+from .losses import effective_score, soft_threshold
 
 class DivergenceError(RuntimeError):
     """Raised when an iterate or the estimated residual scale stops being finite."""

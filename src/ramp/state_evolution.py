@@ -11,9 +11,17 @@ Expectations over the effective residual W + sigma Z are computed from
 truncated-normal closed forms conditional on W. Normal noise (and normal
 mixtures) therefore collapse exactly; heavy-tailed laws are integrated
 over W with Gauss-Legendre nodes on the inverse cdf, split at the median
-so the Laplace kink sits on a panel edge. A seeded Monte Carlo engine is
-kept alongside for cross-checks; it draws its sample once and reuses it
-for every b of a tau update.
+so the Laplace kink sits on a panel edge.
+
+On this quadrature engine the slope E d1Phi is the mass of the score
+window, so its derivative in b is the density of W + sigma Z at the
+window edges, from the same normal pieces. The tau update therefore finds
+b by safeguarded Newton steps on log b (`slope_curve` gives the slope and
+its derivative), starting from the previous SE iteration's b, and takes
+E Phi^2 once at the root; a few slope evaluations per update suffice.
+A seeded Monte Carlo engine is kept alongside for cross-checks; its slope
+is a step map in b, so it brackets and runs Brent's method instead, and
+it draws its sample once and reuses it for every b of a tau update.
 """
 
 from __future__ import annotations
@@ -328,6 +336,30 @@ def _conditional_moments(loss, b, mu, s):
     return deriv, sq
 
 
+def _conditional_slope(loss, b, mu, s):
+    """(E d1Phi, d/db E d1Phi) of the effective score for v ~ N(mu, s^2).
+
+    The slope is the mass of the score window (scaled by b/(1+b) for
+    Huber), computed as in `_conditional_moments`; its derivative in b is
+    the density of v at the window edges times the rate at which each edge
+    moves. Vectorized over mu.
+    """
+    lo, hi = _score_window(loss, b)
+    a = (lo - mu) / s
+    c = (hi - mu) / s
+    p_in = norm_cdf(c) - norm_cdf(a)
+    f_lo = norm_pdf(a) / s
+    f_hi = norm_pdf(c) / s
+    if loss.gamma is not None:
+        # window (-k, k] with k = (1 + b) gamma
+        cb = b / (1.0 + b)
+        return cb * p_in, p_in / (1.0 + b) ** 2 + cb * loss.gamma * (f_lo + f_hi)
+    if loss.tau_q is not None:
+        # window (b (tau - 1), b tau]
+        return p_in, loss.tau_q * f_hi + (1.0 - loss.tau_q) * f_lo
+    return p_in, f_lo + f_hi
+
+
 @lru_cache(maxsize=32)
 def _noise_nodes(noise):
     """Inverse-cdf Gauss-Legendre nodes for E over the noise law."""
@@ -337,28 +369,37 @@ def _noise_nodes(noise):
     return np.asarray(noise.ppf(uu), dtype=float), ww
 
 
-def _score_moments_quad(loss, b, noise, sigma):
+def _noise_average(conditional, noise, sigma):
+    """Average over W of a pair conditional(mu, s) of moments of v ~ N(mu, s^2).
+
+    Exact for normal noise and normal mixtures, whose v is normal given
+    the component; Gauss-Legendre nodes on the inverse cdf otherwise.
+    """
     if isinstance(noise, Normal):
-        s = math.sqrt(noise.sigma_sq + sigma * sigma)
-        d, q = _conditional_moments(loss, b, 0.0, s)
-        return float(d), float(q)
+        x, y = conditional(0.0, math.sqrt(noise.sigma_sq + sigma * sigma))
+        return float(x), float(y)
     if isinstance(noise, NormalMixture):
-        d_tot = q_tot = 0.0
+        x_tot = y_tot = 0.0
         for w, v in noise.components:
-            d, q = _conditional_moments(loss, b, 0.0, math.sqrt(v + sigma * sigma))
-            d_tot += w * float(d)
-            q_tot += w * float(q)
-        return d_tot, q_tot
-    if loss.family == LEAST_SQUARES:
+            x, y = conditional(0.0, math.sqrt(v + sigma * sigma))
+            x_tot += w * float(x)
+            y_tot += w * float(y)
+        return x_tot, y_tot
+    nodes, weights = _noise_nodes(noise)
+    x, y = conditional(nodes, sigma)
+    return float(weights @ x), float(weights @ y)
+
+
+def _score_moments_quad(loss, b, noise, sigma):
+    if loss.family == LEAST_SQUARES and not isinstance(noise, (Normal, NormalMixture)):
         var = noise.variance
         if not math.isfinite(var):
             raise ValueError(
                 "least-squares score moments diverge under infinite-variance noise")
         c = b / (1.0 + b)
         return c, c * c * (var + sigma * sigma)
-    nodes, weights = _noise_nodes(noise)
-    d, q = _conditional_moments(loss, b, nodes, sigma)
-    return float(weights @ d), float(weights @ q)
+    return _noise_average(lambda mu, s: _conditional_moments(loss, b, mu, s),
+                          noise, sigma)
 
 
 @lru_cache(maxsize=1)
@@ -399,20 +440,47 @@ def score_moments(loss, b, noise, sigma, engine="auto", mc_samples=10 ** 6, seed
     return _score_moments_quad(loss, b, noise, sigma)
 
 
+def slope_curve(loss, b, noise, sigma):
+    """Population (E d1Phi(v; b), d/db E d1Phi(v; b)) for v = W + sigma Z.
+
+    The quadrature engine's slope, which is the first value of
+    `score_moments`, together with its derivative in b. With f the density
+    of v (averaged over the noise nodes, or exact for Normal and
+    NormalMixture noise), the derivative is f(b) + f(-b) for the absolute
+    loss, tau f(b tau) + (1 - tau) f(b (tau - 1)) for quantile(tau), and
+    P(|v| <= k)/(1+b)^2 + gamma b/(1+b) (f(k) + f(-k)) with k = (1+b) gamma
+    for Huber. Least squares has no window and is not handled here.
+    """
+    return _noise_average(lambda mu, s: _conditional_slope(loss, b, mu, s),
+                          noise, sigma)
+
+
 # ---------------------------------------------------------------------------
 # channel updates
 # ---------------------------------------------------------------------------
 
 
 def se_tau_update(sigma_sq, dist, loss, slope, engine="auto",
-                  mc_samples=10 ** 6, seed=0):
+                  mc_samples=10 ** 6, seed=0, b_start=None):
     """Calibrate b on the current residual law and advance tau_sq.
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
     tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. Least squares has the
-    closed form b = slope/(1 - slope); the other losses find b with
+    closed form b = slope/(1 - slope). The other losses find b with
     `solve_increasing`, which raises CalibrationError when the slope is
-    not bracketed on [1e-12, 1e12].
+    not bracketed on [1e-12, 1e12]:
+
+    - on the quadrature engine, by safeguarded Newton on `slope_curve`,
+      which gives the slope and its analytic derivative in b, starting
+      from b_start (b = 1 when None; SE passes the previous iteration's
+      b). Newton falls back to bisection, or to widening the bracket a
+      decade at a time, whenever a step is not safe;
+    - on the Monte Carlo engine, and at sigma = 0 (where the slope of
+      noise integrated on nodes is a step map in b as well), by
+      bracketing and Brent's method on the slope of `score_moments`;
+      b_start is not used.
+
+    `score_moments` is then called once at the root for E Phi^2.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
@@ -421,12 +489,15 @@ def se_tau_update(sigma_sq, dist, loss, slope, engine="auto",
 
     if loss.family == LEAST_SQUARES:
         b = slope / (1.0 - slope)
-    else:
+    elif engine == "mc" or sigma == 0.0:
         def curve(bb):
             return score_moments(loss, bb, noise, sigma, engine=engine,
                                  mc_samples=mc_samples, seed=seed)[0]
 
         b = solve_increasing(curve, slope)
+    else:
+        b = solve_increasing(lambda bb: slope_curve(loss, bb, noise, sigma),
+                             slope, start=b_start, fprime=True)
     _, sq = score_moments(loss, b, noise, sigma, engine=engine,
                           mc_samples=mc_samples, seed=seed)
     return sq / (slope * slope), b
@@ -546,10 +617,12 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
     for t in range(1, config.max_iter + 1):
         prev = tau_sq
         sigma_sq = se_sigma_update(prev, alpha, dist, delta, mode=mode)
+        # warm start from the previous b, which moves little between steps
         tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
                                   engine=config.engine,
                                   mc_samples=config.mc_samples,
-                                  seed=config.seed)
+                                  seed=config.seed,
+                                  b_start=b if math.isfinite(b) else None)
         rows.append((t, sigma_sq, tau_sq, b, theta_of(tau_sq)))
         if not math.isfinite(tau_sq) or tau_sq > _TAU_SQ_CAP:
             diverged = True
@@ -627,11 +700,15 @@ DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(0.5, 3.0 + 1e-9, 0.05), 10))
 
 @dataclass(frozen=True)
 class TuneResult:
+    """Grid-tuned alpha; at_grid_edge is set when alpha_star is the smallest
+    or largest grid point, where the true minimizer may lie off the grid."""
+
     alpha_star: float
     lambda_star: float
     result: SeResult
     alphas: tuple
     amse_values: tuple
+    at_grid_edge: bool = False
 
 
 def lambda_from_fixed_point(alpha, result, omega):
@@ -657,7 +734,8 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
             "state evolution did not converge for any alpha in the grid")
     lam = lambda_from_fixed_point(best_alpha, best, dist.signal_prior.omega)
     return TuneResult(alpha_star=best_alpha, lambda_star=lam, result=best,
-                      alphas=grid, amse_values=tuple(values))
+                      alphas=grid, amse_values=tuple(values),
+                      at_grid_edge=best_alpha in (min(grid), max(grid)))
 
 
 # ---------------------------------------------------------------------------

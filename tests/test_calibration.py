@@ -149,6 +149,40 @@ class TestSolveIncreasing:
         assert err.value.grid_lo == pytest.approx(1e-12)
         assert err.value.value_lo > 0.2
 
+    def test_newton_root(self):
+        def curve(b):
+            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2
+
+        for start in (None, 1e-9, 0.4, 1e9):
+            b = solve_increasing(curve, 0.3, start=start, fprime=True)
+            assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
+        sqrt = lambda b: (np.sqrt(b), 0.5 / np.sqrt(b))
+        assert solve_increasing(sqrt, 1e3, fprime=True) == pytest.approx(1e6, rel=1e-13)
+        assert solve_increasing(sqrt, 1e-4, fprime=True) == pytest.approx(1e-8, rel=1e-13)
+
+    def test_newton_step_map_falls_back_to_bisection(self):
+        # a zero derivative gives no Newton step: widen, then bisect
+        for jump in (2.5, 3e-7, 4e8):
+            b = solve_increasing(lambda bb: (0.0 if bb < jump else 1.0, 0.0), 0.5,
+                                 fprime=True)
+            assert b == pytest.approx(jump, rel=1e-12)
+
+    def test_newton_unreachable_target_carries_bracket(self):
+        with pytest.raises(CalibrationError) as err:
+            solve_increasing(lambda b: (b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 1.0,
+                             start=0.5, fprime=True)
+        assert err.value.grid_hi == 1e12
+        assert err.value.value_hi < 1.0
+        with pytest.raises(CalibrationError) as err:
+            solve_increasing(lambda b: (0.5 + b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 0.2,
+                             start=0.5, fprime=True)
+        assert err.value.grid_lo == 1e-12
+        assert err.value.value_lo > 0.2
+
+    def test_start_needs_derivative(self):
+        with pytest.raises(ValueError):
+            solve_increasing(lambda b: b / (1.0 + b), 0.3, start=1.0)
+
     def test_huber_slope_evaluations(self, monkeypatch):
         # raw residuals of the benchmark draw, as in the solver's first pass
         spec = convergence_study_spec(replications=1)
@@ -159,10 +193,14 @@ class TestSolveIncreasing:
         assert np.mean(effective_score_deriv(huber(1.0), inst.y, b)) == pytest.approx(inst.slope, rel=1e-8)
 
     def test_se_tau_update_curve_evaluations(self, monkeypatch):
+        # both curves count: the slope curve Newton runs on and the
+        # score moments taken once at the root
         dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
-        calls = counting(monkeypatch, state_evolution, "score_moments")
+        slope_calls = counting(monkeypatch, state_evolution, "slope_curve")
+        moment_calls = counting(monkeypatch, state_evolution, "score_moments")
         _, b = se_tau_update(0.5, dist, absolute(), 0.2)
-        assert len(calls) <= 25
+        assert len(moment_calls) == 1
+        assert 1 <= len(slope_calls) + len(moment_calls) <= 25
         deriv, _ = state_evolution.score_moments(absolute(), b, Laplace(1.0), np.sqrt(0.5))
         assert deriv == pytest.approx(0.2, rel=1e-10)
 

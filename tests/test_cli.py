@@ -56,10 +56,14 @@ class TestProx:
         assert exc.value.code == 2
 
     def test_module_entry_point(self):
+        # the child process imports the same ramp as the tests, installed
+        # or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ramp.cli", "prox", "--loss", "ls",
              "--z", "2", "--b", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "prox 1"
 

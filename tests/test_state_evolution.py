@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from ramp import state_evolution
+from ramp.calibration import solve_increasing
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, soft_threshold
 from ramp.state_evolution import (
     Cauchy,
@@ -26,6 +27,7 @@ from ramp.state_evolution import (
     pm_one_prior,
     score_moments,
     se_fixed_point,
+    slope_curve,
     se_sigma_update,
     se_tau_update,
     tune_alpha,
@@ -250,6 +252,59 @@ class TestScoreMoments:
             score_moments(absolute(), 0.5, Normal(1.0), 0.5, engine="exact")
 
 
+SLOPE_NOISES = (Normal(0.2), NormalMixture(((0.7, 1.0), (0.3, 3.0))), Laplace(1.0),
+                StudentT(4.0), Cauchy(1.0))
+SLOPE_LOSSES = (huber(1.0), absolute(), quantile(0.7))
+
+
+class TestSlopeCurve:
+    @pytest.mark.parametrize("noise", SLOPE_NOISES)
+    @pytest.mark.parametrize("loss", SLOPE_LOSSES)
+    def test_derivative_matches_central_difference(self, noise, loss):
+        sigma = 0.6
+        for b in (0.05, 0.4, 1.5, 6.0):
+            d, deriv = slope_curve(loss, b, noise, sigma)
+            assert d == score_moments(loss, b, noise, sigma)[0]
+            h = 1e-5 * b
+            fd = (slope_curve(loss, b + h, noise, sigma)[0]
+                  - slope_curve(loss, b - h, noise, sigma)[0]) / (2.0 * h)
+            assert deriv > 0
+            assert deriv == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("noise", SLOPE_NOISES)
+    @pytest.mark.parametrize("loss", SLOPE_LOSSES)
+    def test_newton_matches_bracketed_brent(self, noise, loss):
+        # the derivative-free path of the same root finder, on the slope
+        # of score_moments, is the reference
+        dist = DistributionModel(pm_one_prior(0.128), noise)
+        for sigma_sq, slope, start in ((0.5, 0.2, None), (0.05, 0.2, 3.0), (2.0, 0.6, 0.01)):
+            sigma = math.sqrt(sigma_sq)
+            ref = solve_increasing(lambda b: score_moments(loss, b, noise, sigma)[0], slope)
+            _, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
+            assert b == pytest.approx(ref, rel=1e-12)
+
+    def test_warm_started_fixed_point_evaluations(self, monkeypatch):
+        calls = {"tau": 0, "curve": 0}
+
+        def count(name, key):
+            original = getattr(state_evolution, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(state_evolution, name, wrapper)
+
+        count("se_tau_update", "tau")
+        count("slope_curve", "curve")
+        count("score_moments", "curve")
+        dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
+        res = se_fixed_point(dist, absolute(), 0.64, alpha=2.0)
+        assert res.converged
+        assert calls["tau"] == res.iterations + 1
+        assert calls["curve"] / calls["tau"] <= 8
+
+
 class TestTauUpdate:
     def test_least_squares_identities(self):
         slope = 0.2
@@ -443,6 +498,15 @@ class TestTuneAlpha:
                          alpha_grid=(1.2, 1.4, 1.6))
         lam = lambda_from_fixed_point(out.alpha_star, out.result, 0.128)
         assert out.lambda_star == pytest.approx(lam)
+
+    def test_grid_edge_flag(self):
+        dist = DistributionModel(pm_one_prior(0.128), Normal(0.2))
+        inner = tune_alpha(dist, least_squares(), 0.64,
+                           alpha_grid=tuple(np.round(np.arange(1.0, 2.01, 0.1), 10)))
+        assert inner.alpha_star == 1.4 and not inner.at_grid_edge
+        for grid in ((0.5, 0.6), (2.5, 2.6, 2.7)):
+            out = tune_alpha(dist, least_squares(), 0.64, alpha_grid=grid)
+            assert out.alpha_star in (grid[0], grid[-1]) and out.at_grid_edge
 
     def test_all_diverged_raises(self):
         dist = DistributionModel(pm_one_prior(0.128), Cauchy(1.0))
