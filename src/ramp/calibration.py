@@ -2,12 +2,13 @@
 
 Each pass of the solver re-fits b on the current adjusted residuals z so
 that the average derivative of the effective score matches the target
-slope s/n. Smooth-score losses (least squares, Huber) solve the empirical
-equation directly with `solve_increasing`, the bracketed root finder that
-state evolution also uses for the population equation. Kinked-score
-losses (absolute, quantile) go through a plug-in estimate of the
-population slope built from the ECDF and a density estimate, solved on a
-log grid.
+slope s/n, the empirical form of the equation state evolution solves for
+the population. Smooth-score losses (least squares, Huber) solve it with
+`solve_increasing`, the bracketed root finder that state evolution also
+uses. For the kinked-score losses (absolute, quantile) the derivative is
+1 inside the score window and 0 outside, so the average is the fraction
+of residuals inside the window, a step map in b whose root is an order
+statistic; `calibrate_nonsmooth` returns it exactly.
 """
 
 from __future__ import annotations
@@ -22,13 +23,6 @@ from scipy import optimize
 from . import losses
 from .gauss import norm_pdf
 from .losses import LossSpec, effective_score_deriv
-
-# log grid for the kinked b search; widened by a decade per side on
-# failure, at most twice
-GRID_LO = 1e-4
-GRID_HI = 1e2
-GRID_POINTS = 400
-MAX_EXTENSIONS = 2
 
 SMOOTH_FAMILIES = (losses.LEAST_SQUARES, losses.HUBER)
 KINKED_FAMILIES = (losses.ABSOLUTE, losses.QUANTILE)
@@ -66,6 +60,10 @@ class CalibrationTarget:
         object.__setattr__(self, "residuals", z)
 
 
+# The density estimate below and `plugin_slope_curve` are no longer on any
+# calibration path. The benchmark tracer in perfbench/ wraps them by name,
+# so they stay until it stops doing so.
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """A pointwise-evaluable density estimate fitted on one residual vector.
@@ -89,16 +87,6 @@ def _silverman_h(z: np.ndarray) -> float:
     return 1.06 * sigma * z.size ** (-0.2)
 
 
-def ecdf(residuals, x):
-    """Right-continuous empirical CDF of the residuals, evaluated at x."""
-    z = np.atleast_1d(np.asarray(residuals, dtype=float))
-    if z.size == 0:
-        raise ValueError("residuals must be nonempty")
-    zs = np.sort(z)
-    out = np.searchsorted(zs, np.asarray(x, dtype=float), side="right") / zs.size
-    return out if np.ndim(x) else float(out)
-
-
 def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") -> DensityEstimate:
     """Fit a density estimate on the residuals.
 
@@ -107,7 +95,7 @@ def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") 
     residuals   : sample of size >= 2
     bandwidth_h : positive bandwidth; Silverman's 1.06*sigma*n^(-1/5) when None
     method      : "kernel" for the Gaussian smoother (default; evaluable
-                  anywhere, which the calibration grid search needs), or
+                  anywhere), or
                   "window" for the symmetric ECDF difference quotient with
                   half-width h/sqrt(n)
 
@@ -166,12 +154,6 @@ def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") 
 
 def _empirical_slope(loss: LossSpec, z: np.ndarray, b: float) -> float:
     return float(np.mean(effective_score_deriv(loss, z, b)))
-
-
-def _base_grid(extensions: int) -> np.ndarray:
-    lo = GRID_LO * 10.0 ** (-extensions)
-    hi = GRID_HI * 10.0 ** extensions
-    return np.geomspace(lo, hi, GRID_POINTS)
 
 
 def solve_increasing(curve: Callable, target: float, start: Optional[float] = None,
@@ -293,7 +275,7 @@ def calibrate_smooth(target: CalibrationTarget) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kinked-score calibration: plug-in slope on a log grid
+# kinked-score calibration: exact order statistic
 # ---------------------------------------------------------------------------
 
 def plugin_slope_curve(loss: LossSpec, b_grid, cdf: Callable, pdf: Callable):
@@ -315,61 +297,54 @@ def plugin_slope_curve(loss: LossSpec, b_grid, cdf: Callable, pdf: Callable):
     raise ValueError("plug-in calibration applies to absolute and quantile losses only")
 
 
-def _grid_average_rule(grid: np.ndarray, vals: np.ndarray, slope: float) -> Optional[float]:
-    """Average the straddling grid values per the bracketing recipe.
+def calibrate_nonsmooth(target: CalibrationTarget) -> float:
+    """Solve mean_i d1Phi(z_i; b) = slope exactly for kinked-score losses.
 
-    Scanning in ascending b: for a decreasing curve this averages the first
-    value below the target with the last value above it; for an increasing
-    curve, the mirrored pair. Exact hits short-circuit. None when the curve
-    never crosses.
-    """
-    hit = np.flatnonzero(vals == slope)
-    if hit.size:
-        return float(grid[hit[0]])
-    below = vals < slope
-    above = vals > slope
-    if not below.any() or not above.any():
-        return None
-    increasing = vals[-1] > vals[0]
-    if increasing:
-        return float(0.5 * (grid[below][-1] + grid[above][0]))
-    return float(0.5 * (grid[below][0] + grid[above][-1]))
+    Each residual maps to u_i >= 0 with z_i inside the score window exactly
+    when u_i < b: u_i = |z_i| for the absolute loss, and for quantile(tau)
+    u_i = z_i/tau when z_i > 0 and z_i/(tau - 1) otherwise. The average
+    derivative is then #{u_i < b}/n (edges count 1/2), a step map in b.
+    With j the smallest count with j/n >= slope, the root follows the tie
+    rule b = (b_minus + b_plus)/2 of `calibrate_smooth`: the midpoint
+    (u_(j) + u_(j+1))/2 of the flat step when j/n equals the slope, which
+    puts exactly j residuals inside, and the jump point u_(j) otherwise.
 
-
-def calibrate_nonsmooth(target: CalibrationTarget, density: Optional[DensityEstimate] = None) -> float:
-    """Grid-search the plug-in slope equation for kinked-score losses.
-
-    Inputs
-    ------
-    target  : slope, loss (absolute or quantile) and residuals
-    density : density estimate for the residuals; default Gaussian-kernel fit
-
-    Returns the average of the two grid values straddling the crossing of
-    the plug-in curve with the target slope.
+    Residuals that are exactly zero lie inside every window. When they
+    alone make up more than the slope (more than s of n for slope s/n),
+    the root is b = 0 and CalibrationError is raised, with grid_lo = 0 and
+    value_lo the share of zeros, the least slope any b > 0 gives.
     """
     if target.loss.family not in KINKED_FAMILIES:
         raise ValueError("calibrate_nonsmooth handles absolute and quantile losses only")
     z, slope = target.residuals, target.slope
-    if density is None:
-        density = kde(z)
-    zs = np.sort(z)
+    n = z.size
+    if target.loss.family == losses.ABSOLUTE:
+        u = np.abs(z)
+    else:
+        t = target.loss.tau_q
+        u = np.where(z > 0.0, z / t, z / (t - 1.0))
+    # smallest j with j/n >= slope, compared in floats: slope = s/n gives j = s
+    j = math.ceil(slope * n)
+    while j / n < slope:
+        j += 1
+    while (j - 1) / n >= slope:
+        j -= 1
+    if j / n == slope:
+        part = np.partition(u, (j - 1, j))
+        b = 0.5 * (part[j - 1] + part[j])
+    else:
+        b = np.partition(u, j - 1)[j - 1]
+    if not b > 0.0:
+        zeros = int(np.count_nonzero(u == 0.0))
+        raise CalibrationError(
+            f"slope {slope} not reached for any b > 0: {zeros} of {n} residuals "
+            f"are exactly zero and lie inside every window",
+            grid_lo=0.0, value_lo=zeros / n)
+    return float(b)
 
-    def cdf(x, _zs=zs):
-        return np.searchsorted(_zs, x, side="right") / _zs.size
 
-    for ext in range(MAX_EXTENSIONS + 1):
-        grid = _base_grid(ext)
-        vals = plugin_slope_curve(target.loss, grid, cdf, density.eval)
-        b = _grid_average_rule(grid, vals, slope)
-        if b is not None:
-            return b
-    raise CalibrationError(
-        "plug-in slope never crosses the target on the extended grid",
-        grid_lo=grid[0], grid_hi=grid[-1], value_lo=vals[0], value_hi=vals[-1])
-
-
-def calibrate(target: CalibrationTarget, density: Optional[DensityEstimate] = None) -> float:
+def calibrate(target: CalibrationTarget) -> float:
     """Dispatch on the loss family's score smoothness."""
     if target.loss.family in SMOOTH_FAMILIES:
         return calibrate_smooth(target)
-    return calibrate_nonsmooth(target, density)
+    return calibrate_nonsmooth(target)

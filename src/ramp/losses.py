@@ -151,8 +151,7 @@ def prox(spec: LossSpec, z, b):
 def effective_score(spec: LossSpec, z, b):
     """Phi(z; b) = b * rho'(prox(z, b)), written out piecewise per family.
 
-    Coincides with z - prox(spec, z, b); both routes are kept and the
-    identity is exercised in the tests rather than assumed here.
+    Coincides with z - prox(spec, z, b); the tests check that identity.
     """
     _check_b(b)
     z = np.asarray(z, dtype=float)

@@ -324,7 +324,11 @@ def _conditional_moments(loss, b, mu, s):
         return np.full(mu.shape, c), c * c * (mu * mu + s * s)
     lo, hi = _score_window(loss, b)
     p_in, _, m2_in = truncated_moments(mu, s, lo, hi)
-    p_below, _, _ = truncated_moments(mu, s, -np.inf, lo)
+    if s == 0.0:
+        # point mass at mu, as in truncated_moments
+        p_below = (mu <= lo).astype(float)
+    else:
+        p_below = norm_cdf((lo - mu) / s)
     p_above = np.maximum(1.0 - p_in - p_below, 0.0)
     if loss.gamma is not None:
         c = b / (1.0 + b)

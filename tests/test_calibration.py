@@ -11,7 +11,6 @@ from ramp.calibration import (
     calibrate,
     calibrate_nonsmooth,
     calibrate_smooth,
-    ecdf,
     kde,
     plugin_slope_curve,
     solve_increasing,
@@ -27,31 +26,16 @@ def exact_lad_root(slope):
     return brentq(f, 1e-6, 50.0, xtol=1e-12)
 
 
-def grid_step_near(b):
-    # multiplicative spacing of the 400-point search grid
-    factor = (calibration.GRID_HI / calibration.GRID_LO) ** (1.0 / (calibration.GRID_POINTS - 1))
-    return b * (factor - 1.0)
-
-
-class TestEcdf:
-    def test_pinned_values(self):
-        z = [1.0, 2.0, 3.0]
-        assert ecdf(z, 2.0) == pytest.approx(2 / 3)
-        assert ecdf(z, 0.0) == 0.0
-        assert ecdf(z, 3.0) == 1.0
-
-    def test_right_continuity(self):
-        z = [0.0, 1.0]
-        assert ecdf(z, 1.0) == 1.0
-        assert ecdf(z, 1.0 - 1e-12) == 0.5
-
-    def test_vectorized(self):
-        out = ecdf([1.0, 2.0], np.array([0.5, 1.5, 2.5]))
-        assert_allclose(out, [0.0, 0.5, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf([], 0.0)
+def kinked_root(loss, slope):
+    """Population root of P(z inside the score window) = slope for N(0,1)
+    residuals, and the density of u (as in calibrate_nonsmooth) there."""
+    if loss.family == "absolute":
+        b = stats.norm.ppf(0.5 * (1.0 + slope))
+        return b, 2.0 * stats.norm.pdf(b)
+    t = loss.tau_q
+    mass = lambda b: stats.norm.cdf(b * t) - stats.norm.cdf(b * (t - 1.0))
+    b = brentq(lambda bb: mass(bb) - slope, 1e-9, 50.0, xtol=1e-14)
+    return b, t * stats.norm.pdf(b * t) + (1.0 - t) * stats.norm.pdf(b * (t - 1.0))
 
 
 class TestKde:
@@ -267,68 +251,109 @@ class TestCalibrateSmooth:
 
 class TestCalibrateNonsmooth:
     def test_exact_plugin_matches_analytic_root(self):
-        # run the grid rule with the true normal cdf/pdf in place of estimates
+        # the plug-in curve, no longer on the calibration path, with the
+        # true normal cdf/pdf is increasing, and its root is the analytic one
         slope = 0.2
-        b_star = exact_lad_root(slope)
-        grid = np.geomspace(calibration.GRID_LO, calibration.GRID_HI, calibration.GRID_POINTS)
-        vals = plugin_slope_curve(absolute(), grid, stats.norm.cdf, stats.norm.pdf)
-        b = calibration._grid_average_rule(grid, vals, slope)
-        assert abs(b - b_star) <= grid_step_near(b_star)
+        b = solve_increasing(
+            lambda bb: float(plugin_slope_curve(absolute(), bb, stats.norm.cdf, stats.norm.pdf)),
+            slope)
+        assert b == pytest.approx(exact_lad_root(slope), rel=1e-10)
 
     def test_empirical_lands_near_analytic_root(self):
-        slope = 0.2
-        b_star = exact_lad_root(slope)
+        # b is the sample quantile of u at level s/n, which tends to the
+        # population root with standard error sqrt(p(1-p)/n) / g(b*)
+        slope, n = 0.2, 40_000
+        z = np.random.default_rng(42).standard_normal(n)
+        assert kinked_root(absolute(), slope)[0] == pytest.approx(stats.norm.ppf(0.6), rel=1e-14)
+        for loss in (absolute(), quantile(0.7), quantile(0.3)):
+            b_star, dens = kinked_root(loss, slope)
+            se = np.sqrt(slope * (1.0 - slope) / n) / dens
+            b_hat = calibrate_nonsmooth(CalibrationTarget(slope, loss, z))
+            assert abs(b_hat - b_star) <= 3.0 * se
+
+    def test_plug_back_is_exact(self):
+        # with distinct residuals exactly s of n fall inside the window
         rng = np.random.default_rng(42)
-        n = 40_000
-        z = rng.standard_normal(n)
-        b_hat = calibrate_nonsmooth(CalibrationTarget(slope, absolute(), z))
-        boots = []
-        for _ in range(15):
-            zb = rng.choice(z, size=n, replace=True)
-            boots.append(calibrate_nonsmooth(CalibrationTarget(slope, absolute(), zb)))
-        se = np.std(boots, ddof=1)
-        assert abs(b_hat - b_star) <= max(3.0 * se, 2.0 * grid_step_near(b_star))
+        # (25, 7): 7/25 * 25 rounds above 7, so ceil(slope * n) overshoots
+        for n, s in ((320, 64), (5000, 1000), (1001, 7), (10, 9), (25, 7)):
+            z = rng.standard_normal(n)
+            for loss in (absolute(), quantile(0.3), quantile(0.7)):
+                b = calibrate_nonsmooth(CalibrationTarget(s / n, loss, z))
+                assert np.mean(effective_score_deriv(loss, z, b)) == s / n
 
     def test_quantile_half_matches_absolute(self):
-        # at tau_q = 0.5 the plug-in equation is the absolute one at b/2, so
-        # the fitted b doubles and the calibrated scores coincide
-        rng = np.random.default_rng(42)
-        z = rng.standard_normal(20_000)
-        dens = kde(z)
-        b_lad = calibrate_nonsmooth(CalibrationTarget(0.2, absolute(), z), dens)
-        b_q = calibrate_nonsmooth(CalibrationTarget(0.2, quantile(0.5), z), dens)
-        assert abs(b_q - 2.0 * b_lad) <= 4.0 * grid_step_near(b_q)
-        zz = np.linspace(-3, 3, 101)
-        assert_allclose(effective_score(quantile(0.5), zz, b_q),
-                        effective_score(absolute(), zz, b_lad),
-                        atol=2.0 * grid_step_near(b_lad))
+        # at tau_q = 0.5 the window is the absolute one at b/2, so the
+        # fitted b doubles exactly and the calibrated scores coincide
+        z = np.random.default_rng(42).standard_normal(20_000)
+        for slope in (0.2, 0.20001):
+            b_lad = calibrate_nonsmooth(CalibrationTarget(slope, absolute(), z))
+            b_q = calibrate_nonsmooth(CalibrationTarget(slope, quantile(0.5), z))
+            assert b_q == 2.0 * b_lad
+            zz = np.linspace(-3, 3, 101)
+            np.testing.assert_array_equal(effective_score(quantile(0.5), zz, b_q),
+                                          effective_score(absolute(), zz, b_lad))
 
     def test_fitted_b_increases_with_slope(self):
         rng = np.random.default_rng(42)
         z = rng.standard_normal(20_000)
-        dens = kde(z)
-        bs = [calibrate_nonsmooth(CalibrationTarget(s, absolute(), z), dens)
+        bs = [calibrate_nonsmooth(CalibrationTarget(s, absolute(), z))
               for s in (0.1, 0.2, 0.4, 0.6)]
         assert all(b1 < b2 for b1, b2 in zip(bs, bs[1:]))
 
     def test_neighbors_straddle_target(self):
+        # the empirical slope is below the target between the two order
+        # statistics under b and above it between the two over b
         rng = np.random.default_rng(42)
         z = rng.standard_normal(10_000)
-        dens = kde(z)
-        slope = 0.3
-        b = calibrate_nonsmooth(CalibrationTarget(slope, absolute(), z), dens)
-        zs = np.sort(z)
-        cdf = lambda x: np.searchsorted(zs, x, side="right") / zs.size
-        step = grid_step_near(b)
-        lo_val = plugin_slope_curve(absolute(), np.array([b - step]), cdf, dens.eval)[0]
-        hi_val = plugin_slope_curve(absolute(), np.array([b + step]), cdf, dens.eval)[0]
-        assert min(lo_val, hi_val) <= slope <= max(lo_val, hi_val)
+        for loss in (absolute(), quantile(0.7)):
+            u = np.sort(np.where(z > 0, z / 0.7, z / -0.3) if loss.tau_q else np.abs(z))
+            for slope in (0.3, 0.30005):
+                b = calibrate_nonsmooth(CalibrationTarget(slope, loss, z))
+                below = 0.5 * (u[u < b][-2] + u[u < b][-1])
+                above = 0.5 * (u[u > b][0] + u[u > b][1])
+                assert np.mean(effective_score_deriv(loss, z, below)) < slope
+                assert np.mean(effective_score_deriv(loss, z, above)) > slope
 
-    def test_failure_when_scale_exceeds_grid(self):
-        z = 1e7 * np.random.default_rng(42).standard_normal(200)
-        with pytest.raises(CalibrationError) as err:
-            calibrate_nonsmooth(CalibrationTarget(0.2, absolute(), z))
-        assert err.value.grid_hi > calibration.GRID_HI
+    def test_non_integer_target_returns_jump(self):
+        # no count hits 0.25 of 10: the smallest count above it is 3, so b
+        # is the third order statistic, where the slope jumps over 0.25
+        z = np.array([-5.0, 4.0, -1.0, 3.0, 2.0, -7.0, 6.0, 10.0, -9.0, 8.0])
+        assert calibrate_nonsmooth(CalibrationTarget(0.25, absolute(), z)) == 3.0
+        # quantile(0.5): u = 2|z|
+        assert calibrate_nonsmooth(CalibrationTarget(0.25, quantile(0.5), z)) == 6.0
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(999)
+        for s in (1, 100, 998):
+            slope = (s + 0.5) / 999
+            b = calibrate_nonsmooth(CalibrationTarget(slope, absolute(), z))
+            assert b == np.sort(np.abs(z))[s]
+
+    def test_ties_return_jump(self):
+        # three residuals share |z| = 2 at counts 2..4: the tie rule gives
+        # the shared value whether or not the target count lands inside it
+        z = np.array([1.0, 2.0, -2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        for slope in (0.2, 0.25, 0.3, 0.35):
+            assert calibrate_nonsmooth(CalibrationTarget(slope, absolute(), z)) == 2.0
+        assert calibrate_nonsmooth(CalibrationTarget(0.4, absolute(), z)) == 2.5
+
+    def test_scale_equivariant(self):
+        # no bracket limits the kinked root: b follows the residual scale
+        z = np.random.default_rng(42).standard_normal(200)
+        b = calibrate_nonsmooth(CalibrationTarget(0.2, absolute(), z))
+        for k in (-40, 40, 1000):
+            assert calibrate_nonsmooth(CalibrationTarget(0.2, absolute(), z * 2.0 ** k)) == b * 2.0 ** k
+
+    def test_failure_when_zeros_fill_the_window(self):
+        # exact zeros lie inside every window; more than s of them leave
+        # the root at b = 0
+        z = np.array([0.0, -0.0, 0.0, 1.0, -2.0, 3.0, 4.0, -5.0, 6.0, 7.0])
+        for loss in (absolute(), quantile(0.7)):
+            with pytest.raises(CalibrationError) as err:
+                calibrate_nonsmooth(CalibrationTarget(0.2, loss, z))
+            assert "3 of 10" in str(err.value)
+            assert err.value.grid_lo == 0.0 and err.value.value_lo == 0.3
+            # exactly s zeros still leave a positive root
+            assert calibrate_nonsmooth(CalibrationTarget(0.3, loss, z)) > 0.0
 
     def test_wrong_family_rejected(self):
         with pytest.raises(ValueError):
@@ -338,7 +363,12 @@ class TestCalibrateNonsmooth:
 class TestDispatch:
     def test_routes_by_family(self):
         rng = np.random.default_rng(42)
-        z = rng.standard_normal(5000)
-        assert calibrate(CalibrationTarget(0.2, least_squares(), z)) == pytest.approx(0.25, abs=1e-8)
-        b_lad = calibrate(CalibrationTarget(0.2, absolute(), z))
-        assert 0.5 < b_lad < 2.0
+        n, slope = 5000, 0.2
+        z = rng.standard_normal(n)
+        assert calibrate(CalibrationTarget(slope, least_squares(), z)) == pytest.approx(0.25, abs=1e-8)
+        # the kinked route: the sample quantile of |z| at level 0.2, near
+        # Phi^-1(0.6) within three standard errors of a sample quantile
+        b_star = stats.norm.ppf(0.6)
+        se = np.sqrt(slope * (1.0 - slope) / n) / (2.0 * stats.norm.pdf(b_star))
+        b_lad = calibrate(CalibrationTarget(slope, absolute(), z))
+        assert abs(b_lad - b_star) <= 3.0 * se

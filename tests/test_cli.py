@@ -120,9 +120,10 @@ class TestSolve:
         assert list(tmp_path.iterdir()) == []
 
     def test_calibration_failure_exit_code(self, tmp_path, capsys):
-        # the plug-in scale runs away for the absolute loss on this draw
-        assert run_cli(*self.solve_args(tmp_path, loss="lad")) == 1
-        assert "plug-in slope" in capsys.readouterr().err
+        # noise of scale 1e14 puts the huber root past the widest bracket
+        # end b = 1e12
+        assert run_cli(*self.solve_args(tmp_path, loss="huber", noise_param=1e28)) == 1
+        assert "not bracketed" in capsys.readouterr().err
 
     def test_reruns_are_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from ramp import experiments
 from ramp.experiments import (
     DEFAULT_SPARSE_ALPHAS,
     ExperimentSpec,
@@ -164,7 +166,7 @@ class TestWriteReport:
 
 
 class TestConvergenceStudy:
-    def test_small_run_records_successes_and_failures(self):
+    def test_small_run_records_successes_and_failures(self, monkeypatch):
         spec = ExperimentSpec(
             n=320, p=500, s=64, noise=Normal(0.2),
             losses=(least_squares(), absolute()),
@@ -179,12 +181,35 @@ class TestConvergenceStudy:
         assert ls[7] > 0.0  # amse_se
         np.testing.assert_allclose(ls[3], 0.25, atol=1e-6)  # b_mean
 
-        # the unbounded growth of the plug-in scale kills every replication
+        # no absolute-loss run fails, but none converges before max_iter
+        # stops it (201 passes) at alpha* = 1.6
         lad = by_loss["absolute"]
-        assert lad[9] == 3 and lad[8] == 0
-        assert math.isnan(lad[6])
+        assert lad[1] == 1.6
+        assert lad[9] == 0 and lad[8] == 0 and lad[4] == 201
+        assert 0.0 < lad[6] < 0.5
         assert report.metadata["replications"] == 3
         assert len(report.metadata["seeds"]) == 3
+
+        # a draw whose response is exactly zero: every residual of the
+        # first pass is zero, more than s of them, so the absolute loss
+        # fails calibration there while least squares fits x = 0
+        def zero_response(spec, seed):
+            inst = generate_instance(spec, seed)
+            if seed != spec.seeds[0]:
+                return inst
+            return dataclasses.replace(inst, y=np.zeros(spec.n))
+
+        monkeypatch.setattr(experiments, "generate_instance", zero_response)
+        by_loss = {row[0]: row for row in run_convergence_study(spec).rows}
+        assert by_loss["least_squares"][8:] == (3, 0, 3)
+        lad = by_loss["absolute"]
+        assert lad[8:] == (0, 1, 3)
+        assert 0.0 < lad[6] < 0.5
+        # a loss whose every run fails reports nan means
+        spec_one = dataclasses.replace(spec, replications=1)
+        lad = {row[0]: row for row in run_convergence_study(spec_one).rows}["absolute"]
+        assert lad[8:] == (0, 1, 1)
+        assert all(math.isnan(v) for v in lad[3:8])
 
 
 class TestDenseEfficiency:

@@ -298,13 +298,19 @@ class TestDivergenceAndFailure:
             initial_state(inst, least_squares(), SolverConfig(alpha=2.0))
 
     def test_runaway_scale_ends_in_calibration_failure(self):
-        # the clipped-score losses keep every iterate finite while the
-        # residual scale grows geometrically, so the failure surfaces as the
-        # calibration grid running out rather than as a non-finite value
+        # a residual scale beyond the reach of calibration surfaces as
+        # CalibrationError out of run_ramp, not as a non-finite value:
+        # huber at scale 1e14 needs b past the widest bracket end 1e12,
+        # and an all-zero residual leaves the kinked root at b = 0
         rng = np.random.default_rng(3)
         inst = make_instance(rng, 80, 125, 16)
-        with pytest.raises(CalibrationError):
-            run_ramp(inst, absolute(), SolverConfig(alpha=2.0))
+        huge = ProblemInstance(A=inst.A, y=1e14 * inst.y, s=inst.s)
+        with pytest.raises(CalibrationError, match="not bracketed"):
+            run_ramp(huge, huber(1.0), SolverConfig(alpha=2.0))
+        flat = ProblemInstance(A=inst.A, y=np.zeros(inst.n), s=inst.s)
+        for loss in (absolute(), quantile(0.7)):
+            with pytest.raises(CalibrationError, match="exactly zero"):
+                run_ramp(flat, loss, SolverConfig(alpha=2.0))
 
     def test_max_iter_returns_flagged_status(self):
         rng = np.random.default_rng(8)

@@ -243,6 +243,28 @@ class TestScoreMoments:
                                 mc_samples=n, seed=5)
             assert got == fresh(absolute(), b, Laplace(1.0), 0.6, n, 5)
 
+    def test_conditional_moments_match_truncated_route(self):
+        # p_below by norm_cdf gives the same bits as a truncated_moments
+        # call over (-inf, lo]; at s = 0 the point mass gives E Phi^2 =
+        # Phi(mu)^2
+        mu = state_evolution._noise_nodes(Laplace(1.0))[0]
+        for loss, b in ((absolute(), 0.7), (quantile(0.3), 1.9), (huber(1.0), 0.4)):
+            for s in (0.6, 0.0):
+                deriv, sq = state_evolution._conditional_moments(loss, b, mu, s)
+                lo, hi = state_evolution._score_window(loss, b)
+                p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
+                p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
+                p_above = np.maximum(1.0 - p_in - p_below, 0.0)
+                if loss.gamma is None:
+                    ref = m2_in + hi * hi * p_above + lo * lo * p_below
+                else:
+                    c = b / (1.0 + b)
+                    ref = c * c * m2_in + (b * loss.gamma) ** 2 * (p_below + p_above)
+                np.testing.assert_array_equal(sq, ref)
+                if s == 0.0:
+                    phi = effective_score(loss, mu, b)
+                    assert_allclose(sq, phi * phi, rtol=1e-15)
+
     def test_least_squares_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
             score_moments(least_squares(), 0.3, Cauchy(1.0), 0.5)
