@@ -3,12 +3,13 @@
 Each pass of the solver re-fits b on the current adjusted residuals z so
 that the average derivative of the effective score matches the target
 slope s/n, the empirical form of the equation state evolution solves for
-the population. Smooth-score losses (least squares, Huber) solve it with
-`solve_increasing`, the bracketed root finder that state evolution also
-uses. For the kinked-score losses (absolute, quantile) the derivative is
-1 inside the score window and 0 outside, so the average is the fraction
-of residuals inside the window, a step map in b whose root is an order
-statistic; `calibrate_nonsmooth` returns it exactly.
+the population. `calibrate` solves it exactly for every loss: least
+squares in closed form, the others through u_i (`_window_u`), with z_i
+inside the score window exactly when u_i < b. The root is then an order
+statistic of u for the kinked-score losses (absolute, quantile;
+`calibrate_nonsmooth`), and is found by one walk over the sorted u for
+Huber (`calibrate_smooth`). `solve_increasing`, safeguarded Newton on
+log b, solves the population equation for state evolution.
 """
 
 from __future__ import annotations
@@ -18,21 +19,22 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from . import losses
 from .gauss import norm_pdf
-from .losses import LossSpec, effective_score_deriv
+from .losses import LossSpec
+# unused here, but the benchmark tracer in perfbench/ wraps it by this name
+from .losses import effective_score_deriv
 
 SMOOTH_FAMILIES = (losses.LEAST_SQUARES, losses.HUBER)
 KINKED_FAMILIES = (losses.ABSOLUTE, losses.QUANTILE)
 
 
 class CalibrationError(RuntimeError):
-    """Raised when the slope equation has no crossing on the search range.
+    """Raised when the slope equation has no root on the search range.
 
-    Carries the final bracket (or grid) endpoints and the slope values
-    there, so callers can see on which side the target was missed.
+    Carries the outermost points searched and the slope values there, so
+    callers can see on which side the target was missed.
     """
 
     def __init__(self, message, grid_lo=None, grid_hi=None, value_lo=None, value_hi=None):
@@ -149,69 +151,35 @@ def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") 
 
 
 # ---------------------------------------------------------------------------
-# smooth-score calibration: empirical slope equation
+# population root finder
 # ---------------------------------------------------------------------------
-
-def _empirical_slope(loss: LossSpec, z: np.ndarray, b: float) -> float:
-    return float(np.mean(effective_score_deriv(loss, z, b)))
-
-
-def solve_increasing(curve: Callable, target: float, start: Optional[float] = None,
-                     fprime: bool = False) -> float:
-    """Root b of the nondecreasing map b -> curve(b) = target.
-
-    Without a derivative, the bracket starts at [1e-4, 1e2]; each end that
-    misses the target moves out a decade at a time, to at most
-    [1e-12, 1e12]. Brent's method then runs on log10 b to 1e-13. Where the
-    map steps across the target without touching it, the result is the
-    jump point.
-
-    With fprime=True, curve(b) returns (value, d value / d b) and the root
-    is found by safeguarded Newton steps on log10 b, starting from `start`
-    (b = 1 when None), the natural choice when a nearby root is known from
-    a previous solve. Every evaluated point narrows a bracket around the
-    root. A Newton step that leaves the bracket, or (once both ends are
-    known) is longer than half the step before last, is replaced by
-    bisection on log10 b; while one side of the bracket is still unknown,
-    the replacement moves a decade outward from the known side instead,
-    up to the same limits [1e-12, 1e12]. Newton stops once a step is
-    below 1e-13 on log10 b.
-
-    Either way an unreachable target raises CalibrationError carrying the
-    outermost points evaluated and the curve values there.
-    """
-    if fprime:
-        return _newton_increasing(curve, target, 0.0 if start is None else math.log10(start))
-    if start is not None:
-        raise ValueError("a start point needs fprime=True")
-    lo_exp, hi_exp = -4, 2
-    f_lo, f_hi = curve(10.0 ** lo_exp), curve(10.0 ** hi_exp)
-    while f_lo > target and lo_exp > -12:
-        lo_exp -= 1
-        f_lo = curve(10.0 ** lo_exp)
-    while f_hi < target and hi_exp < 12:
-        hi_exp += 1
-        f_hi = curve(10.0 ** hi_exp)
-    if f_lo > target or f_hi < target:
-        lo, hi = 10.0 ** lo_exp, 10.0 ** hi_exp
-        raise CalibrationError(
-            f"slope {target} not bracketed on [{lo:g}, {hi:g}]",
-            grid_lo=lo, grid_hi=hi, value_lo=f_lo, value_hi=f_hi)
-    # on log10 b the bracket ends are the exact points evaluated above
-    log_b = optimize.brentq(lambda e: curve(10.0 ** e) - target,
-                            lo_exp, hi_exp, xtol=1e-13)
-    return 10.0 ** log_b
-
 
 _LOG10_LIMIT = 12
 _LOG10_XTOL = 1e-13
 _MAX_NEWTON_EVALS = 200
 
 
-def _newton_increasing(curve: Callable, target: float, u: float) -> float:
-    """Safeguarded Newton on u = log10 b for `solve_increasing`, from u."""
+def solve_increasing(curve: Callable, target: float, start: Optional[float] = None) -> float:
+    """Root b of the nondecreasing map b -> curve(b) = target.
+
+    curve(b) returns (value, d value / d b). The root is found by
+    safeguarded Newton steps on log10 b, starting from `start` (b = 1 when
+    None), the natural choice when a nearby root is known from a previous
+    solve. Every evaluated point narrows a bracket around the root. A
+    Newton step that leaves the bracket, or (once both ends are known) is
+    longer than half the step before last, is replaced by bisection on
+    log10 b; while one side of the bracket is still unknown, the
+    replacement moves a decade outward from the known side instead, up to
+    the limits [1e-12, 1e12]. Newton stops once a step is below 1e-13 on
+    log10 b. Where the map steps across the target without touching it
+    (a zero derivative gives no Newton step), bisection returns the jump
+    point.
+
+    An unreachable target raises CalibrationError carrying the outermost
+    points evaluated and the curve values there.
+    """
     limit, ln10 = _LOG10_LIMIT, math.log(10.0)
-    u = min(max(u, -limit), limit)
+    u = 0.0 if start is None else min(max(math.log10(start), -limit), limit)
     lo = hi = None                 # (u, value) of the bracket ends so far
     outer_lo = outer_hi = None     # (u, value) of the outermost points
     step = step_old = 2.0 * limit
@@ -255,14 +223,37 @@ def _newton_increasing(curve: Callable, target: float, u: float) -> float:
         grid_lo=lo_b, grid_hi=hi_b, value_lo=outer_lo[1], value_hi=outer_hi[1])
 
 
-def calibrate_smooth(target: CalibrationTarget) -> float:
-    """Solve mean_i d1Phi(z_i; b) = slope for b with `solve_increasing`.
+# ---------------------------------------------------------------------------
+# empirical calibration: exact roots on a finite sample
+# ---------------------------------------------------------------------------
 
-    Least squares short-circuits to the closed form slope/(1 - slope).
-    The fitted-slope map is nondecreasing in b for both smooth families.
-    Where the empirical map steps across the target without touching it,
-    the jump point is returned, which is the tie rule
-    b = (b_plus + b_minus)/2 with both sides meeting at the step.
+def _window_u(loss: LossSpec, z: np.ndarray) -> np.ndarray:
+    """u_i such that z_i lies inside the score window exactly when u_i < b.
+
+    |z_i|/gamma - 1 for Huber, whose window is |z| < (1 + b) gamma; |z_i|
+    for the absolute loss; z_i/tau when z_i > 0 and z_i/(tau - 1)
+    otherwise for quantile(tau).
+    """
+    if loss.family == losses.HUBER:
+        return np.abs(z) / loss.gamma - 1.0
+    if loss.family == losses.ABSOLUTE:
+        return np.abs(z)
+    t = loss.tau_q
+    return np.where(z > 0.0, z / t, z / (t - 1.0))
+
+
+def calibrate_smooth(target: CalibrationTarget) -> float:
+    """Solve mean_i d1Phi(z_i; b) = slope exactly for the smooth-score losses.
+
+    Least squares has the closed form slope/(1 - slope). For Huber, with
+    u = `_window_u` sorted, j residuals are inside the window for b between
+    u_(j) and u_(j+1), where the average derivative is b/(1+b) j/n and
+    crosses the slope at b_j = slope/(j/n - slope) (for j/n > slope). The
+    first j whose b_j is at or below u_(j+1) holds the root: b_j when
+    b_j > u_(j), and otherwise the jump point u_(j), where the map steps
+    across the slope. That is the tie rule b = (b_minus + b_plus)/2 with
+    both sides meeting at the step. The map reaches every slope below 1,
+    so there is always a root.
     """
     if target.loss.family not in SMOOTH_FAMILIES:
         raise ValueError("calibrate_smooth handles least-squares and huber losses only")
@@ -271,7 +262,14 @@ def calibrate_smooth(target: CalibrationTarget) -> float:
     if target.loss.family == losses.LEAST_SQUARES:
         # the derivative b/(1+b) does not depend on z, so the root is exact
         return slope / (1.0 - slope)
-    return solve_increasing(lambda b: _empirical_slope(target.loss, z, b), slope)
+    n = z.size
+    frac = np.arange(1, n + 1) / n
+    first = int(np.searchsorted(frac, slope, side="right"))  # frac[first:] > slope
+    u = np.sort(_window_u(target.loss, z))
+    roots = slope / (frac[first:] - slope)        # b_j for j = first + 1 .. n
+    upper = np.append(u[first + 1:], np.inf)      # u_(j + 1)
+    k = int(np.argmax(roots <= upper))            # j = n always qualifies
+    return float(max(roots[k], u[first + k]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +299,7 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
     """Solve mean_i d1Phi(z_i; b) = slope exactly for kinked-score losses.
 
     Each residual maps to u_i >= 0 with z_i inside the score window exactly
-    when u_i < b: u_i = |z_i| for the absolute loss, and for quantile(tau)
-    u_i = z_i/tau when z_i > 0 and z_i/(tau - 1) otherwise. The average
-    derivative is then #{u_i < b}/n (edges count 1/2), a step map in b.
+    when u_i < b (`_window_u`). The average derivative is then #{u_i < b}/n (edges count 1/2), a step map in b.
     With j the smallest count with j/n >= slope, the root follows the tie
     rule b = (b_minus + b_plus)/2 of `calibrate_smooth`: the midpoint
     (u_(j) + u_(j+1))/2 of the flat step when j/n equals the slope, which
@@ -318,11 +314,7 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
         raise ValueError("calibrate_nonsmooth handles absolute and quantile losses only")
     z, slope = target.residuals, target.slope
     n = z.size
-    if target.loss.family == losses.ABSOLUTE:
-        u = np.abs(z)
-    else:
-        t = target.loss.tau_q
-        u = np.where(z > 0.0, z / t, z / (t - 1.0))
+    u = _window_u(target.loss, z)
     # smallest j with j/n >= slope, compared in floats: slope = s/n gives j = s
     j = math.ceil(slope * n)
     while j / n < slope:
@@ -344,7 +336,7 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
 
 
 def calibrate(target: CalibrationTarget) -> float:
-    """Dispatch on the loss family's score smoothness."""
+    """Exact root of mean_i d1Phi(z_i; b) = slope, by score smoothness."""
     if target.loss.family in SMOOTH_FAMILIES:
         return calibrate_smooth(target)
     return calibrate_nonsmooth(target)

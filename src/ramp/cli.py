@@ -321,7 +321,8 @@ def cmd_bench(args, parser):
     seed = options["seed"]
 
     if study == "convergence":
-        spec = convergence_study_spec(replications=reps or 100)
+        spec = convergence_study_spec(
+            replications=100 if reps is None else reps)
         if seed is not None:
             spec = dataclasses.replace(
                 spec, seeds=tuple(seed + i for i in range(spec.replications)))
@@ -333,8 +334,9 @@ def cmd_bench(args, parser):
     elif study == "noise":
         report = run_noise_study()
     else:
-        report = run_design_study(replications=reps or 30,
-                                  base_seed=seed or 31_000)
+        report = run_design_study(
+            replications=30 if reps is None else reps,
+            base_seed=31_000 if seed is None else seed)
 
     csv_path, meta_path = write_report(report, options["out"])
     if args.verbose:

@@ -4,8 +4,7 @@ Each pass rebuilds the adjusted residual with its memory correction,
 recalibrates the score scale b on those residuals, rescales the score by
 n/s, estimates the effective noise level from its empirical second moment,
 and soft-thresholds the matched-filter update. The threshold is alpha times
-the estimated level, either from the residuals themselves or from a
-precomputed state-evolution schedule.
+the estimated level.
 """
 
 from __future__ import annotations
@@ -82,19 +81,10 @@ class SolverConfig:
     alpha: float
     tol: float = 1e-6
     max_iter: int = 200
-    tau_estimator: str = "empirical"
-    se_tau_sq: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.tau_estimator not in ("empirical", "state_evolution"):
-            raise ValueError(f"unknown tau_estimator {self.tau_estimator!r}")
-        if self.tau_estimator == "state_evolution":
-            if not self.se_tau_sq:
-                raise ValueError("state_evolution estimator needs a se_tau_sq schedule")
-            object.__setattr__(self, "se_tau_sq",
-                               tuple(float(v) for v in self.se_tau_sq))
 
 
 @dataclass(frozen=True)
@@ -152,13 +142,6 @@ def theta_of_lambda(lam, b, delta, omega):
     return lam * b * delta / omega
 
 
-def _theta_for(config, t, tau_hat_sq):
-    if config.tau_estimator == "empirical":
-        return config.alpha * math.sqrt(tau_hat_sq)
-    sched = config.se_tau_sq
-    return config.alpha * math.sqrt(sched[min(t, len(sched) - 1)])
-
-
 def _advance(inst, loss, config, t, x_prev, z):
     """Calibrate on z, threshold the matched-filter update, package the state."""
     if not np.all(np.isfinite(z)):
@@ -170,7 +153,7 @@ def _advance(inst, loss, config, t, x_prev, z):
         tau_hat_sq = float(np.mean(score * score))
     if not math.isfinite(tau_hat_sq):
         raise DivergenceError(t)
-    theta = _theta_for(config, t, tau_hat_sq)
+    theta = config.alpha * math.sqrt(tau_hat_sq)
     x = soft_threshold(x_prev + inst.A.T @ score, theta)
     if not np.all(np.isfinite(x)):
         raise DivergenceError(t)

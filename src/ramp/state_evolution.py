@@ -2,8 +2,8 @@
 
 Tracks the scalar channel pair (sigma_sq, tau_sq) across iterations for a
 given signal prior, noise law, loss, and threshold policy. The tau update
-calibrates the score parameter b against the population slope with
-`calibration.solve_increasing`, the root finder the solver uses on its
+calibrates the score parameter b so that the population slope
+E d1Phi(W + sigma Z; b) equals s/n, the equation the solver solves on its
 empirical residuals. Fixed points feed the benchmark tables and the
 tuning of the threshold multiplier alpha.
 
@@ -16,12 +16,13 @@ so the Laplace kink sits on a panel edge.
 On this quadrature engine the slope E d1Phi is the mass of the score
 window, so its derivative in b is the density of W + sigma Z at the
 window edges, from the same normal pieces. The tau update therefore finds
-b by safeguarded Newton steps on log b (`slope_curve` gives the slope and
-its derivative), starting from the previous SE iteration's b, and takes
-E Phi^2 once at the root; a few slope evaluations per update suffice.
-A seeded Monte Carlo engine is kept alongside for cross-checks; its slope
-is a step map in b, so it brackets and runs Brent's method instead, and
-it draws its sample once and reuses it for every b of a tau update.
+b by safeguarded Newton steps on log b (`calibration.solve_increasing`
+on `slope_curve`), starting from the previous SE iteration's b, and takes
+E Phi^2 once at the root; a few slope evaluations per update suffice. At
+sigma = 0 the slope is a step map and Newton's bisection fallback finds
+its jump. A seeded Monte Carlo engine is kept alongside for cross-checks;
+it calibrates on its drawn sample with the solver's exact
+`calibration.calibrate`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize, stats
 
-from .calibration import solve_increasing
+from .calibration import CalibrationTarget, calibrate, solve_increasing
 from .gauss import (
     gamma_cap,
     legendre_nodes_01,
@@ -346,14 +347,20 @@ def _conditional_slope(loss, b, mu, s):
     The slope is the mass of the score window (scaled by b/(1+b) for
     Huber), computed as in `_conditional_moments`; its derivative in b is
     the density of v at the window edges times the rate at which each edge
-    moves. Vectorized over mu.
+    moves. At s = 0, v is a point mass at mu, inside when lo < mu <= hi as
+    in `truncated_moments`, with no density at the edges. Vectorized over
+    mu.
     """
     lo, hi = _score_window(loss, b)
-    a = (lo - mu) / s
-    c = (hi - mu) / s
-    p_in = norm_cdf(c) - norm_cdf(a)
-    f_lo = norm_pdf(a) / s
-    f_hi = norm_pdf(c) / s
+    if s == 0.0:
+        p_in = ((mu > lo) & (mu <= hi)).astype(float)
+        f_lo = f_hi = np.zeros_like(p_in)
+    else:
+        a = (lo - mu) / s
+        c = (hi - mu) / s
+        p_in = norm_cdf(c) - norm_cdf(a)
+        f_lo = norm_pdf(a) / s
+        f_hi = norm_pdf(c) / s
     if loss.gamma is not None:
         # window (-k, k] with k = (1 + b) gamma
         cb = b / (1.0 + b)
@@ -408,27 +415,29 @@ def _score_moments_quad(loss, b, noise, sigma):
 
 @lru_cache(maxsize=1)
 def _mc_residuals(noise, sigma, n_samples, seed):
-    """Seeded draws of v = W + sigma Z, in chunks of at most _MC_CHUNK.
+    """Seeded draws of v = W + sigma Z, drawn in chunks of at most _MC_CHUNK.
 
-    Cached because every curve evaluation of one tau update asks for the
-    same sample; the arrays are read-only so no caller can alter it.
+    Cached because the calibration and E Phi^2 of one tau update use the
+    same sample; the array is read-only so no caller can alter it.
     """
     rng = np.random.default_rng(seed)
     chunks = []
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        v = noise.sample(rng, m) + sigma * rng.standard_normal(m)
-        v.flags.writeable = False
-        chunks.append(v)
+        chunks.append(noise.sample(rng, m) + sigma * rng.standard_normal(m))
         done += m
-    return tuple(chunks)
+    v = np.concatenate(chunks)
+    v.flags.writeable = False
+    return v
 
 
 def _score_moments_mc(loss, b, noise, sigma, n_samples, seed):
     d_sum = 0.0
     q_sum = 0.0
-    for v in _mc_residuals(noise, sigma, n_samples, seed):
+    sample = _mc_residuals(noise, sigma, n_samples, seed)
+    for start in range(0, n_samples, _MC_CHUNK):
+        v = sample[start:start + _MC_CHUNK]
         d_sum += float(np.sum(effective_score_deriv(loss, v, b)))
         phi = effective_score(loss, v, b)
         q_sum += float(np.sum(phi * phi))
@@ -469,39 +478,29 @@ def se_tau_update(sigma_sq, dist, loss, slope, engine="auto",
     """Calibrate b on the current residual law and advance tau_sq.
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
-    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. Least squares has the
-    closed form b = slope/(1 - slope). The other losses find b with
-    `solve_increasing`, which raises CalibrationError when the slope is
-    not bracketed on [1e-12, 1e12]:
-
-    - on the quadrature engine, by safeguarded Newton on `slope_curve`,
-      which gives the slope and its analytic derivative in b, starting
-      from b_start (b = 1 when None; SE passes the previous iteration's
-      b). Newton falls back to bisection, or to widening the bracket a
-      decade at a time, whenever a step is not safe;
-    - on the Monte Carlo engine, and at sigma = 0 (where the slope of
-      noise integrated on nodes is a step map in b as well), by
-      bracketing and Brent's method on the slope of `score_moments`;
-      b_start is not used.
-
-    `score_moments` is then called once at the root for E Phi^2.
+    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. The Monte Carlo engine
+    finds b with `calibrate` on its drawn sample of W + sigma Z, the
+    solver's exact equation and tie rule; least squares has the closed form
+    b = slope/(1 - slope). Otherwise `solve_increasing` takes safeguarded
+    Newton steps on `slope_curve`, the slope and its analytic derivative in
+    b, from b_start (b = 1 when None; SE passes the previous iteration's
+    b), and raises CalibrationError when the slope is not bracketed on
+    [1e-12, 1e12]. `score_moments` is then called once at the root for
+    E Phi^2.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
     sigma = math.sqrt(sigma_sq)
     noise = dist.noise
 
-    if loss.family == LEAST_SQUARES:
+    if engine == "mc":
+        sample = _mc_residuals(noise, sigma, mc_samples, seed)
+        b = calibrate(CalibrationTarget(slope, loss, sample))
+    elif loss.family == LEAST_SQUARES:
         b = slope / (1.0 - slope)
-    elif engine == "mc" or sigma == 0.0:
-        def curve(bb):
-            return score_moments(loss, bb, noise, sigma, engine=engine,
-                                 mc_samples=mc_samples, seed=seed)[0]
-
-        b = solve_increasing(curve, slope)
     else:
         b = solve_increasing(lambda bb: slope_curve(loss, bb, noise, sigma),
-                             slope, start=b_start, fprime=True)
+                             slope, start=b_start)
     _, sq = score_moments(loss, b, noise, sigma, engine=engine,
                           mc_samples=mc_samples, seed=seed)
     return sq / (slope * slope), b

@@ -112,68 +112,60 @@ def counting(monkeypatch, module, name):
 
 
 class TestSolveIncreasing:
-    def test_continuous_root(self):
-        assert solve_increasing(lambda b: b / (1.0 + b), 0.3) == pytest.approx(3.0 / 7.0, rel=1e-12)
-        # the root lies outside the starting bracket on either side
-        assert solve_increasing(np.sqrt, 1e3) == pytest.approx(1e6, rel=1e-12)
-        assert solve_increasing(np.sqrt, 1e-4) == pytest.approx(1e-8, rel=1e-12)
-
     def test_step_map_returns_jump(self):
+        # b/(1+b) times a step: Newton moves along the pieces, and the
+        # bisection fallback finds the jump across the target, the shape
+        # of the Huber slope at sigma = 0
         for jump in (2.5, 3e-7, 4e8):
-            b = solve_increasing(lambda bb: 0.0 if bb < jump else 1.0, 0.5)
-            assert b == pytest.approx(jump, rel=1e-12)
+            def curve(b):
+                step = 0.3 if b < jump else 0.9
+                return step * b / (1.0 + b), step / (1.0 + b) ** 2
 
-    def test_unreachable_target_carries_bracket(self):
-        with pytest.raises(CalibrationError) as err:
-            solve_increasing(lambda b: b / (1.0 + b), 1.0)
-        assert err.value.grid_hi == pytest.approx(1e12)
-        assert err.value.value_hi < 1.0
-        with pytest.raises(CalibrationError) as err:
-            solve_increasing(lambda b: 0.5 + b / (1.0 + b), 0.2)
-        assert err.value.grid_lo == pytest.approx(1e-12)
-        assert err.value.value_lo > 0.2
+            # at the jump the map steps from 0.3 c to 0.9 c, c = b/(1+b)
+            b = solve_increasing(curve, 0.6 * jump / (1.0 + jump))
+            assert b == pytest.approx(jump, rel=1e-12)
+            # 0.9 b/(1+b) = 0.6 at b = 2: the upper piece's root, or the
+            # jump when the map has already stepped past 0.6 there
+            b = solve_increasing(curve, 0.6, start=jump)
+            assert b == pytest.approx(max(2.0, jump), rel=1e-12)
 
     def test_newton_root(self):
         def curve(b):
             return b / (1.0 + b), 1.0 / (1.0 + b) ** 2
 
         for start in (None, 1e-9, 0.4, 1e9):
-            b = solve_increasing(curve, 0.3, start=start, fprime=True)
+            b = solve_increasing(curve, 0.3, start=start)
             assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
         sqrt = lambda b: (np.sqrt(b), 0.5 / np.sqrt(b))
-        assert solve_increasing(sqrt, 1e3, fprime=True) == pytest.approx(1e6, rel=1e-13)
-        assert solve_increasing(sqrt, 1e-4, fprime=True) == pytest.approx(1e-8, rel=1e-13)
+        assert solve_increasing(sqrt, 1e3) == pytest.approx(1e6, rel=1e-13)
+        assert solve_increasing(sqrt, 1e-4) == pytest.approx(1e-8, rel=1e-13)
 
     def test_newton_step_map_falls_back_to_bisection(self):
         # a zero derivative gives no Newton step: widen, then bisect
         for jump in (2.5, 3e-7, 4e8):
-            b = solve_increasing(lambda bb: (0.0 if bb < jump else 1.0, 0.0), 0.5,
-                                 fprime=True)
+            b = solve_increasing(lambda bb: (0.0 if bb < jump else 1.0, 0.0), 0.5)
             assert b == pytest.approx(jump, rel=1e-12)
 
     def test_newton_unreachable_target_carries_bracket(self):
         with pytest.raises(CalibrationError) as err:
             solve_increasing(lambda b: (b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 1.0,
-                             start=0.5, fprime=True)
+                             start=0.5)
         assert err.value.grid_hi == 1e12
         assert err.value.value_hi < 1.0
         with pytest.raises(CalibrationError) as err:
             solve_increasing(lambda b: (0.5 + b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 0.2,
-                             start=0.5, fprime=True)
+                             start=0.5)
         assert err.value.grid_lo == 1e-12
         assert err.value.value_lo > 0.2
 
-    def test_start_needs_derivative(self):
-        with pytest.raises(ValueError):
-            solve_increasing(lambda b: b / (1.0 + b), 0.3, start=1.0)
-
     def test_huber_slope_evaluations(self, monkeypatch):
-        # raw residuals of the benchmark draw, as in the solver's first pass
+        # raw residuals of the benchmark draw, as in the solver's first pass:
+        # the exact walk over the sorted residuals evaluates no slope
         spec = convergence_study_spec(replications=1)
         inst = generate_instance(spec, 20_000)
         calls = counting(monkeypatch, calibration, "effective_score_deriv")
         b = calibrate_smooth(CalibrationTarget(inst.slope, huber(1.0), inst.y))
-        assert len(calls) <= 60
+        assert len(calls) == 0
         assert np.mean(effective_score_deriv(huber(1.0), inst.y, b)) == pytest.approx(inst.slope, rel=1e-8)
 
     def test_se_tau_update_curve_evaluations(self, monkeypatch):
@@ -240,22 +232,38 @@ class TestCalibrateSmooth:
             calibrate_smooth(CalibrationTarget(0.2, absolute(), np.ones(5)))
 
     def test_failure_carries_interval(self):
-        # residuals so large that the huber window never captures them,
-        # even at the widest bracket end b = 1e12
+        # no bracket limits the exact walk: residuals of scale 1e14 put the
+        # root past b = 1e12, and the root returned straddles the slope
         z = 1e14 * np.random.default_rng(42).standard_normal(100)
-        with pytest.raises(CalibrationError) as err:
-            calibrate_smooth(CalibrationTarget(0.2, huber(1.0), z))
-        assert err.value.grid_hi is not None
-        assert err.value.value_hi is not None
+        b = calibrate_smooth(CalibrationTarget(0.2, huber(1.0), z))
+        assert 1e12 < b < np.inf
+        assert np.mean(effective_score_deriv(huber(1.0), z, b * (1 - 1e-12))) < 0.2
+        assert np.mean(effective_score_deriv(huber(1.0), z, b * (1 + 1e-12))) > 0.2
+
+    def test_huber_pieces_and_jumps(self):
+        # u = |z| - 1 = -0.5, 0.5, 1.5, 3, 5, ...: at slope 0.2 the piece with
+        # three residuals inside holds the root b = 0.2/(0.3 - 0.2) = 2; at
+        # 0.25 its root 5 lies past u_(4) = 3 and the next piece's root
+        # 0.25/(0.4 - 0.25) lies before it, so the map jumps across at b = 3
+        z = np.array([0.5, -1.5, 2.5, -4.0, 6.0, 9.0, -13.0, 20.0, 30.0, -50.0])
+        assert calibrate_smooth(CalibrationTarget(0.2, huber(1.0), z)) == pytest.approx(2.0, rel=1e-15)
+        assert calibrate_smooth(CalibrationTarget(0.25, huber(1.0), z)) == 3.0
+        # three residuals tie at |z| = 2 (u = 1): the jump there crosses
+        # both an integer and a non-integer target
+        z = np.array([0.5, 1.0, 2.0, -2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        for slope in (0.2, 0.25):
+            assert calibrate_smooth(CalibrationTarget(slope, huber(1.0), z)) == 1.0
 
 
 class TestCalibrateNonsmooth:
     def test_exact_plugin_matches_analytic_root(self):
         # the plug-in curve, no longer on the calibration path, with the
-        # true normal cdf/pdf is increasing, and its root is the analytic one
+        # true normal cdf/pdf is increasing, with derivative 2 b^2 phi(b),
+        # and its root is the analytic one
         slope = 0.2
         b = solve_increasing(
-            lambda bb: float(plugin_slope_curve(absolute(), bb, stats.norm.cdf, stats.norm.pdf)),
+            lambda bb: (float(plugin_slope_curve(absolute(), bb, stats.norm.cdf, stats.norm.pdf)),
+                        2.0 * bb * bb * stats.norm.pdf(bb)),
             slope)
         assert b == pytest.approx(exact_lad_root(slope), rel=1e-10)
 
@@ -271,15 +279,34 @@ class TestCalibrateNonsmooth:
             b_hat = calibrate_nonsmooth(CalibrationTarget(slope, loss, z))
             assert abs(b_hat - b_star) <= 3.0 * se
 
+    @pytest.mark.filterwarnings("error")
     def test_plug_back_is_exact(self):
-        # with distinct residuals exactly s of n fall inside the window
+        # with distinct residuals exactly s of n fall inside the kinked
+        # window; huber's average derivative equals s/n inside a piece and
+        # steps across it at a jump point u_(j) = |z_(j)|/gamma - 1, and the
+        # walk skips the piece j = s, whose root would divide by zero
         rng = np.random.default_rng(42)
+        pieces = jumps = 0
         # (25, 7): 7/25 * 25 rounds above 7, so ceil(slope * n) overshoots
         for n, s in ((320, 64), (5000, 1000), (1001, 7), (10, 9), (25, 7)):
             z = rng.standard_normal(n)
             for loss in (absolute(), quantile(0.3), quantile(0.7)):
-                b = calibrate_nonsmooth(CalibrationTarget(s / n, loss, z))
+                b = calibrate(CalibrationTarget(s / n, loss, z))
                 assert np.mean(effective_score_deriv(loss, z, b)) == s / n
+            for gamma, scale, slope in ((1.0, 1.0, s / n), (0.3, 1.0, (s + 0.5) / n),
+                                        (1.0, 10.0, s / n), (1.0, 0.1, (s - 0.5) / n)):
+                zz = scale * z
+                b = calibrate(CalibrationTarget(slope, huber(gamma), zz))
+                if np.any(np.abs(zz) / gamma - 1.0 == b):
+                    jumps += 1
+                    below = np.mean(effective_score_deriv(huber(gamma), zz, b * (1 - 1e-12)))
+                    above = np.mean(effective_score_deriv(huber(gamma), zz, b * (1 + 1e-12)))
+                    assert below < slope < above
+                else:
+                    pieces += 1
+                    refit = np.mean(effective_score_deriv(huber(gamma), zz, b))
+                    assert abs(refit - slope) <= 1e-15
+        assert pieces > 0 and jumps > 0
 
     def test_quantile_half_matches_absolute(self):
         # at tau_q = 0.5 the window is the absolute one at b/2, so the

@@ -120,9 +120,11 @@ class TestSolve:
         assert list(tmp_path.iterdir()) == []
 
     def test_calibration_failure_exit_code(self, tmp_path, capsys):
-        # noise of scale 1e14 puts the huber root past the widest bracket
-        # end b = 1e12
-        assert run_cli(*self.solve_args(tmp_path, loss="huber", noise_param=1e28)) == 1
+        # the solver's huber calibration is exact and has no bracket, but
+        # state evolution's Newton keeps the limits [1e-12, 1e12]: noise of
+        # scale 1e14 puts the population root past b = 1e12
+        assert run_cli("se", "--losses", "huber", "--noise", "normal",
+                       "--noise-param", "1e28", "--out", str(tmp_path)) == 1
         assert "not bracketed" in capsys.readouterr().err
 
     def test_reruns_are_bit_identical(self, tmp_path):
@@ -225,6 +227,20 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             run_cli("bench", "--out", str(tmp_path))
         assert exc.value.code == 2
+
+    def test_seed_zero_is_kept(self, tmp_path):
+        assert run_cli("bench", "--study", "design", "--seed", "0",
+                       "--replications", "1", "--out", str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "design_robustness_meta.json").read_text())
+        assert meta["base_seed"] == 0
+        assert meta["replications"] == 1
+
+    def test_zero_replications_rejected(self, tmp_path, capsys):
+        for study in ("design", "convergence"):
+            assert run_cli("bench", "--study", study, "--replications", "0",
+                           "--out", str(tmp_path)) == 1
+            assert "at least one replication" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RAMP_OUTPUT_DIR", str(tmp_path))

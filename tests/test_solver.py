@@ -83,19 +83,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.0)
 
-    def test_unknown_estimator(self):
-        with pytest.raises(ValueError):
-            SolverConfig(alpha=2.0, tau_estimator="oracle")
-
-    def test_schedule_required_for_se_mode(self):
-        with pytest.raises(ValueError):
-            SolverConfig(alpha=2.0, tau_estimator="state_evolution")
-
-    def test_schedule_coerced_to_floats(self):
-        cfg = SolverConfig(alpha=2.0, tau_estimator="state_evolution",
-                           se_tau_sq=[4, 1])
-        assert cfg.se_tau_sq == (4.0, 1.0)
-
 
 class TestScoreAndPenaltyMaps:
     def test_ls_identity_at_matched_scale(self):
@@ -298,15 +285,17 @@ class TestDivergenceAndFailure:
             initial_state(inst, least_squares(), SolverConfig(alpha=2.0))
 
     def test_runaway_scale_ends_in_calibration_failure(self):
-        # a residual scale beyond the reach of calibration surfaces as
-        # CalibrationError out of run_ramp, not as a non-finite value:
-        # huber at scale 1e14 needs b past the widest bracket end 1e12,
-        # and an all-zero residual leaves the kinked root at b = 0
+        # an all-zero residual leaves the kinked root at b = 0, which
+        # surfaces as CalibrationError out of run_ramp, not as a non-finite
+        # value; huber's exact calibration has no bracket, so a response of
+        # scale 1e14 runs with finite b and x (tol is absolute, so the run
+        # does not settle)
         rng = np.random.default_rng(3)
         inst = make_instance(rng, 80, 125, 16)
         huge = ProblemInstance(A=inst.A, y=1e14 * inst.y, s=inst.s)
-        with pytest.raises(CalibrationError, match="not bracketed"):
-            run_ramp(huge, huber(1.0), SolverConfig(alpha=2.0))
+        res = run_ramp(huge, huber(1.0), SolverConfig(alpha=2.0))
+        assert 1e12 < res.state.b < np.inf
+        assert np.all(np.isfinite(res.x))
         flat = ProblemInstance(A=inst.A, y=np.zeros(inst.n), s=inst.s)
         for loss in (absolute(), quantile(0.7)):
             with pytest.raises(CalibrationError, match="exactly zero"):
@@ -320,20 +309,6 @@ class TestDivergenceAndFailure:
         assert isinstance(res, RampResult)
         assert not res.converged
         assert res.iterations == 2
-
-
-class TestScheduleMode:
-    def test_threshold_follows_schedule(self):
-        rng = np.random.default_rng(9)
-        inst = make_instance(rng, 160, 250, 32)
-        sched = (4.0, 1.0, 0.25)
-        cfg = SolverConfig(alpha=1.5, tau_estimator="state_evolution",
-                           se_tau_sq=sched)
-        state = initial_state(inst, least_squares(), cfg)
-        for t in range(6):
-            want = 1.5 * math.sqrt(sched[min(t, len(sched) - 1)])
-            assert state.theta == pytest.approx(want, rel=1e-15)
-            state = ramp_step(inst, least_squares(), cfg, state)
 
 
 class TestTraceAndResult:

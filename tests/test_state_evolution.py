@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from ramp import state_evolution
-from ramp.calibration import solve_increasing
+from ramp.calibration import CalibrationTarget, calibrate
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, soft_threshold
 from ramp.state_evolution import (
     Cauchy,
@@ -295,13 +295,18 @@ class TestSlopeCurve:
 
     @pytest.mark.parametrize("noise", SLOPE_NOISES)
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
+    @pytest.mark.filterwarnings("error")
     def test_newton_matches_bracketed_brent(self, noise, loss):
-        # the derivative-free path of the same root finder, on the slope
-        # of score_moments, is the reference
+        # Brent's method on log10 b, on the slope of score_moments, is the
+        # reference; at sigma = 0 that slope is a step map on the noise
+        # nodes, whose jump Newton's bisection fallback finds, and the
+        # point mass has no edge density (no 0/0 from dividing by s)
         dist = DistributionModel(pm_one_prior(0.128), noise)
-        for sigma_sq, slope, start in ((0.5, 0.2, None), (0.05, 0.2, 3.0), (2.0, 0.6, 0.01)):
+        for sigma_sq, slope, start in ((0.5, 0.2, None), (0.05, 0.2, 3.0), (2.0, 0.6, 0.01),
+                                       (0.0, 0.2, None), (0.0, 0.6, 3.0)):
             sigma = math.sqrt(sigma_sq)
-            ref = solve_increasing(lambda b: score_moments(loss, b, noise, sigma)[0], slope)
+            ref = 10.0 ** brentq(lambda e: score_moments(loss, 10.0 ** e, noise, sigma)[0] - slope,
+                                 -12.0, 12.0, xtol=1e-14)
             _, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
             assert b == pytest.approx(ref, rel=1e-12)
 
@@ -348,6 +353,27 @@ class TestTauUpdate:
         tau_sq, b = se_tau_update(sigma_sq, dist, absolute(), slope)
         assert b == pytest.approx(b_star, rel=1e-9)
         assert tau_sq == pytest.approx(tau_expect, rel=1e-8)
+
+    @pytest.mark.parametrize("loss", (absolute(), quantile(0.7), huber(1.0)))
+    def test_mc_engine_calibrates_on_its_sample(self, loss):
+        # the Monte Carlo b is the solver's exact calibration on the drawn
+        # sample, and lies within four standard errors of the quadrature b:
+        # the sd of the sample slope at b over the slope's derivative in b
+        noise, sigma_sq, slope, n = Laplace(1.0), 0.5, 0.2, 200_000
+        dist = DistributionModel(pm_one_prior(0.128), noise)
+        sigma = math.sqrt(sigma_sq)
+        tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope, engine="mc",
+                                  mc_samples=n, seed=3)
+        sample = state_evolution._mc_residuals(noise, sigma, n, 3)
+        assert b == calibrate(CalibrationTarget(slope, loss, sample))
+        _, sq = score_moments(loss, b, noise, sigma, engine="mc", mc_samples=n, seed=3)
+        assert tau_sq == sq / slope ** 2
+        _, b_quad = se_tau_update(sigma_sq, dist, loss, slope)
+        _, deriv = slope_curve(loss, b_quad, noise, sigma)
+        scale = b_quad / (1.0 + b_quad) if loss.gamma is not None else 1.0
+        p_in = slope / scale
+        se = scale * math.sqrt(p_in * (1.0 - p_in) / n) / deriv
+        assert abs(b - b_quad) <= 4.0 * se
 
     def test_slope_validation(self):
         dist = DistributionModel(pm_one_prior(0.128), Normal(1.0))
