@@ -40,7 +40,6 @@ from .solver import (
     SolverConfig,
     lambda_of_theta,
     run_ramp,
-    theta_of_lambda,
 )
 from .state_evolution import (
     Cauchy,

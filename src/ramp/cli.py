@@ -59,12 +59,12 @@ LOSS_NAMES = ("ls", "huber", "lad", "quantile")
 NOISE_NAMES = ("normal", "laplace", "student_t", "cauchy", "mixnormal")
 
 _INT_KEYS = frozenset(
-    {"n", "p", "s", "seed", "max_iter", "replications", "mc_samples"})
+    {"n", "p", "s", "seed", "max_iter", "replications"})
 _FLOAT_KEYS = frozenset(
     {"gamma", "tau_q", "alpha", "noise_param", "tol", "delta", "omega",
      "init_tau_sq"})
 _STR_KEYS = frozenset(
-    {"loss", "losses", "noise", "design", "mode", "engine", "study", "out"})
+    {"loss", "losses", "noise", "design", "mode", "study", "out"})
 
 
 def _fmt(v):
@@ -201,9 +201,9 @@ def cmd_solve(args, parser):
     spec = ExperimentSpec(n=n, p=p, s=s, noise=noise, losses=(loss,),
                           design=options["design"], replications=1,
                           seeds=(options["seed"],))
-    inst = generate_instance(spec, options["seed"])
     config = SolverConfig(alpha=options["alpha"], tol=options["tol"],
                           max_iter=options["max_iter"])
+    inst = generate_instance(spec, options["seed"])
     result = run_ramp(inst, loss, config)
 
     out_dir = options["out"] or os.environ.get("RAMP_OUTPUT_DIR") or "."
@@ -233,7 +233,7 @@ SE_DEFAULTS = {
     "delta": 0.64, "omega": 0.128, "losses": "ls", "gamma": 1.0,
     "tau_q": 0.7, "alpha": 2.0, "mode": "penalized", "noise": "normal",
     "noise_param": 0.2, "init_tau_sq": None, "tol": 1e-6, "max_iter": 500,
-    "engine": "auto", "mc_samples": 10 ** 6, "seed": 0, "out": None,
+    "out": None,
 }
 
 
@@ -246,10 +246,7 @@ def cmd_se(args, parser):
               for x in loss_names]
     noise = build_noise(options["noise"], options["noise_param"])
     dist = DistributionModel(pm_one_prior(options["omega"]), noise)
-    se_config = SeConfig(tol=options["tol"], max_iter=options["max_iter"],
-                         engine=options["engine"],
-                         mc_samples=options["mc_samples"],
-                         seed=options["seed"])
+    se_config = SeConfig(tol=options["tol"], max_iter=options["max_iter"])
     alpha = None if options["mode"] == "no_penalty" else options["alpha"]
 
     if dist.fisher_info:
@@ -262,7 +259,7 @@ def cmd_se(args, parser):
     os.makedirs(out_dir, exist_ok=True)
     header = _config_header(options)
 
-    summary = {"config": _echo(options), "seed": options["seed"],
+    summary = {"config": _echo(options),
                "info_lower_bound": _round12(bound) if bound else None,
                "results": {}}
     status = EXIT_OK
@@ -401,9 +398,6 @@ def build_parser():
     p.add_argument("--init-tau-sq", dest="init_tau_sq", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--engine", choices=("auto", "quadrature", "mc"))
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_se)
 
     p = subs.add_parser("bench", help="run a scripted benchmark study")

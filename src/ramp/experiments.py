@@ -244,7 +244,7 @@ def _mean_and_se(values):
     return mean, se
 
 
-def run_convergence_study(spec=None, se_config=None):
+def run_convergence_study(spec=None):
     """Empirical runs at the theoretically tuned threshold, one row per loss.
 
     The threshold multiplier comes from minimizing the predicted error over
@@ -253,15 +253,13 @@ def run_convergence_study(spec=None, se_config=None):
     per row rather than aborting the study.
     """
     spec = spec or convergence_study_spec()
-    se_config = se_config or SeConfig()
     delta = spec.n / spec.p
     omega = spec.s / spec.p
     dist = DistributionModel(pm_one_prior(omega), spec.noise)
 
     rows = []
     for loss in spec.losses:
-        tuned = tune_alpha(dist, loss, delta, alpha_grid=spec.alphas,
-                           config=se_config)
+        tuned = tune_alpha(dist, loss, delta, alpha_grid=spec.alphas)
         alpha = float(tuned.alpha_star)
         runs, failures = _replicate(spec, loss, alpha)
         amse, amse_se = _mean_and_se([mse for _, mse in runs])
@@ -286,7 +284,7 @@ def run_convergence_study(spec=None, se_config=None):
         "replications": spec.replications,
         "seeds": list(spec.seeds[:spec.replications]),
         "solver": {"tol": 1e-6, "max_iter": 200},
-        "se_tol": se_config.tol,
+        "se_tol": SeConfig().tol,
     }
     return Report(
         name="convergence_study",
@@ -310,22 +308,19 @@ def _with_relative_efficiency(cells, reference_label):
 
 def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
                          noises=(Normal(0.2), Laplace(1.0)),
-                         losses=(least_squares(), absolute()),
-                         se_config=None):
+                         losses=(least_squares(), absolute())):
     """Error of the unpenalized fits across aspect ratios, predicted exactly.
 
     No-penalty mode drops the shrinkage step, so the asymptotic error is the
     residual-scale fixed point itself and carries no sampling error.
     """
-    se_config = se_config or SeConfig()
     prior = pm_one_prior(0.5)  # unused in no-penalty mode, any valid prior
     cells = []
     for noise in noises:
         dist = DistributionModel(prior, noise)
         for delta in deltas:
             for loss in losses:
-                res = se_fixed_point(dist, loss, delta, mode="no_penalty",
-                                     config=se_config)
+                res = se_fixed_point(dist, loss, delta, mode="no_penalty")
                 cells.append(((noise_label(noise), delta), loss_label(loss),
                               {"amse": res.amse, "converged": res.converged}))
 
@@ -340,7 +335,7 @@ def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
         "losses": [loss_label(l) for l in losses],
         "laplace_convention": LAPLACE_CONVENTION,
         "amse_se": "0 by construction: deterministic quadrature, no sampling",
-        "se_tol": se_config.tol,
+        "se_tol": SeConfig().tol,
     }
     return Report(
         name="dense_efficiency",
@@ -356,10 +351,8 @@ DEFAULT_SPARSE_ALPHAS = tuple(
 def run_sparse_efficiency(omegas=(0.05, 0.1, 0.2, 0.5, 0.55, 0.6),
                           noises=(Normal(0.2), Laplace(1.0)),
                           losses=(least_squares(), absolute()),
-                          delta=0.64, alpha_grid=DEFAULT_SPARSE_ALPHAS,
-                          se_config=None):
+                          delta=0.64, alpha_grid=DEFAULT_SPARSE_ALPHAS):
     """Tuned penalized error across sparsity levels, one row per cell."""
-    se_config = se_config or SeConfig()
     cells = []
     extras = {}
     for noise in noises:
@@ -369,8 +362,7 @@ def run_sparse_efficiency(omegas=(0.05, 0.1, 0.2, 0.5, 0.55, 0.6),
                 key = (noise_label(noise), omega)
                 try:
                     tuned = tune_alpha(dist, loss, delta,
-                                       alpha_grid=alpha_grid,
-                                       config=se_config)
+                                       alpha_grid=alpha_grid)
                 except RuntimeError:
                     cells.append((key, loss_label(loss),
                                   {"amse": math.nan, "converged": False}))
@@ -394,7 +386,7 @@ def run_sparse_efficiency(omegas=(0.05, 0.1, 0.2, 0.5, 0.55, 0.6),
         "alpha_grid": [float(a) for a in alpha_grid],
         "laplace_convention": LAPLACE_CONVENTION,
         "amse_se": "0 by construction: deterministic quadrature, no sampling",
-        "se_tol": se_config.tol,
+        "se_tol": SeConfig().tol,
     }
     return Report(
         name="sparse_efficiency",
@@ -406,16 +398,14 @@ def run_sparse_efficiency(omegas=(0.05, 0.1, 0.2, 0.5, 0.55, 0.6),
 
 def run_noise_study(losses=(least_squares(), huber(1.0), absolute()),
                     noises=NOISE_STUDY_LAWS, delta=0.64, omega=0.128,
-                    alpha_grid=None, se_config=None):
+                    alpha_grid=None):
     """Tuned predicted error per (noise, loss) pair; divergence recorded."""
-    se_config = se_config or SeConfig()
     rows = []
     for noise in noises:
         dist = DistributionModel(pm_one_prior(omega), noise)
         for loss in losses:
             try:
-                tuned = tune_alpha(dist, loss, delta, alpha_grid=alpha_grid,
-                                   config=se_config)
+                tuned = tune_alpha(dist, loss, delta, alpha_grid=alpha_grid)
             except RuntimeError:
                 # unbounded score on a tail too heavy for it: every grid
                 # point diverges and the pair is reported as such
@@ -430,7 +420,7 @@ def run_noise_study(losses=(least_squares(), huber(1.0), absolute()),
         "noises": [noise_label(nz) for nz in noises],
         "losses": [loss_label(l) for l in losses],
         "laplace_convention": LAPLACE_CONVENTION,
-        "se_tol": se_config.tol,
+        "se_tol": SeConfig().tol,
     }
     return Report(
         name="noise_study",
@@ -442,18 +432,17 @@ def run_noise_study(losses=(least_squares(), huber(1.0), absolute()),
 def run_design_study(loss=least_squares(),
                      alphas=(1.1, 1.4, 1.7, 2.0, 2.4, 2.8),
                      n=320, p=500, s=64, noise=Normal(0.2),
-                     replications=30, base_seed=31_000, se_config=None):
+                     replications=30, base_seed=31_000):
     """Gaussian vs sign designs on the same error-vs-penalty grid.
 
     The penalty labels come from the predicted fixed point at each threshold
     multiplier, so both designs are measured at identical grid points.
     """
-    se_config = se_config or SeConfig()
     delta, omega = n / p, s / p
     dist = DistributionModel(pm_one_prior(omega), noise)
     lambda_labels = {}
     for alpha in alphas:
-        res = se_fixed_point(dist, loss, delta, alpha=alpha, config=se_config)
+        res = se_fixed_point(dist, loss, delta, alpha=alpha)
         lambda_labels[alpha] = lambda_from_fixed_point(alpha, res, omega)
 
     rows = []

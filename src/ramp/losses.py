@@ -54,25 +54,6 @@ class LossSpec:
         elif self.tau_q is not None:
             raise ValueError("tau_q only applies to the quantile loss")
 
-    @property
-    def bounded_score(self) -> bool:
-        """Whether |rho'| stays below a finite constant (false only for least squares).
-
-        Downstream code uses this to warn before pairing the unbounded
-        square-loss score with noise that has no second moment.
-        """
-        return self.family != LEAST_SQUARES
-
-    def score_bound(self, b: float) -> float:
-        """sup over z of |effective_score(z; b)|; infinite for least squares."""
-        if self.family == LEAST_SQUARES:
-            return np.inf
-        if self.family == HUBER:
-            return b * self.gamma
-        if self.family == ABSOLUTE:
-            return b
-        return b * max(self.tau_q, 1.0 - self.tau_q)
-
 
 def least_squares() -> LossSpec:
     return LossSpec(LEAST_SQUARES)

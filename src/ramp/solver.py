@@ -85,6 +85,10 @@ class SolverConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -134,12 +138,6 @@ def lambda_of_theta(theta, b, delta, omega):
     if not b > 0:
         raise ValueError("b must be positive")
     return theta * omega / (b * delta)
-
-
-def theta_of_lambda(lam, b, delta, omega):
-    if not b > 0:
-        raise ValueError("b must be positive")
-    return lam * b * delta / omega
 
 
 def _advance(inst, loss, config, t, x_prev, z):

@@ -13,16 +13,17 @@ mixtures) therefore collapse exactly; heavy-tailed laws are integrated
 over W with Gauss-Legendre nodes on the inverse cdf, split at the median
 so the Laplace kink sits on a panel edge.
 
-On this quadrature engine the slope E d1Phi is the mass of the score
+With these closed forms the slope E d1Phi is the mass of the score
 window, so its derivative in b is the density of W + sigma Z at the
 window edges, from the same normal pieces. The tau update therefore finds
 b by safeguarded Newton steps on log b (`calibration.solve_increasing`
 on `slope_curve`), starting from the previous SE iteration's b, and takes
 E Phi^2 once at the root; a few slope evaluations per update suffice. At
 sigma = 0 the slope is a step map and Newton's bisection fallback finds
-its jump. A seeded Monte Carlo engine is kept alongside for cross-checks;
-it calibrates on its drawn sample with the solver's exact
-`calibration.calibrate`.
+its jump.
+
+Every expectation here is a deterministic integral, so the recursion has
+one path and a fixed point is a deterministic function of its inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize, stats
 
-from .calibration import CalibrationTarget, calibrate, solve_increasing
+from .calibration import solve_increasing
 from .gauss import (
     gamma_cap,
     legendre_nodes_01,
@@ -45,12 +46,7 @@ from .gauss import (
     soft_threshold_risk,
     truncated_moments,
 )
-from .losses import (
-    LEAST_SQUARES,
-    effective_score,
-    effective_score_deriv,
-    soft_threshold,
-)
+from .losses import LEAST_SQUARES, soft_threshold
 
 # ---------------------------------------------------------------------------
 # signal prior
@@ -298,7 +294,6 @@ class DistributionModel:
 # ---------------------------------------------------------------------------
 
 _NODES_PER_HALF = 220
-_MC_CHUNK = 250_000
 
 
 def _score_window(loss, b):
@@ -401,7 +396,13 @@ def _noise_average(conditional, noise, sigma):
     return float(weights @ x), float(weights @ y)
 
 
-def _score_moments_quad(loss, b, noise, sigma):
+def score_moments(loss, b, noise, sigma):
+    """Population (E d1Phi(v; b), E Phi(v; b)^2) for v = W + sigma Z.
+
+    Exact for Normal and NormalMixture noise, Gauss-Legendre quadrature over
+    the noise law otherwise; least squares needs only the noise variance and
+    raises ValueError when it is infinite.
+    """
     if loss.family == LEAST_SQUARES and not isinstance(noise, (Normal, NormalMixture)):
         var = noise.variance
         if not math.isfinite(var):
@@ -413,51 +414,10 @@ def _score_moments_quad(loss, b, noise, sigma):
                           noise, sigma)
 
 
-@lru_cache(maxsize=1)
-def _mc_residuals(noise, sigma, n_samples, seed):
-    """Seeded draws of v = W + sigma Z, drawn in chunks of at most _MC_CHUNK.
-
-    Cached because the calibration and E Phi^2 of one tau update use the
-    same sample; the array is read-only so no caller can alter it.
-    """
-    rng = np.random.default_rng(seed)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        chunks.append(noise.sample(rng, m) + sigma * rng.standard_normal(m))
-        done += m
-    v = np.concatenate(chunks)
-    v.flags.writeable = False
-    return v
-
-
-def _score_moments_mc(loss, b, noise, sigma, n_samples, seed):
-    d_sum = 0.0
-    q_sum = 0.0
-    sample = _mc_residuals(noise, sigma, n_samples, seed)
-    for start in range(0, n_samples, _MC_CHUNK):
-        v = sample[start:start + _MC_CHUNK]
-        d_sum += float(np.sum(effective_score_deriv(loss, v, b)))
-        phi = effective_score(loss, v, b)
-        q_sum += float(np.sum(phi * phi))
-    return d_sum / n_samples, q_sum / n_samples
-
-
-def score_moments(loss, b, noise, sigma, engine="auto", mc_samples=10 ** 6, seed=0):
-    """Population (E d1Phi(v; b), E Phi(v; b)^2) for v = W + sigma Z."""
-    if engine not in ("auto", "quadrature", "mc"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "mc":
-        return _score_moments_mc(loss, b, noise, sigma, mc_samples, seed)
-    return _score_moments_quad(loss, b, noise, sigma)
-
-
 def slope_curve(loss, b, noise, sigma):
     """Population (E d1Phi(v; b), d/db E d1Phi(v; b)) for v = W + sigma Z.
 
-    The quadrature engine's slope, which is the first value of
-    `score_moments`, together with its derivative in b. With f the density
+    The slope, which is the first value of `score_moments`, together with its derivative in b. With f the density
     of v (averaged over the noise nodes, or exact for Normal and
     NormalMixture noise), the derivative is f(b) + f(-b) for the absolute
     loss, tau f(b tau) + (1 - tau) f(b (tau - 1)) for quantile(tau), and
@@ -473,36 +433,29 @@ def slope_curve(loss, b, noise, sigma):
 # ---------------------------------------------------------------------------
 
 
-def se_tau_update(sigma_sq, dist, loss, slope, engine="auto",
-                  mc_samples=10 ** 6, seed=0, b_start=None):
+def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     """Calibrate b on the current residual law and advance tau_sq.
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
-    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. The Monte Carlo engine
-    finds b with `calibrate` on its drawn sample of W + sigma Z, the
-    solver's exact equation and tie rule; least squares has the closed form
-    b = slope/(1 - slope). Otherwise `solve_increasing` takes safeguarded
-    Newton steps on `slope_curve`, the slope and its analytic derivative in
-    b, from b_start (b = 1 when None; SE passes the previous iteration's
-    b), and raises CalibrationError when the slope is not bracketed on
-    [1e-12, 1e12]. `score_moments` is then called once at the root for
-    E Phi^2.
+    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. Least squares has the closed
+    form b = slope/(1 - slope). Otherwise `solve_increasing` takes
+    safeguarded Newton steps on `slope_curve`, the slope and its analytic
+    derivative in b, from b_start (b = 1 when None; SE passes the previous
+    iteration's b), and raises CalibrationError when the slope is not
+    bracketed on [1e-12, 1e12]. `score_moments` is then called once at the
+    root for E Phi^2.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
     sigma = math.sqrt(sigma_sq)
     noise = dist.noise
 
-    if engine == "mc":
-        sample = _mc_residuals(noise, sigma, mc_samples, seed)
-        b = calibrate(CalibrationTarget(slope, loss, sample))
-    elif loss.family == LEAST_SQUARES:
+    if loss.family == LEAST_SQUARES:
         b = slope / (1.0 - slope)
     else:
         b = solve_increasing(lambda bb: slope_curve(loss, bb, noise, sigma),
                              slope, start=b_start)
-    _, sq = score_moments(loss, b, noise, sigma, engine=engine,
-                          mc_samples=mc_samples, seed=seed)
+    _, sq = score_moments(loss, b, noise, sigma)
     return sq / (slope * slope), b
 
 
@@ -528,9 +481,12 @@ def se_sigma_update(tau_sq, alpha, dist, delta, mode="penalized"):
 class SeConfig:
     tol: float = 1e-6
     max_iter: int = 500
-    engine: str = "auto"
-    mc_samples: int = 10 ** 6
-    seed: int = 0
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 _TAU_SQ_CAP = 1e14
@@ -590,6 +546,9 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
         slope = 1.0 / delta
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope omega/delta = {slope} must be in (0, 1)")
+    if init_tau_sq is not None and not 0.0 <= init_tau_sq < math.inf:
+        raise ValueError(
+            f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
 
     if loss.family == LEAST_SQUARES and not math.isfinite(dist.noise.variance):
         return _diverged_result(delta, mode)
@@ -609,10 +568,7 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
     else:
         # start from the zero estimate: all signal energy is in the residual
         sigma_sq = dist.signal_prior.second_moment / delta
-        tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
-                                  engine=config.engine,
-                                  mc_samples=config.mc_samples,
-                                  seed=config.seed)
+        tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope)
         rows.append((0, sigma_sq, tau_sq, b, theta_of(tau_sq)))
 
     converged = False
@@ -622,9 +578,6 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
         sigma_sq = se_sigma_update(prev, alpha, dist, delta, mode=mode)
         # warm start from the previous b, which moves little between steps
         tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
-                                  engine=config.engine,
-                                  mc_samples=config.mc_samples,
-                                  seed=config.seed,
                                   b_start=b if math.isfinite(b) else None)
         rows.append((t, sigma_sq, tau_sq, b, theta_of(tau_sq)))
         if not math.isfinite(tau_sq) or tau_sq > _TAU_SQ_CAP:
@@ -652,6 +605,8 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
 
 AmseEstimate = namedtuple("AmseEstimate", ["value", "stderr", "samples"])
 AmseParts = namedtuple("AmseParts", ["value", "nu1", "nu2"])
+
+_MC_CHUNK = 250_000
 
 
 def amse_monte_carlo(prior, tau, theta, samples=10 ** 6, seed=0):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import brentq
 

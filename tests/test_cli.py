@@ -156,6 +156,12 @@ class TestSolve:
             run_cli("solve", "--config", str(tmp_path / "absent.cfg"))
         assert exc.value.code == 2
 
+    def test_negative_max_iter_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        assert run_cli(*self.solve_args(out, max_iter=-1)) == 1
+        assert "max_iter must be at least 1, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSe:
     def test_fixed_point_summary(self, tmp_path):
@@ -197,6 +203,40 @@ class TestSe:
         assert cell["diverged"] is True
         assert cell["amse"] is None
         assert cell["info_bound_pass"] is None
+
+    def test_negative_init_tau_sq_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        assert run_cli("se", "--losses", "ls", "--init-tau-sq", "-1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "init_tau_sq must be finite and nonnegative, got -1.0" in err
+        assert not (out / "se_summary.json").exists()
+
+    def test_nonpositive_tol_rejected(self, tmp_path, capsys):
+        assert run_cli("se", "--losses", "ls", "--tol", "0",
+                       "--out", str(tmp_path)) == 1
+        assert "tol must be positive, got 0.0" in capsys.readouterr().err
+
+    def test_engine_flag_is_usage_error(self, tmp_path):
+        # state evolution has one deterministic path; there is no engine
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se", "--engine", "mc", "--out", str(tmp_path))
+        assert exc.value.code == 2
+
+    def test_engine_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "se.cfg"
+        cfg.write_text("engine=mc\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se", "--config", str(cfg), "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "unknown config key 'engine'" in capsys.readouterr().err
+
+    def test_summary_has_no_seed(self, tmp_path):
+        assert run_cli("se", "--losses", "ls", "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "se_summary.json").read_text())
+        assert sorted(summary) == ["config", "info_lower_bound", "results"]
+        comments, _, _ = read_trace(tmp_path / "se_trace_least_squares.csv")
+        assert not {"engine", "mc_samples", "seed"} & set(comments)
 
     def test_reruns_are_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,9 +1,9 @@
-"""Every name a ramp module imports is used in that module.
+"""Every name a ramp module or test module imports is used in that module.
 
 An AST scan of each module under src/ramp (the package's __init__, which
-re-exports, is left out) collects the names its import statements bind and
-the names its code loads. An imported name the module never loads fails the
-test.
+re-exports, is left out) and of each test module under tests collects the
+names its import statements bind and the names its code loads. An imported
+name the module never loads fails the test.
 """
 
 import ast
@@ -14,6 +14,7 @@ import pytest
 import ramp
 
 PACKAGE = Path(ramp.__file__).parent
+TESTS = Path(__file__).parent
 
 # (module, name) pairs imported on purpose without a use in the module
 ALLOWED = {
@@ -38,7 +39,9 @@ def loaded_names(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("test_*.py")))
+PATHS = {p.stem: p for p in MODULES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -52,6 +55,6 @@ def test_no_unused_imports(path):
 def test_allowlist_is_current():
     # an allowed name that the module no longer imports, or now uses, is stale
     for module, name in ALLOWED:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        tree = ast.parse(PATHS[module].read_text())
         assert name in imported_names(tree)
         assert name not in loaded_names(tree)

@@ -196,7 +196,7 @@ class TestScoreMoments:
         (Cauchy(1.0), quantile(0.7), 1.2),
     ])
     def test_quadrature_matches_sampling(self, noise, loss, b):
-        # hand-rolled sampler, independent of the mc engine; 4 standard
+        # hand-rolled sampler, independent of the quadrature; 4 standard
         # errors because the seed is fixed across six comparisons
         sigma = 0.6
         rng = np.random.default_rng(42)
@@ -207,41 +207,6 @@ class TestScoreMoments:
         d, q = score_moments(loss, b, noise, sigma)
         assert abs(d - d_samples.mean()) < 4 * d_samples.std(ddof=1) / math.sqrt(n)
         assert abs(q - q_samples.mean()) < 4 * q_samples.std(ddof=1) / math.sqrt(n)
-
-    def test_mc_engine_agrees_with_quadrature(self):
-        d_q, q_q = score_moments(absolute(), 0.9, Laplace(1.0), 0.6)
-        d_mc, q_mc = score_moments(absolute(), 0.9, Laplace(1.0), 0.6,
-                                   engine="mc", mc_samples=400_000, seed=3)
-        assert abs(d_q - d_mc) < 4e-3
-        assert abs(q_q - q_mc) < 4e-3
-
-    def test_mc_engine_is_seed_deterministic(self):
-        a = score_moments(absolute(), 0.9, Laplace(1.0), 0.6, engine="mc",
-                          mc_samples=100_000, seed=11)
-        b = score_moments(absolute(), 0.9, Laplace(1.0), 0.6, engine="mc",
-                          mc_samples=100_000, seed=11)
-        assert a == b
-
-    def test_mc_engine_matches_fresh_draws(self):
-        # the engine reuses one drawn sample across b values; a fresh seeded
-        # draw per call, chunk by chunk, must give the same bits
-        def fresh(loss, b, noise, sigma, n, seed):
-            rng = np.random.default_rng(seed)
-            d_sum = q_sum = 0.0
-            done = 0
-            while done < n:
-                m = min(state_evolution._MC_CHUNK, n - done)
-                v = noise.sample(rng, m) + sigma * rng.standard_normal(m)
-                d_sum += float(np.sum(effective_score_deriv(loss, v, b)))
-                q_sum += float(np.sum(effective_score(loss, v, b) ** 2))
-                done += m
-            return d_sum / n, q_sum / n
-
-        n = 2 * state_evolution._MC_CHUNK + 1000
-        for b in (0.9, 1.3, 0.9):
-            got = score_moments(absolute(), b, Laplace(1.0), 0.6, engine="mc",
-                                mc_samples=n, seed=5)
-            assert got == fresh(absolute(), b, Laplace(1.0), 0.6, n, 5)
 
     def test_conditional_moments_match_truncated_route(self):
         # p_below by norm_cdf gives the same bits as a truncated_moments
@@ -268,10 +233,6 @@ class TestScoreMoments:
     def test_least_squares_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
             score_moments(least_squares(), 0.3, Cauchy(1.0), 0.5)
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            score_moments(absolute(), 0.5, Normal(1.0), 0.5, engine="exact")
 
 
 SLOPE_NOISES = (Normal(0.2), NormalMixture(((0.7, 1.0), (0.3, 3.0))), Laplace(1.0),
@@ -356,24 +317,22 @@ class TestTauUpdate:
 
     @pytest.mark.parametrize("loss", (absolute(), quantile(0.7), huber(1.0)))
     def test_mc_engine_calibrates_on_its_sample(self, loss):
-        # the Monte Carlo b is the solver's exact calibration on the drawn
-        # sample, and lies within four standard errors of the quadrature b:
+        # the solver's finite-sample equation and SE's population equation
+        # are one equation: the solver's exact calibration on a Monte Carlo
+        # sample of W + sigma Z lies within four standard errors of SE's b,
         # the sd of the sample slope at b over the slope's derivative in b
         noise, sigma_sq, slope, n = Laplace(1.0), 0.5, 0.2, 200_000
         dist = DistributionModel(pm_one_prior(0.128), noise)
         sigma = math.sqrt(sigma_sq)
-        tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope, engine="mc",
-                                  mc_samples=n, seed=3)
-        sample = state_evolution._mc_residuals(noise, sigma, n, 3)
-        assert b == calibrate(CalibrationTarget(slope, loss, sample))
-        _, sq = score_moments(loss, b, noise, sigma, engine="mc", mc_samples=n, seed=3)
-        assert tau_sq == sq / slope ** 2
-        _, b_quad = se_tau_update(sigma_sq, dist, loss, slope)
-        _, deriv = slope_curve(loss, b_quad, noise, sigma)
-        scale = b_quad / (1.0 + b_quad) if loss.gamma is not None else 1.0
+        rng = np.random.default_rng(3)
+        sample = noise.sample(rng, n) + sigma * rng.standard_normal(n)
+        b = calibrate(CalibrationTarget(slope, loss, sample))
+        _, b_pop = se_tau_update(sigma_sq, dist, loss, slope)
+        _, deriv = slope_curve(loss, b_pop, noise, sigma)
+        scale = b_pop / (1.0 + b_pop) if loss.gamma is not None else 1.0
         p_in = slope / scale
         se = scale * math.sqrt(p_in * (1.0 - p_in) / n) / deriv
-        assert abs(b - b_quad) <= 4.0 * se
+        assert abs(b - b_pop) <= 4.0 * se
 
     def test_slope_validation(self):
         dist = DistributionModel(pm_one_prior(0.128), Normal(1.0))
@@ -497,6 +456,25 @@ class TestFixedPoint:
             se_fixed_point(dist, absolute(), 0.64, alpha=None)
         with pytest.raises(ValueError):
             se_fixed_point(DistributionModel(None, Normal(1.0)), absolute(), 0.64, alpha=2.0)
+
+    @pytest.mark.parametrize("init_tau_sq", (-1.0, math.inf, math.nan))
+    def test_init_tau_sq_validation(self, init_tau_sq):
+        # also before the least-squares divergence gate returns early
+        for noise in (Normal(1.0), Cauchy(1.0)):
+            dist = DistributionModel(pm_one_prior(0.128), noise)
+            with pytest.raises(ValueError, match=f"got {init_tau_sq}"):
+                se_fixed_point(dist, least_squares(), 0.64, alpha=2.0,
+                               init_tau_sq=init_tau_sq)
+
+    @pytest.mark.parametrize("tol", (0.0, -1e-6, math.nan))
+    def test_config_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+            SeConfig(tol=tol)
+
+    @pytest.mark.parametrize("max_iter", (0, -1))
+    def test_config_max_iter_must_be_at_least_one(self, max_iter):
+        with pytest.raises(ValueError, match=f"got {max_iter}"):
+            SeConfig(max_iter=max_iter)
 
 
 class TestAmse:
