@@ -4,9 +4,11 @@ This is a test oracle, not a production solver: it trades speed for
 simplicity and a checkable certificate. Smooth data terms (least squares,
 Huber) run proximal gradient with backtracking, which is monotone in the
 objective and certifies optimality through the analytic subgradient.
-The kinked data terms run a proximal-subgradient loop with Polyak-style
-steps and certify stationarity by probing the objective along every
-coordinate direction instead.
+The kinked data terms (absolute, quantile) are a linear program
+(Koenker & Bassett 1978): its dual is solved exactly by HiGHS on a
+working set of columns, the fit comes back by complementary slackness,
+and the certificate is the larger of the dual infeasibility and the
+duality gap.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .losses import (
     ABSOLUTE,
@@ -26,6 +29,10 @@ from .losses import (
 )
 
 _SMOOTH = (LEAST_SQUARES, HUBER)
+# working-set sizes of the kinked dual LP: the first round's columns, and
+# the most any later round adds
+_FIRST_COLUMNS = 64
+_ADDED_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -52,23 +59,6 @@ def loss_grad(spec: LossSpec, r):
 def penalized_objective(inst, loss, lam, x):
     r = inst.y - inst.A @ x
     return float(np.sum(loss_value(loss, r)) + lam * np.sum(np.abs(x)))
-
-
-def _directional_residual(inst, loss, lam, x, h):
-    """Largest per-coordinate descent rate found by probing x +- h e_j.
-
-    On the piecewise-linear objectives this finite difference is exact as
-    long as h stays below the distance to the nearest kink, which makes it
-    an honest stationarity certificate for the kinked data terms.
-    """
-    r = inst.y - inst.A @ x
-    base_fit = float(np.sum(loss_value(loss, r)))
-    fit_plus = np.sum(loss_value(loss, r[:, None] - h * inst.A), axis=0)
-    fit_minus = np.sum(loss_value(loss, r[:, None] + h * inst.A), axis=0)
-    pen = np.abs(x)
-    d_plus = (fit_plus - base_fit) / h + lam * (np.abs(x + h) - pen) / h
-    d_minus = (fit_minus - base_fit) / h + lam * (np.abs(x - h) - pen) / h
-    return max(0.0, float(-np.minimum(d_plus, d_minus).min()))
 
 
 def _solve_smooth(inst, loss, lam, tol, max_iter):
@@ -105,46 +95,74 @@ def _kkt_from_grad(grad, lam, x):
     return max(float(m_on), m_off)
 
 
-def _solve_kinked(inst, loss, lam, tol, max_iter):
+def _restricted_dual(A_work, y, bound, tau):
+    """Maximize y'u over u in [tau - 1, tau]^n with |A_work' u| <= bound."""
+    res = optimize.milp(
+        -y, bounds=optimize.Bounds(tau - 1.0, tau),
+        constraints=optimize.LinearConstraint(A_work.T, -bound, bound))
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS stopped with status {res.status} on the "
+                           f"kinked dual LP: {res.message}")
+    return res.x
+
+
+def _primal_from_dual(A, y, u, excess, work, tau):
+    """The fit that complementary slackness pairs with the dual vertex u.
+
+    excess is |A'u| - bound per column, and work marks the columns the LP
+    saw. A vertex of that LP has n active constraints, box faces and
+    column rows; they are taken as the n nearest to u, in distance from u
+    to each face, which stays right when HiGHS leaves active rows off by
+    its feasibility tolerance. Off the active columns S the fit is zero,
+    and every u_i off its box faces forces a zero residual, so x_S solves
+    the square system A[Z, S] x_S = y_Z. At a nondegenerate vertex its
+    solution is the primal optimum; otherwise the duality gap exposes the
+    miss.
+    """
+    n = u.size
+    to_box = np.minimum(u - (tau - 1.0), tau - u)
+    to_row = np.where(work, -excess / np.linalg.norm(A, axis=0), np.inf)
+    nearest = np.argsort(np.concatenate([to_box, to_row]))[:n]
+    inside = np.ones(n, dtype=bool)
+    inside[nearest[nearest < n]] = False
+    active = nearest[nearest >= n] - n
+    x = np.zeros(A.shape[1])
+    if active.size:
+        x[active] = np.linalg.lstsq(A[np.ix_(inside, active)], y[inside],
+                                    rcond=None)[0]
+    return x
+
+
+def _solve_kinked(inst, loss, lam, g0, max_iter):
+    """Column generation on the dual LP of the pinball fit (Koenker-Bassett).
+
+    The dual is max w y'u over u in [tau - 1, tau]^n with |A'u| <= lam/w.
+    Each round hands HiGHS only the working set of columns, then adds the
+    columns whose dual constraint u breaks, most violated first; the loop
+    ends when none is broken, and every round adds at least one column.
+    The certificate is the larger of the dual infeasibility over all
+    columns, in units of lam, and the duality gap.
+    """
     A, y = inst.A, inst.y
-    x = np.zeros(inst.p)
-    best_x = x
-    best_obj = penalized_objective(inst, loss, lam, x)
-    # Polyak steps against a moving target: the objective is nonnegative,
-    # so best-minus-margin is always a legal guess and the margin shrinks
-    # whenever it proves too optimistic for a while
-    margin = 0.05 * max(best_obj, 1.0)
-    since_improved = 0
-    check_every = 100
-    resid = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        r = y - A @ x
-        obj = float(np.sum(loss_value(loss, r))) + lam * float(np.sum(np.abs(x)))
-        if obj < best_obj - 1e-14 * max(1.0, best_obj):
-            best_obj, best_x = obj, x
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= 200:
-                margin *= 0.5
-                since_improved = 0
-        g = -(A.T @ loss_grad(loss, r))
-        gnorm_sq = float(g @ g) + inst.p * lam * lam
-        target = max(best_obj - margin, 0.0)
-        step = max(obj - target, 0.0) / gnorm_sq
-        # keep single steps from teleporting once the gradient flattens out
-        cap = 5.0 * (1.0 + float(np.linalg.norm(x))) / math.sqrt(gnorm_sq)
-        step = min(step, cap)
-        x = soft_threshold(x - step * g, step * lam)
-        if it % check_every == 0:
-            h = 1e-7 * (1.0 + float(np.max(np.abs(best_x))))
-            resid = _directional_residual(inst, loss, lam, best_x, h)
-            if resid <= tol:
-                return OracleResult(best_x, best_obj, resid, it)
-    h = 1e-7 * (1.0 + float(np.max(np.abs(best_x))))
-    resid = _directional_residual(inst, loss, lam, best_x, h)
-    return OracleResult(best_x, best_obj, resid, it)
+    # rho = w * pinball_tau: LAD is twice the median's pinball loss
+    w, tau = (2.0, 0.5) if loss.family == ABSOLUTE else (1.0, loss.tau_q)
+    bound = lam / w
+    work = np.zeros(inst.p, dtype=bool)
+    work[np.argsort(-np.abs(g0))[:_FIRST_COLUMNS]] = True
+    # a dual point needs one round even on a zero budget
+    for it in range(1, max(max_iter, 1) + 1):
+        u = _restricted_dual(A[:, work], y, bound, tau)
+        excess = np.abs(A.T @ u) - bound
+        broken = np.flatnonzero((excess > 0.0) & ~work)
+        # work must stay the columns this u was solved on
+        if broken.size == 0 or it >= max_iter:
+            break
+        work[broken[np.argsort(-excess[broken])[:_ADDED_COLUMNS]]] = True
+    x = _primal_from_dual(A, y, u, excess, work, tau)
+    objective = penalized_objective(inst, loss, lam, x)
+    gap = abs(objective - w * float(y @ u))
+    infeasible = w * max(0.0, float(np.max(excess)))
+    return OracleResult(x, objective, max(infeasible, gap), it)
 
 
 def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
@@ -153,7 +171,13 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     tol defaults to 1e-4 * lam * sqrt(n). The returned kkt_residual is the
     certificate value actually achieved; when the iteration budget runs out
     first, the best iterate comes back with its residual above tol rather
-    than an exception.
+    than an exception. On the smooth path max_iter caps proximal-gradient
+    steps and tol bounds the subgradient residual. On the kinked path
+    max_iter caps working-set rounds of the dual LP, which HiGHS solves
+    exactly, and tol bounds its certificate: the dual infeasibility and
+    the duality gap. A degenerate vertex whose recovered fit does not close
+    the gap also comes back with its residual above tol, and a HiGHS
+    status other than optimal raises RuntimeError.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -169,7 +193,7 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
 
     if loss.family in _SMOOTH:
         return _solve_smooth(inst, loss, lam, tol, max_iter)
-    return _solve_kinked(inst, loss, lam, tol, max_iter)
+    return _solve_kinked(inst, loss, lam, g0, max_iter)
 
 
 def check_oracle_distance(inst, loss, lam, ramp_result, tol=None):

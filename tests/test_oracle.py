@@ -1,16 +1,22 @@
 """Tests for the direct penalized-objective solver.
 
 A hand-rolled coordinate-descent lasso serves as the independent reference
-for the least-squares path; the kinked paths are checked through exact
-scaling identities and the stationarity certificate itself.
+for the least-squares path. The kinked paths are checked against scipy's
+HiGHS `linprog` on the primal LP, through exact scaling and reflection
+identities, and against the state-evolution AMSE at the SE-implied penalty.
 """
 
 import math
+import statistics
+from functools import lru_cache
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import optimize
 
+from ramp import oracle
+from ramp.experiments import convergence_study_spec, generate_instance
 from ramp.losses import absolute, huber, least_squares, quantile
 from ramp.oracle import (
     OracleResult,
@@ -20,6 +26,11 @@ from ramp.oracle import (
     solve_penalized,
 )
 from ramp.solver import ProblemInstance, SolverConfig, run_ramp
+from ramp.state_evolution import (
+    DistributionModel,
+    pm_one_prior,
+    tune_alpha,
+)
 
 
 def make_instance(rng, n, p, s, noise_sd=math.sqrt(0.2)):
@@ -50,6 +61,41 @@ def cd_lasso(A, y, lam, sweeps=4000):
         if largest < 1e-13:
             break
     return x
+
+
+def primal_lp_objective(inst, loss, lam):
+    """Exact kinked optimum from linprog on x = x+ - x-, r = r+ - r-."""
+    n, p = inst.A.shape
+    w, t = (2.0, 0.5) if loss == absolute() else (1.0, loss.tau_q)
+    c = np.concatenate([np.full(2 * p, lam), np.full(n, w * t),
+                        np.full(n, w * (1.0 - t))])
+    eye = np.eye(n)
+    res = optimize.linprog(c, A_eq=np.hstack([inst.A, -inst.A, eye, -eye]),
+                           b_eq=inst.y, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def fraction_of_zero_edge(inst, loss, frac):
+    """The penalty frac of the way up to where the zero fit certifies itself."""
+    return frac * float(np.max(np.abs(inst.A.T @ loss_grad(loss, inst.y))))
+
+
+def assert_matches_linprog(inst, loss, lam):
+    res = solve_penalized(inst, loss, lam)
+    exact = primal_lp_objective(inst, loss, lam)
+    assert abs(res.objective - exact) <= 1e-9 * exact
+    assert res.kkt_residual <= 1e-4 * lam * math.sqrt(inst.n)
+    assert res.objective == penalized_objective(inst, loss, lam, res.x_hat)
+
+
+@lru_cache(maxsize=None)
+def se_tuned(loss):
+    """(lambda*, AMSE) of state evolution at the benchmark geometry's alpha*."""
+    spec = convergence_study_spec(replications=1)
+    dist = DistributionModel(pm_one_prior(spec.s / spec.p), spec.noise)
+    tuned = tune_alpha(dist, loss, spec.n / spec.p)
+    return tuned.lambda_star, tuned.result.amse
 
 
 def corrected_penalty(inst, state):
@@ -184,3 +230,131 @@ class TestOracleDistance:
         assert rr.converged
         lam = corrected_penalty(inst, rr.state)
         assert check_oracle_distance(inst, loss, lam, rr) < 1e-3
+
+
+class TestKinkedLinearProgram:
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.2), quantile(0.7)],
+                             ids=["absolute", "quantile_0.2", "quantile_0.7"])
+    @pytest.mark.parametrize("noise", ["gaussian", "t2"])
+    @pytest.mark.parametrize("rounded", [False, True],
+                             ids=["continuous", "rounded"])
+    def test_matches_primal_linprog(self, loss, noise, rounded):
+        # p above the first working set, so the column generation runs;
+        # a response rounded to 0.1 makes residuals tie at zero
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            inst = make_instance(rng, 50, 120, 8)
+            if noise == "t2":
+                y = inst.A @ inst.x_true + 0.5 * rng.standard_t(2, inst.n)
+                inst = ProblemInstance(A=inst.A, y=y, s=inst.s,
+                                       x_true=inst.x_true)
+            if rounded:
+                inst = ProblemInstance(A=inst.A, y=np.round(inst.y, 1),
+                                       s=inst.s, x_true=inst.x_true)
+            assert_matches_linprog(inst, loss,
+                                   fraction_of_zero_edge(inst, loss, 0.3))
+
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.2), quantile(0.7)],
+                             ids=["absolute", "quantile_0.2", "quantile_0.7"])
+    def test_small_penalty_with_more_rows_than_columns(self, loss):
+        # nearly every column is active, and HiGHS leaves active rows up to
+        # ~1e-9 relative off their bound, which a fixed activity tolerance
+        # misreads on these seeds
+        for seed in (203, 204, 205):
+            inst = make_instance(np.random.default_rng(seed), 160, 80, 8)
+            assert_matches_linprog(inst, loss,
+                                   fraction_of_zero_edge(inst, loss, 0.005))
+
+    @pytest.mark.parametrize("tau", [0.2, 0.7])
+    def test_reflection_symmetry(self, tau):
+        # (y, x, tau) -> (-y, -x, 1 - tau) maps each fit onto the other
+        rng = np.random.default_rng(11)
+        inst = make_instance(rng, 60, 140, 8)
+        flipped = ProblemInstance(A=inst.A, y=-inst.y, s=inst.s,
+                                  x_true=-inst.x_true)
+        lam = fraction_of_zero_edge(inst, quantile(tau), 0.3)
+        a = solve_penalized(inst, quantile(tau), lam)
+        b = solve_penalized(flipped, quantile(1.0 - tau), lam)
+        assert np.count_nonzero(a.x_hat) > 0
+        npt.assert_allclose(b.x_hat, -a.x_hat, rtol=0.0, atol=1e-12)
+        assert abs(a.objective - b.objective) <= 1e-12 * a.objective
+
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.7)],
+                             ids=["absolute", "quantile_0.7"])
+    def test_working_set_never_holds_every_column(self, loss, monkeypatch):
+        # the full n x p LP is what overran the memory budget
+        widths = []
+        real_milp = oracle.optimize.milp
+
+        def spy(c, **kwargs):
+            widths.append(kwargs["constraints"].A.shape[0])
+            return real_milp(c, **kwargs)
+
+        monkeypatch.setattr(oracle.optimize, "milp", spy)
+        spec = convergence_study_spec(replications=1)
+        lam = se_tuned(loss)[0]
+        for draw in (20000, 20001):
+            inst = generate_instance(spec, draw)
+            res = solve_penalized(inst, loss, lam)
+            assert res.kkt_residual <= 1e-4 * lam * math.sqrt(inst.n)
+        assert widths and max(widths) < spec.p
+
+    def test_budget_exhaustion_returns_restricted_fit(self):
+        spec = convergence_study_spec(replications=1)
+        inst = generate_instance(spec, 20000)
+        lam = se_tuned(absolute())[0]
+        res = solve_penalized(inst, absolute(), lam, max_iter=1)
+        assert res.iterations == 1
+        # the first round's fit is optimal over the columns that LP saw, so
+        # it beats the zero fit
+        assert np.count_nonzero(res.x_hat) <= 64
+        zero = penalized_objective(inst, absolute(), lam, np.zeros(inst.p))
+        assert res.objective < zero
+        assert res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n)
+        full = solve_penalized(inst, absolute(), lam)
+        assert res.objective >= full.objective
+
+    def test_unclosed_gap_is_reported(self, monkeypatch):
+        # a fit that misses the dual vertex, as at a degenerate one, must
+        # come back with the duality gap as its residual
+        monkeypatch.setattr(oracle, "_primal_from_dual",
+                            lambda A, *rest: np.zeros(A.shape[1]))
+        rng = np.random.default_rng(5)
+        inst = make_instance(rng, 40, 60, 6)
+        lam = 0.8
+        res = solve_penalized(inst, absolute(), lam)
+        exact = primal_lp_objective(inst, absolute(), lam)
+        assert not res.x_hat.any()
+        assert res.kkt_residual == pytest.approx(res.objective - exact,
+                                                 rel=1e-9)
+        assert res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n)
+
+    def test_non_optimal_status_raises(self, monkeypatch):
+        def stalled(c, **kwargs):
+            return optimize.OptimizeResult(status=1, x=None,
+                                           message="Time limit reached.")
+
+        monkeypatch.setattr(oracle.optimize, "milp", stalled)
+        rng = np.random.default_rng(5)
+        inst = make_instance(rng, 40, 60, 6)
+        with pytest.raises(RuntimeError, match="status 1"):
+            solve_penalized(inst, absolute(), 0.8)
+
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.7)],
+                             ids=["absolute", "quantile_0.7"])
+    def test_mse_at_se_penalty_matches_amse(self, loss):
+        # exact fits at the SE-implied penalty must reproduce the SE AMSE
+        # within three standard errors plus 2%
+        spec = convergence_study_spec(replications=1)
+        lam, amse = se_tuned(loss)
+        mses = []
+        for draw in range(20000, 20010):
+            inst = generate_instance(spec, draw)
+            res = solve_penalized(inst, loss, lam)
+            assert res.kkt_residual <= 1e-4 * lam * math.sqrt(inst.n)
+            mses.append(float(np.mean((res.x_hat - inst.x_true) ** 2)))
+        mean = statistics.fmean(mses)
+        se = statistics.stdev(mses) / math.sqrt(len(mses))
+        print(f"{loss.family}: LP MSE {mean:.4f} +- {se:.4f} at lambda* "
+              f"{lam:.5f}, SE AMSE {amse:.4f}")
+        assert abs(mean - amse) <= 3.0 * se + 0.02 * amse
