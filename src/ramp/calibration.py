@@ -3,13 +3,16 @@
 Each pass of the solver re-fits b on the current adjusted residuals z so
 that the average derivative of the effective score matches the target
 slope s/n, the empirical form of the equation state evolution solves for
-the population. `calibrate` solves it exactly for every loss: least
-squares in closed form, the others through u_i (`_window_u`), with z_i
-inside the score window exactly when u_i < b. The root is then an order
-statistic of u for the kinked-score losses (absolute, quantile;
-`calibrate_nonsmooth`), and is found by one walk over the sorted u for
-Huber (`calibrate_smooth`). `solve_increasing`, safeguarded Newton on
-log b, solves the population equation for state evolution.
+the population. With the loss constants (kappa, e_lo, e_hi) of
+`losses.score_shape`, that average is c(b) = b/(kappa + b) times the share
+of residuals inside the score window, and z_i is inside exactly when
+u_i = z_i/e - kappa < b (`_window_u`; e = e_hi for z_i > 0, else e_lo).
+`calibrate` solves the equation exactly for every loss: in closed form for
+least squares, whose window is the whole line; by one walk over the sorted
+u when kappa > 0 (Huber, `calibrate_smooth`); and as an order statistic of
+u when kappa = 0, where c = 1 (the kinked absolute and quantile losses,
+`calibrate_nonsmooth`). `solve_increasing`, safeguarded Newton on log b,
+solves the population equation for state evolution.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from .gauss import norm_pdf
 from .losses import LossSpec
 # unused here, but the benchmark tracer in perfbench/ wraps it by this name
 from .losses import effective_score_deriv
-
-SMOOTH_FAMILIES = (losses.LEAST_SQUARES, losses.HUBER)
-KINKED_FAMILIES = (losses.ABSOLUTE, losses.QUANTILE)
 
 
 class CalibrationError(RuntimeError):
@@ -228,45 +228,43 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
 # ---------------------------------------------------------------------------
 
 def _window_u(loss: LossSpec, z: np.ndarray) -> np.ndarray:
-    """u_i such that z_i lies inside the score window exactly when u_i < b.
+    """u_i = z_i/e - kappa, with e = e_hi when z_i > 0 and e_lo otherwise.
 
-    |z_i|/gamma - 1 for Huber, whose window is |z| < (1 + b) gamma; |z_i|
-    for the absolute loss; z_i/tau when z_i > 0 and z_i/(tau - 1)
-    otherwise for quantile(tau).
+    z_i lies inside the score window (kappa + b)(e_lo, e_hi) exactly when
+    u_i < b.
     """
-    if loss.family == losses.HUBER:
-        return np.abs(z) / loss.gamma - 1.0
-    if loss.family == losses.ABSOLUTE:
-        return np.abs(z)
-    t = loss.tau_q
-    return np.where(z > 0.0, z / t, z / (t - 1.0))
+    kappa, e_lo, e_hi = losses.score_shape(loss)
+    # e_lo < 0 < e_hi, so the larger quotient is the one that divides by e
+    return np.maximum(z / e_hi, z / e_lo) - kappa
 
 
 def calibrate_smooth(target: CalibrationTarget) -> float:
-    """Solve mean_i d1Phi(z_i; b) = slope exactly for the smooth-score losses.
+    """Solve mean_i d1Phi(z_i; b) = slope exactly for the losses with kappa > 0.
 
-    Least squares has the closed form slope/(1 - slope). For Huber, with
-    u = `_window_u` sorted, j residuals are inside the window for b between
-    u_(j) and u_(j+1), where the average derivative is b/(1+b) j/n and
-    crosses the slope at b_j = slope/(j/n - slope) (for j/n > slope). The
-    first j whose b_j is at or below u_(j+1) holds the root: b_j when
-    b_j > u_(j), and otherwise the jump point u_(j), where the map steps
-    across the slope. That is the tie rule b = (b_minus + b_plus)/2 with
-    both sides meeting at the step. The map reaches every slope below 1,
-    so there is always a root.
+    Least squares, whose window is the whole line, has the closed form
+    b = kappa slope/(1 - slope). Otherwise, with u = `_window_u` sorted, j
+    residuals are inside the window for b between u_(j) and u_(j+1), where
+    the average derivative is b/(kappa + b) j/n and crosses the slope at
+    b_j = kappa slope/(j/n - slope) (for j/n > slope). The first j whose
+    b_j is at or below u_(j+1) holds the root: b_j when b_j > u_(j), and
+    otherwise the jump point u_(j), where the map steps across the slope.
+    That is the tie rule b = (b_minus + b_plus)/2 with both sides meeting
+    at the step. The map reaches every slope below 1, so there is always a
+    root.
     """
-    if target.loss.family not in SMOOTH_FAMILIES:
+    kappa, _, e_hi = losses.score_shape(target.loss)
+    if kappa == 0.0:
         raise ValueError("calibrate_smooth handles least-squares and huber losses only")
     z, slope = target.residuals, target.slope
 
-    if target.loss.family == losses.LEAST_SQUARES:
-        # the derivative b/(1+b) does not depend on z, so the root is exact
-        return slope / (1.0 - slope)
+    if math.isinf(e_hi):
+        # the derivative b/(kappa + b) does not depend on z, so the root is exact
+        return kappa * slope / (1.0 - slope)
     n = z.size
     frac = np.arange(1, n + 1) / n
     first = int(np.searchsorted(frac, slope, side="right"))  # frac[first:] > slope
     u = np.sort(_window_u(target.loss, z))
-    roots = slope / (frac[first:] - slope)        # b_j for j = first + 1 .. n
+    roots = kappa * slope / (frac[first:] - slope)   # b_j for j = first + 1 .. n
     upper = np.append(u[first + 1:], np.inf)      # u_(j + 1)
     k = int(np.argmax(roots <= upper))            # j = n always qualifies
     return float(max(roots[k], u[first + k]))
@@ -277,29 +275,28 @@ def calibrate_smooth(target: CalibrationTarget) -> float:
 # ---------------------------------------------------------------------------
 
 def plugin_slope_curve(loss: LossSpec, b_grid, cdf: Callable, pdf: Callable):
-    """Plug-in estimate of E[d1Phi(z; b)] as a curve over b.
+    """Plug-in estimate of E[d1Phi(z; b)] as a curve over b, for kappa = 0.
 
-    For the absolute loss the estimate is F(b) - F(-b) - b(f(b) + f(-b));
-    the quantile version evaluates the window [b(tau-1), b*tau] instead.
-    cdf/pdf may be empirical (ECDF + density estimate) or exact functions,
-    which is how the tests pin the equations against analytic roots.
+    With the window edges lo = b e_lo and hi = b e_hi the estimate is
+    F(hi) - F(lo) - hi f(hi) + lo f(lo); for the absolute loss that is
+    F(b) - F(-b) - b(f(b) + f(-b)). cdf/pdf may be empirical (ECDF +
+    density estimate) or exact functions, which is how the tests pin the
+    equations against analytic roots.
     """
+    kappa, e_lo, e_hi = losses.score_shape(loss)
+    if kappa != 0.0:
+        raise ValueError("plug-in calibration applies to absolute and quantile losses only")
     b = np.asarray(b_grid, dtype=float)
-    if loss.family == losses.ABSOLUTE:
-        return cdf(b) - cdf(-b) - b * (pdf(b) + pdf(-b))
-    if loss.family == losses.QUANTILE:
-        t = loss.tau_q
-        hi = b * t
-        lo = b * (t - 1.0)
-        return cdf(hi) - cdf(lo) - hi * pdf(hi) + lo * pdf(lo)
-    raise ValueError("plug-in calibration applies to absolute and quantile losses only")
+    lo, hi = b * e_lo, b * e_hi
+    return cdf(hi) - cdf(lo) - hi * pdf(hi) + lo * pdf(lo)
 
 
 def calibrate_nonsmooth(target: CalibrationTarget) -> float:
-    """Solve mean_i d1Phi(z_i; b) = slope exactly for kinked-score losses.
+    """Solve mean_i d1Phi(z_i; b) = slope exactly for the losses with kappa = 0.
 
     Each residual maps to u_i >= 0 with z_i inside the score window exactly
-    when u_i < b (`_window_u`). The average derivative is then #{u_i < b}/n (edges count 1/2), a step map in b.
+    when u_i < b (`_window_u`). With c = 1 the average derivative is
+    #{u_i < b}/n (edges count 1/2), a step map in b.
     With j the smallest count with j/n >= slope, the root follows the tie
     rule b = (b_minus + b_plus)/2 of `calibrate_smooth`: the midpoint
     (u_(j) + u_(j+1))/2 of the flat step when j/n equals the slope, which
@@ -310,7 +307,7 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
     the root is b = 0 and CalibrationError is raised, with grid_lo = 0 and
     value_lo the share of zeros, the least slope any b > 0 gives.
     """
-    if target.loss.family not in KINKED_FAMILIES:
+    if losses.score_shape(target.loss).kappa != 0.0:
         raise ValueError("calibrate_nonsmooth handles absolute and quantile losses only")
     z, slope = target.residuals, target.slope
     n = z.size
@@ -336,7 +333,7 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
 
 
 def calibrate(target: CalibrationTarget) -> float:
-    """Exact root of mean_i d1Phi(z_i; b) = slope, by score smoothness."""
-    if target.loss.family in SMOOTH_FAMILIES:
+    """Exact root of mean_i d1Phi(z_i; b) = slope, by whether kappa > 0."""
+    if losses.score_shape(target.loss).kappa > 0.0:
         return calibrate_smooth(target)
     return calibrate_nonsmooth(target)

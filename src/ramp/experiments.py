@@ -46,7 +46,6 @@ from .state_evolution import (
 )
 
 DESIGNS = ("gaussian", "rademacher")
-MODES = ("penalized", "no_penalty")
 
 LAPLACE_CONVENTION = "scale 1 means density exp(-|x|)/2, variance 2"
 
@@ -71,7 +70,6 @@ class ExperimentSpec:
     noise: object
     losses: tuple = (least_squares(),)
     design: str = "gaussian"
-    mode: str = "penalized"
     alphas: Optional[tuple] = None
     replications: int = 100
     seeds: Optional[tuple] = None
@@ -79,8 +77,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         object.__setattr__(self, "losses", tuple(self.losses))

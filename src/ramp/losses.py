@@ -8,12 +8,25 @@ arrays in, arrays of the same shape out. The families share one interface,
     effective_score(spec, z, b)       Phi(z; b) = b * rho'(prox(spec, z, b))
     effective_score_deriv(spec, z, b) d/dz Phi(z; b)
 
-with b > 0 the proximal regularization scale. All four proximal maps have
-closed forms, so nothing here runs an inner optimization.
+with b > 0 the proximal regularization scale. Every loss is fixed by three
+constants (kappa, e_lo, e_hi) from `score_shape`: rho' lies in [e_lo, e_hi]
+and has slope 1/kappa in between (kappa = 0 at a kink). With the scale
+c(b) = b/(kappa + b), so that dc/db = kappa/(kappa + b)**2,
+
+    Phi(z; b) = clip(c z, b e_lo, b e_hi)
+    Phi'      = c inside the score window (kappa + b)(e_lo, e_hi), c/2 on
+                its edges and 0 outside
+    prox      = z - Phi
+
+so every proximal map has a closed form and nothing here runs an inner
+optimization. Calibration and state evolution read the score only through
+these constants; the family is decided here.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +38,8 @@ ABSOLUTE = "absolute"
 QUANTILE = "quantile"
 
 FAMILIES = (LEAST_SQUARES, HUBER, ABSOLUTE, QUANTILE)
+
+ScoreShape = namedtuple("ScoreShape", ["kappa", "e_lo", "e_hi"])
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,7 @@ def _maybe_scalar(out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# the four kernels
+# the kernels
 # ---------------------------------------------------------------------------
 
 def loss_value(spec: LossSpec, x):
@@ -101,6 +116,22 @@ def loss_value(spec: LossSpec, x):
     return _maybe_scalar(out)
 
 
+def score_shape(spec: LossSpec) -> ScoreShape:
+    """The constants (kappa, e_lo, e_hi) that fix the effective score of spec.
+
+    rho' takes values in [e_lo, e_hi], and kappa is the reciprocal of the
+    curvature of rho where rho' lies strictly between them: 1 for least
+    squares and Huber, 0 for the kinked losses.
+    """
+    if spec.family == LEAST_SQUARES:
+        return ScoreShape(1.0, -math.inf, math.inf)
+    if spec.family == HUBER:
+        return ScoreShape(1.0, -spec.gamma, spec.gamma)
+    if spec.family == ABSOLUTE:
+        return ScoreShape(0.0, -1.0, 1.0)
+    return ScoreShape(0.0, spec.tau_q - 1.0, spec.tau_q)
+
+
 def prox(spec: LossSpec, z, b):
     """Closed-form minimizer of b*rho(u) + 0.5*(u - z)^2 over u.
 
@@ -110,73 +141,36 @@ def prox(spec: LossSpec, z, b):
     b : positive proximal scale
 
     The minimizer is unique because rho is convex and the quadratic is
-    strict. It satisfies z - u in b*rho'(u) (subgradient sense at kinks).
+    strict. It satisfies z - u in b*rho'(u) (subgradient sense at kinks),
+    so it is z - Phi(z; b).
     """
-    _check_b(b)
     z = np.asarray(z, dtype=float)
-    if spec.family == LEAST_SQUARES:
-        out = z / (1.0 + b)
-    elif spec.family == HUBER:
-        k = (1.0 + b) * spec.gamma
-        out = np.where(np.abs(z) <= k, z / (1.0 + b), z - b * spec.gamma * np.sign(z))
-    elif spec.family == ABSOLUTE:
-        out = np.asarray(soft_threshold(z, b))
-    else:
-        t = spec.tau_q
-        hi = b * t
-        lo = b * (t - 1.0)
-        out = np.where(z > hi, z - hi, np.where(z < lo, z - lo, 0.0))
-    return _maybe_scalar(out)
+    return _maybe_scalar(z - effective_score(spec, z, b))
 
 
 def effective_score(spec: LossSpec, z, b):
-    """Phi(z; b) = b * rho'(prox(z, b)), written out piecewise per family.
-
-    Coincides with z - prox(spec, z, b); the tests check that identity.
-    """
+    """Phi(z; b) = b * rho'(prox(z, b)) = clip(c z, b e_lo, b e_hi), c = b/(kappa + b)."""
     _check_b(b)
+    kappa, e_lo, e_hi = score_shape(spec)
     z = np.asarray(z, dtype=float)
-    if spec.family == LEAST_SQUARES:
-        out = (b / (1.0 + b)) * z
-    elif spec.family == HUBER:
-        g = spec.gamma
-        k = (1.0 + b) * g
-        out = np.where(np.abs(z) <= k, (b / (1.0 + b)) * z, b * g * np.sign(z))
-    elif spec.family == ABSOLUTE:
-        out = np.clip(z, -b, b)
-    else:
-        t = spec.tau_q
-        out = np.clip(z, b * (t - 1.0), b * t)
-    return _maybe_scalar(out)
+    # np.minimum(np.maximum(...)) is np.clip without its Python-level checks
+    return _maybe_scalar(np.minimum(np.maximum(b / (kappa + b) * z, b * e_lo), b * e_hi))
 
 
 def effective_score_deriv(spec: LossSpec, z, b):
-    """d/dz of the effective score.
+    """d/dz of the effective score: c on the score window, 0 outside it.
 
-    Piecewise constant for every family. At a kink of Phi (for example
-    |z| = b under the absolute loss) the average of the left and right
-    derivatives is returned, the same symmetric tie treatment the
-    calibration step uses for its bracketing rule.
+    On the window edges (kappa + b) e_lo and (kappa + b) e_hi, the kinks of
+    Phi, the average c/2 of the left and right derivatives is returned,
+    the same symmetric tie treatment the calibration step uses for its
+    bracketing rule.
     """
     _check_b(b)
+    kappa, e_lo, e_hi = score_shape(spec)
     z = np.asarray(z, dtype=float)
-    if spec.family == LEAST_SQUARES:
-        out = np.full_like(z, b / (1.0 + b))
-    elif spec.family == HUBER:
-        k = (1.0 + b) * spec.gamma
-        c = b / (1.0 + b)
-        a = np.abs(z)
-        out = np.where(a < k, c, np.where(a > k, 0.0, 0.5 * c))
-    elif spec.family == ABSOLUTE:
-        a = np.abs(z)
-        out = np.where(a < b, 1.0, np.where(a > b, 0.0, 0.5))
-    else:
-        t = spec.tau_q
-        hi = b * t
-        lo = b * (t - 1.0)
-        inside = (z > lo) & (z < hi)
-        at_kink = (z == lo) | (z == hi)
-        out = np.where(inside, 1.0, np.where(at_kink, 0.5, 0.0))
+    c = b / (kappa + b)
+    lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
+    out = np.where((z > lo) & (z < hi), c, np.where((z == lo) | (z == hi), 0.5 * c, 0.0))
     return _maybe_scalar(out)
 
 

@@ -13,9 +13,15 @@ mixtures) therefore collapse exactly; heavy-tailed laws are integrated
 over W with Gauss-Legendre nodes on the inverse cdf, split at the median
 so the Laplace kink sits on a panel edge.
 
-With these closed forms the slope E d1Phi is the mass of the score
-window, so its derivative in b is the density of W + sigma Z at the
-window edges, from the same normal pieces. The tau update therefore finds
+Every loss enters through its constants (kappa, e_lo, e_hi) from
+`losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
+and the score window (lo, hi] = (kappa + b)(e_lo, e_hi]. So the slope
+E d1Phi is c times the mass of the window and E Phi^2 is c^2 E clip(v,
+lo, hi)^2; c and its derivative kappa/(kappa + b)^2 multiply the noise
+averages. The derivative of the slope in b takes, besides dc/db, the
+density of W + sigma Z at each window edge times the rate e_lo or e_hi at
+which that edge moves, from the same normal pieces. Least squares, whose
+window is the whole line, keeps its closed forms. The tau update finds
 b by safeguarded Newton steps on log b (`calibration.solve_increasing`
 on `slope_curve`), starting from the previous SE iteration's b, and takes
 E Phi^2 once at the root; a few slope evaluations per update suffice. At
@@ -46,7 +52,7 @@ from .gauss import (
     soft_threshold_risk,
     truncated_moments,
 )
-from .losses import LEAST_SQUARES, soft_threshold
+from .losses import LEAST_SQUARES, score_shape, soft_threshold
 
 # ---------------------------------------------------------------------------
 # signal prior
@@ -277,16 +283,14 @@ class Cauchy:
 
 @dataclass(frozen=True)
 class DistributionModel:
-    """Signal prior plus noise law; fisher_info can override the noise value."""
+    """Signal prior plus noise law."""
 
     signal_prior: object
     noise: object
-    fisher_info: float = None
 
-    def __post_init__(self):
-        if self.fisher_info is None:
-            object.__setattr__(self, "fisher_info",
-                               getattr(self.noise, "fisher_info", None))
+    @property
+    def fisher_info(self):
+        return self.noise.fisher_info
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +300,18 @@ class DistributionModel:
 _NODES_PER_HALF = 220
 
 
-def _score_window(loss, b):
-    """Window outside which the score derivative vanishes, or None for least squares."""
-    if loss.family == LEAST_SQUARES:
-        return None
-    if loss.gamma is not None:
-        k = (1.0 + b) * loss.gamma
-        return -k, k
-    if loss.tau_q is not None:
-        return b * (loss.tau_q - 1.0), b * loss.tau_q
-    return -b, b
+def _conditional_moments(lo, hi, mu, s):
+    """(P(v in window), E clip(v, lo, hi)^2) for v ~ N(mu, s^2).
 
-
-def _conditional_moments(loss, b, mu, s):
-    """(E d1Phi, E Phi^2) of the effective score for v ~ N(mu, s^2).
-
-    Vectorized over mu; uses the piecewise structure of each score so no
-    quadrature over v is needed.
+    The window (lo, hi] is the score window, on which Phi(v; b) =
+    c clip(v, lo, hi), so these are E d1Phi/c and E Phi^2/c^2. Vectorized
+    over mu; uses the truncated-normal closed forms so no quadrature over
+    v is needed. The infinite window of least squares gives
+    (1, mu^2 + s^2).
     """
     mu = np.asarray(mu, dtype=float)
-    if loss.family == LEAST_SQUARES:
-        c = b / (1.0 + b)
-        return np.full(mu.shape, c), c * c * (mu * mu + s * s)
-    lo, hi = _score_window(loss, b)
+    if math.isinf(hi):
+        return np.ones(mu.shape), mu * mu + s * s
     p_in, _, m2_in = truncated_moments(mu, s, lo, hi)
     if s == 0.0:
         # point mass at mu, as in truncated_moments
@@ -326,44 +319,25 @@ def _conditional_moments(loss, b, mu, s):
     else:
         p_below = norm_cdf((lo - mu) / s)
     p_above = np.maximum(1.0 - p_in - p_below, 0.0)
-    if loss.gamma is not None:
-        c = b / (1.0 + b)
-        deriv = c * p_in
-        sq = c * c * m2_in + (b * loss.gamma) ** 2 * (p_below + p_above)
-    else:
-        deriv = p_in
-        sq = m2_in + hi * hi * p_above + lo * lo * p_below
-    return deriv, sq
+    return p_in, m2_in + hi * hi * p_above + lo * lo * p_below
 
 
-def _conditional_slope(loss, b, mu, s):
-    """(E d1Phi, d/db E d1Phi) of the effective score for v ~ N(mu, s^2).
+def _conditional_slope(lo, hi, rate_lo, rate_hi, mu, s):
+    """(P(v in window), its derivative in b) for v ~ N(mu, s^2).
 
-    The slope is the mass of the score window (scaled by b/(1+b) for
-    Huber), computed as in `_conditional_moments`; its derivative in b is
-    the density of v at the window edges times the rate at which each edge
-    moves. At s = 0, v is a point mass at mu, inside when lo < mu <= hi as
-    in `truncated_moments`, with no density at the edges. Vectorized over
-    mu.
+    The window (lo, hi] is as in `_conditional_moments`, and its edges move
+    with b at rates rate_lo and rate_hi, so the derivative is the density
+    of v at each edge times that edge's rate. At s = 0, v is a point mass
+    at mu, inside when lo < mu <= hi as in `truncated_moments`, with no
+    density at the edges. Vectorized over mu.
     """
-    lo, hi = _score_window(loss, b)
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
-        f_lo = f_hi = np.zeros_like(p_in)
-    else:
-        a = (lo - mu) / s
-        c = (hi - mu) / s
-        p_in = norm_cdf(c) - norm_cdf(a)
-        f_lo = norm_pdf(a) / s
-        f_hi = norm_pdf(c) / s
-    if loss.gamma is not None:
-        # window (-k, k] with k = (1 + b) gamma
-        cb = b / (1.0 + b)
-        return cb * p_in, p_in / (1.0 + b) ** 2 + cb * loss.gamma * (f_lo + f_hi)
-    if loss.tau_q is not None:
-        # window (b (tau - 1), b tau]
-        return p_in, loss.tau_q * f_hi + (1.0 - loss.tau_q) * f_lo
-    return p_in, f_lo + f_hi
+        return p_in, np.zeros_like(p_in)
+    a = (lo - mu) / s
+    c = (hi - mu) / s
+    return (norm_cdf(c) - norm_cdf(a),
+            (rate_hi / s) * norm_pdf(c) - (rate_lo / s) * norm_pdf(a))
 
 
 @lru_cache(maxsize=32)
@@ -401,31 +375,42 @@ def score_moments(loss, b, noise, sigma):
 
     Exact for Normal and NormalMixture noise, Gauss-Legendre quadrature over
     the noise law otherwise; least squares needs only the noise variance and
-    raises ValueError when it is infinite.
+    raises ValueError when it is infinite. The scale c(b) multiplies the
+    noise averages, not the nodes.
     """
+    kappa, e_lo, e_hi = score_shape(loss)
+    c = b / (kappa + b)
     if loss.family == LEAST_SQUARES and not isinstance(noise, (Normal, NormalMixture)):
         var = noise.variance
         if not math.isfinite(var):
             raise ValueError(
                 "least-squares score moments diverge under infinite-variance noise")
-        c = b / (1.0 + b)
         return c, c * c * (var + sigma * sigma)
-    return _noise_average(lambda mu, s: _conditional_moments(loss, b, mu, s),
-                          noise, sigma)
+    lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
+    p_in, clip_sq = _noise_average(lambda mu, s: _conditional_moments(lo, hi, mu, s),
+                                   noise, sigma)
+    return c * p_in, c * c * clip_sq
 
 
 def slope_curve(loss, b, noise, sigma):
     """Population (E d1Phi(v; b), d/db E d1Phi(v; b)) for v = W + sigma Z.
 
-    The slope, which is the first value of `score_moments`, together with its derivative in b. With f the density
-    of v (averaged over the noise nodes, or exact for Normal and
-    NormalMixture noise), the derivative is f(b) + f(-b) for the absolute
-    loss, tau f(b tau) + (1 - tau) f(b (tau - 1)) for quantile(tau), and
-    P(|v| <= k)/(1+b)^2 + gamma b/(1+b) (f(k) + f(-k)) with k = (1+b) gamma
-    for Huber. Least squares has no window and is not handled here.
+    The slope is c P, with P the mass of v in the score window
+    (lo, hi] = (kappa + b)(e_lo, e_hi], and equals the first value of
+    `score_moments` bit for bit. The edges move with b at rates e_lo and
+    e_hi, so with f the density of v (averaged over the noise nodes, or
+    exact for Normal and NormalMixture noise) the derivative is
+
+        dc/db P + c (e_hi f(hi) - e_lo f(lo)),   dc/db = kappa/(kappa + b)^2.
+
+    Least squares has no window and is not handled here.
     """
-    return _noise_average(lambda mu, s: _conditional_slope(loss, b, mu, s),
-                          noise, sigma)
+    kappa, e_lo, e_hi = score_shape(loss)
+    lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
+    p_in, dp_in = _noise_average(
+        lambda mu, s: _conditional_slope(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
+    c = b / (kappa + b)
+    return c * p_in, kappa / (kappa + b) ** 2 * p_in + c * dp_in
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +699,13 @@ def info_lower_bound(delta, omega, fisher_info):
     return eps / (1.0 - eps) / fisher_info
 
 
-def worst_case_risk(alpha, mu_max=40.0, n_grid=2001):
+def worst_case_risk(alpha):
     """sup over signal means of the soft-threshold risk at threshold alpha.
 
-    The supremum is the large-mean limit 1 + alpha^2; a grid scan guards the
-    formula against ever being wrong on the interior.
+    The risk increases with |mean|, so the supremum is its large-mean limit
+    1 + alpha^2.
     """
-    mu = np.linspace(0.0, mu_max, n_grid)
-    return float(max(np.max(soft_threshold_risk(mu, alpha)), 1.0 + alpha * alpha))
+    return 1.0 + alpha ** 2
 
 
 def minimax_risk(omega):

@@ -15,7 +15,8 @@ from ramp.calibration import (
     solve_increasing,
 )
 from ramp.experiments import convergence_study_spec, generate_instance
-from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile
+from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, \
+    score_shape
 from ramp.state_evolution import DistributionModel, Laplace, pm_one_prior, se_tau_update
 
 
@@ -398,3 +399,35 @@ class TestDispatch:
         se = np.sqrt(slope * (1.0 - slope) / n) / (2.0 * stats.norm.pdf(b_star))
         b_lad = calibrate(CalibrationTarget(slope, absolute(), z))
         assert abs(b_lad - b_star) <= 3.0 * se
+
+
+class TestScoreWindow:
+    @pytest.mark.parametrize("loss", [least_squares(), huber(1.0), absolute(), quantile(0.7)],
+                             ids=lambda loss: loss.family)
+    def test_window_u_matches_the_score(self, loss):
+        # calibration's u_i < b, the score derivative equal to c and the
+        # unclipped score all mark the same residuals. Random (z, b) land
+        # off the edges; at b = 1 the edges (kappa + 1) e, their u and
+        # c (kappa + 1) e = e are exact for every loss, so u = b there and
+        # the derivative takes its tie value c/2
+        kappa, e_lo, e_hi = score_shape(loss)
+        rng = np.random.default_rng(42)
+        z = 3.0 * rng.standard_normal(4000)
+        b = 10.0 ** rng.uniform(-2.0, 1.0, 4000)
+        on_edge = np.zeros(z.size, dtype=bool)
+        if np.isfinite(e_hi):
+            edges = np.array([(kappa + 1.0) * e_lo, (kappa + 1.0) * e_hi])
+            z = np.concatenate([z, edges])
+            b = np.concatenate([b, np.ones(2)])
+            on_edge = np.concatenate([on_edge, np.ones(2, dtype=bool)])
+        c = b / (kappa + b)
+        u = calibration._window_u(loss, z)
+        inside = u < b
+        deriv = effective_score_deriv(loss, z, b)
+        phi = effective_score(loss, z, b)
+        np.testing.assert_array_equal(inside, deriv == c)
+        np.testing.assert_array_equal(inside, (phi > b * e_lo) & (phi < b * e_hi))
+        np.testing.assert_array_equal(u[on_edge], b[on_edge])
+        np.testing.assert_array_equal(deriv[on_edge], c[on_edge] / 2)
+        # a finite window leaves residuals on both sides
+        assert inside.any() and inside.all() == np.isinf(e_hi)

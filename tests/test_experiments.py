@@ -81,10 +81,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             small_spec(design="fourier")
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            small_spec(mode="ridge")
-
     def test_rejects_zero_replications(self):
         with pytest.raises(ValueError):
             small_spec(replications=0)

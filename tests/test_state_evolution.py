@@ -8,7 +8,9 @@ from scipy.optimize import brentq
 
 from ramp import state_evolution
 from ramp.calibration import CalibrationTarget, calibrate
-from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, soft_threshold
+from ramp.gauss import soft_threshold_risk
+from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, \
+    score_shape, soft_threshold
 from ramp.state_evolution import (
     Cauchy,
     DistributionModel,
@@ -210,25 +212,25 @@ class TestScoreMoments:
 
     def test_conditional_moments_match_truncated_route(self):
         # p_below by norm_cdf gives the same bits as a truncated_moments
-        # call over (-inf, lo]; at s = 0 the point mass gives E Phi^2 =
-        # Phi(mu)^2
+        # call over (-inf, lo]; at s = 0 the point mass gives
+        # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2. The window
+        # (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
         mu = state_evolution._noise_nodes(Laplace(1.0))[0]
         for loss, b in ((absolute(), 0.7), (quantile(0.3), 1.9), (huber(1.0), 0.4)):
+            kappa, e_lo, e_hi = score_shape(loss)
+            lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
+            c = b / (kappa + b)
             for s in (0.6, 0.0):
-                deriv, sq = state_evolution._conditional_moments(loss, b, mu, s)
-                lo, hi = state_evolution._score_window(loss, b)
+                p, clip_sq = state_evolution._conditional_moments(lo, hi, mu, s)
                 p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
                 p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
                 p_above = np.maximum(1.0 - p_in - p_below, 0.0)
-                if loss.gamma is None:
-                    ref = m2_in + hi * hi * p_above + lo * lo * p_below
-                else:
-                    c = b / (1.0 + b)
-                    ref = c * c * m2_in + (b * loss.gamma) ** 2 * (p_below + p_above)
-                np.testing.assert_array_equal(sq, ref)
+                np.testing.assert_array_equal(p, p_in)
+                np.testing.assert_array_equal(
+                    clip_sq, m2_in + hi * hi * p_above + lo * lo * p_below)
                 if s == 0.0:
                     phi = effective_score(loss, mu, b)
-                    assert_allclose(sq, phi * phi, rtol=1e-15)
+                    assert_allclose(c * c * clip_sq, phi * phi, rtol=1e-15)
 
     def test_least_squares_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -547,8 +549,14 @@ class TestLimitsAndBounds:
             assert efficiency_limits(0.64, 0.128, a).gamma_cap == pytest.approx(direct, rel=1e-12)
 
     def test_worst_case_risk_is_the_large_mean_limit(self):
+        # reference: a scan of the risk over signal means, which increases
+        # with the mean and stays at or below 1 + alpha^2 up to rounding
+        mu = np.linspace(0.0, 40.0, 2001)
         for a in (0.5, 1.0, 2.0):
-            assert worst_case_risk(a) == pytest.approx(1 + a * a, rel=1e-9)
+            scan = soft_threshold_risk(mu, a)
+            assert worst_case_risk(a) == 1 + a * a
+            assert np.all(np.diff(scan) >= -1e-15)
+            assert np.max(scan) == pytest.approx(worst_case_risk(a), rel=1e-15)
 
     def test_minimax_risk_values(self):
         assert minimax_risk(0.128) == pytest.approx(0.3866, abs=5e-4)
