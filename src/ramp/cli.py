@@ -58,14 +58,6 @@ EXIT_DIVERGED = 3
 LOSS_NAMES = ("ls", "huber", "lad", "quantile")
 NOISE_NAMES = ("normal", "laplace", "student_t", "cauchy", "mixnormal")
 
-_INT_KEYS = frozenset(
-    {"n", "p", "s", "seed", "max_iter", "replications"})
-_FLOAT_KEYS = frozenset(
-    {"gamma", "tau_q", "alpha", "noise_param", "tol", "delta", "omega",
-     "init_tau_sq"})
-_STR_KEYS = frozenset(
-    {"loss", "losses", "noise", "design", "mode", "study", "out"})
-
 
 def _fmt(v):
     """Decimal text with 12 significant digits."""
@@ -120,19 +112,21 @@ def read_config_file(path):
     return options
 
 
-def _convert(key, value):
-    if not isinstance(value, str):
+def _convert(kind, value):
+    """Parse a config-file value as its flag would: a type or a choice."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(value)
         return value
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+    return kind(value)
 
 
-def resolve_options(args, parser, defaults):
-    """Defaults, then the config file, then flags; flags win."""
-    options = dict(defaults)
+def resolve_options(args, parser, table):
+    """Defaults, then the config file, then flags; flags win.
+
+    table maps each option key to (type or tuple of choices, default).
+    """
+    options = {key: default for key, (_, default) in table.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -140,13 +134,13 @@ def resolve_options(args, parser, defaults):
         except OSError as exc:
             parser.error(str(exc))
         for key, value in file_options.items():
-            if key not in defaults:
+            if key not in table:
                 parser.error(f"unknown config key {key!r}")
             try:
-                options[key] = _convert(key, value)
+                options[key] = _convert(table[key][0], value)
             except ValueError:
                 parser.error(f"bad value for config key {key!r}: {value!r}")
-    for key in defaults:
+    for key in table:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             options[key] = flag_value
@@ -181,15 +175,17 @@ def cmd_prox(args, parser):
     return EXIT_OK
 
 
-SOLVE_DEFAULTS = {
-    "n": 320, "p": 500, "s": 64, "loss": "ls", "gamma": 1.0, "tau_q": 0.7,
-    "alpha": 2.0, "noise": "normal", "noise_param": 0.2, "design": "gaussian",
-    "seed": 1, "tol": 1e-6, "max_iter": 200, "out": None,
+SOLVE_OPTIONS = {
+    "n": (int, 320), "p": (int, 500), "s": (int, 64), "loss": (str, "ls"),
+    "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
+    "noise": (NOISE_NAMES, "normal"), "noise_param": (float, 0.2),
+    "design": (DESIGNS, "gaussian"), "seed": (int, 1), "tol": (float, 1e-6),
+    "max_iter": (int, 200), "out": (str, None),
 }
 
 
 def cmd_solve(args, parser):
-    options = resolve_options(args, parser, SOLVE_DEFAULTS)
+    options = resolve_options(args, parser, SOLVE_OPTIONS)
     n, p, s = options["n"], options["p"], options["s"]
     if not 0 < s < n:
         raise ValueError(f"sparsity must satisfy 0 < s < n, got s={s} n={n}")
@@ -229,16 +225,17 @@ def cmd_solve(args, parser):
     return EXIT_OK if result.converged else EXIT_MAX_ITER
 
 
-SE_DEFAULTS = {
-    "delta": 0.64, "omega": 0.128, "losses": "ls", "gamma": 1.0,
-    "tau_q": 0.7, "alpha": 2.0, "mode": "penalized", "noise": "normal",
-    "noise_param": 0.2, "init_tau_sq": None, "tol": 1e-6, "max_iter": 500,
-    "out": None,
+SE_OPTIONS = {
+    "delta": (float, 0.64), "omega": (float, 0.128), "losses": (str, "ls"),
+    "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
+    "noise": (NOISE_NAMES, "normal"), "noise_param": (float, 0.2),
+    "init_tau_sq": (float, None), "tol": (float, 1e-6),
+    "max_iter": (int, 500), "out": (str, None),
 }
 
 
 def cmd_se(args, parser):
-    options = resolve_options(args, parser, SE_DEFAULTS)
+    options = resolve_options(args, parser, SE_OPTIONS)
     loss_names = [x for x in options["losses"].split(",") if x.strip()]
     if not loss_names:
         parser.error("at least one loss is required")
@@ -247,7 +244,6 @@ def cmd_se(args, parser):
     noise = build_noise(options["noise"], options["noise_param"])
     dist = DistributionModel(pm_one_prior(options["omega"]), noise)
     se_config = SeConfig(tol=options["tol"], max_iter=options["max_iter"])
-    alpha = None if options["mode"] == "no_penalty" else options["alpha"]
 
     if dist.fisher_info:
         bound = info_lower_bound(options["delta"], options["omega"],
@@ -264,9 +260,9 @@ def cmd_se(args, parser):
                "results": {}}
     status = EXIT_OK
     for loss in losses:
-        res = se_fixed_point(dist, loss, options["delta"], alpha=alpha,
+        res = se_fixed_point(dist, loss, options["delta"], options["alpha"],
                              init_tau_sq=options["init_tau_sq"],
-                             mode=options["mode"], config=se_config)
+                             config=se_config)
         label = loss_label(loss)
         lines = [header.rstrip("\n"), "t,sigma_sq,tau_sq,b,theta"]
         for row in res.rows:
@@ -302,17 +298,18 @@ def cmd_se(args, parser):
     return status
 
 
-BENCH_DEFAULTS = {
-    "study": None, "replications": None, "seed": None, "out": None,
-}
-
 STUDIES = ("convergence", "dense", "sparse", "noise", "design")
+
+BENCH_OPTIONS = {
+    "study": (STUDIES, None), "replications": (int, None), "seed": (int, None),
+    "out": (str, None),
+}
 
 
 def cmd_bench(args, parser):
-    options = resolve_options(args, parser, BENCH_DEFAULTS)
+    options = resolve_options(args, parser, BENCH_OPTIONS)
     study = options["study"]
-    if study not in STUDIES:
+    if study is None:
         parser.error(f"--study must be one of {STUDIES}")
     reps = options["replications"]
     seed = options["seed"]
@@ -345,10 +342,17 @@ def cmd_bench(args, parser):
 # wiring
 
 
-def _add_common(sub):
+def _add_options(sub, table, func):
+    """One flag per table key, --key-with-dashes; unset flags stay None."""
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--out", help="output directory")
+    for key, (kind, _) in table.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(kind, tuple):
+            sub.add_argument(flag, dest=key, choices=kind)
+        else:
+            sub.add_argument(flag, dest=key, type=kind)
     sub.add_argument("-v", "--verbose", action="store_true")
+    sub.set_defaults(func=func)
 
 
 def build_parser():
@@ -366,46 +370,12 @@ def build_parser():
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_prox)
 
-    p = subs.add_parser("solve", help="run the solver on a synthetic draw")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--loss")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau-q", dest="tau_q", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--noise", choices=NOISE_NAMES)
-    p.add_argument("--noise-param", dest="noise_param", type=float)
-    p.add_argument("--design", choices=DESIGNS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("se", help="iterate the scale recursion to its "
-                        "fixed point")
-    _add_common(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--losses", help="comma-separated loss names")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau-q", dest="tau_q", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=("penalized", "no_penalty"))
-    p.add_argument("--noise", choices=NOISE_NAMES)
-    p.add_argument("--noise-param", dest="noise_param", type=float)
-    p.add_argument("--init-tau-sq", dest="init_tau_sq", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(func=cmd_se)
-
-    p = subs.add_parser("bench", help="run a scripted benchmark study")
-    _add_common(p)
-    p.add_argument("--study", choices=STUDIES)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_bench)
+    _add_options(subs.add_parser("solve", help="run the solver on a "
+                                 "synthetic draw"), SOLVE_OPTIONS, cmd_solve)
+    _add_options(subs.add_parser("se", help="iterate the scale recursion to "
+                                 "its fixed point"), SE_OPTIONS, cmd_se)
+    _add_options(subs.add_parser("bench", help="run a scripted benchmark "
+                                 "study"), BENCH_OPTIONS, cmd_bench)
     return parser
 
 

@@ -211,6 +211,10 @@ def noise_label(noise):
 # studies
 
 
+# the tolerance and iteration cap of every solver run in the studies
+_SOLVER_DEFAULTS = {"tol": SolverConfig.tol, "max_iter": SolverConfig.max_iter}
+
+
 def _replicate(spec, loss, alpha):
     """Run the solver at threshold multiplier alpha on every draw of spec.
 
@@ -279,7 +283,7 @@ def run_convergence_study(spec=None):
         "losses": [loss_label(l) for l in spec.losses],
         "replications": spec.replications,
         "seeds": list(spec.seeds[:spec.replications]),
-        "solver": {"tol": 1e-6, "max_iter": 200},
+        "solver": dict(_SOLVER_DEFAULTS),
         "se_tol": SeConfig().tol,
     }
     return Report(
@@ -307,16 +311,16 @@ def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
                          losses=(least_squares(), absolute())):
     """Error of the unpenalized fits across aspect ratios, predicted exactly.
 
-    No-penalty mode drops the shrinkage step, so the asymptotic error is the
-    residual-scale fixed point itself and carries no sampling error.
+    The unpenalized fit is state evolution at omega = 1 (s = p) and alpha = 0,
+    where the denoiser is the identity; its AMSE is a deterministic fixed
+    point and carries no sampling error.
     """
-    prior = pm_one_prior(0.5)  # unused in no-penalty mode, any valid prior
     cells = []
     for noise in noises:
-        dist = DistributionModel(prior, noise)
+        dist = DistributionModel(pm_one_prior(1.0), noise)
         for delta in deltas:
             for loss in losses:
-                res = se_fixed_point(dist, loss, delta, mode="no_penalty")
+                res = se_fixed_point(dist, loss, delta, alpha=0.0)
                 cells.append(((noise_label(noise), delta), loss_label(loss),
                               {"amse": res.amse, "converged": res.converged}))
 
@@ -326,7 +330,7 @@ def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
         for key, loss_lab, payload, rel
         in _with_relative_efficiency(cells, "least_squares"))
     meta = {
-        "study": "dense_efficiency", "mode": "no_penalty",
+        "study": "dense_efficiency", "alpha": 0.0,
         "deltas": list(deltas), "noises": [noise_label(nz) for nz in noises],
         "losses": [loss_label(l) for l in losses],
         "laplace_convention": LAPLACE_CONVENTION,
@@ -457,7 +461,7 @@ def run_design_study(loss=least_squares(),
         "n": n, "p": p, "s": s, "noise": noise_label(noise),
         "alphas": [float(a) for a in alphas],
         "replications": replications, "base_seed": base_seed,
-        "solver": {"tol": 1e-6, "max_iter": 200},
+        "solver": dict(_SOLVER_DEFAULTS),
     }
     return Report(
         name="design_robustness",

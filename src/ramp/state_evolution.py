@@ -444,9 +444,14 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     return sq / (slope * slope), b
 
 
-def se_sigma_update(tau_sq, alpha, dist, delta, mode="penalized"):
-    """Estimation-channel update: mean squared denoiser error over delta."""
-    if mode == "no_penalty":
+def se_sigma_update(tau_sq, alpha, dist, delta):
+    """Estimation-channel update: mean squared denoiser error over delta.
+
+    The denoiser soft-thresholds at alpha * tau. At alpha = 0 it is the
+    identity, whose risk is tau_sq under every prior, so the update is
+    tau_sq / delta exactly.
+    """
+    if alpha == 0.0:
         return tau_sq / delta
     tau = math.sqrt(tau_sq)
     if tau == 0.0:
@@ -485,7 +490,6 @@ class SeResult:
     b_star: float
     theta_star: float
     delta: float
-    mode: str
     converged: bool
     diverged: bool
     monotone: bool
@@ -493,42 +497,40 @@ class SeResult:
 
     @property
     def amse(self):
+        """delta sigma*^2, the mean squared error of the estimate per coordinate."""
         if self.diverged:
             return math.inf
-        if self.mode == "no_penalty":
-            return self.tau_star_sq
         return self.delta * self.sigma_star_sq
 
 
-def _diverged_result(delta, mode, rows=()):
+def _diverged_result(delta, rows=()):
     nan = math.nan
     return SeResult(rows=tuple(rows), tau_star_sq=nan, sigma_star_sq=nan,
-                    b_star=nan, theta_star=nan, delta=delta, mode=mode,
+                    b_star=nan, theta_star=nan, delta=delta,
                     converged=False, diverged=True, monotone=False,
                     iterations=len(rows))
 
 
-def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
-                   mode="penalized", config=SeConfig()):
+def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
+                   config=SeConfig()):
     """Iterate the two channel updates until tau_sq settles.
 
-    In penalized mode the threshold is theta_t = alpha * tau_t and the slope
-    is omega / delta; in no_penalty mode the denoiser is the identity and
-    the slope is 1 / delta (requires delta > 1). A least-squares loss under
-    infinite-variance noise is flagged diverged without iterating.
+    The threshold is theta_t = alpha * tau_t and the slope is omega / delta.
+    alpha = 0 is the unpenalized M-estimator: the denoiser is the identity,
+    every coordinate is fitted, so omega must be 1 and the slope is p/n,
+    which needs delta > 1. The run starts from the zero estimate unless
+    init_tau_sq is given. A least-squares loss under infinite-variance noise
+    is flagged diverged without iterating.
     """
-    if mode not in ("penalized", "no_penalty"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "penalized":
-        if dist.signal_prior is None:
-            raise ValueError("penalized mode needs a signal prior")
-        if alpha is None or alpha <= 0:
-            raise ValueError("penalized mode needs a positive alpha")
-        slope = dist.signal_prior.omega / delta
-    else:
-        if delta <= 1.0:
-            raise ValueError("no_penalty mode needs delta > 1")
-        slope = 1.0 / delta
+    if dist.signal_prior is None:
+        raise ValueError("state evolution needs a signal prior")
+    if alpha is None or not alpha >= 0.0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    omega = dist.signal_prior.omega
+    if alpha == 0.0 and omega < 1.0:
+        raise ValueError(
+            f"alpha = 0 fits every coordinate, so it needs omega = 1, got {omega}")
+    slope = omega / delta
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope omega/delta = {slope} must be in (0, 1)")
     if init_tau_sq is not None and not 0.0 <= init_tau_sq < math.inf:
@@ -536,35 +538,26 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
             f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
 
     if loss.family == LEAST_SQUARES and not math.isfinite(dist.noise.variance):
-        return _diverged_result(delta, mode)
-
-    def theta_of(tau_sq):
-        return alpha * math.sqrt(tau_sq) if mode == "penalized" else math.nan
-
-    rows = []
-    if init_tau_sq is None and mode == "no_penalty":
-        var = dist.noise.variance
-        init_tau_sq = var if math.isfinite(var) else 1.0
+        return _diverged_result(delta)
 
     if init_tau_sq is not None:
         tau_sq = float(init_tau_sq)
         sigma_sq = b = math.nan
-        rows.append((0, math.nan, tau_sq, math.nan, theta_of(tau_sq)))
     else:
         # start from the zero estimate: all signal energy is in the residual
         sigma_sq = dist.signal_prior.second_moment / delta
         tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope)
-        rows.append((0, sigma_sq, tau_sq, b, theta_of(tau_sq)))
+    rows = [(0, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq))]
 
     converged = False
     diverged = False
     for t in range(1, config.max_iter + 1):
         prev = tau_sq
-        sigma_sq = se_sigma_update(prev, alpha, dist, delta, mode=mode)
+        sigma_sq = se_sigma_update(prev, alpha, dist, delta)
         # warm start from the previous b, which moves little between steps
         tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
                                   b_start=b if math.isfinite(b) else None)
-        rows.append((t, sigma_sq, tau_sq, b, theta_of(tau_sq)))
+        rows.append((t, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq)))
         if not math.isfinite(tau_sq) or tau_sq > _TAU_SQ_CAP:
             diverged = True
             break
@@ -573,13 +566,13 @@ def se_fixed_point(dist, loss, delta, alpha=None, init_tau_sq=None,
             break
 
     if diverged:
-        return _diverged_result(delta, mode, rows)
+        return _diverged_result(delta, rows)
 
     taus = [r[2] for r in rows]
     diffs = np.diff(taus)
     monotone = bool(np.all(diffs <= config.tol) or np.all(diffs >= -config.tol))
     return SeResult(rows=tuple(rows), tau_star_sq=tau_sq, sigma_star_sq=sigma_sq,
-                    b_star=b, theta_star=theta_of(tau_sq), delta=delta, mode=mode,
+                    b_star=b, theta_star=alpha * math.sqrt(tau_sq), delta=delta,
                     converged=converged, diverged=False, monotone=monotone,
                     iterations=len(rows) - 1)
 

@@ -8,6 +8,7 @@ import pytest
 
 from ramp import cli
 from ramp.solver import DivergenceError
+from ramp.state_evolution import SeConfig
 
 
 def run_cli(*argv):
@@ -151,6 +152,20 @@ class TestSolve:
             run_cli("solve", "--config", str(cfg))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,line", [
+        ("solve", "noise=foo"), ("solve", "design=foo"), ("se", "noise=foo"),
+        ("bench", "study=foo")])
+    def test_bad_config_choice_is_usage_error(self, tmp_path, capsys,
+                                              command, line):
+        # config values are checked against the same choices as the flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "bad value for config key" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("solve", "--config", str(tmp_path / "absent.cfg"))
@@ -181,13 +196,40 @@ class TestSe:
         assert (tmp_path / "se_trace_huber_1.csv").exists()
 
     def test_no_penalty_amse_is_the_scale(self, tmp_path):
-        assert run_cli("se", "--mode", "no_penalty", "--losses", "lad",
+        assert run_cli("se", "--omega", "1", "--alpha", "0", "--losses", "lad",
                        "--delta", "3", "--noise", "laplace",
                        "--noise-param", "1", "--out", str(tmp_path)) == 0
         summary = json.loads((tmp_path / "se_summary.json").read_text())
         cell = summary["results"]["absolute"]
-        assert cell["amse"] == cell["tau_star_sq"]
+        # at alpha = 0 the fixed point has delta sigma*^2 = tau*^2
+        assert abs(cell["amse"] - cell["tau_star_sq"]) < SeConfig().tol
         assert abs(cell["tau_star_sq"] - 3.103624351393) < 1e-6
+
+    def test_no_penalty_information_bound(self, tmp_path):
+        # the unpenalized fit has eps = p/n = 1/delta, so the floor on tau*^2
+        # is eps/(1 - eps)/I = sigma_w^2/(delta - 1) = 0.1
+        assert run_cli("se", "--omega", "1", "--alpha", "0", "--delta", "3",
+                       "--losses", "ls", "--noise", "normal",
+                       "--noise-param", "0.2", "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "se_summary.json").read_text())
+        assert abs(summary["info_lower_bound"] - 0.1) < 1e-12
+        cell = summary["results"]["least_squares"]
+        # least squares: tau*^2 = sigma_w^2 delta/(delta - 1)
+        assert abs(cell["tau_star_sq"] - 0.3) < 1e-5
+        assert cell["info_bound_pass"] is True
+
+    def test_zero_alpha_needs_full_support(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        assert run_cli("se", "--alpha", "0", "--losses", "ls",
+                       "--out", str(out)) == 1
+        assert "needs omega = 1" in capsys.readouterr().err
+        assert not (out / "se_summary.json").exists()
+        assert not (out / "se_trace_least_squares.csv").exists()
+
+    def test_mode_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se", "--mode", "no_penalty", "--out", str(tmp_path))
+        assert exc.value.code == 2
 
     def test_empty_loss_list_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -256,6 +298,7 @@ class TestBench:
         assert len(lines) == 25
         meta = json.loads((tmp_path / "dense_efficiency_meta.json").read_text())
         assert meta["study"] == "dense_efficiency"
+        assert meta["alpha"] == 0.0 and "mode" not in meta
         assert "versions" in meta
 
     def test_unknown_study_is_usage_error(self, tmp_path):

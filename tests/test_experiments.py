@@ -185,6 +185,8 @@ class TestConvergenceStudy:
         assert 0.0 < lad[6] < 0.5
         assert report.metadata["replications"] == 3
         assert len(report.metadata["seeds"]) == 3
+        # the runs use SolverConfig's defaults, and the metadata says so
+        assert report.metadata["solver"] == {"tol": 1e-6, "max_iter": 200}
 
         # a draw whose response is exactly zero: every residual of the
         # first pass is zero, more than s of them, so the absolute loss
@@ -293,3 +295,4 @@ class TestDesignStudy:
             assert row[idx["successes"]] == 3
             assert math.isfinite(row[idx["amse_mean"]])
             assert row[idx["amse_mean"]] > 0.0
+        assert report.metadata["solver"] == {"tol": 1e-6, "max_iter": 200}

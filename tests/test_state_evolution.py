@@ -345,8 +345,9 @@ class TestTauUpdate:
 
 class TestSigmaUpdate:
     def test_no_penalty_is_scaled_identity(self):
-        dist = DistributionModel(None, Normal(1.0))
-        assert se_sigma_update(0.7, None, dist, 4.0, mode="no_penalty") == pytest.approx(0.175)
+        # alpha = 0: the identity denoiser's risk is tau^2 under any prior
+        dist = DistributionModel(pm_one_prior(1.0), Normal(1.0))
+        assert se_sigma_update(0.7, 0.0, dist, 4.0) == pytest.approx(0.175)
 
     def test_zero_tau(self):
         dist = DistributionModel(pm_one_prior(0.2), Normal(1.0))
@@ -380,15 +381,17 @@ class TestFixedPoint:
     def test_no_penalty_least_squares_closed_form(self):
         for delta, sigma_w_sq in ((10.0, 0.2), (3.0, 2.0), (1.2, 0.2)):
             noise = Normal(sigma_w_sq) if sigma_w_sq != 2.0 else Laplace(1.0)
-            res = se_fixed_point(DistributionModel(None, noise), least_squares(),
-                                 delta, mode="no_penalty")
+            res = se_fixed_point(DistributionModel(pm_one_prior(1.0), noise),
+                                 least_squares(), delta, 0.0)
             assert res.converged and not res.diverged
+            assert res.theta_star == 0.0
             assert res.amse == pytest.approx(sigma_w_sq * delta / (delta - 1), rel=1e-4)
 
     def test_no_penalty_needs_oversampling(self):
-        with pytest.raises(ValueError):
-            se_fixed_point(DistributionModel(None, Normal(1.0)), absolute(),
-                           0.9, mode="no_penalty")
+        # omega = 1 makes the slope 1/delta, which must lie below 1
+        with pytest.raises(ValueError, match="slope"):
+            se_fixed_point(DistributionModel(pm_one_prior(1.0), Normal(1.0)),
+                           absolute(), 0.9, 0.0)
 
     def test_least_squares_rows_satisfy_variance_split(self):
         dist = DistributionModel(pm_one_prior(0.128), Normal(0.2))
@@ -450,12 +453,14 @@ class TestFixedPoint:
         assert res.converged
         assert res.tau_star_sq == pytest.approx(2.0 + res.sigma_star_sq, rel=1e-10)
 
-    def test_mode_and_alpha_validation(self):
+    def test_prior_and_alpha_validation(self):
         dist = DistributionModel(pm_one_prior(0.128), Normal(1.0))
-        with pytest.raises(ValueError):
-            se_fixed_point(dist, absolute(), 0.64, alpha=2.0, mode="ridge")
-        with pytest.raises(ValueError):
-            se_fixed_point(dist, absolute(), 0.64, alpha=None)
+        for bad in (-0.5, None, math.nan):
+            with pytest.raises(ValueError, match="alpha must be nonnegative"):
+                se_fixed_point(dist, absolute(), 0.64, alpha=bad)
+        # no threshold fits every coordinate, so the slope is s/n only at s = p
+        with pytest.raises(ValueError, match="needs omega = 1"):
+            se_fixed_point(dist, absolute(), 0.64, alpha=0.0)
         with pytest.raises(ValueError):
             se_fixed_point(DistributionModel(None, Normal(1.0)), absolute(), 0.64, alpha=2.0)
 
