@@ -251,6 +251,12 @@ def cmd_se(args, parser):
     else:
         bound = None
 
+    # every fixed point is computed before the first write, so a rejected
+    # run leaves no output behind
+    results = [se_fixed_point(dist, loss, options["delta"], options["alpha"],
+                              init_tau_sq=options["init_tau_sq"],
+                              config=se_config) for loss in losses]
+
     out_dir = options["out"] or os.environ.get("RAMP_OUTPUT_DIR") or "."
     os.makedirs(out_dir, exist_ok=True)
     header = _config_header(options)
@@ -259,10 +265,7 @@ def cmd_se(args, parser):
                "info_lower_bound": _round12(bound) if bound else None,
                "results": {}}
     status = EXIT_OK
-    for loss in losses:
-        res = se_fixed_point(dist, loss, options["delta"], options["alpha"],
-                             init_tau_sq=options["init_tau_sq"],
-                             config=se_config)
+    for loss, res in zip(losses, results):
         label = loss_label(loss)
         lines = [header.rstrip("\n"), "t,sigma_sq,tau_sq,b,theta"]
         for row in res.rows:
@@ -313,6 +316,11 @@ def cmd_bench(args, parser):
         parser.error(f"--study must be one of {STUDIES}")
     reps = options["replications"]
     seed = options["seed"]
+    if study not in ("convergence", "design"):
+        for key in ("seed", "replications"):
+            if options[key] is not None:
+                parser.error(f"--{key} applies to the convergence and design "
+                             f"studies only; the {study} study draws no samples")
 
     if study == "convergence":
         spec = convergence_study_spec(

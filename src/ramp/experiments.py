@@ -4,6 +4,15 @@ Each study returns a Report: a named table plus a metadata dict that pins
 everything needed to reproduce it (seeds, versions, conventions). Reports
 serialize to a CSV and a JSON sidecar; identical inputs produce identical
 bytes, so written reports double as regression fixtures.
+
+The convergence and design studies run the solver on seeded draws. The
+dense, sparse and noise studies are one state-evolution table each: one
+loop over (noise, (delta, omega), loss) tunes every cell on an alpha grid
+(the dense study's grid is alpha = 0 at omega = 1, the unpenalized fit)
+and reports alpha*, lambda*, the AMSE and its ratio to least squares in
+the same (noise, delta, omega) block. A cell where no grid point converges
+reads nan. Each study keeps only its own columns and metadata; the design
+study's penalty labels come from the same tuned cell at one alpha.
 """
 
 from __future__ import annotations
@@ -39,9 +48,7 @@ from .state_evolution import (
     NormalMixture,
     SeConfig,
     StudentT,
-    lambda_from_fixed_point,
     pm_one_prior,
-    se_fixed_point,
     tune_alpha,
 )
 
@@ -294,16 +301,63 @@ def run_convergence_study(spec=None):
         rows=tuple(rows), metadata=meta)
 
 
-def _with_relative_efficiency(cells, reference_label):
-    """Attach amse(reference)/amse(row) within each (noise, group) block."""
-    out = []
-    for key, loss_lab, payload in cells:
-        ref = next(c[2]["amse"] for c in cells
-                   if c[0] == key and c[1] == reference_label)
-        amse = payload["amse"]
-        rel = ref / amse if (amse and math.isfinite(amse)) else math.nan
-        out.append((key, loss_lab, payload, rel))
-    return out
+def _tuned_cell(dist, loss, delta, alpha_grid):
+    """(alpha*, lambda*, AMSE) of the grid-tuned fixed point.
+
+    All three are nan when no grid point converges.
+    """
+    try:
+        tuned = tune_alpha(dist, loss, delta, alpha_grid=alpha_grid)
+    except RuntimeError:
+        return math.nan, math.nan, math.nan
+    return float(tuned.alpha_star), float(tuned.lambda_star), tuned.result.amse
+
+
+def _se_table(noises, geometries, losses, alpha_grid):
+    """Tuned cells over (noise, (delta, omega), loss), in that order.
+
+    Each row maps a report column name to its value. relative_efficiency
+    is amse(least squares)/amse(row) within the row's (noise, delta, omega)
+    block, nan where either is missing; amse_se is 0, since the cells are
+    deterministic.
+    """
+    rows = []
+    for noise in noises:
+        for delta, omega in geometries:
+            dist = DistributionModel(pm_one_prior(omega), noise)
+            block = [(loss_label(loss), *_tuned_cell(dist, loss, delta, alpha_grid))
+                     for loss in losses]
+            ref = next((amse for label, _, _, amse in block
+                        if label == "least_squares"), math.nan)
+            for label, alpha, lam, amse in block:
+                ok = math.isfinite(amse)
+                rel = ref / amse if (ok and amse) else math.nan
+                rows.append({
+                    "noise": noise_label(noise), "delta": delta,
+                    "omega": omega, "loss": label, "alpha_star": alpha,
+                    "lambda_star": lam, "amse": amse, "amse_se": 0.0,
+                    "relative_efficiency": rel, "converged": ok,
+                    "diverged": not ok})
+    return rows
+
+
+_NO_SAMPLING = "0 by construction: deterministic quadrature, no sampling"
+
+
+def _se_report(name, columns, noises, geometries, losses, alpha_grid, /,
+               **fields):
+    """The table's columns as a report named after its study.
+
+    The metadata holds what every state-evolution table shares plus the
+    study's own fields.
+    """
+    table = _se_table(noises, geometries, losses, alpha_grid)
+    meta = {"study": name, "noises": [noise_label(nz) for nz in noises],
+            "losses": [loss_label(l) for l in losses],
+            "laplace_convention": LAPLACE_CONVENTION,
+            "se_tol": SeConfig().tol, **fields}
+    return Report(name=name, columns=columns, metadata=meta,
+                  rows=tuple(tuple(row[c] for c in columns) for row in table))
 
 
 def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
@@ -315,33 +369,12 @@ def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
     where the denoiser is the identity; its AMSE is a deterministic fixed
     point and carries no sampling error.
     """
-    cells = []
-    for noise in noises:
-        dist = DistributionModel(pm_one_prior(1.0), noise)
-        for delta in deltas:
-            for loss in losses:
-                res = se_fixed_point(dist, loss, delta, alpha=0.0)
-                cells.append(((noise_label(noise), delta), loss_label(loss),
-                              {"amse": res.amse, "converged": res.converged}))
-
-    rows = tuple(
-        (key[0], key[1], 1.0, loss_lab, payload["amse"], 0.0, rel,
-         payload["converged"])
-        for key, loss_lab, payload, rel
-        in _with_relative_efficiency(cells, "least_squares"))
-    meta = {
-        "study": "dense_efficiency", "alpha": 0.0,
-        "deltas": list(deltas), "noises": [noise_label(nz) for nz in noises],
-        "losses": [loss_label(l) for l in losses],
-        "laplace_convention": LAPLACE_CONVENTION,
-        "amse_se": "0 by construction: deterministic quadrature, no sampling",
-        "se_tol": SeConfig().tol,
-    }
-    return Report(
-        name="dense_efficiency",
-        columns=("noise", "delta", "omega", "loss", "amse", "amse_se",
-                 "relative_efficiency", "converged"),
-        rows=rows, metadata=meta)
+    return _se_report(
+        "dense_efficiency",
+        ("noise", "delta", "omega", "loss", "amse", "amse_se",
+         "relative_efficiency", "converged"),
+        noises, [(d, 1.0) for d in deltas], losses, (0.0,),
+        alpha=0.0, deltas=list(deltas), amse_se=_NO_SAMPLING)
 
 
 DEFAULT_SPARSE_ALPHAS = tuple(
@@ -353,80 +386,28 @@ def run_sparse_efficiency(omegas=(0.05, 0.1, 0.2, 0.5, 0.55, 0.6),
                           losses=(least_squares(), absolute()),
                           delta=0.64, alpha_grid=DEFAULT_SPARSE_ALPHAS):
     """Tuned penalized error across sparsity levels, one row per cell."""
-    cells = []
-    extras = {}
-    for noise in noises:
-        for omega in omegas:
-            dist = DistributionModel(pm_one_prior(omega), noise)
-            for loss in losses:
-                key = (noise_label(noise), omega)
-                try:
-                    tuned = tune_alpha(dist, loss, delta,
-                                       alpha_grid=alpha_grid)
-                except RuntimeError:
-                    cells.append((key, loss_label(loss),
-                                  {"amse": math.nan, "converged": False}))
-                    extras[(key, loss_label(loss))] = (math.nan, math.nan)
-                    continue
-                cells.append((key, loss_label(loss),
-                              {"amse": tuned.result.amse, "converged": True}))
-                extras[(key, loss_label(loss))] = (float(tuned.alpha_star),
-                                                   float(tuned.lambda_star))
-
-    rows = tuple(
-        (key[0], delta, key[1], loss_lab, extras[(key, loss_lab)][0],
-         extras[(key, loss_lab)][1], payload["amse"], 0.0, rel,
-         payload["converged"])
-        for key, loss_lab, payload, rel
-        in _with_relative_efficiency(cells, "least_squares"))
-    meta = {
-        "study": "sparse_efficiency", "delta": delta,
-        "omegas": list(omegas), "noises": [noise_label(nz) for nz in noises],
-        "losses": [loss_label(l) for l in losses],
-        "alpha_grid": [float(a) for a in alpha_grid],
-        "laplace_convention": LAPLACE_CONVENTION,
-        "amse_se": "0 by construction: deterministic quadrature, no sampling",
-        "se_tol": SeConfig().tol,
-    }
-    return Report(
-        name="sparse_efficiency",
-        columns=("noise", "delta", "omega", "loss", "alpha_star",
-                 "lambda_star", "amse", "amse_se", "relative_efficiency",
-                 "converged"),
-        rows=rows, metadata=meta)
+    return _se_report(
+        "sparse_efficiency",
+        ("noise", "delta", "omega", "loss", "alpha_star", "lambda_star",
+         "amse", "amse_se", "relative_efficiency", "converged"),
+        noises, [(delta, w) for w in omegas], losses, alpha_grid,
+        delta=delta, omegas=list(omegas), amse_se=_NO_SAMPLING,
+        alpha_grid=[float(a) for a in alpha_grid])
 
 
 def run_noise_study(losses=(least_squares(), huber(1.0), absolute()),
                     noises=NOISE_STUDY_LAWS, delta=0.64, omega=0.128,
                     alpha_grid=None):
-    """Tuned predicted error per (noise, loss) pair; divergence recorded."""
-    rows = []
-    for noise in noises:
-        dist = DistributionModel(pm_one_prior(omega), noise)
-        for loss in losses:
-            try:
-                tuned = tune_alpha(dist, loss, delta, alpha_grid=alpha_grid)
-            except RuntimeError:
-                # unbounded score on a tail too heavy for it: every grid
-                # point diverges and the pair is reported as such
-                rows.append((noise_label(noise), loss_label(loss),
-                             math.nan, math.nan, math.nan, True))
-                continue
-            rows.append((noise_label(noise), loss_label(loss),
-                         float(tuned.alpha_star), float(tuned.lambda_star),
-                         tuned.result.amse, False))
-    meta = {
-        "study": "noise_study", "delta": delta, "omega": omega,
-        "noises": [noise_label(nz) for nz in noises],
-        "losses": [loss_label(l) for l in losses],
-        "laplace_convention": LAPLACE_CONVENTION,
-        "se_tol": SeConfig().tol,
-    }
-    return Report(
-        name="noise_study",
-        columns=("noise", "loss", "alpha_star", "lambda_star", "amse",
-                 "diverged"),
-        rows=tuple(rows), metadata=meta)
+    """Tuned predicted error per (noise, loss) pair; divergence recorded.
+
+    An unbounded score on a tail too heavy for it diverges at every grid
+    point, and the pair reads nan with diverged set.
+    """
+    return _se_report(
+        "noise_study",
+        ("noise", "loss", "alpha_star", "lambda_star", "amse", "diverged"),
+        noises, [(delta, omega)], losses, alpha_grid,
+        delta=delta, omega=omega)
 
 
 def run_design_study(loss=least_squares(),
@@ -436,14 +417,13 @@ def run_design_study(loss=least_squares(),
     """Gaussian vs sign designs on the same error-vs-penalty grid.
 
     The penalty labels come from the predicted fixed point at each threshold
-    multiplier, so both designs are measured at identical grid points.
+    multiplier, so both designs are measured at identical grid points; a
+    label is nan where that fixed point does not converge.
     """
     delta, omega = n / p, s / p
     dist = DistributionModel(pm_one_prior(omega), noise)
-    lambda_labels = {}
-    for alpha in alphas:
-        res = se_fixed_point(dist, loss, delta, alpha=alpha)
-        lambda_labels[alpha] = lambda_from_fixed_point(alpha, res, omega)
+    lambda_labels = {alpha: _tuned_cell(dist, loss, delta, (alpha,))[1]
+                     for alpha in alphas}
 
     rows = []
     for design in DESIGNS:

@@ -456,10 +456,15 @@ def se_sigma_update(tau_sq, alpha, dist, delta):
     tau = math.sqrt(tau_sq)
     if tau == 0.0:
         return 0.0
+    return tau_sq * _prior_risk(dist.signal_prior, tau, alpha) / delta
+
+
+def _prior_risk(prior, tau, alpha):
+    """Prior average of soft_threshold_risk(x0/tau, alpha), atom by atom."""
     total = 0.0
-    for p, a in dist.signal_prior.full_atoms:
-        total += p * float(soft_threshold_risk(a / tau, alpha))
-    return tau_sq * total / delta
+    for p, x0 in prior.full_atoms:
+        total += p * float(soft_threshold_risk(x0 / tau, alpha))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +622,11 @@ def amse_closed_form(prior, tau, alpha):
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    risk = 0.0
     nu2 = 0.0
     for p, x0 in prior.full_atoms:
         m = x0 / tau
-        risk += p * float(soft_threshold_risk(m, alpha))
         nu2 += p * x0 * x0 * float(norm_cdf(alpha - m) - norm_cdf(-alpha - m))
-    value = tau * tau * risk
+    value = tau * tau * _prior_risk(prior, tau, alpha)
     return AmseParts(value, (value - nu2) / (tau * tau), nu2)
 
 

@@ -223,8 +223,17 @@ class TestSe:
         assert run_cli("se", "--alpha", "0", "--losses", "ls",
                        "--out", str(out)) == 1
         assert "needs omega = 1" in capsys.readouterr().err
-        assert not (out / "se_summary.json").exists()
-        assert not (out / "se_trace_least_squares.csv").exists()
+        assert not out.exists()
+
+    def test_failure_after_a_finished_loss_leaves_no_output(self, tmp_path,
+                                                             capsys):
+        # least squares reaches its fixed point, then Huber's calibration
+        # fails: the finished loss's trace is not written either
+        out = tmp_path / "sub"
+        assert run_cli("se", "--losses", "ls,huber", "--noise-param", "1e28",
+                       "--out", str(out)) == 1
+        assert "not bracketed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mode_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -252,7 +261,7 @@ class TestSe:
                        "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert "init_tau_sq must be finite and nonnegative, got -1.0" in err
-        assert not (out / "se_summary.json").exists()
+        assert not out.exists()
 
     def test_nonpositive_tol_rejected(self, tmp_path, capsys):
         assert run_cli("se", "--losses", "ls", "--tol", "0",
@@ -317,6 +326,24 @@ class TestBench:
         meta = json.loads((tmp_path / "design_robustness_meta.json").read_text())
         assert meta["base_seed"] == 0
         assert meta["replications"] == 1
+
+    @pytest.mark.parametrize("study", ["dense", "sparse", "noise"])
+    def test_sampling_flags_rejected_without_samples(self, tmp_path, capsys,
+                                                     study):
+        for flags in (("--seed", "5"), ("--replications", "7"),
+                      ("--seed", "5", "--replications", "7")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("bench", "--study", study, *flags,
+                        "--out", str(tmp_path))
+            assert exc.value.code == 2
+            assert "draws no samples" in capsys.readouterr().err
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("seed=5\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--study", study, "--config", str(cfg),
+                    "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_zero_replications_rejected(self, tmp_path, capsys):
         for study in ("design", "convergence"):

@@ -277,6 +277,65 @@ class TestNoiseStudy:
                 < cell[("student_t_4", "least_squares")][idx["amse"]])
 
 
+class TestSeTable:
+    """The dense, sparse and noise studies share one tuned-cell table."""
+
+    @staticmethod
+    def studies():
+        grid = (1.4, 2.0)
+        noises = (Normal(0.2), Laplace(1.0))
+        losses = (least_squares(), absolute())
+        return {
+            "dense": lambda: run_dense_efficiency(
+                deltas=(3.0,), noises=noises, losses=losses),
+            "sparse": lambda: run_sparse_efficiency(
+                omegas=(0.1,), noises=noises, losses=losses, alpha_grid=grid),
+            "noise": lambda: run_noise_study(
+                losses=losses, noises=noises, alpha_grid=grid),
+        }
+
+    def test_loss_set_without_least_squares(self):
+        # no reference row in a block: the efficiency is missing, not a crash
+        for report in (
+                run_dense_efficiency(deltas=(3.0,), losses=(absolute(),)),
+                run_sparse_efficiency(omegas=(0.1,), losses=(absolute(),),
+                                      alpha_grid=(1.4, 2.0))):
+            idx = {c: i for i, c in enumerate(report.columns)}
+            assert len(report.rows) == 2
+            for row in report.rows:
+                assert math.isnan(row[idx["relative_efficiency"]])
+                assert 0.0 < row[idx["amse"]] < math.inf
+                assert row[idx["converged"]] is True
+
+    def test_unconverged_cell_reads_nan_in_every_study(self, monkeypatch):
+        before = {name: run() for name, run in self.studies().items()}
+        tune_alpha = experiments.tune_alpha
+
+        def refuse_absolute(dist, loss, delta, alpha_grid=None):
+            if loss == absolute():
+                raise RuntimeError("no alpha in the grid converged")
+            return tune_alpha(dist, loss, delta, alpha_grid=alpha_grid)
+
+        monkeypatch.setattr(experiments, "tune_alpha", refuse_absolute)
+        for name, run in self.studies().items():
+            report = run()
+            idx = {c: i for i, c in enumerate(report.columns)}
+            assert len(report.rows) == len(before[name].rows) == 4
+            for old, new in zip(before[name].rows, report.rows):
+                if new[idx["loss"]] == "least_squares":
+                    assert new == old
+                    continue
+                assert math.isnan(new[idx["amse"]])
+                if "converged" in idx:
+                    assert new[idx["converged"]] is False
+                    assert math.isnan(new[idx["relative_efficiency"]])
+                else:
+                    assert new[idx["diverged"]] is True
+                if "alpha_star" in idx:
+                    assert math.isnan(new[idx["alpha_star"]])
+                    assert math.isnan(new[idx["lambda_star"]])
+
+
 class TestDesignStudy:
     def test_designs_share_penalty_labels(self):
         report = run_design_study(
