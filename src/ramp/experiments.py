@@ -90,6 +90,8 @@ class ExperimentSpec:
         if self.alphas is not None:
             object.__setattr__(self, "alphas",
                                tuple(float(a) for a in self.alphas))
+            if not self.alphas:
+                raise ValueError("alphas is empty; pass None for the default grid")
         if self.seeds is None:
             seeds = tuple(20_000 + i for i in range(self.replications))
         else:
@@ -304,7 +306,8 @@ def run_convergence_study(spec=None):
 def _tuned_cell(dist, loss, delta, alpha_grid):
     """(alpha*, lambda*, AMSE) of the grid-tuned fixed point.
 
-    All three are nan when no grid point converges.
+    All three are nan when no grid point converges; an empty grid raises
+    ValueError.
     """
     try:
         tuned = tune_alpha(dist, loss, delta, alpha_grid=alpha_grid)

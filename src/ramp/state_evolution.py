@@ -8,10 +8,12 @@ empirical residuals. Fixed points feed the benchmark tables and the
 tuning of the threshold multiplier alpha.
 
 Expectations over the effective residual W + sigma Z are computed from
-truncated-normal closed forms conditional on W. Normal noise (and normal
-mixtures) therefore collapse exactly; heavy-tailed laws are integrated
-over W with Gauss-Legendre nodes on the inverse cdf, split at the median
-so the Laplace kink sits on a panel edge.
+truncated-normal closed forms conditional on W, all built from the four
+edge terms Phi(a), Phi(c), phi(a), phi(c) at the standardized window edges
+(`_window_edges`). Normal noise (and normal mixtures) therefore collapse
+exactly; heavy-tailed laws are integrated over W with Gauss-Legendre nodes
+on the inverse cdf, split at the median so the Laplace kink sits on a
+panel edge.
 
 Every loss enters through its constants (kappa, e_lo, e_hi) from
 `losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
@@ -26,7 +28,9 @@ b by safeguarded Newton steps on log b (`calibration.solve_increasing`
 on `slope_curve`), starting from the previous SE iteration's b, and takes
 E Phi^2 once at the root; a few slope evaluations per update suffice. At
 sigma = 0 the slope is a step map and Newton's bisection fallback finds
-its jump.
+its jump. The sigma update takes one soft-threshold risk call on the
+vector of prior atoms. The zero-estimate start of a fixed point does not
+depend on alpha, so `tune_alpha` computes it once per grid.
 
 Every expectation here is a deterministic integral, so the recursion has
 one path and a fixed point is a deterministic function of its inputs.
@@ -300,24 +304,48 @@ class DistributionModel:
 _NODES_PER_HALF = 220
 
 
+def _window_edges(lo, hi, mu, s):
+    """Standardized edges a, c of the window (lo, hi] for v ~ N(mu, s^2), s > 0.
+
+    Returns (a, c, Phi(a), Phi(c), phi(a), phi(c)), the four edge terms
+    from which both the slope and E clip(v, lo, hi)^2 are built. The edges
+    of a Huber or kinked window are finite, so no infinite-edge guard is
+    needed. Vectorized over mu.
+    """
+    a = (lo - mu) / s
+    c = (hi - mu) / s
+    return a, c, norm_cdf(a), norm_cdf(c), norm_pdf(a), norm_pdf(c)
+
+
 def _conditional_moments(lo, hi, mu, s):
     """(P(v in window), E clip(v, lo, hi)^2) for v ~ N(mu, s^2).
 
     The window (lo, hi] is the score window, on which Phi(v; b) =
     c clip(v, lo, hi), so these are E d1Phi/c and E Phi^2/c^2. Vectorized
-    over mu; uses the truncated-normal closed forms so no quadrature over
-    v is needed. The infinite window of least squares gives
+    over mu. The second moment inside the window is the truncated-normal
+    closed form
+
+        (mu^2 + s^2) P + 2 mu s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c))
+
+    on the edge terms of `_window_edges`, with the same operations as
+    `gauss.truncated_moments` and so the same bits; the mass below the
+    window is Phi(a). At s = 0, v is a point mass at mu, inside when
+    lo < mu <= hi. The infinite window of least squares gives
     (1, mu^2 + s^2).
     """
     mu = np.asarray(mu, dtype=float)
     if math.isinf(hi):
         return np.ones(mu.shape), mu * mu + s * s
-    p_in, _, m2_in = truncated_moments(mu, s, lo, hi)
     if s == 0.0:
-        # point mass at mu, as in truncated_moments
+        p_in = ((mu > lo) & (mu <= hi)).astype(float)
+        m2_in = mu * mu * p_in
         p_below = (mu <= lo).astype(float)
     else:
-        p_below = norm_cdf((lo - mu) / s)
+        a, c, cdf_a, cdf_c, pdf_a, pdf_c = _window_edges(lo, hi, mu, s)
+        p_in = cdf_c - cdf_a
+        m2_in = ((mu * mu + s * s) * p_in + 2.0 * mu * s * (pdf_a - pdf_c)
+                 + s * s * (a * pdf_a - c * pdf_c))
+        p_below = cdf_a
     p_above = np.maximum(1.0 - p_in - p_below, 0.0)
     return p_in, m2_in + hi * hi * p_above + lo * lo * p_below
 
@@ -328,16 +356,14 @@ def _conditional_slope(lo, hi, rate_lo, rate_hi, mu, s):
     The window (lo, hi] is as in `_conditional_moments`, and its edges move
     with b at rates rate_lo and rate_hi, so the derivative is the density
     of v at each edge times that edge's rate. At s = 0, v is a point mass
-    at mu, inside when lo < mu <= hi as in `truncated_moments`, with no
-    density at the edges. Vectorized over mu.
+    at mu, inside when lo < mu <= hi, with no density at the edges.
+    Vectorized over mu.
     """
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
         return p_in, np.zeros_like(p_in)
-    a = (lo - mu) / s
-    c = (hi - mu) / s
-    return (norm_cdf(c) - norm_cdf(a),
-            (rate_hi / s) * norm_pdf(c) - (rate_lo / s) * norm_pdf(a))
+    _, _, cdf_a, cdf_c, pdf_a, pdf_c = _window_edges(lo, hi, mu, s)
+    return cdf_c - cdf_a, (rate_hi / s) * pdf_c - (rate_lo / s) * pdf_a
 
 
 @lru_cache(maxsize=32)
@@ -460,10 +486,16 @@ def se_sigma_update(tau_sq, alpha, dist, delta):
 
 
 def _prior_risk(prior, tau, alpha):
-    """Prior average of soft_threshold_risk(x0/tau, alpha), atom by atom."""
+    """Prior average of soft_threshold_risk(x0/tau, alpha).
+
+    One risk call on the vector of atom means; the weighted terms are
+    summed atom by atom, in the prior's order.
+    """
+    atoms = prior.full_atoms
+    risks = soft_threshold_risk(np.array([x0 for _, x0 in atoms]) / tau, alpha)
     total = 0.0
-    for p, x0 in prior.full_atoms:
-        total += p * float(soft_threshold_risk(x0 / tau, alpha))
+    for (p, _), r in zip(atoms, risks.tolist()):
+        total += p * r
     return total
 
 
@@ -527,6 +559,21 @@ def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
     init_tau_sq is given. A least-squares loss under infinite-variance noise
     is flagged diverged without iterating.
     """
+    slope = _checked_slope(dist, delta, alpha)
+    if init_tau_sq is not None and not 0.0 <= init_tau_sq < math.inf:
+        raise ValueError(
+            f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
+    if _least_squares_diverges(dist, loss):
+        return _diverged_result(delta)
+    if init_tau_sq is not None:
+        start = (math.nan, float(init_tau_sq), math.nan)
+    else:
+        start = _zero_start(dist, loss, delta, slope)
+    return _iterate(dist, loss, delta, alpha, slope, start, config)
+
+
+def _checked_slope(dist, delta, alpha):
+    """Validate the prior, alpha and geometry; return the slope omega / delta."""
     if dist.signal_prior is None:
         raise ValueError("state evolution needs a signal prior")
     if alpha is None or not alpha >= 0.0:
@@ -538,20 +585,27 @@ def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
     slope = omega / delta
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope omega/delta = {slope} must be in (0, 1)")
-    if init_tau_sq is not None and not 0.0 <= init_tau_sq < math.inf:
-        raise ValueError(
-            f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
+    return slope
 
-    if loss.family == LEAST_SQUARES and not math.isfinite(dist.noise.variance):
-        return _diverged_result(delta)
 
-    if init_tau_sq is not None:
-        tau_sq = float(init_tau_sq)
-        sigma_sq = b = math.nan
-    else:
-        # start from the zero estimate: all signal energy is in the residual
-        sigma_sq = dist.signal_prior.second_moment / delta
-        tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope)
+def _least_squares_diverges(dist, loss):
+    return loss.family == LEAST_SQUARES and not math.isfinite(dist.noise.variance)
+
+
+def _zero_start(dist, loss, delta, slope):
+    """(sigma_sq, tau_sq, b) of the zero estimate, which does not depend on alpha.
+
+    All signal energy is in the residual, sigma_sq = E X^2 / delta, and
+    tau_sq, b are its first tau update.
+    """
+    sigma_sq = dist.signal_prior.second_moment / delta
+    tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope)
+    return sigma_sq, tau_sq, b
+
+
+def _iterate(dist, loss, delta, alpha, slope, start, config):
+    """Run the recursion from start = (sigma_sq, tau_sq, b) at row 0."""
+    sigma_sq, tau_sq, b = start
     rows = [(0, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq))]
 
     converged = False
@@ -656,13 +710,29 @@ def lambda_from_fixed_point(alpha, result, omega):
 
 
 def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
-    """Minimize the fixed-point AMSE over a grid of threshold multipliers."""
+    """Minimize the fixed-point AMSE over a grid of threshold multipliers.
+
+    Each grid point gives the same result as `se_fixed_point` from the zero
+    estimate, with every one of its checks. The zero start does not depend
+    on alpha, so it is computed once, at the first grid point that needs
+    it, and every alpha iterates from it. An empty grid raises ValueError;
+    a grid where no alpha converges raises RuntimeError.
+    """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
+    if not grid:
+        raise ValueError("alpha_grid is empty")
     values = []
     best = None
     best_alpha = math.nan
+    start = None
     for a in grid:
-        res = se_fixed_point(dist, loss, delta, alpha=a, config=config)
+        slope = _checked_slope(dist, delta, a)
+        if _least_squares_diverges(dist, loss):
+            res = _diverged_result(delta)
+        else:
+            if start is None:
+                start = _zero_start(dist, loss, delta, slope)
+            res = _iterate(dist, loss, delta, a, slope, start, config)
         ok = res.converged and not res.diverged
         values.append(res.amse if ok else math.nan)
         if ok and (best is None or res.amse < best.amse):

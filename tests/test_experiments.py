@@ -94,6 +94,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             small_spec(replications=3, seeds=(1, 2))
 
+    def test_empty_alpha_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            small_spec(alphas=())
+
     def test_alphas_coerced_to_floats(self):
         spec = small_spec(alphas=np.array([1.0, 1.5]))
         assert spec.alphas == (1.0, 1.5)
@@ -250,6 +254,12 @@ class TestSparseEfficiency:
         ls = next(r for r in report.rows if r[idx["loss"]] == "least_squares")
         assert ls[idx["relative_efficiency"]] == 1.0
         assert report.metadata["laplace_convention"].startswith("scale 1")
+
+    def test_empty_alpha_grid_rejected(self):
+        # an empty grid is an input error, not a row of nan cells
+        with pytest.raises(ValueError, match="empty"):
+            run_sparse_efficiency(omegas=(0.128,), noises=(Normal(0.2),),
+                                  losses=(absolute(),), alpha_grid=())
 
     def test_default_alpha_grid_clears_the_old_edge(self):
         assert DEFAULT_SPARSE_ALPHAS[0] == 0.5

@@ -3,10 +3,12 @@
 An AST scan of each module under src/ramp (the package's __init__, which
 re-exports, is left out) and of each test module under tests collects the
 names its import statements bind and the names its code loads. An imported
-name the module never loads fails the test.
+name the module never loads fails the test. The names the benchmark tracer
+wraps must exist on ramp's modules, so the allowlist and the tracer agree.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,9 @@ TESTS = Path(__file__).parent
 ALLOWED = {
     # the benchmark tracer wraps calibration.effective_score_deriv by name
     ("calibration", "effective_score_deriv"),
+    # the tracer wraps state_evolution.truncated_moments by name, and the
+    # score-moment tests compare the edge-term kernel against it there
+    ("state_evolution", "truncated_moments"),
 }
 
 
@@ -58,3 +63,20 @@ def test_allowlist_is_current():
         tree = ast.parse(PATHS[module].read_text())
         assert name in imported_names(tree)
         assert name not in loaded_names(tree)
+
+
+def test_tracer_names_exist():
+    # perfbench/tracer.py wraps each (module, attribute) of its WRAPPED
+    # tuple; a name that is gone makes a traced benchmark run fail
+    tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    if not tracer.exists():
+        pytest.skip("perfbench/ is not in this checkout")
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "WRAPPED"
+                           for t in node.targets))
+    assert wrapped
+    for module, attr, _ in wrapped:
+        mod = importlib.import_module(f"ramp.{module}")
+        assert hasattr(mod, attr), f"ramp.{module} has no {attr}"

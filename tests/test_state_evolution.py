@@ -366,6 +366,19 @@ class TestSigmaUpdate:
         se = err.std(ddof=1) / math.sqrt(n)
         assert abs(got - err.mean() / delta) < 3 * se / delta
 
+    @pytest.mark.parametrize("prior", [
+        pm_one_prior(0.128),
+        SignalPrior(0.3, ((0.1, -2.0), (0.15, -0.4), (0.2, 0.5), (0.25, 1.0), (0.3, 3.0))),
+    ])
+    def test_prior_risk_is_the_atom_sum(self, prior):
+        # one vectorized risk call gives the scalar per-atom sum bit for bit
+        for tau in (1e-3, 0.05, 0.3, 1.0, 4.0, 50.0):
+            for alpha in (0.0, 0.4, 1.2, 2.0, 3.5):
+                total = 0.0
+                for p, x0 in prior.full_atoms:
+                    total += p * float(soft_threshold_risk(x0 / tau, alpha))
+                assert state_evolution._prior_risk(prior, tau, alpha) == total
+
     def test_consistent_with_closed_form_amse(self):
         # same quantity through two different closed forms
         prior = pm_one_prior(0.2)
@@ -545,6 +558,47 @@ class TestTuneAlpha:
         dist = DistributionModel(pm_one_prior(0.128), Cauchy(1.0))
         with pytest.raises(RuntimeError):
             tune_alpha(dist, least_squares(), 0.64, alpha_grid=(1.0, 2.0))
+
+    @pytest.mark.parametrize("noise,loss", [(Normal(0.2), huber(1.0)),
+                                            (Cauchy(1.0), absolute())])
+    def test_one_zero_start_per_grid(self, noise, loss, monkeypatch):
+        # the zero start is the only tau update without a warm b_start;
+        # tune_alpha makes it once, and every alpha's fixed point is the
+        # one se_fixed_point reaches from its own zero start, bit for bit
+        dist = DistributionModel(pm_one_prior(0.128), noise)
+        grid = (1.0, 1.4, 1.8, 2.2, 2.6, 3.0)
+        update = state_evolution.se_tau_update
+        cold = []
+
+        def counting(sigma_sq, dist, loss, slope, b_start=None):
+            if b_start is None:
+                cold.append(sigma_sq)
+            return update(sigma_sq, dist, loss, slope, b_start=b_start)
+
+        monkeypatch.setattr(state_evolution, "se_tau_update", counting)
+        out = tune_alpha(dist, loss, 0.64, alpha_grid=grid)
+        assert len(cold) == 1
+        runs = [se_fixed_point(dist, loss, 0.64, a) for a in grid]
+        assert len(cold) == 1 + len(grid)
+        assert all(r.converged for r in runs)
+        assert out.amse_values == tuple(r.amse for r in runs)
+        best = runs[grid.index(out.alpha_star)]
+        assert out.result.rows == best.rows
+        assert out.result.b_star == best.b_star
+
+    @pytest.mark.parametrize("noise,loss", [(Normal(0.2), absolute()),
+                                            (Cauchy(1.0), least_squares())])
+    def test_every_alpha_still_checked(self, noise, loss):
+        # also where least squares is flagged diverged without a start
+        dist = DistributionModel(pm_one_prior(0.128), noise)
+        for grid in ((1.0, -0.5), (1.0, 0.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="alpha"):
+                tune_alpha(dist, loss, 0.64, alpha_grid=grid)
+
+    def test_empty_grid_raises(self):
+        dist = DistributionModel(pm_one_prior(0.128), Normal(0.2))
+        with pytest.raises(ValueError, match="empty"):
+            tune_alpha(dist, absolute(), 0.64, alpha_grid=())
 
 
 class TestLimitsAndBounds:
