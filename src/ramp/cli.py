@@ -16,9 +16,8 @@ import argparse
 import dataclasses
 import json
 import math
-import sys
-
 import os
+import sys
 
 from .calibration import CalibrationError
 from .experiments import (
@@ -27,7 +26,7 @@ from .experiments import (
     _atomic_write,
     convergence_study_spec,
     generate_instance,
-    loss_label,
+    output_dir,
     run_convergence_study,
     run_dense_efficiency,
     run_design_study,
@@ -36,7 +35,7 @@ from .experiments import (
     write_report,
 )
 from .losses import absolute, effective_score, effective_score_deriv, huber, \
-    least_squares, prox, quantile
+    least_squares, loss_label, prox, quantile
 from .solver import DivergenceError, SolverConfig, run_ramp
 from .state_evolution import (
     Cauchy,
@@ -56,7 +55,7 @@ EXIT_MAX_ITER = 2
 EXIT_DIVERGED = 3
 
 LOSS_NAMES = ("ls", "huber", "lad", "quantile")
-NOISE_NAMES = ("normal", "laplace", "student_t", "cauchy", "mixnormal")
+NOISE_NAMES = ("normal", "laplace", "student_t", "cauchy")
 
 
 def _fmt(v):
@@ -92,8 +91,6 @@ def build_noise(name, param):
         return StudentT(param)
     if name == "cauchy":
         return Cauchy(param)
-    if name == "mixnormal":
-        raise ValueError("mixnormal needs the library API, not the CLI")
     raise ValueError(f"unknown noise {name!r}; choose from {NOISE_NAMES}")
 
 
@@ -179,22 +176,18 @@ SOLVE_OPTIONS = {
     "n": (int, 320), "p": (int, 500), "s": (int, 64), "loss": (str, "ls"),
     "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
     "noise": (NOISE_NAMES, "normal"), "noise_param": (float, 0.2),
-    "design": (DESIGNS, "gaussian"), "seed": (int, 1), "tol": (float, 1e-6),
-    "max_iter": (int, 200), "out": (str, None),
+    "design": (DESIGNS, "gaussian"), "seed": (int, 1),
+    "tol": (float, SolverConfig.tol), "max_iter": (int, SolverConfig.max_iter),
+    "out": (str, None),
 }
 
 
 def cmd_solve(args, parser):
     options = resolve_options(args, parser, SOLVE_OPTIONS)
-    n, p, s = options["n"], options["p"], options["s"]
-    if not 0 < s < n:
-        raise ValueError(f"sparsity must satisfy 0 < s < n, got s={s} n={n}")
-    if s > p:
-        raise ValueError(f"sparsity cannot exceed p, got s={s} p={p}")
-
     loss = build_loss(options["loss"], options["gamma"], options["tau_q"])
     noise = build_noise(options["noise"], options["noise_param"])
-    spec = ExperimentSpec(n=n, p=p, s=s, noise=noise, losses=(loss,),
+    spec = ExperimentSpec(n=options["n"], p=options["p"], s=options["s"],
+                          noise=noise, losses=(loss,),
                           design=options["design"], replications=1,
                           seeds=(options["seed"],))
     config = SolverConfig(alpha=options["alpha"], tol=options["tol"],
@@ -202,8 +195,7 @@ def cmd_solve(args, parser):
     inst = generate_instance(spec, options["seed"])
     result = run_ramp(inst, loss, config)
 
-    out_dir = options["out"] or os.environ.get("RAMP_OUTPUT_DIR") or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = output_dir(options["out"])
     header = _config_header(options)
 
     lines = [header.rstrip("\n"), "t,b,theta,tau_sq,mse"]
@@ -229,8 +221,8 @@ SE_OPTIONS = {
     "delta": (float, 0.64), "omega": (float, 0.128), "losses": (str, "ls"),
     "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
     "noise": (NOISE_NAMES, "normal"), "noise_param": (float, 0.2),
-    "init_tau_sq": (float, None), "tol": (float, 1e-6),
-    "max_iter": (int, 500), "out": (str, None),
+    "init_tau_sq": (float, None), "tol": (float, SeConfig.tol),
+    "max_iter": (int, SeConfig.max_iter), "out": (str, None),
 }
 
 
@@ -257,8 +249,7 @@ def cmd_se(args, parser):
                               init_tau_sq=options["init_tau_sq"],
                               config=se_config) for loss in losses]
 
-    out_dir = options["out"] or os.environ.get("RAMP_OUTPUT_DIR") or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = output_dir(options["out"])
     header = _config_header(options)
 
     summary = {"config": _echo(options),

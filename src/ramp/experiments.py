@@ -30,15 +30,7 @@ import numpy as np
 import scipy
 
 from .calibration import CalibrationError
-from .losses import (
-    ABSOLUTE,
-    HUBER,
-    LEAST_SQUARES,
-    absolute,
-    huber,
-    least_squares,
-    quantile,
-)
+from .losses import absolute, huber, least_squares, loss_label, quantile
 from .solver import DivergenceError, ProblemInstance, SolverConfig, run_ramp
 from .state_evolution import (
     Cauchy,
@@ -82,6 +74,12 @@ class ExperimentSpec:
     seeds: Optional[tuple] = None
 
     def __post_init__(self):
+        if not 0 < self.s < self.n:
+            raise ValueError(
+                f"sparsity must satisfy 0 < s < n, got s={self.s} n={self.n}")
+        if self.s > self.p:
+            raise ValueError(
+                f"sparsity cannot exceed p, got s={self.s} p={self.p}")
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         if self.replications < 1:
@@ -118,8 +116,6 @@ def generate_instance(spec, seed):
     else:
         A = (2.0 * rng.integers(0, 2, size=(spec.n, spec.p)) - 1.0) \
             / math.sqrt(spec.n)
-    if spec.s > spec.p:
-        raise ValueError("sparsity cannot exceed the number of columns")
     x = np.zeros(spec.p)
     support = rng.choice(spec.p, size=spec.s, replace=False)
     x[support] = rng.choice([-1.0, 1.0], size=spec.s)
@@ -172,10 +168,16 @@ def _atomic_write(path, text):
         raise
 
 
-def write_report(report, directory=None):
-    """Serialize to <name>.csv plus <name>_meta.json, atomically."""
+def output_dir(directory=None):
+    """Make and return directory, else $RAMP_OUTPUT_DIR, else the working one."""
     directory = directory or os.environ.get("RAMP_OUTPUT_DIR") or "."
     os.makedirs(directory, exist_ok=True)
+    return directory
+
+
+def write_report(report, directory=None):
+    """Serialize to <name>.csv plus <name>_meta.json, atomically."""
+    directory = output_dir(directory)
     csv_path = os.path.join(directory, f"{report.name}.csv")
     meta_path = os.path.join(directory, f"{report.name}_meta.json")
 
@@ -191,16 +193,6 @@ def write_report(report, directory=None):
     meta["versions"] = _versions()
     _atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return csv_path, meta_path
-
-
-def loss_label(loss):
-    if loss.family == HUBER:
-        return f"huber_{loss.gamma:g}"
-    if loss.family == LEAST_SQUARES:
-        return "least_squares"
-    if loss.family == ABSOLUTE:
-        return "absolute"
-    return f"quantile_{loss.tau_q:g}"
 
 
 def noise_label(noise):

@@ -4,6 +4,7 @@ Every function here is a pure elementwise map: scalars in, scalar out;
 arrays in, arrays of the same shape out. The families share one interface,
 
     loss_value(spec, x)               rho(x)
+    loss_grad(spec, x)                a subgradient of rho at x
     prox(spec, z, b)                  argmin_u  b*rho(u) + 0.5*(u - z)**2
     effective_score(spec, z, b)       Phi(z; b) = b * rho'(prox(spec, z, b))
     effective_score_deriv(spec, z, b) d/dz Phi(z; b)
@@ -19,8 +20,9 @@ c(b) = b/(kappa + b), so that dc/db = kappa/(kappa + b)**2,
     prox      = z - Phi
 
 so every proximal map has a closed form and nothing here runs an inner
-optimization. Calibration and state evolution read the score only through
-these constants; the family is decided here.
+optimization. Calibration, state evolution, the exact oracle and the report
+labels read the loss only through these constants and the spec's fields;
+this is the one module that names a family.
 """
 
 from __future__ import annotations
@@ -114,6 +116,26 @@ def loss_value(spec: LossSpec, x):
         # t*max(x,0) + (1-t)*max(-x,0), the usual pinball loss
         out = np.where(x >= 0.0, t * x, (t - 1.0) * x)
     return _maybe_scalar(out)
+
+
+def loss_grad(spec: LossSpec, x):
+    """A subgradient of rho at x: clip(x/kappa, e_lo, e_hi).
+
+    At a kink (kappa = 0) it is e_hi above zero, e_lo below and 0 at zero.
+    """
+    kappa, e_lo, e_hi = score_shape(spec)
+    x = np.asarray(x, dtype=float)
+    if kappa > 0.0:
+        out = np.clip(x / kappa, e_lo, e_hi)
+    else:
+        out = np.where(x > 0.0, e_hi, np.where(x < 0.0, e_lo, 0.0))
+    return _maybe_scalar(out)
+
+
+def loss_label(spec: LossSpec) -> str:
+    """Report label: the family, then each parameter the spec sets."""
+    params = (spec.gamma, spec.tau_q)
+    return "_".join([spec.family] + [f"{v:g}" for v in params if v is not None])
 
 
 def score_shape(spec: LossSpec) -> ScoreShape:

@@ -1,11 +1,13 @@
 """Direct minimization of the penalized objective on small instances.
 
 This is a test oracle, not a production solver: it trades speed for
-simplicity and a checkable certificate. Smooth data terms (least squares,
-Huber) run proximal gradient with backtracking, which is monotone in the
-objective and certifies optimality through the analytic subgradient.
-The kinked data terms (absolute, quantile) are a linear program
-(Koenker & Bassett 1978): its dual is solved exactly by HiGHS on a
+simplicity and a checkable certificate. It reads the loss only through
+`losses.score_shape`'s (kappa, e_lo, e_hi). Smooth data terms (kappa > 0:
+least squares, Huber) run proximal gradient with backtracking, which is
+monotone in the objective and certifies optimality through the analytic
+subgradient. Kinked data terms (kappa = 0: absolute, quantile) are a
+linear program (Koenker & Bassett 1978) whose dual is max y'v over
+v in [e_lo, e_hi]^n with |A'v| <= lam: it is solved exactly by HiGHS on a
 working set of columns, the fit comes back by complementary slackness,
 and the certificate is the larger of the dual infeasibility and the
 duality gap.
@@ -19,16 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .losses import (
-    ABSOLUTE,
-    HUBER,
-    LEAST_SQUARES,
-    LossSpec,
-    loss_value,
-    soft_threshold,
-)
+from .losses import loss_grad, loss_value, score_shape, soft_threshold
 
-_SMOOTH = (LEAST_SQUARES, HUBER)
 # working-set sizes of the kinked dual LP: the first round's columns, and
 # the most any later round adds
 _FIRST_COLUMNS = 64
@@ -43,30 +37,17 @@ class OracleResult:
     iterations: int
 
 
-def loss_grad(spec: LossSpec, r):
-    """A subgradient of rho at r, elementwise (0 picked at kinks)."""
-    r = np.asarray(r, dtype=float)
-    if spec.family == LEAST_SQUARES:
-        return r
-    if spec.family == HUBER:
-        return np.clip(r, -spec.gamma, spec.gamma)
-    if spec.family == ABSOLUTE:
-        return np.sign(r)
-    t = spec.tau_q
-    return np.where(r > 0.0, t, np.where(r < 0.0, t - 1.0, 0.0))
-
-
 def penalized_objective(inst, loss, lam, x):
     r = inst.y - inst.A @ x
     return float(np.sum(loss_value(loss, r)) + lam * np.sum(np.abs(x)))
 
 
-def _solve_smooth(inst, loss, lam, tol, max_iter):
+def _solve_smooth(inst, loss, lam, kappa, tol, max_iter):
     A, y = inst.A, inst.y
     x = np.zeros(inst.p)
-    # rho'' <= 1 for both smooth families, so the spectral norm squared
-    # bounds the gradient Lipschitz constant; backtracking only shrinks it
-    step = 1.0 / max(np.linalg.norm(A, 2) ** 2, 1e-12)
+    # rho'' <= 1/kappa, so the spectral norm squared over kappa bounds the
+    # gradient Lipschitz constant; backtracking only shrinks the step
+    step = kappa / max(np.linalg.norm(A, 2) ** 2, 1e-12)
     for it in range(max_iter):
         r = y - A @ x
         fit = float(np.sum(loss_value(loss, r)))
@@ -95,32 +76,32 @@ def _kkt_from_grad(grad, lam, x):
     return max(float(m_on), m_off)
 
 
-def _restricted_dual(A_work, y, bound, tau):
-    """Maximize y'u over u in [tau - 1, tau]^n with |A_work' u| <= bound."""
+def _restricted_dual(A_work, y, lam, e_lo, e_hi):
+    """Maximize y'v over v in [e_lo, e_hi]^n with |A_work' v| <= lam."""
     res = optimize.milp(
-        -y, bounds=optimize.Bounds(tau - 1.0, tau),
-        constraints=optimize.LinearConstraint(A_work.T, -bound, bound))
+        -y, bounds=optimize.Bounds(e_lo, e_hi),
+        constraints=optimize.LinearConstraint(A_work.T, -lam, lam))
     if res.status != 0:
         raise RuntimeError(f"HiGHS stopped with status {res.status} on the "
                            f"kinked dual LP: {res.message}")
     return res.x
 
 
-def _primal_from_dual(A, y, u, excess, work, tau):
-    """The fit that complementary slackness pairs with the dual vertex u.
+def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
+    """The fit that complementary slackness pairs with the dual vertex v.
 
-    excess is |A'u| - bound per column, and work marks the columns the LP
+    excess is |A'v| - lam per column, and work marks the columns the LP
     saw. A vertex of that LP has n active constraints, box faces and
-    column rows; they are taken as the n nearest to u, in distance from u
+    column rows; they are taken as the n nearest to v, in distance from v
     to each face, which stays right when HiGHS leaves active rows off by
     its feasibility tolerance. Off the active columns S the fit is zero,
-    and every u_i off its box faces forces a zero residual, so x_S solves
+    and every v_i off its box faces forces a zero residual, so x_S solves
     the square system A[Z, S] x_S = y_Z. At a nondegenerate vertex its
     solution is the primal optimum; otherwise the duality gap exposes the
     miss.
     """
-    n = u.size
-    to_box = np.minimum(u - (tau - 1.0), tau - u)
+    n = v.size
+    to_box = np.minimum(v - e_lo, e_hi - v)
     to_row = np.where(work, -excess / np.linalg.norm(A, axis=0), np.inf)
     nearest = np.argsort(np.concatenate([to_box, to_row]))[:n]
     inside = np.ones(n, dtype=bool)
@@ -133,35 +114,33 @@ def _primal_from_dual(A, y, u, excess, work, tau):
     return x
 
 
-def _solve_kinked(inst, loss, lam, g0, max_iter):
-    """Column generation on the dual LP of the pinball fit (Koenker-Bassett).
+def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, max_iter):
+    """Column generation on the dual LP of the kinked fit (Koenker-Bassett).
 
-    The dual is max w y'u over u in [tau - 1, tau]^n with |A'u| <= lam/w.
-    Each round hands HiGHS only the working set of columns, then adds the
-    columns whose dual constraint u breaks, most violated first; the loop
-    ends when none is broken, and every round adds at least one column.
-    The certificate is the larger of the dual infeasibility over all
-    columns, in units of lam, and the duality gap.
+    rho(r) is e_hi r for r > 0 and e_lo r for r < 0, so the dual is
+    max y'v over v in [e_lo, e_hi]^n with |A'v| <= lam. Each round hands
+    HiGHS only the working set of columns, then adds the columns whose dual
+    constraint v breaks, most violated first; the loop ends when none is
+    broken, and every round adds at least one column. The certificate is
+    the larger of the dual infeasibility max(0, max_j |A_j'v| - lam) over
+    all columns and the duality gap |objective - y'v|.
     """
     A, y = inst.A, inst.y
-    # rho = w * pinball_tau: LAD is twice the median's pinball loss
-    w, tau = (2.0, 0.5) if loss.family == ABSOLUTE else (1.0, loss.tau_q)
-    bound = lam / w
     work = np.zeros(inst.p, dtype=bool)
     work[np.argsort(-np.abs(g0))[:_FIRST_COLUMNS]] = True
     # a dual point needs one round even on a zero budget
     for it in range(1, max(max_iter, 1) + 1):
-        u = _restricted_dual(A[:, work], y, bound, tau)
-        excess = np.abs(A.T @ u) - bound
+        v = _restricted_dual(A[:, work], y, lam, e_lo, e_hi)
+        excess = np.abs(A.T @ v) - lam
         broken = np.flatnonzero((excess > 0.0) & ~work)
-        # work must stay the columns this u was solved on
+        # work must stay the columns this v was solved on
         if broken.size == 0 or it >= max_iter:
             break
         work[broken[np.argsort(-excess[broken])[:_ADDED_COLUMNS]]] = True
-    x = _primal_from_dual(A, y, u, excess, work, tau)
+    x = _primal_from_dual(A, y, v, excess, work, e_lo, e_hi)
     objective = penalized_objective(inst, loss, lam, x)
-    gap = abs(objective - w * float(y @ u))
-    infeasible = w * max(0.0, float(np.max(excess)))
+    gap = abs(objective - float(y @ v))
+    infeasible = max(0.0, float(np.max(excess)))
     return OracleResult(x, objective, max(infeasible, gap), it)
 
 
@@ -191,9 +170,10 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
         return OracleResult(zero, penalized_objective(inst, loss, lam, zero),
                             0.0, 0)
 
-    if loss.family in _SMOOTH:
-        return _solve_smooth(inst, loss, lam, tol, max_iter)
-    return _solve_kinked(inst, loss, lam, g0, max_iter)
+    kappa, e_lo, e_hi = score_shape(loss)
+    if kappa > 0.0:
+        return _solve_smooth(inst, loss, lam, kappa, tol, max_iter)
+    return _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, max_iter)
 
 
 def check_oracle_distance(inst, loss, lam, ramp_result, tol=None):

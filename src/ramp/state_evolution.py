@@ -56,7 +56,8 @@ from .gauss import (
     soft_threshold_risk,
     truncated_moments,
 )
-from .losses import LEAST_SQUARES, score_shape, soft_threshold
+from .losses import score_shape, soft_threshold
+from .solver import lambda_of_theta
 
 # ---------------------------------------------------------------------------
 # signal prior
@@ -400,17 +401,17 @@ def score_moments(loss, b, noise, sigma):
     """Population (E d1Phi(v; b), E Phi(v; b)^2) for v = W + sigma Z.
 
     Exact for Normal and NormalMixture noise, Gauss-Legendre quadrature over
-    the noise law otherwise; least squares needs only the noise variance and
-    raises ValueError when it is infinite. The scale c(b) multiplies the
-    noise averages, not the nodes.
+    the noise law otherwise; an infinite score window (least squares) needs
+    only the noise variance and raises ValueError when it is infinite. The
+    scale c(b) multiplies the noise averages, not the nodes.
     """
     kappa, e_lo, e_hi = score_shape(loss)
     c = b / (kappa + b)
-    if loss.family == LEAST_SQUARES and not isinstance(noise, (Normal, NormalMixture)):
+    if math.isinf(e_hi) and not isinstance(noise, (Normal, NormalMixture)):
         var = noise.variance
         if not math.isfinite(var):
             raise ValueError(
-                "least-squares score moments diverge under infinite-variance noise")
+                "unbounded-score moments diverge under infinite-variance noise")
         return c, c * c * (var + sigma * sigma)
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
     p_in, clip_sq = _noise_average(lambda mu, s: _conditional_moments(lo, hi, mu, s),
@@ -429,7 +430,7 @@ def slope_curve(loss, b, noise, sigma):
 
         dc/db P + c (e_hi f(hi) - e_lo f(lo)),   dc/db = kappa/(kappa + b)^2.
 
-    Least squares has no window and is not handled here.
+    The infinite window of least squares is not handled here.
     """
     kappa, e_lo, e_hi = score_shape(loss)
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
@@ -448,8 +449,9 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     """Calibrate b on the current residual law and advance tau_sq.
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
-    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. Least squares has the closed
-    form b = slope/(1 - slope). Otherwise `solve_increasing` takes
+    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. An infinite score window
+    (least squares) has the closed form b = kappa slope/(1 - slope), as in
+    `calibration.calibrate_smooth`. Otherwise `solve_increasing` takes
     safeguarded Newton steps on `slope_curve`, the slope and its analytic
     derivative in b, from b_start (b = 1 when None; SE passes the previous
     iteration's b), and raises CalibrationError when the slope is not
@@ -461,8 +463,9 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     sigma = math.sqrt(sigma_sq)
     noise = dist.noise
 
-    if loss.family == LEAST_SQUARES:
-        b = slope / (1.0 - slope)
+    kappa, _, e_hi = score_shape(loss)
+    if math.isinf(e_hi):
+        b = kappa * slope / (1.0 - slope)
     else:
         b = solve_increasing(lambda bb: slope_curve(loss, bb, noise, sigma),
                              slope, start=b_start)
@@ -556,14 +559,14 @@ def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
     alpha = 0 is the unpenalized M-estimator: the denoiser is the identity,
     every coordinate is fitted, so omega must be 1 and the slope is p/n,
     which needs delta > 1. The run starts from the zero estimate unless
-    init_tau_sq is given. A least-squares loss under infinite-variance noise
-    is flagged diverged without iterating.
+    init_tau_sq is given. An unbounded score (least squares) under
+    infinite-variance noise is flagged diverged without iterating.
     """
     slope = _checked_slope(dist, delta, alpha)
     if init_tau_sq is not None and not 0.0 <= init_tau_sq < math.inf:
         raise ValueError(
             f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
-    if _least_squares_diverges(dist, loss):
+    if _unbounded_score_diverges(dist, loss):
         return _diverged_result(delta)
     if init_tau_sq is not None:
         start = (math.nan, float(init_tau_sq), math.nan)
@@ -588,8 +591,9 @@ def _checked_slope(dist, delta, alpha):
     return slope
 
 
-def _least_squares_diverges(dist, loss):
-    return loss.family == LEAST_SQUARES and not math.isfinite(dist.noise.variance)
+def _unbounded_score_diverges(dist, loss):
+    """An infinite score window under infinite-variance noise has E Phi^2 = inf."""
+    return math.isinf(score_shape(loss).e_hi) and not math.isfinite(dist.noise.variance)
 
 
 def _zero_start(dist, loss, delta, slope):
@@ -704,11 +708,6 @@ class TuneResult:
     at_grid_edge: bool = False
 
 
-def lambda_from_fixed_point(alpha, result, omega):
-    """Penalty level matching the fixed point: alpha tau* omega / (b* delta)."""
-    return alpha * math.sqrt(result.tau_star_sq) * omega / (result.b_star * result.delta)
-
-
 def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
     """Minimize the fixed-point AMSE over a grid of threshold multipliers.
 
@@ -727,7 +726,7 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
     start = None
     for a in grid:
         slope = _checked_slope(dist, delta, a)
-        if _least_squares_diverges(dist, loss):
+        if _unbounded_score_diverges(dist, loss):
             res = _diverged_result(delta)
         else:
             if start is None:
@@ -741,7 +740,8 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
     if best is None:
         raise RuntimeError(
             "state evolution did not converge for any alpha in the grid")
-    lam = lambda_from_fixed_point(best_alpha, best, dist.signal_prior.omega)
+    lam = lambda_of_theta(best.theta_star, best.b_star, delta,
+                          dist.signal_prior.omega)
     return TuneResult(alpha_star=best_alpha, lambda_star=lam, result=best,
                       alphas=grid, amse_values=tuple(values),
                       at_grid_edge=best_alpha in (min(grid), max(grid)))

@@ -154,7 +154,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("command,line", [
         ("solve", "noise=foo"), ("solve", "design=foo"), ("se", "noise=foo"),
-        ("bench", "study=foo")])
+        ("se", "noise=mixnormal"), ("bench", "study=foo")])
     def test_bad_config_choice_is_usage_error(self, tmp_path, capsys,
                                               command, line):
         # config values are checked against the same choices as the flags

@@ -14,7 +14,6 @@ from ramp.experiments import (
     Report,
     convergence_study_spec,
     generate_instance,
-    loss_label,
     noise_label,
     run_convergence_study,
     run_dense_efficiency,
@@ -23,7 +22,7 @@ from ramp.experiments import (
     run_sparse_efficiency,
     write_report,
 )
-from ramp.losses import absolute, huber, least_squares, quantile
+from ramp.losses import absolute, huber, least_squares, loss_label, quantile
 from ramp.state_evolution import Cauchy, Laplace, Normal, NormalMixture, StudentT
 
 
@@ -71,9 +70,11 @@ class TestGenerateInstance:
                                    np.ones(spec.p), rtol=1e-12)
 
     def test_oversparse_raises(self):
-        spec = small_spec(p=125, s=126, n=200)
-        with pytest.raises(ValueError):
-            generate_instance(spec, 0)
+        # the spec rejects the sparsity before any design is drawn
+        for n, p, s in ((200, 125, 126), (80, 125, 0), (80, 125, 80),
+                        (80, 125, 81), (80, 125, -1)):
+            with pytest.raises(ValueError, match="sparsity"):
+                small_spec(n=n, p=p, s=s)
 
 
 class TestExperimentSpec:

@@ -5,6 +5,8 @@ re-exports, is left out) and of each test module under tests collects the
 names its import statements bind and the names its code loads. An imported
 name the module never loads fails the test. The names the benchmark tracer
 wraps must exist on ramp's modules, so the allowlist and the tracer agree.
+Only `losses` may name a loss family: every other module reads a loss
+through its score window.
 """
 
 import ast
@@ -80,3 +82,21 @@ def test_tracer_names_exist():
     for module, attr, _ in wrapped:
         mod = importlib.import_module(f"ramp.{module}")
         assert hasattr(mod, attr), f"ramp.{module} has no {attr}"
+
+
+FAMILY_NAMES = {"LEAST_SQUARES", "HUBER", "ABSOLUTE", "QUANTILE", "FAMILIES"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "losses.py"),
+                         ids=lambda p: p.stem)
+def test_only_losses_names_a_family(path):
+    # a read of .family or losses.HUBER, or an import of a family constant
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        {node.lineno for node in ast.walk(tree)
+         if isinstance(node, ast.Attribute) and node.attr in FAMILY_NAMES | {"family"}}
+        | {node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom)
+           and FAMILY_NAMES & {alias.name for alias in node.names}})
+    assert not lines, f"{path.name} names a loss family on lines {lines}"

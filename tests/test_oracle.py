@@ -17,11 +17,19 @@ from scipy import optimize
 
 from ramp import oracle
 from ramp.experiments import convergence_study_spec, generate_instance
-from ramp.losses import absolute, huber, least_squares, quantile
+from ramp.losses import (
+    absolute,
+    huber,
+    least_squares,
+    loss_grad,
+    loss_label,
+    loss_value,
+    quantile,
+    score_shape,
+)
 from ramp.oracle import (
     OracleResult,
     check_oracle_distance,
-    loss_grad,
     penalized_objective,
     solve_penalized,
 )
@@ -103,6 +111,34 @@ def corrected_penalty(inst, state):
     kappa = state.onsager_frac
     return state.theta * (inst.omega * (1.0 + state.b) - kappa * state.b) \
         / (inst.delta * state.b)
+
+
+GRAD_LOSSES = [least_squares(), huber(1.0), huber(0.5), absolute(),
+               quantile(0.7), quantile(0.3)]
+
+
+class TestLossGrad:
+    @pytest.mark.parametrize("loss", GRAD_LOSSES, ids=loss_label)
+    def test_central_difference_away_from_kinks(self, loss):
+        x = np.random.default_rng(4).uniform(-4.0, 4.0, 2000)
+        # the kinks sit at 0 and, for Huber, at +-gamma
+        x = x[np.min(np.abs(np.abs(x)[:, None] - np.array([0.0, 0.5, 1.0])),
+                     axis=1) > 1e-3]
+        h = 1e-6
+        diff = (loss_value(loss, x + h) - loss_value(loss, x - h)) / (2.0 * h)
+        npt.assert_allclose(loss_grad(loss, x), diff, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("loss", GRAD_LOSSES, ids=loss_label)
+    def test_lies_in_score_bounds(self, loss):
+        _, e_lo, e_hi = score_shape(loss)
+        x = np.concatenate([np.linspace(-50.0, 50.0, 1001), [-1e300, 1e300]])
+        g = loss_grad(loss, x)
+        assert np.all((g >= e_lo) & (g <= e_hi))
+
+    @pytest.mark.parametrize("loss", GRAD_LOSSES[3:], ids=loss_label)
+    def test_zero_at_the_kink(self, loss):
+        assert loss_grad(loss, 0.0) == 0.0
+        assert loss_grad(loss, np.array([-0.0, 0.0])).tolist() == [0.0, 0.0]
 
 
 class TestSolvePenalized:

@@ -11,6 +11,7 @@ from ramp.calibration import CalibrationTarget, calibrate
 from ramp.gauss import soft_threshold_risk
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, \
     score_shape, soft_threshold
+from ramp.solver import lambda_of_theta
 from ramp.state_evolution import (
     Cauchy,
     DistributionModel,
@@ -24,7 +25,6 @@ from ramp.state_evolution import (
     amse_monte_carlo,
     efficiency_limits,
     info_lower_bound,
-    lambda_from_fixed_point,
     minimax_risk,
     pm_one_prior,
     score_moments,
@@ -542,8 +542,9 @@ class TestTuneAlpha:
         dist = DistributionModel(pm_one_prior(0.128), Normal(0.2))
         out = tune_alpha(dist, least_squares(), 0.64,
                          alpha_grid=(1.2, 1.4, 1.6))
-        lam = lambda_from_fixed_point(out.alpha_star, out.result, 0.128)
-        assert out.lambda_star == pytest.approx(lam)
+        theta = out.alpha_star * math.sqrt(out.result.tau_star_sq)
+        lam = lambda_of_theta(theta, out.result.b_star, 0.64, 0.128)
+        assert out.lambda_star == lam
 
     def test_grid_edge_flag(self):
         dist = DistributionModel(pm_one_prior(0.128), Normal(0.2))
