@@ -6,13 +6,14 @@ slope s/n, the empirical form of the equation state evolution solves for
 the population. With the loss constants (kappa, e_lo, e_hi) of
 `losses.score_shape`, that average is c(b) = b/(kappa + b) times the share
 of residuals inside the score window, and z_i is inside exactly when
-u_i = z_i/e - kappa < b (`_window_u`; e = e_hi for z_i > 0, else e_lo).
-`calibrate` solves the equation exactly for every loss: in closed form for
-least squares, whose window is the whole line; by one walk over the sorted
-u when kappa > 0 (Huber, `calibrate_smooth`); and as an order statistic of
-u when kappa = 0, where c = 1 (the kinked absolute and quantile losses,
-`calibrate_nonsmooth`). `solve_increasing`, safeguarded Newton on log b,
-solves the population equation for state evolution.
+u_i = z_i/e - kappa < b, with e = e_hi for z_i > 0 and e_lo otherwise
+(`losses.window_u`). `calibrate` solves the equation exactly for every
+loss: in closed form for least squares, whose window is the whole line; by
+one walk over the sorted u when kappa > 0 (Huber, `calibrate_smooth`); and
+as an order statistic of u when kappa = 0, where c = 1 (the kinked
+absolute and quantile losses, `calibrate_nonsmooth`). `solve_increasing`,
+safeguarded Newton on log b, solves the population equation for state
+evolution.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import losses
 from .gauss import norm_pdf
-from .losses import LossSpec
+from .losses import LossSpec, window_u
 # unused here, but the benchmark tracer in perfbench/ wraps it by this name
 from .losses import effective_score_deriv
 
@@ -56,7 +57,9 @@ class CalibrationTarget:
     def __post_init__(self):
         if not 0.0 < self.slope < 1.0:
             raise ValueError("slope must lie strictly inside (0, 1); requires 0 < s < n")
-        z = np.atleast_1d(np.asarray(self.residuals, dtype=float))
+        z = np.asarray(self.residuals, dtype=float)
+        if z.ndim == 0:
+            z = z.reshape(1)
         if z.ndim != 1 or z.size == 0:
             raise ValueError("residuals must be a nonempty vector")
         object.__setattr__(self, "residuals", z)
@@ -227,22 +230,21 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
 # empirical calibration: exact roots on a finite sample
 # ---------------------------------------------------------------------------
 
-def _window_u(loss: LossSpec, z: np.ndarray) -> np.ndarray:
-    """u_i = z_i/e - kappa, with e = e_hi when z_i > 0 and e_lo otherwise.
-
-    z_i lies inside the score window (kappa + b)(e_lo, e_hi) exactly when
-    u_i < b.
-    """
-    kappa, e_lo, e_hi = losses.score_shape(loss)
-    # e_lo < 0 < e_hi, so the larger quotient is the one that divides by e
-    return np.maximum(z / e_hi, z / e_lo) - kappa
+def _step_count(slope: float, n: int) -> int:
+    """Smallest j with j/n >= slope, compared in floats: slope = s/n gives j = s."""
+    j = math.ceil(slope * n)
+    while j / n < slope:
+        j += 1
+    while (j - 1) / n >= slope:
+        j -= 1
+    return j
 
 
 def calibrate_smooth(target: CalibrationTarget) -> float:
     """Solve mean_i d1Phi(z_i; b) = slope exactly for the losses with kappa > 0.
 
     Least squares, whose window is the whole line, has the closed form
-    b = kappa slope/(1 - slope). Otherwise, with u = `_window_u` sorted, j
+    b = kappa slope/(1 - slope). Otherwise, with u = `window_u` sorted, j
     residuals are inside the window for b between u_(j) and u_(j+1), where
     the average derivative is b/(kappa + b) j/n and crosses the slope at
     b_j = kappa slope/(j/n - slope) (for j/n > slope). The first j whose
@@ -261,12 +263,13 @@ def calibrate_smooth(target: CalibrationTarget) -> float:
         # the derivative b/(kappa + b) does not depend on z, so the root is exact
         return kappa * slope / (1.0 - slope)
     n = z.size
-    frac = np.arange(1, n + 1) / n
-    first = int(np.searchsorted(frac, slope, side="right"))  # frac[first:] > slope
-    u = np.sort(_window_u(target.loss, z))
-    roots = kappa * slope / (frac[first:] - slope)   # b_j for j = first + 1 .. n
-    upper = np.append(u[first + 1:], np.inf)      # u_(j + 1)
-    k = int(np.argmax(roots <= upper))            # j = n always qualifies
+    j = _step_count(slope, n)
+    first = j if j / n == slope else j - 1        # (first + 1)/n > slope
+    u = window_u(target.loss, z)
+    u.sort()
+    roots = kappa * slope / (np.arange(first + 1, n + 1) / n - slope)   # b_j, j > first
+    upper = np.concatenate((u[first + 1:], (np.inf,)))   # u_(j + 1)
+    k = int((roots <= upper).argmax())            # j = n always qualifies
     return float(max(roots[k], u[first + k]))
 
 
@@ -295,7 +298,7 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
     """Solve mean_i d1Phi(z_i; b) = slope exactly for the losses with kappa = 0.
 
     Each residual maps to u_i >= 0 with z_i inside the score window exactly
-    when u_i < b (`_window_u`). With c = 1 the average derivative is
+    when u_i < b (`window_u`). With c = 1 the average derivative is
     #{u_i < b}/n (edges count 1/2), a step map in b.
     With j the smallest count with j/n >= slope, the root follows the tie
     rule b = (b_minus + b_plus)/2 of `calibrate_smooth`: the midpoint
@@ -311,18 +314,15 @@ def calibrate_nonsmooth(target: CalibrationTarget) -> float:
         raise ValueError("calibrate_nonsmooth handles absolute and quantile losses only")
     z, slope = target.residuals, target.slope
     n = z.size
-    u = _window_u(target.loss, z)
-    # smallest j with j/n >= slope, compared in floats: slope = s/n gives j = s
-    j = math.ceil(slope * n)
-    while j / n < slope:
-        j += 1
-    while (j - 1) / n >= slope:
-        j -= 1
+    u = window_u(target.loss, z)
+    j = _step_count(slope, n)
+    # u is this call's own array, so it is partitioned in place
     if j / n == slope:
-        part = np.partition(u, (j - 1, j))
-        b = 0.5 * (part[j - 1] + part[j])
+        u.partition((j - 1, j))
+        b = 0.5 * (u[j - 1] + u[j])
     else:
-        b = np.partition(u, j - 1)[j - 1]
+        u.partition(j - 1)
+        b = u[j - 1]
     if not b > 0.0:
         zeros = int(np.count_nonzero(u == 0.0))
         raise CalibrationError(

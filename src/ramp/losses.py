@@ -8,6 +8,7 @@ arrays in, arrays of the same shape out. The families share one interface,
     prox(spec, z, b)                  argmin_u  b*rho(u) + 0.5*(u - z)**2
     effective_score(spec, z, b)       Phi(z; b) = b * rho'(prox(spec, z, b))
     effective_score_deriv(spec, z, b) d/dz Phi(z; b)
+    window_u(spec, z)                 u with z inside the score window iff u < b
 
 with b > 0 the proximal regularization scale. Every loss is fixed by three
 constants (kappa, e_lo, e_hi) from `score_shape`: rho' lies in [e_lo, e_hi]
@@ -89,7 +90,7 @@ def quantile(tau_q: float) -> LossSpec:
 
 
 def _check_b(b) -> None:
-    if not np.all(np.asarray(b) > 0):
+    if not (b > 0 if isinstance(b, float) else np.all(np.asarray(b) > 0)):
         raise ValueError("proximal scale b must be positive")
 
 
@@ -175,8 +176,27 @@ def effective_score(spec: LossSpec, z, b):
     _check_b(b)
     kappa, e_lo, e_hi = score_shape(spec)
     z = np.asarray(z, dtype=float)
+    # at a kink c = b/b = 1 exactly, so c z is z
+    cz = b / (kappa + b) * z if kappa else z
     # np.minimum(np.maximum(...)) is np.clip without its Python-level checks
-    return _maybe_scalar(np.minimum(np.maximum(b / (kappa + b) * z, b * e_lo), b * e_hi))
+    return _maybe_scalar(np.minimum(np.maximum(cz, b * e_lo), b * e_hi))
+
+
+def window_u(spec: LossSpec, z):
+    """u = z/e - kappa, with e = e_hi where z > 0 and e_lo elsewhere.
+
+    z lies inside the score window (kappa + b)(e_lo, e_hi) exactly when
+    u < b, and on one of its edges exactly when u == b. This is the one
+    definition of window membership: calibration counts residuals by it and
+    `effective_score_deriv` classifies them by it.
+    """
+    kappa, e_lo, e_hi = score_shape(spec)
+    z = np.asarray(z, dtype=float)
+    # e_lo < 0 < e_hi, so the larger quotient is the one that divides by e
+    u = np.maximum(z / e_hi, z / e_lo)
+    if kappa:
+        u -= kappa
+    return _maybe_scalar(u)
 
 
 def effective_score_deriv(spec: LossSpec, z, b):
@@ -185,14 +205,15 @@ def effective_score_deriv(spec: LossSpec, z, b):
     On the window edges (kappa + b) e_lo and (kappa + b) e_hi, the kinks of
     Phi, the average c/2 of the left and right derivatives is returned,
     the same symmetric tie treatment the calibration step uses for its
-    bracketing rule.
+    bracketing rule. Inside, edge and outside are read from `window_u`
+    (u < b, u == b, u > b), so at a calibrated b the mean derivative is
+    the slope calibration solved for.
     """
     _check_b(b)
-    kappa, e_lo, e_hi = score_shape(spec)
-    z = np.asarray(z, dtype=float)
+    kappa = score_shape(spec).kappa
+    u = window_u(spec, z)
     c = b / (kappa + b)
-    lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-    out = np.where((z > lo) & (z < hi), c, np.where((z == lo) | (z == hi), 0.5 * c, 0.0))
+    out = np.where(u < b, c, np.where(u == b, 0.5 * c, 0.0))
     return _maybe_scalar(out)
 
 
@@ -203,8 +224,10 @@ def soft_threshold(x, theta):
     Points with |x| exactly equal to theta land in the dead zone.
     Elementwise in both arguments; theta must be nonnegative.
     """
-    if np.any(np.asarray(theta) < 0):
+    if theta < 0 if isinstance(theta, float) else np.any(np.asarray(theta) < 0):
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
+    out = np.maximum(np.abs(x) - theta, 0.0)
+    # in place on the array made above; a 0-d result is a scalar and rebinds
+    out *= np.sign(x)
     return _maybe_scalar(out)

@@ -36,11 +36,13 @@ class ProblemInstance:
     x_true: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        # C order for both, so the products of a pass, and so every result,
+        # do not depend on how the caller laid out A
+        A = np.ascontiguousarray(self.A, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be a 2-d array")
         n, p = A.shape
-        y = np.asarray(self.y, dtype=float)
+        y = np.ascontiguousarray(self.y, dtype=float)
         if y.shape != (n,):
             raise ValueError(f"y must have shape ({n},), got {y.shape}")
         if not 0 < self.s < n:
@@ -130,7 +132,10 @@ TRACE_FIELDS = ("t", "b", "theta", "tau_hat_sq", "mse")
 
 def rescaled_score(loss, z, b, slope):
     """Effective score scaled by n/s so its derivative averages to one."""
-    return effective_score(loss, z, b) / slope
+    score = effective_score(loss, z, b)
+    # in place on the new array; a scalar score rebinds
+    score /= slope
+    return score
 
 
 def lambda_of_theta(theta, b, delta, omega):
@@ -140,20 +145,28 @@ def lambda_of_theta(theta, b, delta, omega):
     return theta * omega / (b * delta)
 
 
+def _mean_square(v):
+    """np.mean(v * v) without numpy's Python wrapper: the same pairwise sum."""
+    sq = v * v
+    return float(np.add.reduce(sq) / sq.size)
+
+
 def _advance(inst, loss, config, t, x_prev, z):
     """Calibrate on z, threshold the matched-filter update, package the state."""
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DivergenceError(t)
     b = calibrate(CalibrationTarget(inst.slope, loss, z))
     score = rescaled_score(loss, z, b, inst.slope)
     # overflow to inf is how runaway scales get detected, so keep it quiet
     with np.errstate(over="ignore"):
-        tau_hat_sq = float(np.mean(score * score))
+        tau_hat_sq = _mean_square(score)
     if not math.isfinite(tau_hat_sq):
         raise DivergenceError(t)
     theta = config.alpha * math.sqrt(tau_hat_sq)
-    x = soft_threshold(x_prev + inst.A.T @ score, theta)
-    if not np.all(np.isfinite(x)):
+    update = inst.A.T @ score
+    update += x_prev
+    x = soft_threshold(update, theta)
+    if not np.isfinite(x).all():
         raise DivergenceError(t)
     frac = np.count_nonzero(x) / inst.p
     return RampState(t=t, x=x, z=z, b=b, theta=theta,
@@ -167,8 +180,10 @@ def initial_state(inst, loss, config):
 
 def ramp_step(inst, loss, config, state):
     """One full pass from the state of iteration t to that of t + 1."""
-    z = (inst.y - inst.A @ state.x
-         + (state.onsager_frac / inst.delta) * state.score)
+    # y - A x + (frac/delta) score, built in one new array
+    z = inst.A @ state.x
+    np.subtract(inst.y, z, out=z)
+    z += (state.onsager_frac / inst.delta) * state.score
     return _advance(inst, loss, config, state.t + 1, state.x, z)
 
 
@@ -176,8 +191,7 @@ def _trace_row(state, inst):
     if inst.x_true is None:
         mse = math.nan
     else:
-        err = state.x - inst.x_true
-        mse = float(np.mean(err * err))
+        mse = _mean_square(state.x - inst.x_true)
     return (state.t, state.b, state.theta, state.tau_hat_sq, mse)
 
 

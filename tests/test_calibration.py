@@ -16,7 +16,7 @@ from ramp.calibration import (
 )
 from ramp.experiments import convergence_study_spec, generate_instance
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, \
-    score_shape
+    score_shape, window_u
 from ramp.state_evolution import DistributionModel, Laplace, pm_one_prior, se_tau_update
 
 
@@ -421,7 +421,7 @@ class TestScoreWindow:
             b = np.concatenate([b, np.ones(2)])
             on_edge = np.concatenate([on_edge, np.ones(2, dtype=bool)])
         c = b / (kappa + b)
-        u = calibration._window_u(loss, z)
+        u = window_u(loss, z)
         inside = u < b
         deriv = effective_score_deriv(loss, z, b)
         phi = effective_score(loss, z, b)
@@ -431,3 +431,17 @@ class TestScoreWindow:
         np.testing.assert_array_equal(deriv[on_edge], c[on_edge] / 2)
         # a finite window leaves residuals on both sides
         assert inside.any() and inside.all() == np.isinf(e_hi)
+
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.7), quantile(0.3)],
+                             ids=["absolute", "quantile_0.7", "quantile_0.3"])
+    def test_mean_deriv_hits_the_slope_at_jump_roots(self, loss):
+        # no count of 320 hits 64.5/320, so every root is the jump point
+        # u_(65): 64 residuals inside and one on the edge at half weight.
+        # Phi' reads the edge from the same u as calibration, so the mean is
+        # the slope exactly; an edge test on z == b e instead rounds the
+        # product and missed it on up to 68 of these 400 draws
+        n, slope = 320, 64.5 / 320
+        for seed in range(400):
+            z = np.random.default_rng(seed).standard_normal(n)
+            b = calibrate(CalibrationTarget(slope, loss, z))
+            assert np.mean(effective_score_deriv(loss, z, b)) == slope, seed

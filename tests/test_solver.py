@@ -12,8 +12,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ramp.calibration import CalibrationError
-from ramp.losses import absolute, huber, least_squares, quantile, soft_threshold
+from ramp import solver
+from ramp.calibration import CalibrationError, CalibrationTarget, calibrate
+from ramp.experiments import convergence_study_spec, generate_instance
+from ramp.losses import absolute, huber, least_squares, quantile, score_shape, soft_threshold
 from ramp.solver import (
     DivergenceError,
     ProblemInstance,
@@ -344,3 +346,92 @@ class TestTraceAndResult:
         assert res.iterations == len(res.trace)
         assert res.converged
         assert res.iterations < 200
+
+
+ALL_LOSSES = [least_squares(), huber(1.0), absolute(), quantile(0.7)]
+
+
+def result_bytes(res):
+    """Every output of a run, as bytes: arrays by their bits, the rest by repr."""
+    st = res.state
+    arrays = b"".join(a.tobytes() for a in (st.x, st.z, st.score))
+    rest = (st.t, st.b, st.theta, st.tau_hat_sq, st.onsager_frac, res.trace, res.converged)
+    return arrays + repr(rest).encode()
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("loss", [least_squares(), absolute()], ids=lambda loss: loss.family)
+    def test_results_do_not_depend_on_layout(self, loss):
+        # A is stored C-ordered, so a Fortran-ordered copy or a strided view
+        # of the same numbers runs the same products and gives the same bits
+        ref = generate_instance(convergence_study_spec(), 20000)
+        big = np.zeros((ref.n, 2 * ref.p))
+        big[:, ::2] = ref.A
+        y_big = np.zeros(2 * ref.n)
+        y_big[::2] = ref.y
+        layouts = [(np.asfortranarray(ref.A), ref.y), (big[:, ::2], y_big[::2])]
+        cfg = SolverConfig(alpha=2.0)
+        expect = result_bytes(run_ramp(ref, loss, cfg))
+        for A, y in layouts:
+            inst = ProblemInstance(A=A, y=y, s=ref.s, x_true=ref.x_true)
+            assert inst.A.flags.c_contiguous and inst.y.flags.c_contiguous
+            assert result_bytes(run_ramp(inst, loss, cfg)) == expect
+
+
+class TestPassBytes:
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda loss: loss.family)
+    def test_pass_matches_literal_formulas(self, loss):
+        # every pass, bit for bit, against the textbook formulas written out
+        # here; tobytes, because assert_array_equal takes -0.0 == 0.0 and the
+        # dead zone of the soft threshold gives -0.0 to negative inputs
+        inst = generate_instance(convergence_study_spec(), 20000)
+        cfg = SolverConfig(alpha=2.0)
+        kappa, e_lo, e_hi = score_shape(loss)
+        x, z = np.zeros(inst.p), inst.y.copy()
+        state = initial_state(inst, loss, cfg)
+        negative_zeros = 0
+        for t in range(30):
+            if t:
+                z = inst.y - inst.A @ x + (frac / inst.delta) * score
+                state = ramp_step(inst, loss, cfg, state)
+            b = calibrate(CalibrationTarget(inst.slope, loss, z))
+            phi = np.minimum(np.maximum(b / (kappa + b) * z, b * e_lo), b * e_hi)
+            score = phi / inst.slope
+            tau_sq = float(np.mean(score * score))
+            theta = cfg.alpha * math.sqrt(tau_sq)
+            g = x + inst.A.T @ score
+            x = np.sign(g) * np.maximum(np.abs(g) - theta, 0.0)
+            frac = np.count_nonzero(x) / inst.p
+            assert state.t == t
+            assert state.z.tobytes() == z.tobytes()
+            assert state.score.tobytes() == score.tobytes()
+            assert state.x.tobytes() == x.tobytes()
+            assert state.b == b and state.theta == theta and state.tau_hat_sq == tau_sq
+            assert state.onsager_frac == frac
+            negative_zeros += int(np.count_nonzero((x == 0.0) & np.signbit(x)))
+        assert negative_zeros > 0
+
+
+class TestTracedLookups:
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda loss: loss.family)
+    def test_each_layer_is_called_through_the_module(self, monkeypatch, loss):
+        # the benchmark tracer times a layer by replacing solver.<name>; a
+        # pass that bound these functions any other way would hide them
+        names = ("calibrate", "effective_score", "soft_threshold", "initial_state", "ramp_step")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        inst = generate_instance(convergence_study_spec(), 20000)
+        res = solver.run_ramp(inst, loss, SolverConfig(alpha=2.0))
+        assert res.iterations > 1
+        assert calls == {"calibrate": res.iterations, "effective_score": res.iterations,
+                         "soft_threshold": res.iterations, "initial_state": 1,
+                         "ramp_step": res.iterations - 1}
+
