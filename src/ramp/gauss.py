@@ -1,7 +1,7 @@
 """Standard-normal analytics shared by calibration and state evolution.
 
 Everything is vectorized numpy working in float64. The scipy.special
-erfc/ndtri routines carry the tail accuracy; nothing here samples.
+erfc routine carries the tail accuracy; nothing here samples.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ def norm_pdf(x):
 def norm_cdf(x):
     x = np.asarray(x, dtype=float)
     return 0.5 * special.erfc(-x / _SQRT2)
-
-
-def norm_ppf(q):
-    return special.ndtri(q)
 
 
 def _xphi(x):

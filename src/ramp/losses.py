@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,11 +52,15 @@ class LossSpec:
     gamma is the Huber knee (required exactly when family == HUBER) and
     tau_q the quantile level in (0, 1) (required exactly when
     family == QUANTILE). The other two families take no parameters.
+    shape holds the family's (kappa, e_lo, e_hi), computed once here and
+    read through `score_shape`; it is not an argument and takes no part in
+    equality, hashing or repr.
     """
 
     family: str
     gamma: Optional[float] = None
     tau_q: Optional[float] = None
+    shape: ScoreShape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -71,6 +75,7 @@ class LossSpec:
                 raise ValueError("quantile loss needs tau_q strictly inside (0, 1)")
         elif self.tau_q is not None:
             raise ValueError("tau_q only applies to the quantile loss")
+        object.__setattr__(self, "shape", _shape_of(self))
 
 
 def least_squares() -> LossSpec:
@@ -144,8 +149,13 @@ def score_shape(spec: LossSpec) -> ScoreShape:
 
     rho' takes values in [e_lo, e_hi], and kappa is the reciprocal of the
     curvature of rho where rho' lies strictly between them: 1 for least
-    squares and Huber, 0 for the kinked losses.
+    squares and Huber, 0 for the kinked losses. The spec computed them
+    when it was built.
     """
+    return spec.shape
+
+
+def _shape_of(spec: LossSpec) -> ScoreShape:
     if spec.family == LEAST_SQUARES:
         return ScoreShape(1.0, -math.inf, math.inf)
     if spec.family == HUBER:

@@ -176,11 +176,14 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     return _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, max_iter)
 
 
-def check_oracle_distance(inst, loss, lam, ramp_result, tol=None):
-    """Per-coordinate squared distance between an AMP run and the direct fit."""
+def check_oracle_distance(inst, loss, lam, ramp_result):
+    """Per-coordinate squared distance between an AMP run and the direct fit.
+
+    The direct fit is `solve_penalized` at its default certificate tolerance.
+    """
     x_t = np.asarray(getattr(ramp_result, "x", ramp_result), dtype=float)
     if x_t.shape != (inst.p,):
         raise ValueError(f"estimate must have shape ({inst.p},), got {x_t.shape}")
-    ref = solve_penalized(inst, loss, lam, tol=tol)
+    ref = solve_penalized(inst, loss, lam)
     diff = x_t - ref.x_hat
     return float(np.mean(diff * diff))

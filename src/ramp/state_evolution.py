@@ -10,10 +10,11 @@ tuning of the threshold multiplier alpha.
 Expectations over the effective residual W + sigma Z are computed from
 truncated-normal closed forms conditional on W, all built from the four
 edge terms Phi(a), Phi(c), phi(a), phi(c) at the standardized window edges
-(`_window_edges`). Normal noise (and normal mixtures) therefore collapse
-exactly; heavy-tailed laws are integrated over W with Gauss-Legendre nodes
-on the inverse cdf, split at the median so the Laplace kink sits on a
-panel edge.
+(`_window_edges`). A normal mixture therefore collapses exactly, one
+closed form per component; normal noise is the one-component mixture and
+takes the same exact path. Heavy-tailed laws are integrated over W with
+Gauss-Legendre nodes on the inverse cdf, split at the median so the
+Laplace kink sits on a panel edge.
 
 Every loss enters through its constants (kappa, e_lo, e_hi) from
 `losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from .calibration import solve_increasing
 from .gauss import (
@@ -52,7 +53,6 @@ from .gauss import (
     legendre_nodes_01,
     norm_cdf,
     norm_pdf,
-    norm_ppf,
     soft_threshold_risk,
     truncated_moments,
 )
@@ -112,6 +112,9 @@ def pm_one_prior(omega):
 # ---------------------------------------------------------------------------
 # noise laws
 # ---------------------------------------------------------------------------
+# A law gives its variance, fisher_info and sample, plus either normal
+# components ((weight, variance), ...), which SE averages exactly, or ppf,
+# from which SE builds its quadrature nodes.
 
 
 @dataclass(frozen=True)
@@ -130,18 +133,13 @@ class Normal:
     def fisher_info(self):
         return 1.0 / self.sigma_sq
 
+    @property
+    def components(self):
+        """The one-component mixture ((1, sigma_sq),), read by the exact SE path."""
+        return ((1.0, self.sigma_sq),)
+
     def sample(self, rng, n):
         return math.sqrt(self.sigma_sq) * rng.standard_normal(n)
-
-    def pdf(self, x):
-        s = math.sqrt(self.sigma_sq)
-        return norm_pdf(np.asarray(x) / s) / s
-
-    def cdf(self, x):
-        return norm_cdf(np.asarray(x) / math.sqrt(self.sigma_sq))
-
-    def ppf(self, u):
-        return math.sqrt(self.sigma_sq) * norm_ppf(u)
 
 
 @dataclass(frozen=True)
@@ -174,15 +172,6 @@ class NormalMixture:
         idx = rng.choice(len(self.components), size=n, p=weights)
         return sds[idx] * rng.standard_normal(n)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(w * norm_pdf(x / math.sqrt(v)) / math.sqrt(v)
-                   for w, v in self.components)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(w * norm_cdf(x / math.sqrt(v)) for w, v in self.components)
-
 
 @dataclass(frozen=True)
 class StudentT:
@@ -205,12 +194,6 @@ class StudentT:
 
     def sample(self, rng, n):
         return self.scale * rng.standard_t(self.df, size=n)
-
-    def pdf(self, x):
-        return stats.t.pdf(x, self.df, scale=self.scale)
-
-    def cdf(self, x):
-        return stats.t.cdf(x, self.df, scale=self.scale)
 
     def ppf(self, u):
         return stats.t.ppf(u, self.df, scale=self.scale)
@@ -237,16 +220,6 @@ class Laplace:
     def sample(self, rng, n):
         return rng.laplace(0.0, self.scale, size=n)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0,
-                        0.5 * np.exp(x / self.scale),
-                        1.0 - 0.5 * np.exp(-x / self.scale))
-
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         lower = self.scale * np.log(np.maximum(2.0 * u, 1e-300))
@@ -272,14 +245,6 @@ class Cauchy:
 
     def sample(self, rng, n):
         return self.scale * rng.standard_cauchy(size=n)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.scale / (np.pi * (self.scale ** 2 + x * x))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 + np.arctan(x / self.scale) / np.pi
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
@@ -379,15 +344,16 @@ def _noise_nodes(noise):
 def _noise_average(conditional, noise, sigma):
     """Average over W of a pair conditional(mu, s) of moments of v ~ N(mu, s^2).
 
-    Exact for normal noise and normal mixtures, whose v is normal given
-    the component; Gauss-Legendre nodes on the inverse cdf otherwise.
+    Exact for a law with normal components, whose v is normal given the
+    component: a normal mixture, or a normal law as its one component
+    (0.0 + 1.0 x is x, and no average here is -0.0, so the bits are those
+    of a direct evaluation). Gauss-Legendre nodes on the inverse cdf
+    otherwise.
     """
-    if isinstance(noise, Normal):
-        x, y = conditional(0.0, math.sqrt(noise.sigma_sq + sigma * sigma))
-        return float(x), float(y)
-    if isinstance(noise, NormalMixture):
+    components = getattr(noise, "components", None)
+    if components is not None:
         x_tot = y_tot = 0.0
-        for w, v in noise.components:
+        for w, v in components:
             x, y = conditional(0.0, math.sqrt(v + sigma * sigma))
             x_tot += w * float(x)
             y_tot += w * float(y)
@@ -407,7 +373,7 @@ def score_moments(loss, b, noise, sigma):
     """
     kappa, e_lo, e_hi = score_shape(loss)
     c = b / (kappa + b)
-    if math.isinf(e_hi) and not isinstance(noise, (Normal, NormalMixture)):
+    if math.isinf(e_hi) and not hasattr(noise, "components"):
         var = noise.variance
         if not math.isfinite(var):
             raise ValueError(
@@ -751,8 +717,7 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
 # limits and lower bounds
 # ---------------------------------------------------------------------------
 
-EfficiencyLimits = namedtuple(
-    "EfficiencyLimits", ["gamma_cap", "ls_light_limit", "lad_heavy_ratio"])
+EfficiencyLimits = namedtuple("EfficiencyLimits", ["gamma_cap", "lad_heavy_ratio"])
 
 
 def info_lower_bound(delta, omega, fisher_info):
@@ -765,35 +730,11 @@ def info_lower_bound(delta, omega, fisher_info):
     return eps / (1.0 - eps) / fisher_info
 
 
-def worst_case_risk(alpha):
-    """sup over signal means of the soft-threshold risk at threshold alpha.
+def efficiency_limits(delta, alpha):
+    """Zero-signal limits of the fixed point at threshold multiplier alpha.
 
-    The risk increases with |mean|, so the supremum is its large-mean limit
-    1 + alpha^2.
-    """
-    return 1.0 + alpha ** 2
-
-
-def minimax_risk(omega):
-    """Best sparse soft-threshold risk against the worst signal of sparsity omega."""
-    def objective(t):
-        return (1.0 - omega) * float(gamma_cap(t)) + omega * worst_case_risk(t)
-
-    res = optimize.minimize_scalar(objective, bounds=(1e-3, 10.0),
-                                   method="bounded",
-                                   options={"xatol": 1e-9})
-    return float(res.fun)
-
-
-def efficiency_limits(delta, omega, alpha):
-    """Caps governing when robust losses beat least squares asymptotically.
-
-    gamma_cap is the zero-signal soft-threshold risk at alpha; ls_light_limit
-    is the light-tail ceiling 1 / (1 - M(omega)/delta) on the LS-to-robust
-    AMSE ratio (infinite when M(omega) >= delta); lad_heavy_ratio is the
-    heavy-tail ratio floor gamma_cap / delta.
+    gamma_cap is the zero-signal soft-threshold risk at alpha, and
+    lad_heavy_ratio is the heavy-tail ratio floor gamma_cap / delta.
     """
     g = float(gamma_cap(alpha))
-    m = minimax_risk(omega)
-    light = math.inf if m >= delta else 1.0 / (1.0 - m / delta)
-    return EfficiencyLimits(g, light, g / delta)
+    return EfficiencyLimits(g, g / delta)

@@ -342,7 +342,7 @@ def test_criterion_09_closed_form_vs_monte_carlo():
 
 def test_criterion_10_heavy_noise_ratio_trend():
     alpha = 2.0
-    limit = efficiency_limits(DELTA, OMEGA, alpha).lad_heavy_ratio
+    limit = efficiency_limits(DELTA, alpha).lad_heavy_ratio
     ratios = {}
     for sw in (1.0, 10.0, 100.0):
         noise = Laplace(math.sqrt(sw / 2.0))
