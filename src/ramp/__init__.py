@@ -51,7 +51,6 @@ from .state_evolution import (
     SeResult,
     StudentT,
     amse_closed_form,
-    amse_monte_carlo,
     efficiency_limits,
     info_lower_bound,
     pm_one_prior,

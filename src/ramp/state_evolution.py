@@ -56,7 +56,7 @@ from .gauss import (
     soft_threshold_risk,
     truncated_moments,
 )
-from .losses import score_shape, soft_threshold
+from .losses import score_shape
 from .solver import lambda_of_theta
 
 # ---------------------------------------------------------------------------
@@ -97,11 +97,6 @@ class SignalPrior:
     @property
     def second_moment(self):
         return self.omega * sum(p * a * a for p, a in self.atoms)
-
-    def sample(self, rng, n):
-        probs = np.array([p for p, _ in self.full_atoms])
-        vals = np.array([a for _, a in self.full_atoms])
-        return rng.choice(vals, size=n, p=probs)
 
 
 def pm_one_prior(omega):
@@ -610,29 +605,7 @@ def _iterate(dist, loss, delta, alpha, slope, start, config):
 # asymptotic mean squared error
 # ---------------------------------------------------------------------------
 
-AmseEstimate = namedtuple("AmseEstimate", ["value", "stderr", "samples"])
 AmseParts = namedtuple("AmseParts", ["value", "nu1", "nu2"])
-
-_MC_CHUNK = 250_000
-
-
-def amse_monte_carlo(prior, tau, theta, samples=10 ** 6, seed=0):
-    """Sampled E[(eta(X0 + tau Z; theta) - X0)^2] with its standard error."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        x0 = prior.sample(rng, m)
-        err = soft_threshold(x0 + tau * rng.standard_normal(m), theta) - x0
-        sq = err * err
-        total += float(np.sum(sq))
-        total_sq += float(np.sum(sq * sq))
-        done += m
-    value = total / samples
-    var = max(total_sq / samples - value * value, 0.0)
-    return AmseEstimate(value, math.sqrt(var / samples), samples)
 
 
 def amse_closed_form(prior, tau, alpha):

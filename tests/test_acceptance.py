@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from prior_sampling import amse_monte_carlo
 from ramp.experiments import (
     ExperimentSpec,
     convergence_study_spec,
@@ -41,7 +42,6 @@ from ramp.state_evolution import (
     Normal,
     StudentT,
     amse_closed_form,
-    amse_monte_carlo,
     efficiency_limits,
     gamma_cap,
     info_lower_bound,

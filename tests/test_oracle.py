@@ -84,6 +84,23 @@ def primal_lp_objective(inst, loss, lam):
     return float(res.fun)
 
 
+def pm_one_instance(seed):
+    """A +-1 design with a 0.1-rounded response, whose residuals tie at zero.
+
+    n and p are drawn from the seed; x = 1 on the first 3 columns, plus
+    N(0, 0.25) noise. Seed 9016 (n = 22, p = 157) lands quantile(0.2) at
+    0.3 of the zero-fit edge on a degenerate dual vertex.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 150))
+    p = int(rng.integers(10, 200))
+    A = rng.choice([-1.0, 1.0], size=(n, p)) / math.sqrt(n)
+    x = np.zeros(p)
+    x[:3] = 1.0
+    y = np.round(A @ x + rng.normal(0.0, 0.5, n), 1)
+    return ProblemInstance(A=A, y=y, s=3, x_true=x)
+
+
 def fraction_of_zero_edge(inst, loss, frac):
     """The penalty frac of the way up to where the zero fit certifies itself."""
     return frac * float(np.max(np.abs(inst.A.T @ loss_grad(loss, inst.y))))
@@ -365,6 +382,19 @@ class TestKinkedLinearProgram:
                                                  rel=1e-9)
         assert res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n)
 
+    def test_degenerate_vertex_reports_its_gap(self):
+        # 15 columns are active at this vertex against 14 free v_i, so the
+        # square system of _primal_from_dual drops one; whatever fit comes
+        # back, its residual must be its true excess over the LP optimum
+        inst = pm_one_instance(9016)
+        assert inst.A.shape == (22, 157)
+        loss = quantile(0.2)
+        lam = fraction_of_zero_edge(inst, loss, 0.3)
+        res = solve_penalized(inst, loss, lam)
+        exact = primal_lp_objective(inst, loss, lam)
+        assert res.kkt_residual == pytest.approx(res.objective - exact,
+                                                 rel=1e-9)
+
     def test_non_optimal_status_raises(self, monkeypatch):
         def stalled(c, **kwargs):
             return optimize.OptimizeResult(status=1, x=None,
@@ -394,3 +424,43 @@ class TestKinkedLinearProgram:
         print(f"{loss.family}: LP MSE {mean:.4f} +- {se:.4f} at lambda* "
               f"{lam:.5f}, SE AMSE {amse:.4f}")
         assert abs(mean - amse) <= 3.0 * se + 0.02 * amse
+
+
+class TestPresolveOff:
+    """HiGHS runs the dual LP without presolve; with its default presolve
+    it must return the same fits, bit for bit."""
+
+    @staticmethod
+    def assert_same_fit(monkeypatch, inst, loss, lam):
+        off = solve_penalized(inst, loss, lam)
+        seen = []
+        real_milp = oracle.optimize.milp
+
+        def default_presolve(c, **kwargs):
+            seen.append(kwargs.pop("options"))
+            return real_milp(c, **kwargs)
+
+        monkeypatch.setattr(oracle.optimize, "milp", default_presolve)
+        on = solve_penalized(inst, loss, lam)
+        assert seen and all(opt == {"presolve": False} for opt in seen)
+        assert off.x_hat.tobytes() == on.x_hat.tobytes()
+        assert off.objective == on.objective
+        assert off.iterations == on.iterations
+
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.7)],
+                             ids=["absolute", "quantile_0.7"])
+    @pytest.mark.parametrize("draw", [20000, 20001])
+    def test_benchmark_draws(self, monkeypatch, loss, draw):
+        spec = convergence_study_spec(replications=1)
+        inst = generate_instance(spec, draw)
+        self.assert_same_fit(monkeypatch, inst, loss, se_tuned(loss)[0])
+
+    @pytest.mark.parametrize("loss", [absolute(), quantile(0.2), quantile(0.7)],
+                             ids=["absolute", "quantile_0.2", "quantile_0.7"])
+    @pytest.mark.parametrize("seed", [9000, 9016, 9082])
+    def test_rounded_pm_one_designs(self, monkeypatch, loss, seed):
+        # 9016 and 9082 hold degenerate vertices that leave some of the
+        # quantile fits uncertified
+        inst = pm_one_instance(seed)
+        self.assert_same_fit(monkeypatch, inst, loss,
+                             fraction_of_zero_edge(inst, loss, 0.3))

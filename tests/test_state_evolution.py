@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import brentq
 
+from prior_sampling import amse_monte_carlo, sample_prior
 from ramp import state_evolution
 from ramp.calibration import CalibrationTarget, calibrate
 from ramp.gauss import soft_threshold_risk
@@ -22,7 +23,6 @@ from ramp.state_evolution import (
     SignalPrior,
     StudentT,
     amse_closed_form,
-    amse_monte_carlo,
     efficiency_limits,
     info_lower_bound,
     pm_one_prior,
@@ -63,7 +63,7 @@ class TestSignalPrior:
     def test_sample_frequencies(self):
         rng = np.random.default_rng(42)
         prior = pm_one_prior(0.2)
-        x = prior.sample(rng, 100_000)
+        x = sample_prior(prior, rng, 100_000)
         frac_nonzero = np.mean(x != 0)
         assert abs(frac_nonzero - 0.2) < 4 * math.sqrt(0.2 * 0.8 / 100_000)
         assert set(np.unique(x)) == {-1.0, 0.0, 1.0}
@@ -390,7 +390,7 @@ class TestSigmaUpdate:
         rng = np.random.default_rng(42)
         n = 500_000
         tau = math.sqrt(tau_sq)
-        x0 = prior.sample(rng, n)
+        x0 = sample_prior(prior, rng, n)
         err = (soft_threshold(x0 + tau * rng.standard_normal(n), alpha * tau) - x0) ** 2
         se = err.std(ddof=1) / math.sqrt(n)
         assert abs(got - err.mean() / delta) < 3 * se / delta
