@@ -2,6 +2,12 @@
 
 Everything is vectorized numpy working in float64. The scipy.special
 erfc routine carries the tail accuracy; nothing here samples.
+
+`norm_cdf_pdf` gives Phi and phi of a whole array in two new arrays, with
+one erfc and one exp call and the rest in place, bit for bit `norm_cdf`
+and `norm_pdf`. State evolution stacks both edges of a window into one
+(2, ...) array and evaluates them in this one pass, and
+`soft_threshold_risk` does the same with its two dead-zone edges.
 """
 
 from __future__ import annotations
@@ -23,6 +29,23 @@ def norm_pdf(x):
 def norm_cdf(x):
     x = np.asarray(x, dtype=float)
     return 0.5 * special.erfc(-x / _SQRT2)
+
+
+def norm_cdf_pdf(x):
+    """(Phi(x), phi(x)) of a float array x with ndim >= 1, in two new arrays.
+
+    The same operations as `norm_cdf` and `norm_pdf`, so the same bits:
+    x / -sqrt 2 is -x / sqrt 2 exactly, and (-0.5 x) x is the product
+    `norm_pdf` takes; the scaling is done in place.
+    """
+    cdf = np.divide(x, -_SQRT2)
+    special.erfc(cdf, out=cdf)
+    cdf *= 0.5
+    pdf = -0.5 * x
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT_2PI
+    return cdf, pdf
 
 
 def _xphi(x):
@@ -67,28 +90,34 @@ def truncated_moments(mu, s, lo, hi):
 
 
 def soft_threshold_risk(m, alpha):
-    """E[(eta(m + Z; alpha) - m)^2] for standard normal Z, elementwise.
+    """E[(eta(m + Z; alpha) - m)^2] for standard normal Z, elementwise in m.
 
-    The closed form follows from splitting on the dead zone: with
-    a = alpha - m and b = -alpha - m,
+    alpha is one threshold. The closed form follows from splitting on the
+    dead zone: with a = alpha - m and b = -alpha - m,
 
         r = (1 + alpha^2) (1 - Phi(a) + Phi(b)) + m^2 (Phi(a) - Phi(b))
             - (alpha + m) phi(a) - (alpha - m) phi(b).
 
     Limits that pin it down: r(0) = 2[(1+alpha^2)(1-Phi(alpha)) - alpha phi(alpha)],
     r(m) -> 1 + alpha^2 as |m| -> inf, and r -> m^2 as alpha -> inf.
+
+    Both edges are stacked in one (2, ...) array for `norm_cdf_pdf`, and
+    the sum is taken in place in the order written: alpha + m is -b and
+    alpha - m is a exactly, so the last two terms add b phi(a) and
+    subtract a phi(b).
     """
     m = np.asarray(m, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    a = alpha - m
-    b = -alpha - m
-    cdf_a = norm_cdf(a)
-    cdf_b = norm_cdf(b)
-    tail = (1.0 - cdf_a) + cdf_b
-    r = ((1.0 + alpha * alpha) * tail
-         + m * m * (cdf_a - cdf_b)
-         - (alpha + m) * norm_pdf(a)
-         - (alpha - m) * norm_pdf(b))
+    edges = np.subtract.outer((alpha, -alpha), m)
+    cdf, pdf = norm_cdf_pdf(edges)
+    r = 1.0 - cdf[0]
+    r += cdf[1]
+    r *= 1.0 + alpha * alpha
+    t = cdf[0] - cdf[1]
+    t *= m * m
+    r += t
+    edges *= pdf[::-1]
+    r += edges[1]
+    r -= edges[0]
     return r
 
 

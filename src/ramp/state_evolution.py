@@ -9,12 +9,15 @@ tuning of the threshold multiplier alpha.
 
 Expectations over the effective residual W + sigma Z are computed from
 truncated-normal closed forms conditional on W, all built from the four
-edge terms Phi(a), Phi(c), phi(a), phi(c) at the standardized window edges
-(`_window_edges`). A normal mixture therefore collapses exactly, one
-closed form per component; normal noise is the one-component mixture and
-takes the same exact path. Heavy-tailed laws are integrated over W with
-Gauss-Legendre nodes on the inverse cdf, split at the median so the
-Laplace kink sits on a panel edge.
+edge terms Phi(a), Phi(c), phi(a), phi(c) at the standardized window edges.
+A normal mixture therefore collapses exactly, one closed form per
+component; normal noise is the one-component mixture and takes the same
+exact path. Heavy-tailed laws are integrated over W with Gauss-Legendre
+nodes on the inverse cdf, split at the median so the Laplace kink sits on
+a panel edge. `_window_edges` stacks both edges, at every node, in one
+(2, ...) array and evaluates them in one pass (`gauss.norm_cdf_pdf`: one
+erfc and one exp call), and the moments are summed in place, with the
+operations of the plain one-edge formulas and so with their bits.
 
 Every loss enters through its constants (kappa, e_lo, e_hi) from
 `losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
@@ -45,14 +48,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .calibration import solve_increasing
 from .gauss import (
     gamma_cap,
     legendre_nodes_01,
     norm_cdf,
-    norm_pdf,
+    norm_cdf_pdf,
     soft_threshold_risk,
     truncated_moments,
 )
@@ -191,7 +194,7 @@ class StudentT:
         return self.scale * rng.standard_t(self.df, size=n)
 
     def ppf(self, u):
-        return stats.t.ppf(u, self.df, scale=self.scale)
+        return self.scale * special.stdtrit(self.df, u)
 
 
 @dataclass(frozen=True)
@@ -266,16 +269,18 @@ _NODES_PER_HALF = 220
 
 
 def _window_edges(lo, hi, mu, s):
-    """Standardized edges a, c of the window (lo, hi] for v ~ N(mu, s^2), s > 0.
+    """Edge terms of the window (lo, hi] for v ~ N(mu, s^2), s > 0.
 
-    Returns (a, c, Phi(a), Phi(c), phi(a), phi(c)), the four edge terms
-    from which both the slope and E clip(v, lo, hi)^2 are built. The edges
-    of a Huber or kinked window are finite, so no infinite-edge guard is
-    needed. Vectorized over mu.
+    Returns (e, Phi(e), phi(e)), each a (2, ...) array whose rows belong to
+    the standardized lower edge a = (lo - mu)/s and upper edge
+    c = (hi - mu)/s; both slope and E clip(v, lo, hi)^2 are built from
+    them. Both edges go through one `norm_cdf_pdf` pass. The edges of a
+    Huber or kinked window are finite, so no infinite-edge guard is needed.
+    Vectorized over mu.
     """
-    a = (lo - mu) / s
-    c = (hi - mu) / s
-    return a, c, norm_cdf(a), norm_cdf(c), norm_pdf(a), norm_pdf(c)
+    e = np.subtract.outer((lo, hi), mu)
+    e /= s
+    return (e,) + norm_cdf_pdf(e)
 
 
 def _conditional_moments(lo, hi, mu, s):
@@ -289,9 +294,9 @@ def _conditional_moments(lo, hi, mu, s):
         (mu^2 + s^2) P + 2 mu s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c))
 
     on the edge terms of `_window_edges`, with the same operations as
-    `gauss.truncated_moments` and so the same bits; the mass below the
-    window is Phi(a). At s = 0, v is a point mass at mu, inside when
-    lo < mu <= hi. The infinite window of least squares gives
+    `gauss.truncated_moments` and so the same bits, summed in place; the
+    mass below the window is Phi(a). At s = 0, v is a point mass at mu,
+    inside when lo < mu <= hi. The infinite window of least squares gives
     (1, mu^2 + s^2).
     """
     mu = np.asarray(mu, dtype=float)
@@ -299,16 +304,28 @@ def _conditional_moments(lo, hi, mu, s):
         return np.ones(mu.shape), mu * mu + s * s
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
-        m2_in = mu * mu * p_in
+        m2 = mu * mu * p_in
         p_below = (mu <= lo).astype(float)
     else:
-        a, c, cdf_a, cdf_c, pdf_a, pdf_c = _window_edges(lo, hi, mu, s)
-        p_in = cdf_c - cdf_a
-        m2_in = ((mu * mu + s * s) * p_in + 2.0 * mu * s * (pdf_a - pdf_c)
-                 + s * s * (a * pdf_a - c * pdf_c))
-        p_below = cdf_a
-    p_above = np.maximum(1.0 - p_in - p_below, 0.0)
-    return p_in, m2_in + hi * hi * p_above + lo * lo * p_below
+        e, cdf, pdf = _window_edges(lo, hi, mu, s)
+        p_below = cdf[0]
+        p_in = cdf[1] - p_below
+        m2 = mu * mu
+        m2 += s * s
+        m2 *= p_in
+        t = mu * 2.0
+        t *= s
+        t *= pdf[0] - pdf[1]
+        m2 += t
+        e *= pdf
+        t = e[0] - e[1]
+        t *= s * s
+        m2 += t
+    p_above = 1.0 - p_in
+    p_above -= p_below
+    m2 += hi * hi * np.maximum(p_above, 0.0)
+    m2 += lo * lo * p_below
+    return p_in, m2
 
 
 def _conditional_slope(lo, hi, rate_lo, rate_hi, mu, s):
@@ -323,8 +340,10 @@ def _conditional_slope(lo, hi, rate_lo, rate_hi, mu, s):
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
         return p_in, np.zeros_like(p_in)
-    _, _, cdf_a, cdf_c, pdf_a, pdf_c = _window_edges(lo, hi, mu, s)
-    return cdf_c - cdf_a, (rate_hi / s) * pdf_c - (rate_lo / s) * pdf_a
+    _, cdf, pdf = _window_edges(lo, hi, mu, s)
+    dp_in = pdf[1] * (rate_hi / s)
+    dp_in -= (rate_lo / s) * pdf[0]
+    return cdf[1] - cdf[0], dp_in
 
 
 @lru_cache(maxsize=32)

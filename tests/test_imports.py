@@ -6,11 +6,15 @@ names its import statements bind and the names its code loads. An imported
 name the module never loads fails the test. The names the benchmark tracer
 wraps must exist on ramp's modules, so the allowlist and the tracer agree.
 Only `losses` may name a loss family: every other module reads a loss
-through its score window.
+through its score window. Importing ramp does not load scipy.stats, whose
+import alone costs more than half a second.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +86,16 @@ def test_tracer_names_exist():
     for module, attr, _ in wrapped:
         mod = importlib.import_module(f"ramp.{module}")
         assert hasattr(mod, attr), f"ramp.{module} has no {attr}"
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter, since this test process has loaded scipy.stats
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ramp; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 FAMILY_NAMES = {"LEAST_SQUARES", "HUBER", "ABSOLUTE", "QUANTILE", "FAMILIES"}

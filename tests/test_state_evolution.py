@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 from scipy.optimize import brentq
 
 from prior_sampling import amse_monte_carlo, sample_prior
@@ -102,6 +102,16 @@ class TestNoiseLaws:
             ref = scipy_law(noise)
             assert_allclose(noise.ppf(u), ref.ppf(u), rtol=1e-9, atol=1e-9)
             assert_allclose(ref.cdf(noise.ppf(u)), u, atol=1e-9)
+
+    def test_student_t_ppf_is_scipy_bit_for_bit(self):
+        # the quadrature nodes and random u give the bits of scipy.stats
+        x, _ = state_evolution.legendre_nodes_01(220)
+        u = np.concatenate([0.5 * x, 0.5 + 0.5 * x,
+                            np.random.default_rng(5).uniform(size=20_000)])
+        for df in (1.5, 3.0, 4.0, 8.0, 30.0):
+            for scale in (1.0, 0.7):
+                got = StudentT(df, scale).ppf(u)
+                assert same_bits(got, stats.t.ppf(u, df, scale=scale))
 
     def test_sample_moments(self):
         rng = np.random.default_rng(42)
@@ -322,6 +332,101 @@ class TestNormalIsOneComponentMixture:
         twin = tune_alpha(DistributionModel(prior, NormalMixture(((1.0, 0.2),))),
                           absolute(), 0.64)
         assert normal.result.rows == twin.result.rows
+
+
+# The edge terms written as plain expressions, one edge and one call at a
+# time: the formulas the stacked, in-place pass must reproduce bit for bit.
+SQRT2 = math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def plain_cdf(x):
+    return 0.5 * special.erfc(-x / SQRT2)
+
+
+def plain_pdf(x):
+    return INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def plain_moments(lo, hi, mu, s):
+    a, c = (lo - mu) / s, (hi - mu) / s
+    cdf_a, cdf_c, pdf_a, pdf_c = plain_cdf(a), plain_cdf(c), plain_pdf(a), plain_pdf(c)
+    p_in = cdf_c - cdf_a
+    m2_in = ((mu * mu + s * s) * p_in + 2.0 * mu * s * (pdf_a - pdf_c)
+             + s * s * (a * pdf_a - c * pdf_c))
+    p_above = np.maximum(1.0 - p_in - cdf_a, 0.0)
+    return p_in, m2_in + hi * hi * p_above + lo * lo * cdf_a
+
+
+def plain_slope(lo, hi, rate_lo, rate_hi, mu, s):
+    a, c = (lo - mu) / s, (hi - mu) / s
+    return (plain_cdf(c) - plain_cdf(a),
+            (rate_hi / s) * plain_pdf(c) - (rate_lo / s) * plain_pdf(a))
+
+
+def plain_risk(m, alpha):
+    a, b = alpha - m, -alpha - m
+    cdf_a, cdf_b = plain_cdf(a), plain_cdf(b)
+    return ((1.0 + alpha * alpha) * ((1.0 - cdf_a) + cdf_b)
+            + m * m * (cdf_a - cdf_b)
+            - (alpha + m) * plain_pdf(a)
+            - (alpha - m) * plain_pdf(b))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+BIT_NOISES = (Normal(0.2), NormalMixture(((0.9, 0.1), (0.1, 5.0))), Laplace(1.0),
+              StudentT(4.0), Cauchy(1.0))
+BIT_LOSSES = (huber(1.0), huber(0.5), absolute(), quantile(0.7), quantile(0.3))
+
+
+class TestEdgeTermsBitIdentity:
+    """The stacked, in-place edge pass gives the bits of the plain formulas."""
+
+    def test_window_edges_on_nodes_and_random_edges(self):
+        rng = np.random.default_rng(7)
+        cases = [(mu, lo, hi, s)
+                 for mu in [state_evolution._noise_nodes(noise)[0]
+                            for noise in (Laplace(1.0), StudentT(4.0), Cauchy(1.0))] + [0.0]
+                 for lo, hi in ((-1.4, 1.4), (-0.3, 0.7), (-5.0, 2.5))
+                 for s in (1e-3, 0.3, 1.0, 20.0)]
+        cases += [(rng.normal(0.0, 3.0, 440), -abs(rng.normal(0.0, 2.0)),
+                   abs(rng.normal(0.0, 2.0)), rng.uniform(0.05, 2.0)) for _ in range(20)]
+        for mu, lo, hi, s in cases:
+            e, cdf, pdf = state_evolution._window_edges(lo, hi, mu, s)
+            for row, edge in enumerate((lo, hi)):
+                x = (edge - mu) / s
+                assert same_bits(e[row], x)
+                assert same_bits(cdf[row], plain_cdf(x))
+                assert same_bits(pdf[row], plain_pdf(x))
+
+    @pytest.mark.parametrize("noise", BIT_NOISES)
+    @pytest.mark.parametrize("loss", BIT_LOSSES)
+    def test_score_moments_and_slope_curve(self, noise, loss):
+        kappa, e_lo, e_hi = score_shape(loss)
+        for b in (0.01, 0.3, 1.0, 4.0, 200.0):
+            lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
+            c = b / (kappa + b)
+            for sigma in (1e-3, 0.3, 1.0, 30.0):
+                p_in, clip_sq = state_evolution._noise_average(
+                    lambda mu, s: plain_moments(lo, hi, mu, s), noise, sigma)
+                assert same_bits(score_moments(loss, b, noise, sigma),
+                                 (c * p_in, c * c * clip_sq))
+                p_in, dp_in = state_evolution._noise_average(
+                    lambda mu, s: plain_slope(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
+                assert same_bits(slope_curve(loss, b, noise, sigma),
+                                 (c * p_in, kappa / (kappa + b) ** 2 * p_in + c * dp_in))
+
+    def test_soft_threshold_risk(self):
+        ms = (0.0, -3.0, 40.0, np.linspace(-60.0, 60.0, 481),
+              np.random.default_rng(3).normal(0.0, 5.0, 200))
+        for m in ms:
+            for alpha in (0.0, 0.05, 0.7, 1.0, 2.0, 3.5, 12.0):
+                assert same_bits(soft_threshold_risk(m, alpha),
+                                 plain_risk(np.asarray(m, dtype=float), alpha))
 
 
 class TestTauUpdate:
