@@ -237,9 +237,9 @@ def cmd_se(args, parser):
     dist = DistributionModel(pm_one_prior(options["omega"]), noise)
     se_config = SeConfig(tol=options["tol"], max_iter=options["max_iter"])
 
-    if dist.fisher_info:
+    if noise.fisher_info:
         bound = info_lower_bound(options["delta"], options["omega"],
-                                 dist.fisher_info)
+                                 noise.fisher_info)
     else:
         bound = None
 

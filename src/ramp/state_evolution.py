@@ -36,6 +36,10 @@ its jump. The sigma update takes one soft-threshold risk call on the
 vector of prior atoms. The zero-estimate start of a fixed point does not
 depend on alpha, so `tune_alpha` computes it once per grid.
 
+A fixed point is recorded as its rows (t, sigma_sq, tau_sq, b, theta),
+one per iteration: the starred values of `SeResult` are the last row.
+`se_fixed_point` and `tune_alpha` share one checked run.
+
 Every expectation here is a deterministic integral, so the recursion has
 one path and a fixed point is a deterministic function of its inputs.
 """
@@ -54,7 +58,6 @@ from .calibration import solve_increasing
 from .gauss import (
     gamma_cap,
     legendre_nodes_01,
-    norm_cdf,
     norm_cdf_pdf,
     soft_threshold_risk,
     truncated_moments,
@@ -255,10 +258,6 @@ class DistributionModel:
 
     signal_prior: object
     noise: object
-
-    @property
-    def fisher_info(self):
-        return self.noise.fisher_info
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +503,42 @@ _TAU_SQ_CAP = 1e14
 
 @dataclass(frozen=True)
 class SeResult:
+    """A fixed-point run: its rows (t, sigma_sq, tau_sq, b, theta) and flags.
+
+    Row 0 is the start and row t the state after t iterations. The starred
+    values are the entries of the last row, nan when the run diverged, and
+    iterations is the t of the last row, 0 when there are no rows (a run
+    flagged diverged without iterating).
+    """
+
     rows: tuple
-    tau_star_sq: float
-    sigma_star_sq: float
-    b_star: float
-    theta_star: float
     delta: float
     converged: bool
     diverged: bool
     monotone: bool
-    iterations: int
+
+    def _last(self, i):
+        return math.nan if self.diverged else self.rows[-1][i]
+
+    @property
+    def sigma_star_sq(self):
+        return self._last(1)
+
+    @property
+    def tau_star_sq(self):
+        return self._last(2)
+
+    @property
+    def b_star(self):
+        return self._last(3)
+
+    @property
+    def theta_star(self):
+        return self._last(4)
+
+    @property
+    def iterations(self):
+        return max(len(self.rows) - 1, 0)
 
     @property
     def amse(self):
@@ -521,14 +546,6 @@ class SeResult:
         if self.diverged:
             return math.inf
         return self.delta * self.sigma_star_sq
-
-
-def _diverged_result(delta, rows=()):
-    nan = math.nan
-    return SeResult(rows=tuple(rows), tau_star_sq=nan, sigma_star_sq=nan,
-                    b_star=nan, theta_star=nan, delta=delta,
-                    converged=False, diverged=True, monotone=False,
-                    iterations=len(rows))
 
 
 def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
@@ -542,21 +559,21 @@ def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
     init_tau_sq is given. An unbounded score (least squares) under
     infinite-variance noise is flagged diverged without iterating.
     """
-    slope = _checked_slope(dist, delta, alpha)
-    if init_tau_sq is not None and not 0.0 <= init_tau_sq < math.inf:
-        raise ValueError(
-            f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
-    if _unbounded_score_diverges(dist, loss):
-        return _diverged_result(delta)
-    if init_tau_sq is not None:
-        start = (math.nan, float(init_tau_sq), math.nan)
-    else:
-        start = _zero_start(dist, loss, delta, slope)
-    return _iterate(dist, loss, delta, alpha, slope, start, config)
+    return _run(dist, loss, delta, alpha, config, init_tau_sq=init_tau_sq)[0]
 
 
-def _checked_slope(dist, delta, alpha):
-    """Validate the prior, alpha and geometry; return the slope omega / delta."""
+def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
+    """The checked fixed-point run of `se_fixed_point`, and its start.
+
+    Validates the prior, alpha, the geometry and init_tau_sq; flags an
+    infinite score window under infinite-variance noise (E Phi^2 = inf)
+    diverged without a start; else iterates from row 0 = start =
+    (sigma_sq, tau_sq, b). Without init_tau_sq or a start, the start is
+    the zero estimate: all signal energy is in the residual,
+    sigma_sq = E X^2 / delta, and tau_sq, b are its first tau update. It
+    does not depend on alpha, so `tune_alpha` passes it to the next alpha.
+    Returns (result, start), start None when the run was flagged.
+    """
     if dist.signal_prior is None:
         raise ValueError("state evolution needs a signal prior")
     if alpha is None or not alpha >= 0.0:
@@ -568,32 +585,20 @@ def _checked_slope(dist, delta, alpha):
     slope = omega / delta
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope omega/delta = {slope} must be in (0, 1)")
-    return slope
+    if init_tau_sq is not None:
+        if not 0.0 <= init_tau_sq < math.inf:
+            raise ValueError(
+                f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
+        start = (math.nan, float(init_tau_sq), math.nan)
+    if math.isinf(score_shape(loss).e_hi) and not math.isfinite(dist.noise.variance):
+        return SeResult((), delta, converged=False, diverged=True, monotone=False), None
+    if start is None:
+        sigma_sq = dist.signal_prior.second_moment / delta
+        start = (sigma_sq, *se_tau_update(sigma_sq, dist, loss, slope))
 
-
-def _unbounded_score_diverges(dist, loss):
-    """An infinite score window under infinite-variance noise has E Phi^2 = inf."""
-    return math.isinf(score_shape(loss).e_hi) and not math.isfinite(dist.noise.variance)
-
-
-def _zero_start(dist, loss, delta, slope):
-    """(sigma_sq, tau_sq, b) of the zero estimate, which does not depend on alpha.
-
-    All signal energy is in the residual, sigma_sq = E X^2 / delta, and
-    tau_sq, b are its first tau update.
-    """
-    sigma_sq = dist.signal_prior.second_moment / delta
-    tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope)
-    return sigma_sq, tau_sq, b
-
-
-def _iterate(dist, loss, delta, alpha, slope, start, config):
-    """Run the recursion from start = (sigma_sq, tau_sq, b) at row 0."""
     sigma_sq, tau_sq, b = start
     rows = [(0, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq))]
-
-    converged = False
-    diverged = False
+    converged = diverged = False
     for t in range(1, config.max_iter + 1):
         prev = tau_sq
         sigma_sq = se_sigma_update(prev, alpha, dist, delta)
@@ -608,42 +613,25 @@ def _iterate(dist, loss, delta, alpha, slope, start, config):
             converged = True
             break
 
-    if diverged:
-        return _diverged_result(delta, rows)
-
-    taus = [r[2] for r in rows]
-    diffs = np.diff(taus)
-    monotone = bool(np.all(diffs <= config.tol) or np.all(diffs >= -config.tol))
-    return SeResult(rows=tuple(rows), tau_star_sq=tau_sq, sigma_star_sq=sigma_sq,
-                    b_star=b, theta_star=alpha * math.sqrt(tau_sq), delta=delta,
-                    converged=converged, diverged=False, monotone=monotone,
-                    iterations=len(rows) - 1)
+    diffs = np.diff([r[2] for r in rows])
+    monotone = not diverged and bool(np.all(diffs <= config.tol)
+                                     or np.all(diffs >= -config.tol))
+    return SeResult(tuple(rows), delta, converged, diverged, monotone), start
 
 
 # ---------------------------------------------------------------------------
 # asymptotic mean squared error
 # ---------------------------------------------------------------------------
 
-AmseParts = namedtuple("AmseParts", ["value", "nu1", "nu2"])
-
 
 def amse_closed_form(prior, tau, alpha):
-    """Exact E[(eta(X0 + tau Z; alpha tau) - X0)^2] split as nu1 tau^2 + nu2.
+    """Exact E[(eta(X0 + tau Z; alpha tau) - X0)^2] for X0 from prior.
 
-    The value is tau^2 times the prior average of
-    soft_threshold_risk(x0/tau, alpha). nu2 is the squared-bias part, from
-    the atoms the threshold kills: sum p x0^2 (Phi(alpha - m) - Phi(-alpha - m))
-    with m = x0/tau. nu1 is the rest divided by tau^2; the zero atom
-    contributes gamma_cap(alpha) to it.
+    tau^2 times the prior average of soft_threshold_risk(x0/tau, alpha).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    nu2 = 0.0
-    for p, x0 in prior.full_atoms:
-        m = x0 / tau
-        nu2 += p * x0 * x0 * float(norm_cdf(alpha - m) - norm_cdf(-alpha - m))
-    value = tau * tau * _prior_risk(prior, tau, alpha)
-    return AmseParts(value, (value - nu2) / (tau * tau), nu2)
+    return tau * tau * _prior_risk(prior, tau, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +649,6 @@ class TuneResult:
     alpha_star: float
     lambda_star: float
     result: SeResult
-    alphas: tuple
     amse_values: tuple
     at_grid_edge: bool = False
 
@@ -683,13 +670,7 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
     best_alpha = math.nan
     start = None
     for a in grid:
-        slope = _checked_slope(dist, delta, a)
-        if _unbounded_score_diverges(dist, loss):
-            res = _diverged_result(delta)
-        else:
-            if start is None:
-                start = _zero_start(dist, loss, delta, slope)
-            res = _iterate(dist, loss, delta, a, slope, start, config)
+        res, start = _run(dist, loss, delta, a, config, start=start)
         ok = res.converged and not res.diverged
         values.append(res.amse if ok else math.nan)
         if ok and (best is None or res.amse < best.amse):
@@ -701,7 +682,7 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
     lam = lambda_of_theta(best.theta_star, best.b_star, delta,
                           dist.signal_prior.omega)
     return TuneResult(alpha_star=best_alpha, lambda_star=lam, result=best,
-                      alphas=grid, amse_values=tuple(values),
+                      amse_values=tuple(values),
                       at_grid_edge=best_alpha in (min(grid), max(grid)))
 
 

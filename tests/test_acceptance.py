@@ -331,7 +331,7 @@ def test_criterion_09_closed_form_vs_monte_carlo():
     worst = 0.0
     for i, tau in enumerate((0.3, 0.6, 1.0, 1.5, 2.0)):
         for j, alpha in enumerate((1.0, 1.5, 2.0, 2.5, 3.0)):
-            closed = amse_closed_form(prior, tau, alpha).value
+            closed = amse_closed_form(prior, tau, alpha)
             mc = amse_monte_carlo(prior, tau, alpha * tau,
                                   samples=400_000, seed=10 * i + j)
             worst = max(worst, abs(closed - mc.value) / mc.stderr)

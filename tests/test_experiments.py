@@ -214,6 +214,20 @@ class TestConvergenceStudy:
         assert lad[8:] == (0, 1, 1)
         assert all(math.isnan(v) for v in lad[3:8])
 
+    def test_loss_with_no_converged_alpha_reads_nan(self):
+        # least squares under Cauchy noise diverges at every alpha: its row
+        # reads nan and runs no solver, and the other loss's row is the one
+        # it has on its own
+        spec = small_spec(noise=Cauchy(1.0), losses=(least_squares(), absolute()),
+                          alphas=(1.4, 2.0))
+        ls, lad = run_convergence_study(spec).rows
+        alone = run_convergence_study(dataclasses.replace(spec, losses=(absolute(),)))
+        assert alone.rows == (lad,)
+        assert lad[0] == "absolute" and math.isfinite(lad[6])
+        assert ls[0] == "least_squares"
+        assert all(math.isnan(v) for v in ls[1:8])
+        assert ls[8:] == (0, 0, 2)
+
 
 class TestDenseEfficiency:
     def test_full_grid(self):

@@ -520,11 +520,49 @@ class TestSigmaUpdate:
         for tau_sq, alpha in ((0.1, 0.8), (0.5, 1.5), (2.0, 2.5)):
             delta = 0.64
             via_update = delta * se_sigma_update(tau_sq, alpha, dist, delta)
-            via_amse = amse_closed_form(prior, math.sqrt(tau_sq), alpha).value
+            via_amse = amse_closed_form(prior, math.sqrt(tau_sq), alpha)
             assert via_update == pytest.approx(via_amse, rel=1e-12)
 
 
+def fixed_point_runs():
+    """A converged run, one stopped by max_iter, one from init_tau_sq, one
+    that diverges after 31 iterations and the least-squares-under-Cauchy
+    gate, which diverges without iterating."""
+    normal = DistributionModel(pm_one_prior(0.128), Normal(0.2))
+    return {
+        "converged": se_fixed_point(normal, absolute(), 0.64, 2.0),
+        "max_iter": se_fixed_point(normal, absolute(), 0.64, 2.0,
+                                   config=SeConfig(max_iter=3)),
+        "init_tau_sq": se_fixed_point(normal, huber(1.0), 0.64, 2.0, init_tau_sq=0.1),
+        "diverging": se_fixed_point(DistributionModel(pm_one_prior(0.25), Normal(0.2)),
+                                    least_squares(), 0.3, 0.1),
+        "gated": se_fixed_point(DistributionModel(pm_one_prior(0.128), Cauchy(1.0)),
+                                least_squares(), 0.64, 2.0),
+    }
+
+
 class TestFixedPoint:
+    def test_iterations_is_the_last_row_index(self):
+        runs = fixed_point_runs()
+        assert runs["converged"].converged and runs["init_tau_sq"].converged
+        assert not runs["max_iter"].converged and not runs["max_iter"].diverged
+        assert runs["diverging"].diverged
+        for name in ("converged", "max_iter", "init_tau_sq", "diverging"):
+            res = runs[name]
+            assert res.iterations == res.rows[-1][0], name
+        assert runs["max_iter"].iterations == 3
+        assert runs["diverging"].iterations == 31
+        gated = runs["gated"]
+        assert gated.diverged and gated.rows == () and gated.iterations == 0
+
+    def test_starred_values_are_the_last_row(self):
+        for name, res in fixed_point_runs().items():
+            starred = (res.sigma_star_sq, res.tau_star_sq, res.b_star, res.theta_star)
+            if res.diverged:
+                assert all(math.isnan(v) for v in starred), name
+            else:
+                assert starred == res.rows[-1][1:], name
+
     def test_no_penalty_least_squares_closed_form(self):
         for delta, sigma_w_sq in ((10.0, 0.2), (3.0, 2.0), (1.2, 0.2)):
             noise = Normal(sigma_w_sq) if sigma_w_sq != 2.0 else Laplace(1.0)
@@ -635,19 +673,18 @@ class TestAmse:
     def test_closed_form_matches_sampling(self):
         prior = pm_one_prior(0.128)
         for tau, alpha, seed in ((0.5, 1.5, 0), (1.2, 2.0, 1)):
-            exact = amse_closed_form(prior, tau, alpha).value
+            exact = amse_closed_form(prior, tau, alpha)
             est = amse_monte_carlo(prior, tau, alpha * tau, samples=400_000, seed=seed)
             assert abs(exact - est.value) < 3 * est.stderr
 
     def test_large_threshold_kills_everything(self):
         prior = pm_one_prior(0.128)
-        parts = amse_closed_form(prior, 0.5, 60.0)
-        assert parts.value == pytest.approx(prior.second_moment, rel=1e-10)
-        assert parts.nu2 == pytest.approx(prior.second_moment, rel=1e-10)
+        value = amse_closed_form(prior, 0.5, 60.0)
+        assert value == pytest.approx(prior.second_moment, rel=1e-10)
 
     def test_small_tau_recovers_signal(self):
         prior = pm_one_prior(0.128)
-        assert amse_closed_form(prior, 1e-4, 2.0).value < 1e-6
+        assert amse_closed_form(prior, 1e-4, 2.0) < 1e-6
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
-"""One SHA-256 digest over state evolution's outputs on a fixed sweep.
+"""SHA-256 digests over state evolution's outputs on fixed cases.
 
-Two trees that print the same digest returned bit-identical numbers on
+Two trees that print the same digests returned bit-identical numbers on
 every case, so a change to `ramp.state_evolution` or `ramp.gauss` that
 claims unchanged output can be checked by running this script on both.
-The sweep, in digest order:
+The sweep (`se sha256`), in digest order:
 
 - `tune_alpha` on every cell of {Normal(0.2), Laplace(1), t(4), Cauchy(1),
   t(8), two normal mixtures} x {least squares, Huber(1), Huber(0.5),
@@ -17,6 +17,14 @@ The sweep, in digest order:
   infinite score window of least squares giving `score_moments` alone;
 - `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
   [-40, 40], for alpha in {0.05, 0.5, 1, 2, 3, 10}.
+
+The fixed-point runs (`fixed-point sha256`) are `se_fixed_point` calls
+that the sweep never reaches: least squares under Cauchy noise (flagged
+diverged without iterating), least squares at delta = 0.3, omega = 0.25,
+alpha = 0.1 (diverges after 31 iterations), a run stopped by max_iter, a
+start from init_tau_sq and an unpenalized fit at alpha = 0. Each adds its
+rows, its starred values and its converged, diverged and monotone flags;
+not its iteration count, which is read from the rows.
 
 Usage: PYTHONPATH=src python3 tools/se_digest.py
 """
@@ -37,9 +45,11 @@ from ramp.state_evolution import (
     Laplace,
     Normal,
     NormalMixture,
+    SeConfig,
     StudentT,
     pm_one_prior,
     score_moments,
+    se_fixed_point,
     slope_curve,
     tune_alpha,
 )
@@ -76,6 +86,24 @@ def tuned_bytes(noise, loss):
             + floats(res.tau_star_sq, res.sigma_star_sq, res.b_star))
 
 
+# (noise, loss, prior, delta, alpha, keyword arguments of se_fixed_point)
+FIXED_POINT_RUNS = (
+    (Cauchy(1.0), least_squares(), PRIOR, DELTA, 2.0, {}),
+    (Normal(0.2), least_squares(), pm_one_prior(0.25), 0.3, 0.1, {}),
+    (StudentT(4.0), quantile(0.7), PRIOR, DELTA, 2.0, {"config": SeConfig(max_iter=3)}),
+    (Laplace(1.0), huber(1.0), PRIOR, DELTA, 2.0, {"init_tau_sq": 0.1}),
+    (Laplace(1.0), absolute(), pm_one_prior(1.0), 1.6, 0.0, {}),
+)
+
+
+def fixed_point_bytes(noise, loss, prior, delta, alpha, kwargs):
+    """The rows, starred values and flags of one se_fixed_point run."""
+    res = se_fixed_point(DistributionModel(prior, noise), loss, delta, alpha, **kwargs)
+    return (floats(*(v for row in res.rows for v in row))
+            + floats(res.sigma_star_sq, res.tau_star_sq, res.b_star, res.theta_star)
+            + floats(res.converged, res.diverged, res.monotone))
+
+
 def curve_bytes(noise, loss):
     """score_moments, and slope_curve on a finite window, over b and sigma."""
     finite = math.isfinite(score_shape(loss).e_hi)
@@ -104,8 +132,12 @@ def main():
     for m in RISK_MEANS:
         for alpha in RISK_ALPHAS:
             digest.update(floats(soft_threshold_risk(m, alpha)))
+    fixed = hashlib.sha256()
+    for run in FIXED_POINT_RUNS:
+        fixed.update(fixed_point_bytes(*run))
     print(f"cells: {cells}")
     print(f"se sha256: {digest.hexdigest()}")
+    print(f"fixed-point sha256: {fixed.hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
 
 
