@@ -10,10 +10,13 @@ linear program (Koenker & Bassett 1978) whose dual is max y'v over
 v in [e_lo, e_hi]^n with |A'v| <= lam: it is solved exactly by HiGHS on a
 working set of columns, the fit comes back by complementary slackness,
 and the certificate is the larger of the dual infeasibility and the
-duality gap. HiGHS runs with presolve off: the restricted LP is small and
-dense, always feasible (v = 0) and bounded (the box), so presolve removes
-nothing, and it took more than a third of each solve. On the sweep of
-`tools/oracle_digest.py` the fits are the same bits with it on or off.
+duality gap. At a degenerate dual vertex, where that fit leaves the gap
+open, the primal LP on the working set gives the fit instead. HiGHS runs
+with presolve off: the restricted dual LP is small and dense, always
+feasible (v = 0) and bounded (the box), so presolve removes nothing, and
+it took more than a third of each solve. On the sweep of
+`tools/oracle_digest.py` the fits are the same bits with it on or off,
+for the primal LP too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .losses import loss_grad, loss_value, score_shape, soft_threshold
 
@@ -118,14 +121,37 @@ def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
     return x
 
 
-def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, max_iter):
+def _restricted_primal(A_work, y, lam, e_lo, e_hi):
+    """Minimize sum rho(y - A_work x) + lam |x|_1 as an LP; returns x.
+
+    With x = x+ - x- and r = r+ - r-, the LP is min lam 1'(x+ + x-) +
+    e_hi 1'r+ - e_lo 1'r- subject to A_work (x+ - x-) + r+ - r- = y over
+    nonnegative variables, on the sparse matrix [A_work, -A_work, I, -I].
+    """
+    n, k = A_work.shape
+    eye = sparse.identity(n, format="csc")
+    cost = np.concatenate([np.full(2 * k, lam), np.full(n, e_hi), np.full(n, -e_lo)])
+    res = optimize.milp(
+        cost, bounds=optimize.Bounds(0.0, np.inf),
+        constraints=optimize.LinearConstraint(
+            sparse.hstack([A_work, -A_work, eye, -eye], format="csc"), y, y),
+        options={"presolve": False})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS stopped with status {res.status} on the "
+                           f"kinked primal LP: {res.message}")
+    return res.x[:k] - res.x[k:2 * k]
+
+
+def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter):
     """Column generation on the dual LP of the kinked fit (Koenker-Bassett).
 
     rho(r) is e_hi r for r > 0 and e_lo r for r < 0, so the dual is
     max y'v over v in [e_lo, e_hi]^n with |A'v| <= lam. Each round hands
     HiGHS only the working set of columns, then adds the columns whose dual
     constraint v breaks, most violated first; the loop ends when none is
-    broken, and every round adds at least one column. The certificate is
+    broken, and every round adds at least one column. When the fit paired
+    with the final v leaves the duality gap above tol with no column
+    broken, `_restricted_primal` supplies the fit. The certificate is
     the larger of the dual infeasibility max(0, max_j |A_j'v| - lam) over
     all columns and the duality gap |objective - y'v|.
     """
@@ -144,6 +170,14 @@ def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, max_iter):
     x = _primal_from_dual(A, y, v, excess, work, e_lo, e_hi)
     objective = penalized_objective(inst, loss, lam, x)
     gap = abs(objective - float(y @ v))
+    if broken.size == 0 and gap > tol:
+        # a degenerate vertex: the square system missed the fit. No column
+        # is broken, so v is dual feasible and the working set's primal LP
+        # has the global optimum
+        x = np.zeros(inst.p)
+        x[work] = _restricted_primal(A[:, work], y, lam, e_lo, e_hi)
+        objective = penalized_objective(inst, loss, lam, x)
+        gap = abs(objective - float(y @ v))
     infeasible = max(0.0, float(np.max(excess)))
     return OracleResult(x, objective, max(infeasible, gap), it)
 
@@ -159,10 +193,11 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     max_iter caps working-set rounds of the dual LP, which HiGHS solves
     exactly with presolve off (on this small, dense, always feasible LP
     presolve removes nothing and only costs time), and tol bounds its
-    certificate: the dual infeasibility and the duality gap. A degenerate
-    vertex whose recovered fit does not close the gap also comes back with
-    its residual above tol, and a HiGHS status other than optimal raises
-    RuntimeError.
+    certificate: the dual infeasibility and the duality gap. When the
+    rounds end with every column feasible but the fit recovered from a
+    degenerate vertex leaves the gap above tol, the primal LP restricted to
+    the working set is solved for the fit. A HiGHS status other than
+    optimal raises RuntimeError.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -179,7 +214,7 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     kappa, e_lo, e_hi = score_shape(loss)
     if kappa > 0.0:
         return _solve_smooth(inst, loss, lam, kappa, tol, max_iter)
-    return _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, max_iter)
+    return _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter)
 
 
 def check_oracle_distance(inst, loss, lam, ramp_result):

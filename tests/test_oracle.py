@@ -88,8 +88,9 @@ def pm_one_instance(seed):
     """A +-1 design with a 0.1-rounded response, whose residuals tie at zero.
 
     n and p are drawn from the seed; x = 1 on the first 3 columns, plus
-    N(0, 0.25) noise. Seed 9016 (n = 22, p = 157) lands quantile(0.2) at
-    0.3 of the zero-fit edge on a degenerate dual vertex.
+    N(0, 0.25) noise. Seed 9016 (n = 22, p = 157) lands quantile(0.2), and
+    seed 9082 (n = 42, p = 27) quantile(0.2) and quantile(0.7), at 0.3 of
+    the zero-fit edge on a degenerate dual vertex.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20, 150))
@@ -368,10 +369,12 @@ class TestKinkedLinearProgram:
         assert res.objective >= full.objective
 
     def test_unclosed_gap_is_reported(self, monkeypatch):
-        # a fit that misses the dual vertex, as at a degenerate one, must
-        # come back with the duality gap as its residual
+        # a fit that misses the dual vertex, and a primal LP that misses it
+        # too, must come back with the duality gap as its residual
         monkeypatch.setattr(oracle, "_primal_from_dual",
                             lambda A, *rest: np.zeros(A.shape[1]))
+        monkeypatch.setattr(oracle, "_restricted_primal",
+                            lambda A_work, *rest: np.zeros(A_work.shape[1]))
         rng = np.random.default_rng(5)
         inst = make_instance(rng, 40, 60, 6)
         lam = 0.8
@@ -382,18 +385,31 @@ class TestKinkedLinearProgram:
                                                  rel=1e-9)
         assert res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n)
 
-    def test_degenerate_vertex_reports_its_gap(self):
-        # 15 columns are active at this vertex against 14 free v_i, so the
-        # square system of _primal_from_dual drops one; whatever fit comes
-        # back, its residual must be its true excess over the LP optimum
-        inst = pm_one_instance(9016)
-        assert inst.A.shape == (22, 157)
-        loss = quantile(0.2)
-        lam = fraction_of_zero_edge(inst, loss, 0.3)
-        res = solve_penalized(inst, loss, lam)
-        exact = primal_lp_objective(inst, loss, lam)
-        assert res.kkt_residual == pytest.approx(res.objective - exact,
-                                                 rel=1e-9)
+    def test_missed_vertex_falls_back_to_the_primal_lp(self, monkeypatch):
+        # with the fit of the dual vertex lost, the working set's primal LP
+        # alone must reach the optimum
+        monkeypatch.setattr(oracle, "_primal_from_dual",
+                            lambda A, *rest: np.zeros(A.shape[1]))
+        rng = np.random.default_rng(5)
+        inst = make_instance(rng, 40, 60, 6)
+        for loss in (absolute(), quantile(0.7)):
+            assert_matches_linprog(inst, loss, 0.8)
+
+    @pytest.mark.parametrize("seed,q,shape", [(9016, 0.2, (22, 157)),
+                                              (9082, 0.2, (42, 27)),
+                                              (9082, 0.7, (42, 27))],
+                             ids=["9016-quantile_0.2", "9082-quantile_0.2",
+                                  "9082-quantile_0.7"])
+    def test_degenerate_vertex_reaches_the_lp_optimum(self, seed, q, shape):
+        # at 9016 quantile(0.2), 15 columns are active at the vertex against
+        # 14 free v_i, so the square system of _primal_from_dual drops one
+        # and leaves a gap of 0.49; these are the three degenerate vertices
+        # on the sweep of tools/oracle_digest.py, and the primal LP on the
+        # working set must take each to the LP optimum
+        inst = pm_one_instance(seed)
+        assert inst.A.shape == shape
+        loss = quantile(q)
+        assert_matches_linprog(inst, loss, fraction_of_zero_edge(inst, loss, 0.3))
 
     def test_non_optimal_status_raises(self, monkeypatch):
         def stalled(c, **kwargs):
@@ -427,8 +443,9 @@ class TestKinkedLinearProgram:
 
 
 class TestPresolveOff:
-    """HiGHS runs the dual LP without presolve; with its default presolve
-    it must return the same fits, bit for bit."""
+    """HiGHS runs the dual LP, and the primal LP of a degenerate vertex,
+    without presolve; with its default presolve it must return the same
+    fits, bit for bit."""
 
     @staticmethod
     def assert_same_fit(monkeypatch, inst, loss, lam):
@@ -459,8 +476,8 @@ class TestPresolveOff:
                              ids=["absolute", "quantile_0.2", "quantile_0.7"])
     @pytest.mark.parametrize("seed", [9000, 9016, 9082])
     def test_rounded_pm_one_designs(self, monkeypatch, loss, seed):
-        # 9016 and 9082 hold degenerate vertices that leave some of the
-        # quantile fits uncertified
+        # 9016 and 9082 hold degenerate vertices that send some of the
+        # quantile fits to the primal LP
         inst = pm_one_instance(seed)
         self.assert_same_fit(monkeypatch, inst, loss,
                              fraction_of_zero_edge(inst, loss, 0.3))

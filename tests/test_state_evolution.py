@@ -279,8 +279,11 @@ class TestSlopeCurve:
         # nodes, whose jump Newton's bisection fallback finds, and the
         # point mass has no edge density (no 0/0 from dividing by s)
         dist = DistributionModel(pm_one_prior(0.128), noise)
+        # the far-off starts stand for an extrapolated b that lands badly
         for sigma_sq, slope, start in ((0.5, 0.2, None), (0.05, 0.2, 3.0), (2.0, 0.6, 0.01),
-                                       (0.0, 0.2, None), (0.0, 0.6, 3.0)):
+                                       (0.0, 0.2, None), (0.0, 0.6, 3.0),
+                                       (0.5, 0.2, 1e-9), (0.5, 0.2, 1e9),
+                                       (2.0, 0.6, 1e-9), (2.0, 0.6, 1e9)):
             sigma = math.sqrt(sigma_sq)
             ref = 10.0 ** brentq(lambda e: score_moments(loss, 10.0 ** e, noise, sigma)[0] - slope,
                                  -12.0, 12.0, xtol=1e-14)
@@ -288,25 +291,86 @@ class TestSlopeCurve:
             assert b == pytest.approx(ref, rel=1e-12)
 
     def test_warm_started_fixed_point_evaluations(self, monkeypatch):
-        calls = {"tau": 0, "curve": 0}
-
-        def count(name, key):
-            original = getattr(state_evolution, name)
-
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(state_evolution, name, wrapper)
-
-        count("se_tau_update", "tau")
-        count("slope_curve", "curve")
-        count("score_moments", "curve")
+        calls = count_calls(monkeypatch)
         dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
         res = se_fixed_point(dist, absolute(), 0.64, alpha=2.0)
         assert res.converged
-        assert calls["tau"] == res.iterations + 1
-        assert calls["curve"] / calls["tau"] <= 8
+        assert calls["se_tau_update"] == res.iterations + 1
+        # 23 evaluations over 6 updates, the first from b = 1
+        evals = calls["slope_curve"] + calls["score_moments"]
+        assert evals / calls["se_tau_update"] <= 4
+
+    def test_se_tune_cells_evaluation_count(self, monkeypatch):
+        # the 12 cells of the benchmark's se_tune workload on its base grid
+        # take 1147 slope evaluations over 520 tau updates
+        calls = count_calls(monkeypatch)
+        prior = pm_one_prior(0.128)
+        for noise in (Normal(0.2), Laplace(1.0), StudentT(4.0), Cauchy(1.0)):
+            for loss in (huber(1.0), absolute(), quantile(0.7)):
+                tune_alpha(DistributionModel(prior, noise), loss, 0.64,
+                           alpha_grid=(1.0, 1.4, 1.8, 2.2, 2.6, 3.0))
+        assert calls["slope_curve"] <= 1250
+        assert calls["score_moments"] == calls["se_tau_update"]
+
+
+def count_calls(monkeypatch):
+    """Count the calls of se_tau_update, slope_curve and score_moments made
+    through the state_evolution module."""
+    calls = {}
+    for name in ("se_tau_update", "slope_curve", "score_moments"):
+        original = getattr(state_evolution, name)
+        calls[name] = 0
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(state_evolution, name, wrapper)
+    return calls
+
+
+class TestPredictedB:
+    """Newton's start for the next tau update, extrapolated through the rows."""
+
+    @staticmethod
+    def rows(*points):
+        return [(t, x, 0.5, b, 1.0) for t, (x, b) in enumerate(points)]
+
+    def test_quadratic_through_three_rows_is_exact(self):
+        def quad(x):
+            return 0.3 + 2.0 * x - 1.5 * x * x
+
+        rows = self.rows((0.9, 7.0), *((x, quad(x)) for x in (0.4, 0.3, 0.25)))
+        b = state_evolution._predicted_b(rows, 0.22)
+        assert b == pytest.approx(quad(0.22), rel=1e-14)
+
+    def test_line_through_two_rows(self):
+        rows = self.rows((0.4, 1.0), (0.3, 0.8))
+        assert state_evolution._predicted_b(rows, 0.25) == pytest.approx(0.7, rel=1e-14)
+
+    def test_one_row_gives_its_b(self):
+        assert state_evolution._predicted_b(self.rows((0.4, 1.3)), 0.25) == 1.3
+
+    def test_repeated_sigma_sq_gives_last_b(self):
+        rows = self.rows((0.4, 1.0), (0.3, 0.9), (0.3, 0.8))
+        assert state_evolution._predicted_b(rows, 0.25) == 0.8
+
+    def test_nonpositive_extrapolation_gives_last_b(self):
+        # the line through these rows reads -0.1 at sigma_sq = 0.1
+        rows = self.rows((0.4, 1.0), (0.3, 0.55))
+        assert state_evolution._predicted_b(rows, 0.1) == 0.55
+
+    def test_nonfinite_extrapolation_gives_last_b(self):
+        rows = self.rows((0.4, 1.0), (0.3, 0.8))
+        assert state_evolution._predicted_b(rows, math.inf) == 0.8
+
+    def test_init_tau_sq_start_gives_none(self):
+        rows = [(0, math.nan, 0.1, math.nan, 0.2)]
+        assert state_evolution._predicted_b(rows, 0.3) is None
+
+    def test_init_tau_sq_start_skips_its_row(self):
+        rows = [(0, math.nan, 0.1, math.nan, 0.2)] + self.rows((0.4, 1.0), (0.3, 0.8))[:1]
+        assert state_evolution._predicted_b(rows, 0.3) == 1.0
 
 
 class TestNormalIsOneComponentMixture:
