@@ -1,10 +1,10 @@
 """Command-line front end over the solver, predictor, and benchmark suites.
 
-Four subcommands: `prox` echoes loss-kernel values for quick checks, `solve`
-runs the iteration on a synthetic instance and writes its trace, `se` runs
-the scale recursion to a fixed point, and `bench` drives the scripted
-studies. Options resolve in three layers: built-in defaults, then a flat
-key=value config file, then command-line flags.
+Three subcommands: `solve` runs the iteration on a synthetic instance and
+writes its trace, `se` runs the scale recursion to a fixed point, and
+`bench` drives the scripted studies. Options resolve in three layers:
+built-in defaults, then a flat key=value config file, then command-line
+flags.
 
 Exit codes: 0 success, 1 validation or calibration failure, 2 usage error
 or an iteration cap hit, 3 a diverging recursion.
@@ -34,8 +34,7 @@ from .experiments import (
     run_sparse_efficiency,
     write_report,
 )
-from .losses import absolute, effective_score, effective_score_deriv, huber, \
-    least_squares, loss_label, prox, quantile
+from .losses import absolute, huber, least_squares, loss_label, quantile
 from .solver import DivergenceError, SolverConfig, run_ramp
 from .state_evolution import (
     Cauchy,
@@ -162,14 +161,6 @@ def _echo(options):
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def cmd_prox(args, parser):
-    loss = build_loss(args.loss, args.gamma, args.tau_q)
-    print(f"prox {_fmt(prox(loss, args.z, args.b))}")
-    print(f"score {_fmt(effective_score(loss, args.z, args.b))}")
-    print(f"deriv {_fmt(effective_score_deriv(loss, args.z, args.b))}")
-    return EXIT_OK
 
 
 SOLVE_OPTIONS = {
@@ -359,15 +350,6 @@ def build_parser():
         prog="ramp", description="robust sparse regression via "
         "approximate message passing")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("prox", help="print loss-kernel values at one point")
-    p.add_argument("--loss", required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--tau-q", dest="tau_q", type=float, default=0.7)
-    p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(func=cmd_prox)
 
     _add_options(subs.add_parser("solve", help="run the solver on a "
                                  "synthetic draw"), SOLVE_OPTIONS, cmd_solve)

@@ -252,6 +252,9 @@ def run_convergence_study(spec=None):
     Failed replications (runaway scale, calibration breakdown) are counted
     per row rather than aborting the study. A loss where no grid point
     converges runs no solver and reads nan, with 0 converged and 0 failed.
+    Each row ends with the prediction beside its runs: se_amse, the tuned
+    fixed point's AMSE, and alpha_at_grid_edge, set when alpha* is the
+    smallest or largest grid point, where the minimizer may lie off the grid.
     """
     spec = spec or convergence_study_spec()
     delta = spec.n / spec.p
@@ -260,7 +263,7 @@ def run_convergence_study(spec=None):
 
     rows = []
     for loss in spec.losses:
-        alpha, lam, _ = _tuned_cell(dist, loss, delta, spec.alphas)
+        alpha, lam, se_amse, at_edge = _tuned_cell(dist, loss, delta, spec.alphas)
         runs, failures = (_replicate(spec, loss, alpha) if math.isfinite(alpha)
                           else ([], 0))
         amse, amse_se = _mean_and_se([mse for _, mse in runs])
@@ -274,7 +277,7 @@ def run_convergence_study(spec=None):
             mean_of(lambda res: res.iterations),
             mean_of(lambda res: res.state.tau_hat_sq),
             amse, amse_se, sum(res.converged for res, _ in runs), failures,
-            spec.replications,
+            spec.replications, se_amse, at_edge,
         ))
 
     meta = {
@@ -291,21 +294,23 @@ def run_convergence_study(spec=None):
         name="convergence_study",
         columns=("loss", "alpha_star", "lambda_star", "b_mean",
                  "iterations_mean", "tau_hat_sq_mean", "amse_mean", "amse_se",
-                 "converged", "failed", "replications"),
+                 "converged", "failed", "replications", "se_amse",
+                 "alpha_at_grid_edge"),
         rows=tuple(rows), metadata=meta)
 
 
 def _tuned_cell(dist, loss, delta, alpha_grid):
-    """(alpha*, lambda*, AMSE) of the grid-tuned fixed point.
+    """(alpha*, lambda*, AMSE, at_grid_edge) of the grid-tuned fixed point.
 
-    All three are nan when no grid point converges; an empty grid raises
-    ValueError.
+    The three numbers are nan, and at_grid_edge False, when no grid point
+    converges; an empty grid raises ValueError.
     """
     try:
         tuned = tune_alpha(dist, loss, delta, alpha_grid=alpha_grid)
     except RuntimeError:
-        return math.nan, math.nan, math.nan
-    return float(tuned.alpha_star), float(tuned.lambda_star), tuned.result.amse
+        return math.nan, math.nan, math.nan, False
+    return (float(tuned.alpha_star), float(tuned.lambda_star), tuned.result.amse,
+            tuned.at_grid_edge)
 
 
 def _se_table(noises, geometries, losses, alpha_grid):
@@ -322,9 +327,9 @@ def _se_table(noises, geometries, losses, alpha_grid):
             dist = DistributionModel(pm_one_prior(omega), noise)
             block = [(loss_label(loss), *_tuned_cell(dist, loss, delta, alpha_grid))
                      for loss in losses]
-            ref = next((amse for label, _, _, amse in block
+            ref = next((amse for label, _, _, amse, _ in block
                         if label == "least_squares"), math.nan)
-            for label, alpha, lam, amse in block:
+            for label, alpha, lam, amse, _ in block:
                 ok = math.isfinite(amse)
                 rel = ref / amse if (ok and amse) else math.nan
                 rows.append({

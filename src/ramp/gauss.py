@@ -1,24 +1,28 @@
 """Standard-normal analytics shared by calibration and state evolution.
 
-Everything is vectorized numpy working in float64. The scipy.special
-erfc routine carries the tail accuracy; nothing here samples.
+The moments are vectorized numpy working in float64, with the
+scipy.special erfc routine carrying the tail accuracy; nothing here
+samples.
 
 `norm_cdf_pdf` gives Phi and phi of a whole array in two new arrays, with
 one erfc and one exp call and the rest in place, bit for bit `norm_cdf`
 and `norm_pdf`. State evolution stacks both edges of a window into one
-(2, ...) array and evaluates them in this one pass, and
-`soft_threshold_risk` does the same with its two dead-zone edges.
+(2, ...) array and evaluates them in this one pass. `soft_threshold_risk`
+is the one scalar routine: it takes one mean in Python floats, with
+`math.erfc` and `math.exp`, since state evolution calls it once per prior
+atom.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def norm_pdf(x):
@@ -90,7 +94,7 @@ def truncated_moments(mu, s, lo, hi):
 
 
 def soft_threshold_risk(m, alpha):
-    """E[(eta(m + Z; alpha) - m)^2] for standard normal Z, elementwise in m.
+    """E[(eta(m + Z; alpha) - m)^2] for standard normal Z, at one float m.
 
     alpha is one threshold. The closed form follows from splitting on the
     dead zone: with a = alpha - m and b = -alpha - m,
@@ -101,23 +105,23 @@ def soft_threshold_risk(m, alpha):
     Limits that pin it down: r(0) = 2[(1+alpha^2)(1-Phi(alpha)) - alpha phi(alpha)],
     r(m) -> 1 + alpha^2 as |m| -> inf, and r -> m^2 as alpha -> inf.
 
-    Both edges are stacked in one (2, ...) array for `norm_cdf_pdf`, and
-    the sum is taken in place in the order written: alpha + m is -b and
-    alpha - m is a exactly, so the last two terms add b phi(a) and
-    subtract a phi(b).
+    State evolution calls it once per prior atom, so it works on Python
+    floats with `math.erfc` and `math.exp`: on a handful of atoms numpy's
+    per-call overhead, not the arithmetic, would set its cost. Phi and phi
+    take the operations of `norm_cdf_pdf`, and the sum is taken in the
+    order written: alpha + m is -b and alpha - m is a exactly, so the last
+    two terms add b phi(a) and subtract a phi(b).
     """
-    m = np.asarray(m, dtype=float)
-    edges = np.subtract.outer((alpha, -alpha), m)
-    cdf, pdf = norm_cdf_pdf(edges)
-    r = 1.0 - cdf[0]
-    r += cdf[1]
-    r *= 1.0 + alpha * alpha
-    t = cdf[0] - cdf[1]
-    t *= m * m
-    r += t
-    edges *= pdf[::-1]
-    r += edges[1]
-    r -= edges[0]
+    a = alpha - m
+    b = -alpha - m
+    cdf_a = 0.5 * math.erfc(a / -_SQRT2)
+    cdf_b = 0.5 * math.erfc(b / -_SQRT2)
+    pdf_a = math.exp((-0.5 * a) * a) * _INV_SQRT_2PI
+    pdf_b = math.exp((-0.5 * b) * b) * _INV_SQRT_2PI
+    r = (1.0 - cdf_a + cdf_b) * (1.0 + alpha * alpha)
+    r += (cdf_a - cdf_b) * (m * m)
+    r += b * pdf_a
+    r -= a * pdf_b
     return r
 
 

@@ -37,9 +37,11 @@ an update takes 2.2 slope evaluations (1147 over 520 updates). Newton's
 stopping rule does not depend on the start, so each b is the same root
 to solver precision.
 At sigma = 0 the slope is a step map and Newton's bisection fallback
-finds its jump. The sigma update takes one soft-threshold risk call on
-the vector of prior atoms. The zero-estimate start of a fixed point does
-not depend on alpha, so `tune_alpha` computes it once per grid.
+finds its jump. The sigma update takes one scalar soft-threshold risk
+call per prior atom, in Python floats: on the three atoms of the +-1
+prior a vectorized call spent its time in numpy's per-call overhead.
+The zero-estimate start of a fixed point does not depend on alpha, so
+`tune_alpha` computes it once per grid.
 
 A fixed point is recorded as its rows (t, sigma_sq, tau_sq, b, theta),
 one per iteration: the starred values of `SeResult` are the last row.
@@ -475,14 +477,14 @@ def se_sigma_update(tau_sq, alpha, dist, delta):
 def _prior_risk(prior, tau, alpha):
     """Prior average of soft_threshold_risk(x0/tau, alpha).
 
-    One risk call on the vector of atom means; the weighted terms are
-    summed atom by atom, in the prior's order.
+    One scalar risk call per atom, the weighted terms summed in the
+    prior's order. alpha is made a Python float, so a numpy scalar from an
+    alpha grid does not turn the sum into one.
     """
-    atoms = prior.full_atoms
-    risks = soft_threshold_risk(np.array([x0 for _, x0 in atoms]) / tau, alpha)
+    alpha = float(alpha)
     total = 0.0
-    for (p, _), r in zip(atoms, risks.tolist()):
-        total += p * r
+    for p, x0 in prior.full_atoms:
+        total += p * soft_threshold_risk(x0 / tau, alpha)
     return total
 
 

@@ -33,42 +33,6 @@ def read_trace(path):
     return comments, header, rows
 
 
-class TestProx:
-    @pytest.mark.parametrize("argv,expected", [
-        (("--loss", "lad", "--z", "0.5", "--b", "1"), (0.0, 0.5, 1.0)),
-        (("--loss", "ls", "--z", "2", "--b", "1"), (1.0, 1.0, 0.5)),
-        (("--loss", "huber", "--gamma", "1", "--z", "3", "--b", "1"),
-         (2.0, 1.0, 0.0)),
-    ])
-    def test_known_triples(self, capsys, argv, expected):
-        assert run_cli("prox", *argv) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in out] == ["prox", "score", "deriv"]
-        values = tuple(float(line.split()[1]) for line in out)
-        assert values == expected
-
-    def test_unknown_loss_fails(self, capsys):
-        assert run_cli("prox", "--loss", "tukey", "--z", "1", "--b", "1") == 1
-        assert "unknown loss" in capsys.readouterr().err
-
-    def test_missing_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("prox", "--loss", "ls", "--z", "1")
-        assert exc.value.code == 2
-
-    def test_module_entry_point(self):
-        # the child process imports the same ramp as the tests, installed
-        # or not
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramp.cli", "prox", "--loss", "ls",
-             "--z", "2", "--b", "1"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "prox 1"
-
-
 class TestSolve:
     def solve_args(self, out, **overrides):
         options = dict(n=80, p=125, s=16, alpha=1.4, seed=3, loss="ls")
@@ -288,6 +252,22 @@ class TestSe:
         assert sorted(summary) == ["config", "info_lower_bound", "results"]
         comments, _, _ = read_trace(tmp_path / "se_trace_least_squares.csv")
         assert not {"engine", "mc_samples", "seed"} & set(comments)
+
+    def test_unknown_loss_fails(self, tmp_path, capsys):
+        assert run_cli("se", "--losses", "tukey", "--out", str(tmp_path)) == 1
+        assert "unknown loss" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        # the child process imports the same ramp as the tests, installed
+        # or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramp.cli", "se", "--losses", "ls", "-v",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines()[0] == "least_squares: tau*^2 0.365766482169"
 
     def test_reruns_are_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

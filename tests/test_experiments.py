@@ -23,7 +23,8 @@ from ramp.experiments import (
     write_report,
 )
 from ramp.losses import absolute, huber, least_squares, loss_label, quantile
-from ramp.state_evolution import Cauchy, Laplace, Normal, NormalMixture, StudentT
+from ramp.state_evolution import Cauchy, DistributionModel, Laplace, Normal, NormalMixture, \
+    StudentT, pm_one_prior, tune_alpha
 
 
 def small_spec(**overrides):
@@ -204,14 +205,14 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(experiments, "generate_instance", zero_response)
         by_loss = {row[0]: row for row in run_convergence_study(spec).rows}
-        assert by_loss["least_squares"][8:] == (3, 0, 3)
+        assert by_loss["least_squares"][8:11] == (3, 0, 3)
         lad = by_loss["absolute"]
-        assert lad[8:] == (0, 1, 3)
+        assert lad[8:11] == (0, 1, 3)
         assert 0.0 < lad[6] < 0.5
         # a loss whose every run fails reports nan means
         spec_one = dataclasses.replace(spec, replications=1)
         lad = {row[0]: row for row in run_convergence_study(spec_one).rows}["absolute"]
-        assert lad[8:] == (0, 1, 1)
+        assert lad[8:11] == (0, 1, 1)
         assert all(math.isnan(v) for v in lad[3:8])
 
     def test_loss_with_no_converged_alpha_reads_nan(self):
@@ -226,7 +227,35 @@ class TestConvergenceStudy:
         assert lad[0] == "absolute" and math.isfinite(lad[6])
         assert ls[0] == "least_squares"
         assert all(math.isnan(v) for v in ls[1:8])
-        assert ls[8:] == (0, 0, 2)
+        assert ls[8:11] == (0, 0, 2)
+
+    def test_se_amse_is_the_tuned_prediction(self):
+        # the AMSE of tune_alpha's fixed point, bit for bit; nan where no
+        # alpha converges
+        spec = small_spec(losses=(least_squares(), absolute()), alphas=(1.4, 2.0),
+                          replications=1)
+        report = run_convergence_study(spec)
+        col = report.columns.index("se_amse")
+        dist = DistributionModel(pm_one_prior(spec.s / spec.p), spec.noise)
+        for loss, row in zip(spec.losses, report.rows):
+            tuned = tune_alpha(dist, loss, spec.n / spec.p, alpha_grid=spec.alphas)
+            assert row[col] == tuned.result.amse and math.isfinite(row[col])
+        ls, _ = run_convergence_study(dataclasses.replace(spec, noise=Cauchy(1.0))).rows
+        assert math.isnan(ls[col])
+
+    def test_alpha_at_grid_edge(self):
+        # set where alpha* is the smallest or largest grid point, and where
+        # no alpha converges reads False
+        cases = (((1.2, 1.4, 1.6, 1.8), Normal(0.2), False),
+                 ((2.0, 2.5), Normal(0.2), True),
+                 ((0.6, 0.8), Normal(0.2), True),
+                 ((1.4, 2.0), Cauchy(1.0), False))
+        for alphas, noise, edge in cases:
+            spec = small_spec(noise=noise, losses=(least_squares(),), alphas=alphas,
+                              replications=1)
+            report = run_convergence_study(spec)
+            (row,) = report.rows
+            assert row[report.columns.index("alpha_at_grid_edge")] is edge
 
 
 class TestDenseEfficiency:

@@ -428,13 +428,21 @@ def plain_slope(lo, hi, rate_lo, rate_hi, mu, s):
             (rate_hi / s) * plain_pdf(c) - (rate_lo / s) * plain_pdf(a))
 
 
-def plain_risk(m, alpha):
+def plain_risk(m, alpha, cdf=plain_cdf, pdf=plain_pdf):
     a, b = alpha - m, -alpha - m
-    cdf_a, cdf_b = plain_cdf(a), plain_cdf(b)
+    cdf_a, cdf_b = cdf(a), cdf(b)
     return ((1.0 + alpha * alpha) * ((1.0 - cdf_a) + cdf_b)
             + m * m * (cdf_a - cdf_b)
-            - (alpha + m) * plain_pdf(a)
-            - (alpha - m) * plain_pdf(b))
+            - (alpha + m) * pdf(a)
+            - (alpha - m) * pdf(b))
+
+
+def math_cdf(x):
+    return 0.5 * math.erfc(-x / SQRT2)
+
+
+def math_pdf(x):
+    return INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def same_bits(x, y):
@@ -485,12 +493,17 @@ class TestEdgeTermsBitIdentity:
                                  (c * p_in, kappa / (kappa + b) ** 2 * p_in + c * dp_in))
 
     def test_soft_threshold_risk(self):
+        # the plain formula in math's erfc and exp gives the bits; numpy's
+        # exp and scipy's erfc round differently, so the numpy form agrees
+        # within a relative bound
         ms = (0.0, -3.0, 40.0, np.linspace(-60.0, 60.0, 481),
               np.random.default_rng(3).normal(0.0, 5.0, 200))
-        for m in ms:
+        for m in np.concatenate([np.ravel(x) for x in ms]).tolist():
             for alpha in (0.0, 0.05, 0.7, 1.0, 2.0, 3.5, 12.0):
-                assert same_bits(soft_threshold_risk(m, alpha),
-                                 plain_risk(np.asarray(m, dtype=float), alpha))
+                got = soft_threshold_risk(m, alpha)
+                assert same_bits(got, plain_risk(m, alpha, math_cdf, math_pdf))
+                ref = plain_risk(np.float64(m), alpha)
+                assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 class TestTauUpdate:
@@ -551,6 +564,22 @@ class TestSigmaUpdate:
         dist = DistributionModel(pm_one_prior(0.2), Normal(1.0))
         assert se_sigma_update(0.0, 1.5, dist, 2.0) == 0.0
 
+    @pytest.mark.parametrize("prior", [
+        pm_one_prior(0.128),
+        pm_one_prior(1.0),
+        SignalPrior(0.3, ((0.1, -2.0), (0.15, -0.4), (0.2, 0.5), (0.25, 1.0), (0.3, 3.0))),
+    ])
+    def test_one_risk_call_per_atom(self, prior, monkeypatch):
+        calls = []
+
+        def counting(m, alpha):
+            calls.append(m)
+            return soft_threshold_risk(m, alpha)
+
+        monkeypatch.setattr(state_evolution, "soft_threshold_risk", counting)
+        se_sigma_update(0.4, 1.5, DistributionModel(prior, Normal(0.2)), 0.64)
+        assert len(calls) == len(prior.full_atoms)
+
     def test_matches_sampling(self):
         tau_sq, alpha, delta = 0.4, 1.5, 0.64
         prior = pm_one_prior(0.128)
@@ -569,7 +598,7 @@ class TestSigmaUpdate:
         SignalPrior(0.3, ((0.1, -2.0), (0.15, -0.4), (0.2, 0.5), (0.25, 1.0), (0.3, 3.0))),
     ])
     def test_prior_risk_is_the_atom_sum(self, prior):
-        # one vectorized risk call gives the scalar per-atom sum bit for bit
+        # the p-weighted scalar risks of the atoms, summed in the prior's order
         for tau in (1e-3, 0.05, 0.3, 1.0, 4.0, 50.0):
             for alpha in (0.0, 0.4, 1.2, 2.0, 3.5):
                 total = 0.0
@@ -848,7 +877,7 @@ class TestLimitsAndBounds:
         # with the mean and stays at or below 1 + alpha^2 up to rounding
         mu = np.linspace(0.0, 40.0, 2001)
         for a in (0.5, 1.0, 2.0):
-            scan = soft_threshold_risk(mu, a)
+            scan = np.array([soft_threshold_risk(m, a) for m in mu.tolist()])
             assert np.all(np.diff(scan) >= -1e-15)
             assert np.max(scan) == pytest.approx(1 + a * a, rel=1e-15)
 

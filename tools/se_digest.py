@@ -16,7 +16,7 @@ The sweep (`se sha256`), in digest order:
   values of b from 1e-3 to 1e3 and sigma in {1e-3, 0.5, 30}, the
   infinite score window of least squares giving `score_moments` alone;
 - `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
-  [-40, 40], for alpha in {0.05, 0.5, 1, 2, 3, 10}.
+  [-40, 40], one call per mean, for alpha in {0.05, 0.5, 1, 2, 3, 10}.
 
 The fixed-point runs (`fixed-point sha256`) are `se_fixed_point` calls
 that the sweep never reaches: least squares under Cauchy noise (flagged
@@ -147,7 +147,8 @@ def sweep_cases():
     for m in RISK_MEANS:
         for alpha in RISK_ALPHAS:
             yield (f"soft_threshold_risk alpha={alpha}",
-                   [("close", floats(soft_threshold_risk(m, alpha)))])
+                   [("close", floats(*(soft_threshold_risk(float(x), alpha)
+                                       for x in np.ravel(m))))])
 
 
 def fixed_point_cases():
