@@ -150,6 +150,17 @@ def _config_header(options):
     return "\n".join(lines) + "\n"
 
 
+def _write_trace(path, header, columns, rows):
+    """The config header, the columns, then one CSV line per row.
+
+    A row's first entry is the iteration count, written as is; the rest
+    are written by _fmt.
+    """
+    lines = [",".join(columns)]
+    lines += [",".join([str(row[0])] + [_fmt(v) for v in row[1:]]) for row in rows]
+    _atomic_write(path, header + "\n".join(lines) + "\n")
+
+
 def _echo(options):
     out = {}
     for k, v in sorted(options.items()):
@@ -189,13 +200,8 @@ def cmd_solve(args, parser):
     out_dir = output_dir(options["out"])
     header = _config_header(options)
 
-    lines = [header.rstrip("\n"), "t,b,theta,tau_sq,mse"]
-    for row in result.trace:
-        t, b, theta, tau_sq, mse = row
-        lines.append(",".join(
-            [str(t), _fmt(b), _fmt(theta), _fmt(tau_sq), _fmt(mse)]))
-    _atomic_write(os.path.join(out_dir, "solve_trace.csv"),
-                  "\n".join(lines) + "\n")
+    _write_trace(os.path.join(out_dir, "solve_trace.csv"), header,
+                 ("t", "b", "theta", "tau_sq", "mse"), result.trace)
 
     coords = "\n".join(_fmt(v) for v in result.x)
     _atomic_write(os.path.join(out_dir, "solve_estimate.txt"),
@@ -249,11 +255,8 @@ def cmd_se(args, parser):
     status = EXIT_OK
     for loss, res in zip(losses, results):
         label = loss_label(loss)
-        lines = [header.rstrip("\n"), "t,sigma_sq,tau_sq,b,theta"]
-        for row in res.rows:
-            lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
-        _atomic_write(os.path.join(out_dir, f"se_trace_{label}.csv"),
-                      "\n".join(lines) + "\n")
+        _write_trace(os.path.join(out_dir, f"se_trace_{label}.csv"), header,
+                     ("t", "sigma_sq", "tau_sq", "b", "theta"), res.rows)
 
         if res.diverged or bound is None:
             bound_pass = None

@@ -5,14 +5,16 @@ everything needed to reproduce it (seeds, versions, conventions). Reports
 serialize to a CSV and a JSON sidecar; identical inputs produce identical
 bytes, so written reports double as regression fixtures.
 
-The convergence and design studies run the solver on seeded draws. The
-dense, sparse and noise studies are one state-evolution table each: one
-loop over (noise, (delta, omega), loss) tunes every cell on an alpha grid
-(the dense study's grid is alpha = 0 at omega = 1, the unpenalized fit)
-and reports alpha*, lambda*, the AMSE and its ratio to least squares in
-the same (noise, delta, omega) block. A cell where no grid point converges
-reads nan. Each study keeps only its own columns and metadata; the design
-study's penalty labels come from the same tuned cell at one alpha.
+The convergence and design studies read one replicated AMP cell: the
+solver at one alpha on every seeded draw, reduced to means, a standard
+error and run counts. The dense, sparse and noise studies are one
+state-evolution table each: one loop over (noise, (delta, omega), loss)
+tunes every cell on an alpha grid (the dense study's grid is alpha = 0 at
+omega = 1, the unpenalized fit) and reports alpha*, lambda*, the AMSE and
+its ratio to least squares in the same (noise, delta, omega) block. A
+cell where no grid point converges reads nan. Every row is a dict, and
+one projector reads it at the study's own columns; the design study's
+penalty labels come from the same tuned cell at one alpha.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ class Report:
     metadata: dict = field(default_factory=dict)
 
 
+def _report(name, columns, rows, metadata):
+    """A report whose rows read each dict row at the study's columns."""
+    return Report(name=name, columns=columns, metadata=metadata,
+                  rows=tuple(tuple(row[c] for c in columns) for row in rows))
+
+
 def _format_cell(v):
     if v is None:
         return ""
@@ -216,32 +224,36 @@ def noise_label(noise):
 _SOLVER_DEFAULTS = {"tol": SolverConfig.tol, "max_iter": SolverConfig.max_iter}
 
 
-def _replicate(spec, loss, alpha):
-    """Run the solver at threshold multiplier alpha on every draw of spec.
+def _amp_cell(spec, loss, alpha):
+    """The solver at threshold multiplier alpha on every draw of spec.
 
-    Returns the (result, mse) pairs of the runs that finished, in seed
-    order, and the number of runs that failed with a runaway scale or a
-    calibration breakdown.
+    Maps each AMP column of the convergence and design studies to its
+    value: the means of b, the iteration count, tau_hat^2 and the final
+    MSE over the runs that finished, the MSE mean's standard error, and
+    the counts of converged, finished (successes) and failed runs out of
+    the replications. A run fails with a runaway scale or a calibration
+    breakdown. A mean is nan where no run finished and the standard error
+    where fewer than two did; a nan alpha runs no solver.
     """
-    runs = []
-    failures = 0
-    for seed in spec.seeds[:spec.replications]:
-        inst = generate_instance(spec, seed)
+    runs, failed = [], 0
+    for seed in spec.seeds[:spec.replications] if math.isfinite(alpha) else ():
         try:
-            res = run_ramp(inst, loss, SolverConfig(alpha=alpha))
+            runs.append(run_ramp(generate_instance(spec, seed), loss,
+                                 SolverConfig(alpha=alpha)))
         except (CalibrationError, DivergenceError):
-            failures += 1
-            continue
-        runs.append((res, res.trace[-1][4]))
-    return runs, failures
+            failed += 1
+    m, mses = len(runs), [res.trace[-1][4] for res in runs]
 
+    def mean(values):
+        return float(np.mean(values)) if m else math.nan
 
-def _mean_and_se(values):
-    """Sample mean and its standard error; nan where too few values."""
-    m = len(values)
-    mean = float(np.mean(values)) if m else math.nan
-    se = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
-    return mean, se
+    se = float(np.std(mses, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+    return {"b_mean": mean([res.state.b for res in runs]),
+            "iterations_mean": mean([res.iterations for res in runs]),
+            "tau_hat_sq_mean": mean([res.state.tau_hat_sq for res in runs]),
+            "amse_mean": mean(mses), "amse_se": se,
+            "converged": sum(res.converged for res in runs),
+            "successes": m, "failed": failed, "replications": spec.replications}
 
 
 def run_convergence_study(spec=None):
@@ -258,27 +270,13 @@ def run_convergence_study(spec=None):
     """
     spec = spec or convergence_study_spec()
     delta = spec.n / spec.p
-    omega = spec.s / spec.p
-    dist = DistributionModel(pm_one_prior(omega), spec.noise)
-
+    dist = DistributionModel(pm_one_prior(spec.s / spec.p), spec.noise)
     rows = []
     for loss in spec.losses:
         alpha, lam, se_amse, at_edge = _tuned_cell(dist, loss, delta, spec.alphas)
-        runs, failures = (_replicate(spec, loss, alpha) if math.isfinite(alpha)
-                          else ([], 0))
-        amse, amse_se = _mean_and_se([mse for _, mse in runs])
-
-        def mean_of(field):
-            return float(np.mean([field(res) for res, _ in runs])) if runs else math.nan
-
-        rows.append((
-            loss_label(loss), alpha, lam,
-            mean_of(lambda res: res.state.b),
-            mean_of(lambda res: res.iterations),
-            mean_of(lambda res: res.state.tau_hat_sq),
-            amse, amse_se, sum(res.converged for res, _ in runs), failures,
-            spec.replications, se_amse, at_edge,
-        ))
+        rows.append({"loss": loss_label(loss), "alpha_star": alpha,
+                     "lambda_star": lam, **_amp_cell(spec, loss, alpha),
+                     "se_amse": se_amse, "alpha_at_grid_edge": at_edge})
 
     meta = {
         "study": "convergence",
@@ -290,13 +288,12 @@ def run_convergence_study(spec=None):
         "solver": dict(_SOLVER_DEFAULTS),
         "se_tol": SeConfig().tol,
     }
-    return Report(
-        name="convergence_study",
-        columns=("loss", "alpha_star", "lambda_star", "b_mean",
-                 "iterations_mean", "tau_hat_sq_mean", "amse_mean", "amse_se",
-                 "converged", "failed", "replications", "se_amse",
-                 "alpha_at_grid_edge"),
-        rows=tuple(rows), metadata=meta)
+    return _report(
+        "convergence_study",
+        ("loss", "alpha_star", "lambda_star", "b_mean", "iterations_mean",
+         "tau_hat_sq_mean", "amse_mean", "amse_se", "converged", "failed",
+         "replications", "se_amse", "alpha_at_grid_edge"),
+        rows, meta)
 
 
 def _tuned_cell(dist, loss, delta, alpha_grid):
@@ -351,13 +348,12 @@ def _se_report(name, columns, noises, geometries, losses, alpha_grid, /,
     The metadata holds what every state-evolution table shares plus the
     study's own fields.
     """
-    table = _se_table(noises, geometries, losses, alpha_grid)
     meta = {"study": name, "noises": [noise_label(nz) for nz in noises],
             "losses": [loss_label(l) for l in losses],
             "laplace_convention": LAPLACE_CONVENTION,
             "se_tol": SeConfig().tol, **fields}
-    return Report(name=name, columns=columns, metadata=meta,
-                  rows=tuple(tuple(row[c] for c in columns) for row in table))
+    return _report(name, columns,
+                   _se_table(noises, geometries, losses, alpha_grid), meta)
 
 
 def run_dense_efficiency(deltas=(10.0, 8.0, 3.0, 1.6, 1.4, 1.2),
@@ -432,10 +428,9 @@ def run_design_study(loss=least_squares(),
                 n=n, p=p, s=s, noise=noise, losses=(loss,), design=design,
                 replications=replications,
                 seeds=tuple(base_seed + i for i in range(replications)))
-            runs, failures = _replicate(spec, loss, alpha)
-            amse, se = _mean_and_se([mse for _, mse in runs])
-            rows.append((design, alpha, lambda_labels[alpha], amse, se,
-                         len(runs), failures))
+            rows.append({"design": design, "alpha": alpha,
+                         "lambda_star": lambda_labels[alpha],
+                         **_amp_cell(spec, loss, alpha)})
     meta = {
         "study": "design_robustness", "loss": loss_label(loss),
         "n": n, "p": p, "s": s, "noise": noise_label(noise),
@@ -443,8 +438,8 @@ def run_design_study(loss=least_squares(),
         "replications": replications, "base_seed": base_seed,
         "solver": dict(_SOLVER_DEFAULTS),
     }
-    return Report(
-        name="design_robustness",
-        columns=("design", "alpha", "lambda_star", "amse_mean", "amse_se",
-                 "successes", "failed"),
-        rows=tuple(rows), metadata=meta)
+    return _report(
+        "design_robustness",
+        ("design", "alpha", "lambda_star", "amse_mean", "amse_se",
+         "successes", "failed"),
+        rows, meta)

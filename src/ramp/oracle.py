@@ -3,20 +3,20 @@
 This is a test oracle, not a production solver: it trades speed for
 simplicity and a checkable certificate. It reads the loss only through
 `losses.score_shape`'s (kappa, e_lo, e_hi). Smooth data terms (kappa > 0:
-least squares, Huber) run proximal gradient with backtracking, which is
-monotone in the objective and certifies optimality through the analytic
-subgradient. Kinked data terms (kappa = 0: absolute, quantile) are a
-linear program (Koenker & Bassett 1978) whose dual is max y'v over
-v in [e_lo, e_hi]^n with |A'v| <= lam: it is solved exactly by HiGHS on a
-working set of columns, the fit comes back by complementary slackness,
-and the certificate is the larger of the dual infeasibility and the
-duality gap. At a degenerate dual vertex, where that fit leaves the gap
-open, the primal LP on the working set gives the fit instead. HiGHS runs
-with presolve off: the restricted dual LP is small and dense, always
-feasible (v = 0) and bounded (the box), so presolve removes nothing, and
-it took more than a third of each solve. On the sweep of
-`tools/oracle_digest.py` the fits are the same bits with it on or off,
-for the primal LP too.
+least squares, Huber) run proximal gradient at the fixed step 1/L, where L
+bounds the gradient's Lipschitz constant; it is monotone in the objective
+and certifies optimality through the analytic subgradient. Kinked data
+terms (kappa = 0: absolute, quantile) are a linear program (Koenker &
+Bassett 1978) whose dual is max y'v over v in [e_lo, e_hi]^n with
+|A'v| <= lam: it is solved exactly by HiGHS on a working set of columns,
+the fit comes back by complementary slackness, and the certificate is the
+larger of the dual infeasibility and the duality gap. At a degenerate dual
+vertex, where that fit leaves the gap open, the primal LP on the working
+set gives the fit instead. HiGHS runs with presolve off: the restricted
+dual LP is small and dense, always feasible (v = 0) and bounded (the box),
+so presolve removes nothing, and it took more than a third of each solve.
+On the sweep of `tools/oracle_digest.py` the fits are the same bits with
+it on or off, for the primal LP too.
 """
 
 from __future__ import annotations
@@ -52,27 +52,16 @@ def _solve_smooth(inst, loss, lam, kappa, tol, max_iter):
     A, y = inst.A, inst.y
     x = np.zeros(inst.p)
     # rho'' <= 1/kappa, so the spectral norm squared over kappa bounds the
-    # gradient Lipschitz constant; backtracking only shrinks the step
+    # gradient Lipschitz constant L and the step is 1/L: by the descent
+    # lemma every proximal step decreases the objective
     step = kappa / max(np.linalg.norm(A, 2) ** 2, 1e-12)
-    for it in range(max_iter):
-        r = y - A @ x
-        fit = float(np.sum(loss_value(loss, r)))
-        grad = -(A.T @ loss_grad(loss, r))
+    for it in range(max_iter + 1):
+        grad = -(A.T @ loss_grad(loss, y - A @ x))
         resid = _kkt_from_grad(grad, lam, x)
-        if resid <= tol:
-            return OracleResult(x, fit + lam * float(np.sum(np.abs(x))),
+        if resid <= tol or it == max_iter:
+            return OracleResult(x, penalized_objective(inst, loss, lam, x),
                                 resid, it)
-        while True:
-            cand = soft_threshold(x - step * grad, step * lam)
-            d = cand - x
-            quad = fit + float(grad @ d) + float(d @ d) / (2.0 * step)
-            if float(np.sum(loss_value(loss, y - A @ cand))) <= quad + 1e-12:
-                break
-            step *= 0.5
-        x = cand
-    resid = _kkt_from_grad(-(A.T @ loss_grad(loss, y - A @ x)), lam, x)
-    return OracleResult(x, penalized_objective(inst, loss, lam, x),
-                        resid, max_iter)
+        x = soft_threshold(x - step * grad, step * lam)
 
 
 def _kkt_from_grad(grad, lam, x):

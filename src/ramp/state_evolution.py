@@ -684,7 +684,7 @@ class TuneResult:
     at_grid_edge: bool = False
 
 
-def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
+def tune_alpha(dist, loss, delta, alpha_grid=None):
     """Minimize the fixed-point AMSE over a grid of threshold multipliers.
 
     Each grid point gives the same result as `se_fixed_point` from the zero
@@ -700,6 +700,7 @@ def tune_alpha(dist, loss, delta, alpha_grid=None, config=SeConfig()):
     best = None
     best_alpha = math.nan
     start = None
+    config = SeConfig()
     for a in grid:
         res, start = _run(dist, loss, delta, a, config, start=start)
         ok = res.converged and not res.diverged

@@ -409,3 +409,20 @@ class TestDesignStudy:
             assert math.isfinite(row[idx["amse_mean"]])
             assert row[idx["amse_mean"]] > 0.0
         assert report.metadata["solver"] == {"tol": 1e-6, "max_iter": 200}
+
+    def test_gaussian_row_is_the_convergence_cell(self):
+        # both AMP studies read one replicated cell: at one alpha and on the
+        # same seeds, the design study's gaussian row is the convergence
+        # study's row
+        alpha, base_seed = 1.7, 500
+        design = run_design_study(alphas=(alpha,), n=80, p=125, s=16,
+                                  replications=2, base_seed=base_seed)
+        conv = run_convergence_study(small_spec(
+            alphas=(alpha,), seeds=(base_seed, base_seed + 1)))
+        (d_row,) = [r for r in design.rows if r[0] == "gaussian"]
+        (c_row,) = conv.rows
+        assert c_row[conv.columns.index("alpha_star")] == alpha
+        for col in ("amse_mean", "amse_se", "failed"):
+            assert (d_row[design.columns.index(col)]
+                    == c_row[conv.columns.index(col)])
+        assert math.isfinite(d_row[design.columns.index("amse_se")])
