@@ -22,9 +22,11 @@ import sys
 from .calibration import CalibrationError
 from .experiments import (
     DESIGNS,
+    NOISE_LAWS,
     ExperimentSpec,
     _atomic_write,
     convergence_study_spec,
+    design_study_spec,
     generate_instance,
     output_dir,
     run_convergence_study,
@@ -37,12 +39,8 @@ from .experiments import (
 from .losses import absolute, huber, least_squares, loss_label, quantile
 from .solver import DivergenceError, SolverConfig, run_ramp
 from .state_evolution import (
-    Cauchy,
     DistributionModel,
-    Laplace,
-    Normal,
     SeConfig,
-    StudentT,
     info_lower_bound,
     pm_one_prior,
     se_fixed_point,
@@ -54,7 +52,6 @@ EXIT_MAX_ITER = 2
 EXIT_DIVERGED = 3
 
 LOSS_NAMES = ("ls", "huber", "lad", "quantile")
-NOISE_NAMES = ("normal", "laplace", "student_t", "cauchy")
 
 
 def _fmt(v):
@@ -79,18 +76,6 @@ def build_loss(name, gamma, tau_q):
     if name in ("quantile", "q"):
         return quantile(tau_q)
     raise ValueError(f"unknown loss {name!r}; choose from {LOSS_NAMES}")
-
-
-def build_noise(name, param):
-    if name == "normal":
-        return Normal(param)
-    if name == "laplace":
-        return Laplace(param)
-    if name == "student_t":
-        return StudentT(param)
-    if name == "cauchy":
-        return Cauchy(param)
-    raise ValueError(f"unknown noise {name!r}; choose from {NOISE_NAMES}")
 
 
 def read_config_file(path):
@@ -177,7 +162,7 @@ def _echo(options):
 SOLVE_OPTIONS = {
     "n": (int, 320), "p": (int, 500), "s": (int, 64), "loss": (str, "ls"),
     "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
-    "noise": (NOISE_NAMES, "normal"), "noise_param": (float, 0.2),
+    "noise": (tuple(NOISE_LAWS), "normal"), "noise_param": (float, 0.2),
     "design": (DESIGNS, "gaussian"), "seed": (int, 1),
     "tol": (float, SolverConfig.tol), "max_iter": (int, SolverConfig.max_iter),
     "out": (str, None),
@@ -187,14 +172,13 @@ SOLVE_OPTIONS = {
 def cmd_solve(args, parser):
     options = resolve_options(args, parser, SOLVE_OPTIONS)
     loss = build_loss(options["loss"], options["gamma"], options["tau_q"])
-    noise = build_noise(options["noise"], options["noise_param"])
+    noise = NOISE_LAWS[options["noise"]](options["noise_param"])
     spec = ExperimentSpec(n=options["n"], p=options["p"], s=options["s"],
-                          noise=noise, losses=(loss,),
-                          design=options["design"], replications=1,
-                          seeds=(options["seed"],))
+                          noise=noise, design=options["design"],
+                          base_seed=options["seed"])
     config = SolverConfig(alpha=options["alpha"], tol=options["tol"],
                           max_iter=options["max_iter"])
-    inst = generate_instance(spec, options["seed"])
+    inst = generate_instance(spec, spec.base_seed)
     result = run_ramp(inst, loss, config)
 
     out_dir = output_dir(options["out"])
@@ -217,7 +201,7 @@ def cmd_solve(args, parser):
 SE_OPTIONS = {
     "delta": (float, 0.64), "omega": (float, 0.128), "losses": (str, "ls"),
     "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
-    "noise": (NOISE_NAMES, "normal"), "noise_param": (float, 0.2),
+    "noise": (tuple(NOISE_LAWS), "normal"), "noise_param": (float, 0.2),
     "init_tau_sq": (float, None), "tol": (float, SeConfig.tol),
     "max_iter": (int, SeConfig.max_iter), "out": (str, None),
 }
@@ -230,7 +214,7 @@ def cmd_se(args, parser):
         parser.error("at least one loss is required")
     losses = [build_loss(x.strip(), options["gamma"], options["tau_q"])
               for x in loss_names]
-    noise = build_noise(options["noise"], options["noise_param"])
+    noise = NOISE_LAWS[options["noise"]](options["noise_param"])
     dist = DistributionModel(pm_one_prior(options["omega"]), noise)
     se_config = SeConfig(tol=options["tol"], max_iter=options["max_iter"])
 
@@ -286,7 +270,15 @@ def cmd_se(args, parser):
     return status
 
 
-STUDIES = ("convergence", "dense", "sparse", "noise", "design")
+# each study's runner and, for the two that draw samples, its default spec
+BENCH_STUDIES = {
+    "convergence": (run_convergence_study, convergence_study_spec),
+    "dense": (run_dense_efficiency, None),
+    "sparse": (run_sparse_efficiency, None),
+    "noise": (run_noise_study, None),
+    "design": (run_design_study, design_study_spec),
+}
+STUDIES = tuple(BENCH_STUDIES)
 
 BENCH_OPTIONS = {
     "study": (STUDIES, None), "replications": (int, None), "seed": (int, None),
@@ -299,31 +291,19 @@ def cmd_bench(args, parser):
     study = options["study"]
     if study is None:
         parser.error(f"--study must be one of {STUDIES}")
-    reps = options["replications"]
-    seed = options["seed"]
-    if study not in ("convergence", "design"):
+    run, default_spec = BENCH_STUDIES[study]
+    if default_spec is None:
         for key in ("seed", "replications"):
             if options[key] is not None:
                 parser.error(f"--{key} applies to the convergence and design "
                              f"studies only; the {study} study draws no samples")
-
-    if study == "convergence":
-        spec = convergence_study_spec(
-            replications=100 if reps is None else reps)
-        if seed is not None:
-            spec = dataclasses.replace(
-                spec, seeds=tuple(seed + i for i in range(spec.replications)))
-        report = run_convergence_study(spec)
-    elif study == "dense":
-        report = run_dense_efficiency()
-    elif study == "sparse":
-        report = run_sparse_efficiency()
-    elif study == "noise":
-        report = run_noise_study()
+        report = run()
     else:
-        report = run_design_study(
-            replications=30 if reps is None else reps,
-            base_seed=31_000 if seed is None else seed)
+        # a given flag overrides its field of the study's default spec
+        draws = {"base_seed": options["seed"],
+                 "replications": options["replications"]}
+        report = run(dataclasses.replace(
+            default_spec(), **{k: v for k, v in draws.items() if v is not None}))
 
     csv_path, meta_path = write_report(report, options["out"])
     if args.verbose:

@@ -5,9 +5,13 @@ everything needed to reproduce it (seeds, versions, conventions). Reports
 serialize to a CSV and a JSON sidecar; identical inputs produce identical
 bytes, so written reports double as regression fixtures.
 
-The convergence and design studies read one replicated AMP cell: the
-solver at one alpha on every seeded draw, reduced to means, a standard
-error and run counts. The dense, sparse and noise studies are one
+An ExperimentSpec fixes one set of AMP draws: the geometry, the noise
+law, the design and the seeds base_seed, base_seed + 1, ..., one per
+replication. convergence_study_spec and design_study_spec hold the two
+sampling studies' defaults. Both studies read one replicated AMP cell:
+the solver at one alpha on every draw of a spec, reduced to means, a
+standard error and run counts; the design study runs its spec under
+both designs. The dense, sparse and noise studies are one
 state-evolution table each: one loop over (noise, (delta, omega), loss)
 tunes every cell on an alpha grid (the dense study's grid is alpha = 0 at
 omega = 1, the unpenalized fit) and reports alpha*, lambda*, the AMSE and
@@ -25,7 +29,7 @@ import math
 import os
 import platform
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -35,6 +39,7 @@ from .calibration import CalibrationError
 from .losses import absolute, huber, least_squares, loss_label, quantile
 from .solver import DivergenceError, ProblemInstance, SolverConfig, run_ramp
 from .state_evolution import (
+    DEFAULT_ALPHA_GRID,
     Cauchy,
     DistributionModel,
     Laplace,
@@ -47,6 +52,11 @@ from .state_evolution import (
 )
 
 DESIGNS = ("gaussian", "rademacher")
+
+# the named noise laws: `--noise` takes a name and `--noise-param` the law's
+# first field, and a label begins with both
+NOISE_LAWS = {"normal": Normal, "laplace": Laplace, "student_t": StudentT,
+              "cauchy": Cauchy}
 
 LAPLACE_CONVENTION = "scale 1 means density exp(-|x|)/2, variance 2"
 
@@ -63,7 +73,10 @@ NOISE_STUDY_LAWS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One study configuration: geometry, data laws, losses, seeds."""
+    """One study configuration: geometry, data laws, losses, draws.
+
+    The draws are seeded base_seed, base_seed + 1, ..., one per replication.
+    """
 
     n: int
     p: int
@@ -73,7 +86,7 @@ class ExperimentSpec:
     design: str = "gaussian"
     alphas: Optional[tuple] = None
     replications: int = 100
-    seeds: Optional[tuple] = None
+    base_seed: int = 20_000
 
     def __post_init__(self):
         if not 0 < self.s < self.n:
@@ -86,19 +99,19 @@ class ExperimentSpec:
             raise ValueError(f"unknown design {self.design!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.base_seed < 0:
+            raise ValueError(
+                f"base_seed must be a nonnegative integer, got {self.base_seed}")
         object.__setattr__(self, "losses", tuple(self.losses))
         if self.alphas is not None:
             object.__setattr__(self, "alphas",
                                tuple(float(a) for a in self.alphas))
             if not self.alphas:
                 raise ValueError("alphas is empty; pass None for the default grid")
-        if self.seeds is None:
-            seeds = tuple(20_000 + i for i in range(self.replications))
-        else:
-            seeds = tuple(int(v) for v in self.seeds)
-            if len(seeds) < self.replications:
-                raise ValueError("fewer seeds than replications")
-        object.__setattr__(self, "seeds", seeds)
+
+    @property
+    def seeds(self):
+        return tuple(range(self.base_seed, self.base_seed + self.replications))
 
 
 def convergence_study_spec(replications=100):
@@ -108,6 +121,14 @@ def convergence_study_spec(replications=100):
         losses=(least_squares(), huber(1.0), absolute(), quantile(0.7)),
         replications=replications,
     )
+
+
+def design_study_spec():
+    """The benchmark geometry and noise, least squares on six alphas, and 30
+    draws seeded from 31000."""
+    return ExperimentSpec(n=320, p=500, s=64, noise=Normal(0.2),
+                          alphas=(1.1, 1.4, 1.7, 2.0, 2.4, 2.8),
+                          replications=30, base_seed=31_000)
 
 
 def generate_instance(spec, seed):
@@ -204,14 +225,13 @@ def write_report(report, directory=None):
 
 
 def noise_label(noise):
-    if isinstance(noise, Normal):
-        return f"normal_{noise.sigma_sq:g}"
-    if isinstance(noise, Laplace):
-        return f"laplace_{noise.scale:g}"
-    if isinstance(noise, StudentT):
-        return f"student_t_{noise.df:g}"
-    if isinstance(noise, Cauchy):
-        return f"cauchy_{noise.scale:g}"
+    """The law's name, its first field, then each later field off its default."""
+    for name, law in NOISE_LAWS.items():
+        if isinstance(noise, law):
+            first, *rest = fields(noise)
+            values = [getattr(noise, first.name)] + [
+                v for f in rest if (v := getattr(noise, f.name)) != f.default]
+            return "_".join([name] + [f"{v:g}" for v in values])
     parts = "+".join(f"{w:g}xN(0,{v:g})" for w, v in noise.components)
     return f"mixnormal_{parts}"
 
@@ -236,7 +256,7 @@ def _amp_cell(spec, loss, alpha):
     where fewer than two did; a nan alpha runs no solver.
     """
     runs, failed = [], 0
-    for seed in spec.seeds[:spec.replications] if math.isfinite(alpha) else ():
+    for seed in spec.seeds if math.isfinite(alpha) else ():
         try:
             runs.append(run_ramp(generate_instance(spec, seed), loss,
                                  SolverConfig(alpha=alpha)))
@@ -284,7 +304,7 @@ def run_convergence_study(spec=None):
         "design": spec.design, "noise": noise_label(spec.noise),
         "losses": [loss_label(l) for l in spec.losses],
         "replications": spec.replications,
-        "seeds": list(spec.seeds[:spec.replications]),
+        "seeds": list(spec.seeds),
         "solver": dict(_SOLVER_DEFAULTS),
         "se_tol": SeConfig().tol,
     }
@@ -406,36 +426,34 @@ def run_noise_study(losses=(least_squares(), huber(1.0), absolute()),
         delta=delta, omega=omega)
 
 
-def run_design_study(loss=least_squares(),
-                     alphas=(1.1, 1.4, 1.7, 2.0, 2.4, 2.8),
-                     n=320, p=500, s=64, noise=Normal(0.2),
-                     replications=30, base_seed=31_000):
+def run_design_study(spec=None):
     """Gaussian vs sign designs on the same error-vs-penalty grid.
 
-    The penalty labels come from the predicted fixed point at each threshold
-    multiplier, so both designs are measured at identical grid points; a
-    label is nan where that fixed point does not converge.
+    Both designs run the one loss of spec (by default design_study_spec())
+    on its draws at each of its alphas (None: the default grid); its own
+    design is not read. The penalty labels come from the predicted fixed
+    point at each threshold multiplier, so both designs are measured at
+    identical grid points; a label is nan where that fixed point does not
+    converge.
     """
-    delta, omega = n / p, s / p
-    dist = DistributionModel(pm_one_prior(omega), noise)
-    lambda_labels = {alpha: _tuned_cell(dist, loss, delta, (alpha,))[1]
+    spec = spec or design_study_spec()
+    if len(spec.losses) != 1:
+        raise ValueError(
+            f"the design study runs one loss, got {len(spec.losses)}")
+    (loss,) = spec.losses
+    alphas = spec.alphas or DEFAULT_ALPHA_GRID
+    dist = DistributionModel(pm_one_prior(spec.s / spec.p), spec.noise)
+    lambda_labels = {alpha: _tuned_cell(dist, loss, spec.n / spec.p, (alpha,))[1]
                      for alpha in alphas}
-
-    rows = []
-    for design in DESIGNS:
-        for alpha in alphas:
-            spec = ExperimentSpec(
-                n=n, p=p, s=s, noise=noise, losses=(loss,), design=design,
-                replications=replications,
-                seeds=tuple(base_seed + i for i in range(replications)))
-            rows.append({"design": design, "alpha": alpha,
-                         "lambda_star": lambda_labels[alpha],
-                         **_amp_cell(spec, loss, alpha)})
+    rows = [{"design": design, "alpha": alpha,
+             "lambda_star": lambda_labels[alpha],
+             **_amp_cell(replace(spec, design=design), loss, alpha)}
+            for design in DESIGNS for alpha in alphas]
     meta = {
         "study": "design_robustness", "loss": loss_label(loss),
-        "n": n, "p": p, "s": s, "noise": noise_label(noise),
+        "n": spec.n, "p": spec.p, "s": spec.s, "noise": noise_label(spec.noise),
         "alphas": [float(a) for a in alphas],
-        "replications": replications, "base_seed": base_seed,
+        "replications": spec.replications, "base_seed": spec.base_seed,
         "solver": dict(_SOLVER_DEFAULTS),
     }
     return _report(

@@ -127,9 +127,6 @@ class RampResult:
         return len(self.trace)
 
 
-TRACE_FIELDS = ("t", "b", "theta", "tau_hat_sq", "mse")
-
-
 def rescaled_score(loss, z, b, slope):
     """Effective score scaled by n/s so its derivative averages to one."""
     score = effective_score(loss, z, b)

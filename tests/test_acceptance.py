@@ -3,6 +3,7 @@ PASS/FAIL line with the measured values. Reference numbers live in the
 dictionaries below; tolerances are part of the criterion statements.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from prior_sampling import amse_monte_carlo
 from ramp.experiments import (
     ExperimentSpec,
     convergence_study_spec,
+    design_study_spec,
     generate_instance,
     run_convergence_study,
     run_dense_efficiency,
@@ -201,7 +203,7 @@ def test_criterion_05_solver_matches_penalized_oracle():
         for seed in range(10):
             spec = ExperimentSpec(n=100, p=150, s=15, noise=Normal(0.2),
                                   losses=(loss,), replications=1,
-                                  seeds=(seed,))
+                                  base_seed=seed)
             inst = generate_instance(spec, seed)
             res = run_ramp(inst, loss, SolverConfig(alpha=2.0))
             st = res.state
@@ -220,7 +222,7 @@ def test_criterion_06_onsager_fraction_exact():
         for seed in (0, 1):
             spec = ExperimentSpec(n=80, p=125, s=16, noise=Normal(0.2),
                                   losses=(loss,), replications=1,
-                                  seeds=(seed,))
+                                  base_seed=seed)
             inst = generate_instance(spec, seed)
             config = SolverConfig(alpha=1.5)
             st = initial_state(inst, loss, config)
@@ -367,7 +369,8 @@ def test_criterion_10_heavy_noise_ratio_trend():
 def test_criterion_11_design_robustness():
     bad = []
     for loss in (least_squares(), huber(1.0)):
-        study = run_design_study(loss=loss)
+        study = run_design_study(
+            dataclasses.replace(design_study_spec(), losses=(loss,)))
         idx = {c: i for i, c in enumerate(study.columns)}
         rows = {(r[idx["design"]], r[idx["alpha"]]): r for r in study.rows}
         alphas = sorted({r[idx["alpha"]] for r in study.rows})

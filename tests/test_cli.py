@@ -141,6 +141,13 @@ class TestSolve:
         assert "max_iter must be at least 1, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        assert run_cli(*self.solve_args(out, seed=-1)) == 1
+        assert ("base_seed must be a nonnegative integer, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestSe:
     def test_fixed_point_summary(self, tmp_path):
@@ -306,6 +313,24 @@ class TestBench:
         meta = json.loads((tmp_path / "design_robustness_meta.json").read_text())
         assert meta["base_seed"] == 0
         assert meta["replications"] == 1
+
+    def test_default_seeds_come_from_the_study_specs(self, tmp_path):
+        assert run_cli("bench", "--study", "design", "--replications", "1",
+                       "--out", str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "design_robustness_meta.json").read_text())
+        assert meta["base_seed"] == 31000 and meta["replications"] == 1
+        assert run_cli("bench", "--study", "convergence", "--replications",
+                       "1", "--out", str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "convergence_study_meta.json").read_text())
+        assert meta["seeds"] == [20000]
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        for study in ("design", "convergence"):
+            assert run_cli("bench", "--study", study, "--seed", "-1",
+                           "--replications", "1", "--out", str(tmp_path)) == 1
+            assert ("base_seed must be a nonnegative integer, got -1"
+                    in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("study", ["dense", "sparse", "noise"])
     def test_sampling_flags_rejected_without_samples(self, tmp_path, capsys,

@@ -21,7 +21,6 @@ from ramp.solver import (
     ProblemInstance,
     RampResult,
     SolverConfig,
-    TRACE_FIELDS,
     initial_state,
     lambda_of_theta,
     ramp_step,
@@ -319,7 +318,6 @@ class TestTraceAndResult:
         cfg = SolverConfig(alpha=2.0, max_iter=12)
         res = run_ramp(inst, least_squares(), cfg)
 
-        assert len(TRACE_FIELDS) == 5
         state = initial_state(inst, least_squares(), cfg)
         for row in res.trace:
             t, b, theta, tau_sq, mse = row

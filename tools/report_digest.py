@@ -9,15 +9,20 @@ thread, each in its own subdirectory of a temporary directory:
   design);
 - `bench --study convergence --replications 3 --seed 7` and
   `bench --study design --replications 2 --seed 0`;
+- `bench --study convergence --replications 2` and
+  `bench --study design --replications 1`, which keep each study's
+  default seeds;
 - `solve --loss huber`;
 - `solve --loss lad --noise laplace --noise-param 1 --max-iter 30`;
+- `solve --loss lad --max-iter 20` under `student_t` 4 and under `cauchy` 1,
+  so that with the two runs above every noise name reaches a solve;
 - `se --losses ls,huber,lad,quantile`;
 - `se --losses lad --noise cauchy --noise-param 1`;
 - `se --losses ls --noise student_t --noise-param 1.5`, which SE flags
   diverged and which exits 3.
 
 It prints each command's exit code, then one digest per file it wrote.
-The whole run takes about 10 s on one core, most of it in the default
+The whole run takes about 15 s on one core, most of it in the default
 convergence study's 400 solves.
 
 Usage: PYTHONPATH=src python3 tools/report_digest.py
@@ -43,8 +48,12 @@ CASES = (
     ("bench_design", "bench --study design"),
     ("bench_convergence_r3_s7", "bench --study convergence --replications 3 --seed 7"),
     ("bench_design_r2_s0", "bench --study design --replications 2 --seed 0"),
+    ("bench_convergence_r2", "bench --study convergence --replications 2"),
+    ("bench_design_r1", "bench --study design --replications 1"),
     ("solve_huber", "solve --loss huber"),
     ("solve_lad_laplace", "solve --loss lad --noise laplace --noise-param 1 --max-iter 30"),
+    ("solve_lad_t4", "solve --loss lad --noise student_t --noise-param 4 --max-iter 20"),
+    ("solve_lad_cauchy", "solve --loss lad --noise cauchy --noise-param 1 --max-iter 20"),
     ("se_four_losses", "se --losses ls,huber,lad,quantile"),
     ("se_lad_cauchy", "se --losses lad --noise cauchy --noise-param 1"),
     ("se_ls_t1.5", "se --losses ls --noise student_t --noise-param 1.5"),
