@@ -128,10 +128,14 @@ def resolve_options(args, parser, table):
     return options
 
 
+def _run_definition(options):
+    """The set options in key order; the output directory is plumbing, not
+    part of the run definition."""
+    return {k: v for k, v in sorted(options.items()) if k != "out" and v is not None}
+
+
 def _config_header(options):
-    # the output directory is plumbing, not part of the run definition
-    items = {k: v for k, v in options.items() if k != "out" and v is not None}
-    lines = [f"# {k}={items[k]}" for k in sorted(items)]
+    lines = [f"# {k}={v}" for k, v in _run_definition(options).items()]
     return "\n".join(lines) + "\n"
 
 
@@ -147,12 +151,8 @@ def _write_trace(path, header, columns, rows):
 
 
 def _echo(options):
-    out = {}
-    for k, v in sorted(options.items()):
-        if k == "out" or v is None:
-            continue
-        out[k] = v if not isinstance(v, float) else _round12(v)
-    return out
+    return {k: _round12(v) if isinstance(v, float) else v
+            for k, v in _run_definition(options).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +351,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ValueError as exc:
+    except (CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

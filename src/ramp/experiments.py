@@ -166,8 +166,6 @@ def _report(name, columns, rows, metadata):
 
 
 def _format_cell(v):
-    if v is None:
-        return ""
     if isinstance(v, float):
         # plain-float repr: numpy scalars would stringify as np.float64(...)
         return repr(float(v))
@@ -240,8 +238,14 @@ def noise_label(noise):
 # studies
 
 
-# the tolerance and iteration cap of every solver run in the studies
-_SOLVER_DEFAULTS = {"tol": SolverConfig.tol, "max_iter": SolverConfig.max_iter}
+def _draws_metadata(spec):
+    """What both AMP studies record of spec's draws: the geometry, the noise,
+    the replications and the tolerance and iteration cap of every solver run."""
+    return {
+        "n": spec.n, "p": spec.p, "s": spec.s, "noise": noise_label(spec.noise),
+        "replications": spec.replications,
+        "solver": {"tol": SolverConfig.tol, "max_iter": SolverConfig.max_iter},
+    }
 
 
 def _amp_cell(spec, loss, alpha):
@@ -299,13 +303,10 @@ def run_convergence_study(spec=None):
                      "se_amse": se_amse, "alpha_at_grid_edge": at_edge})
 
     meta = {
-        "study": "convergence",
-        "n": spec.n, "p": spec.p, "s": spec.s,
-        "design": spec.design, "noise": noise_label(spec.noise),
+        "study": "convergence", **_draws_metadata(spec),
+        "design": spec.design,
         "losses": [loss_label(l) for l in spec.losses],
-        "replications": spec.replications,
         "seeds": list(spec.seeds),
-        "solver": dict(_SOLVER_DEFAULTS),
         "se_tol": SeConfig().tol,
     }
     return _report(
@@ -451,10 +452,9 @@ def run_design_study(spec=None):
             for design in DESIGNS for alpha in alphas]
     meta = {
         "study": "design_robustness", "loss": loss_label(loss),
-        "n": spec.n, "p": spec.p, "s": spec.s, "noise": noise_label(spec.noise),
+        **_draws_metadata(spec),
         "alphas": [float(a) for a in alphas],
-        "replications": spec.replications, "base_seed": spec.base_seed,
-        "solver": dict(_SOLVER_DEFAULTS),
+        "base_seed": spec.base_seed,
     }
     return _report(
         "design_robustness",

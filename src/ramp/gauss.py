@@ -16,7 +16,6 @@ atom.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -129,9 +128,3 @@ def gamma_cap(alpha):
     """E[eta(Z; alpha)^2]: soft-threshold risk of the zero signal."""
     return soft_threshold_risk(0.0, alpha)
 
-
-@lru_cache(maxsize=8)
-def legendre_nodes_01(n: int = 200):
-    """Gauss-Legendre nodes/weights moved to the unit interval."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w

@@ -12,9 +12,11 @@ arrays in, arrays of the same shape out. The families share one interface,
 
 with b > 0 the proximal regularization scale. Every loss is fixed by three
 constants (kappa, e_lo, e_hi) from `score_shape`: rho' lies in [e_lo, e_hi]
-and has slope 1/kappa in between (kappa = 0 at a kink). With the scale
-c(b) = b/(kappa + b), so that dc/db = kappa/(kappa + b)**2,
+and has slope 1/kappa in between (kappa = 0 at a kink). With
+g = rho'(x) = clip(x/kappa, e_lo, e_hi) and the scale c(b) = b/(kappa + b),
+so that dc/db = kappa/(kappa + b)**2,
 
+    rho(x)    = g x - kappa g^2/2
     Phi(z; b) = clip(c z, b e_lo, b e_hi)
     Phi'      = c inside the score window (kappa + b)(e_lo, e_hi), c/2 on
                 its edges and 0 outside
@@ -23,7 +25,8 @@ c(b) = b/(kappa + b), so that dc/db = kappa/(kappa + b)**2,
 so every proximal map has a closed form and nothing here runs an inner
 optimization. Calibration, state evolution, the exact oracle and the report
 labels read the loss only through these constants and the spec's fields;
-this is the one module that names a family.
+this is the one module that names a family, and only in the spec's
+validation, its constants and its label.
 """
 
 from __future__ import annotations
@@ -108,20 +111,20 @@ def _maybe_scalar(out: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def loss_value(spec: LossSpec, x):
-    """Evaluate rho(x). Nonnegative, convex, zero at the origin."""
+    """Evaluate rho(x) = g x - kappa g^2/2 with g = loss_grad(spec, x).
+
+    This is the Fenchel-Young equality: the conjugate of rho is kappa g^2/2
+    on [e_lo, e_hi], and g is a subgradient of rho at x. Nonnegative,
+    convex, zero at the origin. Least squares at |x| > 1.3e154 gives nan,
+    inf - inf, where 0.5 x^2 would overflow to inf; where 0.5 x^2 is
+    subnormal (|x| < 2.2e-154) it can be one subnormal step (2^-1074) off
+    it, since it rounds twice.
+    """
+    kappa = score_shape(spec).kappa
     x = np.asarray(x, dtype=float)
-    if spec.family == LEAST_SQUARES:
-        out = 0.5 * x ** 2
-    elif spec.family == HUBER:
-        g = spec.gamma
-        out = np.where(np.abs(x) <= g, 0.5 * x ** 2, g * np.abs(x) - 0.5 * g ** 2)
-    elif spec.family == ABSOLUTE:
-        out = np.abs(x)
-    else:
-        t = spec.tau_q
-        # t*max(x,0) + (1-t)*max(-x,0), the usual pinball loss
-        out = np.where(x >= 0.0, t * x, (t - 1.0) * x)
-    return _maybe_scalar(out)
+    g = loss_grad(spec, x)
+    # at a kink (kappa = 0) rho is g x
+    return _maybe_scalar(g * x - 0.5 * kappa * g * g if kappa else g * x)
 
 
 def loss_grad(spec: LossSpec, x):

@@ -71,16 +71,24 @@ def _kkt_from_grad(grad, lam, x):
     return max(float(m_on), m_off)
 
 
-def _restricted_dual(A_work, y, lam, e_lo, e_hi):
-    """Maximize y'v over v in [e_lo, e_hi]^n with |A_work' v| <= lam."""
-    res = optimize.milp(
-        -y, bounds=optimize.Bounds(e_lo, e_hi),
-        constraints=optimize.LinearConstraint(A_work.T, -lam, lam),
-        options={"presolve": False})
+def _highs(cost, bounds, constraints, which):
+    """Minimize cost'z over bounds and constraints with HiGHS, presolve off.
+
+    which names the LP in the RuntimeError that a status other than
+    optimal raises.
+    """
+    res = optimize.milp(cost, bounds=bounds, constraints=constraints,
+                        options={"presolve": False})
     if res.status != 0:
         raise RuntimeError(f"HiGHS stopped with status {res.status} on the "
-                           f"kinked dual LP: {res.message}")
+                           f"kinked {which} LP: {res.message}")
     return res.x
+
+
+def _restricted_dual(A_work, y, lam, e_lo, e_hi):
+    """Maximize y'v over v in [e_lo, e_hi]^n with |A_work' v| <= lam."""
+    return _highs(-y, optimize.Bounds(e_lo, e_hi),
+                  optimize.LinearConstraint(A_work.T, -lam, lam), "dual")
 
 
 def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
@@ -120,15 +128,10 @@ def _restricted_primal(A_work, y, lam, e_lo, e_hi):
     n, k = A_work.shape
     eye = sparse.identity(n, format="csc")
     cost = np.concatenate([np.full(2 * k, lam), np.full(n, e_hi), np.full(n, -e_lo)])
-    res = optimize.milp(
-        cost, bounds=optimize.Bounds(0.0, np.inf),
-        constraints=optimize.LinearConstraint(
-            sparse.hstack([A_work, -A_work, eye, -eye], format="csc"), y, y),
-        options={"presolve": False})
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS stopped with status {res.status} on the "
-                           f"kinked primal LP: {res.message}")
-    return res.x[:k] - res.x[k:2 * k]
+    rows = sparse.hstack([A_work, -A_work, eye, -eye], format="csc")
+    x = _highs(cost, optimize.Bounds(0.0, np.inf),
+               optimize.LinearConstraint(rows, y, y), "primal")
+    return x[:k] - x[k:2 * k]
 
 
 def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter):

@@ -64,7 +64,6 @@ from scipy import special
 from .calibration import solve_increasing
 from .gauss import (
     gamma_cap,
-    legendre_nodes_01,
     norm_cdf_pdf,
     soft_threshold_risk,
     truncated_moments,
@@ -355,9 +354,10 @@ def _conditional_slope(lo, hi, rate_lo, rate_hi, mu, s):
 @lru_cache(maxsize=32)
 def _noise_nodes(noise):
     """Inverse-cdf Gauss-Legendre nodes for E over the noise law."""
-    u, w = legendre_nodes_01(_NODES_PER_HALF)
-    uu = np.concatenate([0.5 * u, 0.5 + 0.5 * u])
-    ww = np.concatenate([0.5 * w, 0.5 * w])
+    x, w = np.polynomial.legendre.leggauss(_NODES_PER_HALF)
+    u = 0.25 * (x + 1.0)
+    uu = np.concatenate([u, 0.5 + u])
+    ww = np.concatenate([0.25 * w, 0.25 * w])
     return np.asarray(noise.ppf(uu), dtype=float), ww
 
 

@@ -114,3 +114,17 @@ def test_only_losses_names_a_family(path):
            if isinstance(node, ast.ImportFrom)
            and FAMILY_NAMES & {alias.name for alias in node.names}})
     assert not lines, f"{path.name} names a loss family on lines {lines}"
+
+
+def test_losses_reads_the_family_only_in_its_spec():
+    # the kernels read a loss through (kappa, e_lo, e_hi); only the spec's
+    # validation, its constants and its label read .family
+    tree = ast.parse(PATHS["losses"].read_text())
+    allowed = {"__post_init__", "_shape_of", "loss_label"}
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name in allowed
+              for node in ast.walk(func)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "family"
+                   and id(node) not in inside)
+    assert not lines, f"losses.py reads .family on lines {lines}"

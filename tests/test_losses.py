@@ -70,6 +70,32 @@ class TestLossValue:
             avg = 0.5 * (loss_value(spec, a) + loss_value(spec, c))
             assert np.all(mid <= avg + 1e-12)
 
+    def test_matches_family_formulas(self):
+        # loss_value reaches rho through g x - kappa g^2/2 alone; it must give
+        # the bits of each family's textbook formula
+        def huber_rho(g):
+            return lambda x: np.where(np.abs(x) <= g, 0.5 * x ** 2,
+                                      g * np.abs(x) - 0.5 * g ** 2)
+
+        def pinball(t):
+            return lambda x: np.where(x >= 0.0, t * x, (t - 1.0) * x)
+
+        cases = [(least_squares(), lambda x: 0.5 * x ** 2),
+                 (huber(1.0), huber_rho(1.0)), (huber(0.3), huber_rho(0.3)),
+                 (absolute(), np.abs), (quantile(0.7), pinball(0.7)),
+                 (quantile(0.2), pinball(0.2))]
+        # zero (the kink of the absolute and quantile losses), the Huber
+        # knees, two huge residuals and normal draws
+        x = np.concatenate([[0.0, 1.0, -1.0, 0.3, -0.3, 1e150, -1e150],
+                            np.random.default_rng(7).standard_normal(300_000)])
+        for spec, rho in cases:
+            assert np.array_equal(loss_value(spec, x), rho(x)), spec
+        # where 0.5 x^2 is subnormal, least squares and the two Hubers round
+        # x^2 - 0.5 x^2 twice and may land one subnormal step away
+        tiny = np.random.default_rng(7).standard_normal(10_000) * 1e-156
+        for spec, rho in cases[:3]:
+            assert np.max(np.abs(loss_value(spec, tiny) - rho(tiny))) <= 2.0 ** -1074
+
 
 class TestProx:
     def test_pinned_values(self):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
 
 from ramp import oracle
 from ramp.experiments import convergence_study_spec, generate_instance
@@ -420,6 +420,25 @@ class TestKinkedLinearProgram:
         rng = np.random.default_rng(5)
         inst = make_instance(rng, 40, 60, 6)
         with pytest.raises(RuntimeError, match="status 1"):
+            solve_penalized(inst, absolute(), 0.8)
+
+    def test_non_optimal_primal_status_raises(self, monkeypatch):
+        # with the fit of the dual vertex lost, the primal LP on the sparse
+        # matrix runs; a status other than optimal there must raise too
+        monkeypatch.setattr(oracle, "_primal_from_dual",
+                            lambda A, *rest: np.zeros(A.shape[1]))
+        real_milp = oracle.optimize.milp
+
+        def stalled_on_primal(c, **kwargs):
+            if sparse.issparse(kwargs["constraints"].A):
+                return optimize.OptimizeResult(status=1, x=None,
+                                               message="Time limit reached.")
+            return real_milp(c, **kwargs)
+
+        monkeypatch.setattr(oracle.optimize, "milp", stalled_on_primal)
+        rng = np.random.default_rng(5)
+        inst = make_instance(rng, 40, 60, 6)
+        with pytest.raises(RuntimeError, match="kinked primal LP"):
             solve_penalized(inst, absolute(), 0.8)
 
     @pytest.mark.parametrize("loss", [absolute(), quantile(0.7)],

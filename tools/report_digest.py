@@ -19,9 +19,14 @@ thread, each in its own subdirectory of a temporary directory:
 - `se --losses ls,huber,lad,quantile`;
 - `se --losses lad --noise cauchy --noise-param 1`;
 - `se --losses ls --noise student_t --noise-param 1.5`, which SE flags
-  diverged and which exits 3.
+  diverged and which exits 3;
+- `se --losses huber --noise normal --noise-param 1e28`, where calibration
+  fails, and `solve --alpha -1`, which validation rejects: each exits 1
+  and writes nothing.
 
-It prints each command's exit code, then one digest per file it wrote.
+It prints each command's exit code, then one digest per file it wrote; a
+command that exits before it makes its output directory prints no file
+line.
 The whole run takes about 15 s on one core, most of it in the default
 convergence study's 400 solves.
 
@@ -57,6 +62,8 @@ CASES = (
     ("se_four_losses", "se --losses ls,huber,lad,quantile"),
     ("se_lad_cauchy", "se --losses lad --noise cauchy --noise-param 1"),
     ("se_ls_t1.5", "se --losses ls --noise student_t --noise-param 1.5"),
+    ("se_huber_calibration_error", "se --losses huber --noise normal --noise-param 1e28"),
+    ("solve_negative_alpha", "solve --alpha -1"),
 )
 
 
@@ -65,7 +72,7 @@ def main():
         for name, command in CASES:
             out = os.path.join(root, name)
             print(f"exit {cli.main(command.split() + ['--out', out])}  {name}")
-            for file in sorted(os.listdir(out)):
+            for file in sorted(os.listdir(out)) if os.path.isdir(out) else ():
                 with open(os.path.join(out, file), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digest}  {name}/{file}")
