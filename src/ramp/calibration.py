@@ -13,7 +13,8 @@ one walk over the sorted u when kappa > 0 (Huber, `calibrate_smooth`); and
 as an order statistic of u when kappa = 0, where c = 1 (the kinked
 absolute and quantile losses, `calibrate_nonsmooth`). `solve_increasing`,
 safeguarded Newton on log b, solves the population equation for state
-evolution.
+evolution; it returns the root together with the curve's values there,
+so state evolution reads E Phi^2 at b from Newton's last evaluation.
 """
 
 from __future__ import annotations
@@ -162,21 +163,24 @@ _LOG10_XTOL = 1e-13
 _MAX_NEWTON_EVALS = 200
 
 
-def solve_increasing(curve: Callable, target: float, start: Optional[float] = None) -> float:
-    """Root b of the nondecreasing map b -> curve(b) = target.
+def solve_increasing(curve: Callable, target: float, start: Optional[float] = None):
+    """Root b of the nondecreasing map b -> curve(b)[0] = target, and curve(b).
 
-    curve(b) returns (value, d value / d b). The root is found by
-    safeguarded Newton steps on log10 b, starting from `start` (b = 1 when
-    None), the natural choice when a nearby root is known from a previous
-    solve. Every evaluated point narrows a bracket around the root. A
-    Newton step that leaves the bracket, or (once both ends are known) is
-    longer than half the step before last, is replaced by bisection on
-    log10 b; while one side of the bracket is still unknown, the
-    replacement moves a decade outward from the known side instead, up to
-    the limits [1e-12, 1e12]. Newton stops once a step is below 1e-13 on
-    log10 b. Where the map steps across the target without touching it
-    (a zero derivative gives no Newton step), bisection returns the jump
-    point.
+    curve(b) returns a tuple (value, d value / d b, ...). Entries past the
+    second ride along, so a caller that needs more of the curve at the
+    root reads it from the returned tuple instead of evaluating again. The
+    root is found by safeguarded Newton steps on log10 b, starting from
+    `start` (b = 1 when None), the natural choice when a nearby root is
+    known from a previous solve. Every evaluated point narrows a bracket
+    around the root. A Newton step that leaves the bracket, or (once both
+    ends are known) is longer than half the step before last, is replaced
+    by bisection on log10 b; while one side of the bracket is still
+    unknown, the replacement moves a decade outward from the known side
+    instead, up to the limits [1e-12, 1e12]. Newton stops once the next
+    step would be below 1e-13 on log10 b, and returns (b, curve(b)) at the
+    last point it evaluated, not the stepped one. Where the map steps
+    across the target without touching it (a zero derivative gives no
+    Newton step), bisection returns the jump point.
 
     An unreachable target raises CalibrationError carrying the outermost
     points evaluated and the curve values there.
@@ -188,10 +192,11 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
     step = step_old = 2.0 * limit
     for _ in range(_MAX_NEWTON_EVALS):
         b = 10.0 ** u
-        f, df = curve(b)
+        values = curve(b)
+        f, df = values[:2]
         g = f - target
         if g == 0.0:
-            return b
+            return b, values
         if g < 0.0:
             lo = (u, f)
         else:
@@ -217,7 +222,7 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
             break
         step = u_next - u
         if abs(step) <= _LOG10_XTOL:
-            return 10.0 ** u_next
+            return b, values
         u = u_next
     lo_b, hi_b = 10.0 ** outer_lo[0], 10.0 ** outer_hi[0]
     missed = "not bracketed" if lo is None or hi is None else "not settled"

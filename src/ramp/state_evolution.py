@@ -26,14 +26,17 @@ E d1Phi is c times the mass of the window and E Phi^2 is c^2 E clip(v,
 lo, hi)^2; c and its derivative kappa/(kappa + b)^2 multiply the noise
 averages. The derivative of the slope in b takes, besides dc/db, the
 density of W + sigma Z at each window edge times the rate e_lo or e_hi at
-which that edge moves, from the same normal pieces. Least squares, whose
-window is the whole line, keeps its closed forms. The tau update finds
-b by safeguarded Newton steps on log b (`calibration.solve_increasing`
-on `slope_curve`) and takes E Phi^2 once at the root. The rows' (sigma_sq,
-b) converge geometrically, so a fixed-point run starts each Newton solve
-from b extrapolated to the new sigma_sq through its last three rows
+which that edge moves, from the same normal pieces. `score_moments` is
+the one window kernel: one pass over the edges gives the slope, its
+derivative in b and E Phi^2. Least squares, whose window is the whole
+line, reads the noise variance for every law. The tau update finds b by
+safeguarded Newton steps on log b (`calibration.solve_increasing` on
+`score_moments`) and takes E Phi^2 from Newton's last evaluation, at the
+b it returns, with no further pass. The rows' (sigma_sq, b) converge
+geometrically, so a fixed-point run starts each Newton solve from b
+extrapolated to the new sigma_sq through its last three rows
 (`_predicted_b`): on the twelve cells of the benchmark's se_tune workload
-an update takes 2.2 slope evaluations (1147 over 520 updates). Newton's
+an update takes 2.2 window passes (1157 over 520 updates). Newton's
 stopping rule does not depend on the start, so each b is the same root
 to solver precision.
 At sigma = 0 the slope is a step map and Newton's bisection fallback
@@ -121,7 +124,15 @@ def pm_one_prior(omega):
 # ---------------------------------------------------------------------------
 # A law gives its variance, fisher_info and sample, plus either normal
 # components ((weight, variance), ...), which SE averages exactly, or ppf,
-# from which SE builds its quadrature nodes.
+# from which SE builds its quadrature nodes. Every parameter must be
+# positive and finite: t with df = inf is the normal law, but built as a
+# StudentT it would reach SE with an infinite variance.
+
+
+def _positive_finite(**params):
+    for name, value in params.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,7 @@ class Normal:
     sigma_sq: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
+        _positive_finite(sigma_sq=self.sigma_sq)
 
     @property
     def variance(self):
@@ -159,8 +169,8 @@ class NormalMixture:
         comps = tuple((float(w), float(v)) for w, v in self.components)
         if not comps:
             raise ValueError("need at least one component")
-        if any(w <= 0 or v <= 0 for w, v in comps):
-            raise ValueError("weights and variances must be positive")
+        for w, v in comps:
+            _positive_finite(weight=w, variance=v)
         if abs(sum(w for w, _ in comps) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "components", comps)
@@ -186,8 +196,7 @@ class StudentT:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.df > 0 or not self.scale > 0:
-            raise ValueError("df and scale must be positive")
+        _positive_finite(df=self.df, scale=self.scale)
 
     @property
     def variance(self):
@@ -213,8 +222,7 @@ class Laplace:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        _positive_finite(scale=self.scale)
 
     @property
     def variance(self):
@@ -239,8 +247,7 @@ class Cauchy:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        _positive_finite(scale=self.scale)
 
     @property
     def variance(self):
@@ -288,33 +295,36 @@ def _window_edges(lo, hi, mu, s):
     return (e,) + norm_cdf_pdf(e)
 
 
-def _conditional_moments(lo, hi, mu, s):
-    """(P(v in window), E clip(v, lo, hi)^2) for v ~ N(mu, s^2).
+def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
+    """(P(v in window), its derivative in b, E clip(v, lo, hi)^2), v ~ N(mu, s^2).
 
     The window (lo, hi] is the score window, on which Phi(v; b) =
-    c clip(v, lo, hi), so these are E d1Phi/c and E Phi^2/c^2. Vectorized
-    over mu. The second moment inside the window is the truncated-normal
+    c clip(v, lo, hi), so the first and last values are E d1Phi/c and
+    E Phi^2/c^2. Its edges move with b at rates rate_lo and rate_hi, so
+    the derivative is the density of v at each edge times that edge's
+    rate. The second moment inside the window is the truncated-normal
     closed form
 
         (mu^2 + s^2) P + 2 mu s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c))
 
-    on the edge terms of `_window_edges`, with the same operations as
-    `gauss.truncated_moments` and so the same bits, summed in place; the
-    mass below the window is Phi(a). At s = 0, v is a point mass at mu,
-    inside when lo < mu <= hi. The infinite window of least squares gives
-    (1, mu^2 + s^2).
+    and the mass below the window is Phi(a), all on the edge terms of one
+    `_window_edges` pass. The moment takes the operations of
+    `gauss.truncated_moments` and so its bits, summed in place. At s = 0,
+    v is a point mass at mu, inside when lo < mu <= hi, with no density at
+    the edges. Vectorized over mu.
     """
     mu = np.asarray(mu, dtype=float)
-    if math.isinf(hi):
-        return np.ones(mu.shape), mu * mu + s * s
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
+        dp_in = np.zeros_like(p_in)
         m2 = mu * mu * p_in
         p_below = (mu <= lo).astype(float)
     else:
         e, cdf, pdf = _window_edges(lo, hi, mu, s)
         p_below = cdf[0]
         p_in = cdf[1] - p_below
+        dp_in = pdf[1] * (rate_hi / s)
+        dp_in -= (rate_lo / s) * pdf[0]
         m2 = mu * mu
         m2 += s * s
         m2 *= p_in
@@ -330,25 +340,7 @@ def _conditional_moments(lo, hi, mu, s):
     p_above -= p_below
     m2 += hi * hi * np.maximum(p_above, 0.0)
     m2 += lo * lo * p_below
-    return p_in, m2
-
-
-def _conditional_slope(lo, hi, rate_lo, rate_hi, mu, s):
-    """(P(v in window), its derivative in b) for v ~ N(mu, s^2).
-
-    The window (lo, hi] is as in `_conditional_moments`, and its edges move
-    with b at rates rate_lo and rate_hi, so the derivative is the density
-    of v at each edge times that edge's rate. At s = 0, v is a point mass
-    at mu, inside when lo < mu <= hi, with no density at the edges.
-    Vectorized over mu.
-    """
-    if s == 0.0:
-        p_in = ((mu > lo) & (mu <= hi)).astype(float)
-        return p_in, np.zeros_like(p_in)
-    _, cdf, pdf = _window_edges(lo, hi, mu, s)
-    dp_in = pdf[1] * (rate_hi / s)
-    dp_in -= (rate_lo / s) * pdf[0]
-    return cdf[1] - cdf[0], dp_in
+    return p_in, dp_in, m2
 
 
 @lru_cache(maxsize=32)
@@ -362,68 +354,55 @@ def _noise_nodes(noise):
 
 
 def _noise_average(conditional, noise, sigma):
-    """Average over W of a pair conditional(mu, s) of moments of v ~ N(mu, s^2).
+    """Average over W of the triple conditional(mu, s) for v ~ N(mu, s^2).
 
     Exact for a law with normal components, whose v is normal given the
     component: a normal mixture, or a normal law as its one component
     (0.0 + 1.0 x is x, and no average here is -0.0, so the bits are those
     of a direct evaluation). Gauss-Legendre nodes on the inverse cdf
-    otherwise.
+    otherwise, one dot product per entry.
     """
     components = getattr(noise, "components", None)
     if components is not None:
-        x_tot = y_tot = 0.0
+        totals = [0.0, 0.0, 0.0]
         for w, v in components:
-            x, y = conditional(0.0, math.sqrt(v + sigma * sigma))
-            x_tot += w * float(x)
-            y_tot += w * float(y)
-        return x_tot, y_tot
+            for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
+                totals[i] += w * float(x)
+        return tuple(totals)
     nodes, weights = _noise_nodes(noise)
-    x, y = conditional(nodes, sigma)
-    return float(weights @ x), float(weights @ y)
+    return tuple(float(weights @ x) for x in conditional(nodes, sigma))
 
 
 def score_moments(loss, b, noise, sigma):
-    """Population (E d1Phi(v; b), E Phi(v; b)^2) for v = W + sigma Z.
+    """Population (E d1Phi(v; b), its derivative in b, E Phi(v; b)^2), v = W + sigma Z.
 
-    Exact for Normal and NormalMixture noise, Gauss-Legendre quadrature over
-    the noise law otherwise; an infinite score window (least squares) needs
-    only the noise variance and raises ValueError when it is infinite. The
-    scale c(b) multiplies the noise averages, not the nodes.
+    With P the mass of v in the score window (lo, hi] = (kappa + b)(e_lo,
+    e_hi], the slope is c P and E Phi^2 is c^2 E clip(v, lo, hi)^2. The
+    edges move with b at rates e_lo and e_hi, so with f the density of v
+    the derivative is
+
+        dc/db P + c (e_hi f(hi) - e_lo f(lo)),   dc/db = kappa/(kappa + b)^2.
+
+    All three come from one pass of `_conditional` over the window, exact
+    for Normal and NormalMixture noise and by Gauss-Legendre quadrature
+    over the noise law otherwise; c and dc/db multiply the noise averages,
+    not the nodes. The infinite window of least squares gives (c, dc/db,
+    c^2 (variance + sigma^2)) for every law and raises ValueError when the
+    noise variance is infinite.
     """
     kappa, e_lo, e_hi = score_shape(loss)
     c = b / (kappa + b)
-    if math.isinf(e_hi) and not hasattr(noise, "components"):
+    dc = kappa / (kappa + b) ** 2
+    if math.isinf(e_hi):
         var = noise.variance
         if not math.isfinite(var):
             raise ValueError(
                 "unbounded-score moments diverge under infinite-variance noise")
-        return c, c * c * (var + sigma * sigma)
+        return c, dc, c * c * (var + sigma * sigma)
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-    p_in, clip_sq = _noise_average(lambda mu, s: _conditional_moments(lo, hi, mu, s),
-                                   noise, sigma)
-    return c * p_in, c * c * clip_sq
-
-
-def slope_curve(loss, b, noise, sigma):
-    """Population (E d1Phi(v; b), d/db E d1Phi(v; b)) for v = W + sigma Z.
-
-    The slope is c P, with P the mass of v in the score window
-    (lo, hi] = (kappa + b)(e_lo, e_hi], and equals the first value of
-    `score_moments` bit for bit. The edges move with b at rates e_lo and
-    e_hi, so with f the density of v (averaged over the noise nodes, or
-    exact for Normal and NormalMixture noise) the derivative is
-
-        dc/db P + c (e_hi f(hi) - e_lo f(lo)),   dc/db = kappa/(kappa + b)^2.
-
-    The infinite window of least squares is not handled here.
-    """
-    kappa, e_lo, e_hi = score_shape(loss)
-    lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-    p_in, dp_in = _noise_average(
-        lambda mu, s: _conditional_slope(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
-    c = b / (kappa + b)
-    return c * p_in, kappa / (kappa + b) ** 2 * p_in + c * dp_in
+    p_in, dp_in, clip_sq = _noise_average(
+        lambda mu, s: _conditional(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
+    return c * p_in, dc * p_in + c * dp_in, c * c * clip_sq
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +416,13 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
     tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. An infinite score window
     (least squares) has the closed form b = kappa slope/(1 - slope), as in
-    `calibration.calibrate_smooth`. Otherwise `solve_increasing` takes
-    safeguarded Newton steps on `slope_curve`, the slope and its analytic
-    derivative in b, from b_start (b = 1 when None; a fixed-point run
-    passes `_predicted_b` of its rows), and raises CalibrationError when
-    the slope is not bracketed on [1e-12, 1e12]. `score_moments` is then
-    called once at the root for E Phi^2.
+    `calibration.calibrate_smooth`, and one `score_moments` call there.
+    Otherwise `solve_increasing` takes safeguarded Newton steps on
+    `score_moments`, the slope and its analytic derivative in b, from
+    b_start (b = 1 when None; a fixed-point run passes `_predicted_b` of
+    its rows), and raises CalibrationError when the slope is not bracketed
+    on [1e-12, 1e12]. E Phi^2 is the third value of its last evaluation,
+    at the b it returns.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
@@ -452,10 +432,10 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     kappa, _, e_hi = score_shape(loss)
     if math.isinf(e_hi):
         b = kappa * slope / (1.0 - slope)
+        _, _, sq = score_moments(loss, b, noise, sigma)
     else:
-        b = solve_increasing(lambda bb: slope_curve(loss, bb, noise, sigma),
-                             slope, start=b_start)
-    _, sq = score_moments(loss, b, noise, sigma)
+        b, (_, _, sq) = solve_increasing(
+            lambda bb: score_moments(loss, bb, noise, sigma), slope, start=b_start)
     return sq / (slope * slope), b
 
 

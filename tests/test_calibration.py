@@ -122,11 +122,11 @@ class TestSolveIncreasing:
                 return step * b / (1.0 + b), step / (1.0 + b) ** 2
 
             # at the jump the map steps from 0.3 c to 0.9 c, c = b/(1+b)
-            b = solve_increasing(curve, 0.6 * jump / (1.0 + jump))
+            b, _ = solve_increasing(curve, 0.6 * jump / (1.0 + jump))
             assert b == pytest.approx(jump, rel=1e-12)
             # 0.9 b/(1+b) = 0.6 at b = 2: the upper piece's root, or the
             # jump when the map has already stepped past 0.6 there
-            b = solve_increasing(curve, 0.6, start=jump)
+            b, _ = solve_increasing(curve, 0.6, start=jump)
             assert b == pytest.approx(max(2.0, jump), rel=1e-12)
 
     def test_newton_root(self):
@@ -134,17 +134,35 @@ class TestSolveIncreasing:
             return b / (1.0 + b), 1.0 / (1.0 + b) ** 2
 
         for start in (None, 1e-9, 0.4, 1e9):
-            b = solve_increasing(curve, 0.3, start=start)
+            b, _ = solve_increasing(curve, 0.3, start=start)
             assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
         sqrt = lambda b: (np.sqrt(b), 0.5 / np.sqrt(b))
-        assert solve_increasing(sqrt, 1e3) == pytest.approx(1e6, rel=1e-13)
-        assert solve_increasing(sqrt, 1e-4) == pytest.approx(1e-8, rel=1e-13)
+        assert solve_increasing(sqrt, 1e3)[0] == pytest.approx(1e6, rel=1e-13)
+        assert solve_increasing(sqrt, 1e-4)[0] == pytest.approx(1e-8, rel=1e-13)
 
     def test_newton_step_map_falls_back_to_bisection(self):
         # a zero derivative gives no Newton step: widen, then bisect
         for jump in (2.5, 3e-7, 4e8):
-            b = solve_increasing(lambda bb: (0.0 if bb < jump else 1.0, 0.0), 0.5)
+            b, _ = solve_increasing(lambda bb: (0.0 if bb < jump else 1.0, 0.0), 0.5)
             assert b == pytest.approx(jump, rel=1e-12)
+
+    def test_returns_the_curve_at_its_root(self):
+        # the values returned are those of the last evaluation, at the b
+        # returned, with every entry the curve gives: Newton's stop, the
+        # bisection fallback on a step map, and an exact hit
+        def smooth(b):
+            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b
+
+        def step(b):
+            return (0.0 if b < 2.5 else 1.0), 0.0, -b
+
+        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
+                                     (step, 0.5, None), (smooth, 0.5, None)):
+            b, values = solve_increasing(curve, target, start=start)
+            assert values == curve(b)
+        b, values = solve_increasing(
+            lambda bb: state_evolution.score_moments(absolute(), bb, Laplace(1.0), 0.6), 0.2)
+        assert values == state_evolution.score_moments(absolute(), b, Laplace(1.0), 0.6)
 
     def test_newton_unreachable_target_carries_bracket(self):
         with pytest.raises(CalibrationError) as err:
@@ -169,15 +187,22 @@ class TestSolveIncreasing:
         assert np.mean(effective_score_deriv(huber(1.0), inst.y, b)) == pytest.approx(inst.slope, rel=1e-8)
 
     def test_se_tau_update_curve_evaluations(self, monkeypatch):
-        # both curves count: the slope curve Newton runs on and the
-        # score moments taken once at the root
+        # Newton runs on score_moments and E Phi^2 comes from its last
+        # evaluation: the last pass is at the root, and no b is passed twice
         dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
-        slope_calls = counting(monkeypatch, state_evolution, "slope_curve")
-        moment_calls = counting(monkeypatch, state_evolution, "score_moments")
+        points = []
+        original = state_evolution.score_moments
+
+        def recording(loss, b, noise, sigma):
+            points.append(b)
+            return original(loss, b, noise, sigma)
+
+        monkeypatch.setattr(state_evolution, "score_moments", recording)
         _, b = se_tau_update(0.5, dist, absolute(), 0.2)
-        assert len(moment_calls) == 1
-        assert 1 <= len(slope_calls) + len(moment_calls) <= 25
-        deriv, _ = state_evolution.score_moments(absolute(), b, Laplace(1.0), np.sqrt(0.5))
+        assert 1 <= len(points) <= 25
+        assert points[-1] == b
+        assert len(set(points)) == len(points)
+        deriv = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))[0]
         assert deriv == pytest.approx(0.2, rel=1e-10)
 
 
@@ -261,7 +286,7 @@ class TestCalibrateNonsmooth:
         # true normal cdf/pdf is increasing, with derivative 2 b^2 phi(b),
         # and its root is the analytic one
         slope = 0.2
-        b = solve_increasing(
+        b, _ = solve_increasing(
             lambda bb: (float(plugin_slope_curve(absolute(), bb, stats.norm.cdf, stats.norm.pdf)),
                         2.0 * bb * bb * stats.norm.pdf(bb)),
             slope)

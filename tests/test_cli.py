@@ -286,6 +286,21 @@ class TestSe:
                 == (b / "se_trace_least_squares.csv").read_bytes())
 
 
+@pytest.mark.parametrize("argv", [
+    ("se", "--losses", "ls", "--noise", "student_t", "--noise-param", "inf"),
+    ("se", "--losses", "lad", "--noise", "laplace", "--noise-param", "nan"),
+    ("solve", "--noise", "normal", "--noise-param", "inf"),
+    ("solve", "--noise", "cauchy", "--noise-param", "inf"),
+], ids=["se_t_inf", "se_laplace_nan", "solve_normal_inf", "solve_cauchy_inf"])
+def test_nonfinite_noise_parameter_rejected_before_output(tmp_path, capsys, argv):
+    # t(inf) would otherwise reach SE with an infinite variance and read as
+    # diverged, and normal(inf) would fail the solver at iteration 0
+    out = tmp_path / "sub"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBench:
     def test_dense_study(self, tmp_path):
         assert run_cli("bench", "--study", "dense",

@@ -28,7 +28,6 @@ from ramp.state_evolution import (
     pm_one_prior,
     score_moments,
     se_fixed_point,
-    slope_curve,
     se_sigma_update,
     se_tau_update,
     tune_alpha,
@@ -120,6 +119,20 @@ class TestNoiseLaws:
             x = noise.sample(rng, 200_000)
             assert abs(np.var(x) - noise.variance) < 0.05 * noise.variance
 
+    @pytest.mark.parametrize("make", [
+        lambda x: Normal(x), lambda x: StudentT(x), lambda x: StudentT(4.0, x),
+        lambda x: Laplace(x), lambda x: Cauchy(x),
+        lambda x: NormalMixture(((0.5, x), (0.5, 1.0))),
+        lambda x: NormalMixture(((x, 1.0),)),
+    ], ids=["normal", "t_df", "t_scale", "laplace", "cauchy", "mixture_variance",
+            "mixture_weight"])
+    def test_nonfinite_parameters_rejected(self, make):
+        # t(inf) is the standard normal, but a law built from an infinite
+        # parameter would reach SE as a different one (variance inf)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                make(bad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Normal(0.0)
@@ -130,12 +143,22 @@ class TestNoiseLaws:
 
 
 class TestScoreMoments:
+    def test_least_squares_reads_the_variance(self):
+        # the infinite window needs no average over the law: a normal
+        # mixture gives c^2 (variance + sigma^2) as a quadrature law does
+        b, sigma = 0.4, 0.7
+        c = b / (1 + b)
+        for noise in (NormalMixture(((0.5, 0.3), (0.5, 1.0))),
+                      NormalMixture(((0.9, 0.1), (0.1, 5.0))), Normal(0.2), Laplace(1.0)):
+            assert score_moments(least_squares(), b, noise, sigma) == (
+                c, 1.0 / (1 + b) ** 2, c * c * (noise.variance + sigma * sigma))
+
     def test_least_squares_exact_for_any_noise(self):
         b, sigma = 0.4, 0.7
         c = b / (1 + b)
         for noise in (Normal(0.2), Laplace(1.0), StudentT(4.0),
                       NormalMixture(((0.5, 0.3), (0.5, 1.0)))):
-            d, q = score_moments(least_squares(), b, noise, sigma)
+            d, _, q = score_moments(least_squares(), b, noise, sigma)
             assert d == pytest.approx(c, rel=1e-12)
             assert q == pytest.approx(c * c * (noise.variance + sigma ** 2), rel=1e-10)
 
@@ -143,7 +166,7 @@ class TestScoreMoments:
         b, sigma = 0.8, 0.5
         s = math.sqrt(0.2 + sigma ** 2)
         p, m2 = gaussian_window_moments(s, -b, b)
-        d, q = score_moments(absolute(), b, Normal(0.2), sigma)
+        d, _, q = score_moments(absolute(), b, Normal(0.2), sigma)
         assert d == pytest.approx(p, rel=1e-10)
         assert q == pytest.approx(m2 + b * b * (1 - p), rel=1e-10)
 
@@ -153,7 +176,7 @@ class TestScoreMoments:
         k = (1 + b) * gamma
         c = b / (1 + b)
         p, m2 = gaussian_window_moments(s, -k, k)
-        d, q = score_moments(huber(gamma), b, Normal(0.2), sigma)
+        d, _, q = score_moments(huber(gamma), b, Normal(0.2), sigma)
         assert d == pytest.approx(c * p, rel=1e-10)
         assert q == pytest.approx(c * c * m2 + (b * gamma) ** 2 * (1 - p), rel=1e-10)
 
@@ -164,7 +187,7 @@ class TestScoreMoments:
         p, m2 = gaussian_window_moments(s, lo, hi)
         p_above = stats.norm.sf(hi / s)
         p_below = stats.norm.cdf(lo / s)
-        d, q = score_moments(quantile(tq), b, Normal(1.0), sigma)
+        d, _, q = score_moments(quantile(tq), b, Normal(1.0), sigma)
         assert d == pytest.approx(p, rel=1e-10)
         assert q == pytest.approx(m2 + hi * hi * p_above + lo * lo * p_below, rel=1e-10)
 
@@ -203,7 +226,7 @@ class TestScoreMoments:
 
         d_ref = quad(deriv_at, -np.inf, np.inf, limit=400)[0]
         q_ref = quad(sq_at, -np.inf, np.inf, limit=400)[0]
-        d, q = score_moments(loss, b, noise, sigma)
+        d, _, q = score_moments(loss, b, noise, sigma)
         assert d == pytest.approx(d_ref, abs=1e-8)
         assert q == pytest.approx(q_ref, abs=1e-8)
 
@@ -221,22 +244,23 @@ class TestScoreMoments:
         v = noise.sample(rng, n) + sigma * rng.standard_normal(n)
         d_samples = effective_score_deriv(loss, v, b)
         q_samples = effective_score(loss, v, b) ** 2
-        d, q = score_moments(loss, b, noise, sigma)
+        d, _, q = score_moments(loss, b, noise, sigma)
         assert abs(d - d_samples.mean()) < 4 * d_samples.std(ddof=1) / math.sqrt(n)
         assert abs(q - q_samples.mean()) < 4 * q_samples.std(ddof=1) / math.sqrt(n)
 
     def test_conditional_moments_match_truncated_route(self):
-        # p_below by norm_cdf gives the same bits as a truncated_moments
-        # call over (-inf, lo]; at s = 0 the point mass gives
-        # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2. The window
-        # (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
+        # the window kernel's mass and second moment, with p_below by
+        # norm_cdf, give the same bits as truncated_moments calls over the
+        # window and (-inf, lo]; at s = 0 the point mass gives
+        # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2 and no edge density. The
+        # window (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
         mu = state_evolution._noise_nodes(Laplace(1.0))[0]
         for loss, b in ((absolute(), 0.7), (quantile(0.3), 1.9), (huber(1.0), 0.4)):
             kappa, e_lo, e_hi = score_shape(loss)
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c = b / (kappa + b)
             for s in (0.6, 0.0):
-                p, clip_sq = state_evolution._conditional_moments(lo, hi, mu, s)
+                p, dp, clip_sq = state_evolution._conditional(lo, hi, e_lo, e_hi, mu, s)
                 p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
                 p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
                 p_above = np.maximum(1.0 - p_in - p_below, 0.0)
@@ -244,6 +268,7 @@ class TestScoreMoments:
                 np.testing.assert_array_equal(
                     clip_sq, m2_in + hi * hi * p_above + lo * lo * p_below)
                 if s == 0.0:
+                    np.testing.assert_array_equal(dp, np.zeros_like(mu))
                     phi = effective_score(loss, mu, b)
                     assert_allclose(c * c * clip_sq, phi * phi, rtol=1e-15)
 
@@ -258,16 +283,18 @@ SLOPE_LOSSES = (huber(1.0), absolute(), quantile(0.7))
 
 
 class TestSlopeCurve:
+    """The slope of score_moments as a curve in b: its derivative, and the
+    Newton root that the tau update finds on it."""
+
     @pytest.mark.parametrize("noise", SLOPE_NOISES)
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
     def test_derivative_matches_central_difference(self, noise, loss):
         sigma = 0.6
         for b in (0.05, 0.4, 1.5, 6.0):
-            d, deriv = slope_curve(loss, b, noise, sigma)
-            assert d == score_moments(loss, b, noise, sigma)[0]
+            _, deriv, _ = score_moments(loss, b, noise, sigma)
             h = 1e-5 * b
-            fd = (slope_curve(loss, b + h, noise, sigma)[0]
-                  - slope_curve(loss, b - h, noise, sigma)[0]) / (2.0 * h)
+            fd = (score_moments(loss, b + h, noise, sigma)[0]
+                  - score_moments(loss, b - h, noise, sigma)[0]) / (2.0 * h)
             assert deriv > 0
             assert deriv == pytest.approx(fd, rel=1e-6)
 
@@ -288,8 +315,10 @@ class TestSlopeCurve:
             sigma = math.sqrt(sigma_sq)
             ref = 10.0 ** brentq(lambda e: score_moments(loss, 10.0 ** e, noise, sigma)[0] - slope,
                                  -12.0, 12.0, xtol=1e-14)
-            _, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
+            tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
             assert b == pytest.approx(ref, rel=1e-12)
+            # E Phi^2 is read from Newton's evaluation at the b returned
+            assert tau_sq == score_moments(loss, b, noise, sigma)[2] / (slope * slope)
 
     def test_warm_started_fixed_point_evaluations(self, monkeypatch):
         calls = count_calls(monkeypatch)
@@ -297,28 +326,26 @@ class TestSlopeCurve:
         res = se_fixed_point(dist, absolute(), 0.64, alpha=2.0)
         assert res.converged
         assert calls["se_tau_update"] == res.iterations + 1
-        # 23 evaluations over 6 updates, the first from b = 1
-        evals = calls["slope_curve"] + calls["score_moments"]
-        assert evals / calls["se_tau_update"] <= 4
+        # 17 window passes over 6 updates, the first from b = 1
+        assert calls["score_moments"] / calls["se_tau_update"] <= 4
 
     def test_se_tune_cells_evaluation_count(self, monkeypatch):
         # the 12 cells of the benchmark's se_tune workload on its base grid
-        # take 1147 slope evaluations over 520 tau updates
+        # take 1157 window passes over 520 tau updates, every pass counted
         calls = count_calls(monkeypatch)
         prior = pm_one_prior(0.128)
         for noise in (Normal(0.2), Laplace(1.0), StudentT(4.0), Cauchy(1.0)):
             for loss in (huber(1.0), absolute(), quantile(0.7)):
                 tune_alpha(DistributionModel(prior, noise), loss, 0.64,
                            alpha_grid=(1.0, 1.4, 1.8, 2.2, 2.6, 3.0))
-        assert calls["slope_curve"] <= 1250
-        assert calls["score_moments"] == calls["se_tau_update"]
+        assert calls["score_moments"] <= 1250
 
 
 def count_calls(monkeypatch):
-    """Count the calls of se_tau_update, slope_curve and score_moments made
-    through the state_evolution module."""
+    """Count the calls of se_tau_update and score_moments made through the
+    state_evolution module."""
     calls = {}
-    for name in ("se_tau_update", "slope_curve", "score_moments"):
+    for name in ("se_tau_update", "score_moments"):
         original = getattr(state_evolution, name)
         calls[name] = 0
 
@@ -382,14 +409,10 @@ class TestNormalIsOneComponentMixture:
     def test_moments_and_slope_equal_bit_for_bit(self, v):
         normal, twin = Normal(v), NormalMixture(((1.0, v),))
         for loss in (least_squares(), huber(1.0), absolute(), quantile(0.7)):
-            finite_window = math.isfinite(score_shape(loss).e_hi)
             for b in (0.1, 0.7, 3.0):
                 for sigma in (0.0, 0.3, 1.2):
                     assert (score_moments(loss, b, normal, sigma)
                             == score_moments(loss, b, twin, sigma))
-                    if finite_window:
-                        assert (slope_curve(loss, b, normal, sigma)
-                                == slope_curve(loss, b, twin, sigma))
 
     def test_tuned_rows_equal(self):
         prior = pm_one_prior(0.128)
@@ -413,20 +436,15 @@ def plain_pdf(x):
     return INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def plain_moments(lo, hi, mu, s):
+def plain_window(lo, hi, rate_lo, rate_hi, mu, s):
     a, c = (lo - mu) / s, (hi - mu) / s
     cdf_a, cdf_c, pdf_a, pdf_c = plain_cdf(a), plain_cdf(c), plain_pdf(a), plain_pdf(c)
     p_in = cdf_c - cdf_a
     m2_in = ((mu * mu + s * s) * p_in + 2.0 * mu * s * (pdf_a - pdf_c)
              + s * s * (a * pdf_a - c * pdf_c))
     p_above = np.maximum(1.0 - p_in - cdf_a, 0.0)
-    return p_in, m2_in + hi * hi * p_above + lo * lo * cdf_a
-
-
-def plain_slope(lo, hi, rate_lo, rate_hi, mu, s):
-    a, c = (lo - mu) / s, (hi - mu) / s
-    return (plain_cdf(c) - plain_cdf(a),
-            (rate_hi / s) * plain_pdf(c) - (rate_lo / s) * plain_pdf(a))
+    return (p_in, (rate_hi / s) * pdf_c - (rate_lo / s) * pdf_a,
+            m2_in + hi * hi * p_above + lo * lo * cdf_a)
 
 
 def plain_risk(m, alpha, cdf=plain_cdf, pdf=plain_pdf):
@@ -479,19 +497,18 @@ class TestEdgeTermsBitIdentity:
     @pytest.mark.parametrize("noise", BIT_NOISES)
     @pytest.mark.parametrize("loss", BIT_LOSSES)
     def test_score_moments_and_slope_curve(self, noise, loss):
+        # all three outputs of the one window pass: the slope, its
+        # derivative in b and E Phi^2
         kappa, e_lo, e_hi = score_shape(loss)
         for b in (0.01, 0.3, 1.0, 4.0, 200.0):
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c = b / (kappa + b)
             for sigma in (1e-3, 0.3, 1.0, 30.0):
-                p_in, clip_sq = state_evolution._noise_average(
-                    lambda mu, s: plain_moments(lo, hi, mu, s), noise, sigma)
+                p_in, dp_in, clip_sq = state_evolution._noise_average(
+                    lambda mu, s: plain_window(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
                 assert same_bits(score_moments(loss, b, noise, sigma),
-                                 (c * p_in, c * c * clip_sq))
-                p_in, dp_in = state_evolution._noise_average(
-                    lambda mu, s: plain_slope(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
-                assert same_bits(slope_curve(loss, b, noise, sigma),
-                                 (c * p_in, kappa / (kappa + b) ** 2 * p_in + c * dp_in))
+                                 (c * p_in, kappa / (kappa + b) ** 2 * p_in + c * dp_in,
+                                  c * c * clip_sq))
 
     def test_soft_threshold_risk(self):
         # the plain formula in math's erfc and exp gives the bits; numpy's
@@ -542,7 +559,7 @@ class TestTauUpdate:
         sample = noise.sample(rng, n) + sigma * rng.standard_normal(n)
         b = calibrate(CalibrationTarget(slope, loss, sample))
         _, b_pop = se_tau_update(sigma_sq, dist, loss, slope)
-        _, deriv = slope_curve(loss, b_pop, noise, sigma)
+        _, deriv, _ = score_moments(loss, b_pop, noise, sigma)
         scale = b_pop / (1.0 + b_pop) if loss.gamma is not None else 1.0
         p_in = slope / scale
         se = scale * math.sqrt(p_in * (1.0 - p_in) / n) / deriv

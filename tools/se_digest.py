@@ -12,9 +12,13 @@ The sweep (`se sha256`), in digest order:
   benchmark's `se_tune` workload: alpha*, lambda*, every SE row and the
   AMSE of every grid point. A cell that raises (least squares under
   Cauchy noise, where every alpha diverges) adds its exception's name;
-- `score_moments` and `slope_curve` of every (noise, loss) pair at 25
-  values of b from 1e-3 to 1e3 and sigma in {1e-3, 0.5, 30}, the
-  infinite score window of least squares giving `score_moments` alone;
+- `score_moments` of every (noise, loss) pair at 25 values of b from
+  1e-3 to 1e3 and sigma in {1e-3, 0.5, 30}, as two parts per point: the
+  slope and E Phi^2, then, on a finite score window, the slope and its
+  derivative in b. The infinite window of least squares gives the first
+  part alone. This is the layout of the two window kernels that
+  `score_moments` replaced, so a stream saved before that change still
+  lines up;
 - `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
   [-40, 40], one call per mean, for alpha in {0.05, 0.5, 1, 2, 3, 10}.
 
@@ -60,7 +64,6 @@ from ramp.state_evolution import (
     pm_one_prior,
     score_moments,
     se_fixed_point,
-    slope_curve,
     tune_alpha,
 )
 
@@ -125,17 +128,20 @@ def fixed_point_parts(noise, loss, prior, delta, alpha, kwargs):
 
 
 def curve_parts(noise, loss):
-    """score_moments, and slope_curve on a finite window, over b and sigma."""
+    """score_moments over b and sigma: (slope, E Phi^2), and on a finite
+    window (slope, derivative)."""
     finite = math.isfinite(score_shape(loss).e_hi)
     out = []
     for sigma in SIGMAS:
         for b in B_GRID:
             try:
-                out.append(("close", floats(*score_moments(loss, b, noise, sigma))))
+                slope, deriv, sq = score_moments(loss, b, noise, sigma)
             except ValueError as exc:
                 out.append(("text", type(exc).__name__))
+                continue
+            out.append(("close", floats(slope, sq)))
             if finite:
-                out.append(("close", floats(*slope_curve(loss, b, noise, sigma))))
+                out.append(("close", floats(slope, deriv)))
     return out
 
 
