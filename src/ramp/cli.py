@@ -37,8 +37,9 @@ from .experiments import (
     write_report,
 )
 from .losses import absolute, huber, least_squares, loss_label, quantile
-from .solver import DivergenceError, SolverConfig, run_ramp
+from .solver import TRACE_COLUMNS, DivergenceError, SolverConfig, run_ramp
 from .state_evolution import (
+    ROW_COLUMNS,
     DistributionModel,
     SeConfig,
     info_lower_bound,
@@ -185,16 +186,15 @@ def cmd_solve(args, parser):
     header = _config_header(options)
 
     _write_trace(os.path.join(out_dir, "solve_trace.csv"), header,
-                 ("t", "b", "theta", "tau_sq", "mse"), result.trace)
+                 TRACE_COLUMNS, result.trace)
 
     coords = "\n".join(_fmt(v) for v in result.x)
     _atomic_write(os.path.join(out_dir, "solve_estimate.txt"),
                   header + coords + "\n")
 
     if args.verbose:
-        final = result.trace[-1]
-        print(f"iterations {final[0]} converged {result.converged} "
-              f"mse {_fmt(final[4])}", file=sys.stderr)
+        print(f"iterations {result.iterations} converged {result.converged} "
+              f"mse {_fmt(result.trace[-1][4])}", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_MAX_ITER
 
 
@@ -240,7 +240,7 @@ def cmd_se(args, parser):
     for loss, res in zip(losses, results):
         label = loss_label(loss)
         _write_trace(os.path.join(out_dir, f"se_trace_{label}.csv"), header,
-                     ("t", "sigma_sq", "tau_sq", "b", "theta"), res.rows)
+                     ROW_COLUMNS, res.rows)
 
         if res.diverged or bound is None:
             bound_pass = None

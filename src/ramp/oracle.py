@@ -15,7 +15,7 @@ vertex, where that fit leaves the gap open, the primal LP on the working
 set gives the fit instead. HiGHS runs with presolve off: the restricted
 dual LP is small and dense, always feasible (v = 0) and bounded (the box),
 so presolve removes nothing, and it took more than a third of each solve.
-On the sweep of `tools/oracle_digest.py` the fits are the same bits with
+On the sweep of `tools/digest.py oracle` the fits are the same bits with
 it on or off, for the primal LP too.
 """
 

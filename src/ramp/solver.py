@@ -124,6 +124,8 @@ class RampResult:
 
     @property
     def iterations(self):
+        """The number of passes, counting the bootstrap pass: the number of
+        trace rows, one more than the last row's t."""
         return len(self.trace)
 
 
@@ -182,6 +184,10 @@ def ramp_step(inst, loss, config, state):
     np.subtract(inst.y, z, out=z)
     z += (state.onsager_frac / inst.delta) * state.score
     return _advance(inst, loss, config, state.t + 1, state.x, z)
+
+
+# the entries of a trace row, in order
+TRACE_COLUMNS = ("t", "b", "theta", "tau_sq", "mse")
 
 
 def _trace_row(state, inst):

@@ -572,6 +572,10 @@ def _predicted_b(rows, sigma_sq):
     return b if math.isfinite(b) and b > 0.0 else pts[-1][1]
 
 
+# the entries of a row of `_run`, in order
+ROW_COLUMNS = ("t", "sigma_sq", "tau_sq", "b", "theta")
+
+
 def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
     """The checked fixed-point run of `se_fixed_point`, and its start.
 

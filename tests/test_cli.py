@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from ramp import cli
-from ramp.solver import DivergenceError
-from ramp.state_evolution import SeConfig
+from ramp.solver import TRACE_COLUMNS, DivergenceError
+from ramp.state_evolution import ROW_COLUMNS, SeConfig
 
 
 def run_cli(*argv):
@@ -62,6 +62,13 @@ class TestSolve:
         assert run_cli(*self.solve_args(tmp_path, tol=100.0)) == 0
         _, _, rows = read_trace(tmp_path / "solve_trace.csv")
         assert [r[0] for r in rows] == ["0", "1"]
+
+    def test_verbose_iterations_count_the_trace_rows(self, tmp_path, capsys):
+        # -v prints RampResult.iterations, which counts the bootstrap pass:
+        # one per data row of the trace
+        assert run_cli(*self.solve_args(tmp_path), "-v") == 0
+        _, _, rows = read_trace(tmp_path / "solve_trace.csv")
+        assert capsys.readouterr().err.split()[:2] == ["iterations", str(len(rows))]
 
     def test_iteration_cap_exit_code(self, tmp_path):
         assert run_cli(*self.solve_args(tmp_path, max_iter=1,
@@ -299,6 +306,20 @@ def test_nonfinite_noise_parameter_rejected_before_output(tmp_path, capsys, argv
     assert run_cli(*argv, "--out", str(out)) == 1
     assert "must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_trace_headers_are_the_row_constants(tmp_path):
+    # the header is the constant declared next to the rows, so a column
+    # added to the rows and named there reaches the file
+    assert run_cli("solve", "--n", "80", "--p", "125", "--s", "16",
+                   "--out", str(tmp_path / "solve")) == 0
+    assert run_cli("se", "--losses", "ls,lad", "--out", str(tmp_path / "se")) == 0
+    for path, columns in ((tmp_path / "solve" / "solve_trace.csv", TRACE_COLUMNS),
+                          (tmp_path / "se" / "se_trace_least_squares.csv", ROW_COLUMNS),
+                          (tmp_path / "se" / "se_trace_absolute.csv", ROW_COLUMNS)):
+        _, header, rows = read_trace(path)
+        assert header == ",".join(columns)
+        assert rows and all(len(row) == len(columns) for row in rows)
 
 
 class TestBench:

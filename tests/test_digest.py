@@ -1,0 +1,120 @@
+"""The digest tool's comparator, its save/against round trip, and the
+benchmark constants it copies.
+
+tools/digest.py is loaded by path, as tests/test_imports.py reads
+perfbench/tracer.py. Loading it sets OPENBLAS_NUM_THREADS, which is undone
+here so that the other tests keep the environment they started with.
+"""
+
+import ast
+import importlib.util
+import json
+import os
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_digest():
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "digest.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+digest = load_digest()
+
+
+def stream(big=3.0e5, label="label", exact=2.0, tail=(np.nan, np.inf)):
+    """Two cases: text, exact and close parts, with a nan and an inf."""
+    return [("a", [("text", label), ("exact", np.array([exact])),
+                   ("close", np.array([1.0, big, -0.25, *tail]))]),
+            ("b", [("close", np.array([0.5]))])]
+
+
+def mismatches(new, old=None):
+    return digest.compare(new, old or stream())[1]
+
+
+def test_identical_streams_agree():
+    worst, found = digest.compare(stream(), stream())
+    assert worst == {"a": 0.0, "b": 0.0}
+    assert found == []
+    assert digest.against({"s": stream()}, {"s": stream()}, per_case=False)
+
+
+def test_relative_bound():
+    # the moved entry is large, so only a relative measure keeps it in bound
+    worst, found = digest.compare(stream(big=3.0e5 * (1 + 5e-13)), stream())
+    assert found == [] and 4e-13 < worst["a"] <= digest.RTOL
+    assert digest.against({"s": stream(big=3.0e5 * (1 + 5e-13))}, {"s": stream()},
+                          per_case=False)
+    worst, found = digest.compare(stream(big=3.0e5 * (1 + 2e-12)), stream())
+    assert found == [] and worst["a"] > digest.RTOL
+    assert not digest.against({"s": stream(big=3.0e5 * (1 + 2e-12))}, {"s": stream()},
+                              per_case=False)
+
+
+def test_nonfinite_entries_must_match():
+    assert mismatches(stream(tail=(1.0, np.inf)))
+    assert mismatches(stream(tail=(np.nan, -np.inf)))
+
+
+def test_changed_text_part():
+    assert mismatches(stream(label="other"))
+
+
+def test_exact_part_off_by_one_ulp():
+    assert mismatches(stream(exact=np.nextafter(2.0, 3.0)))
+
+
+def test_changed_part_count():
+    new = stream()
+    new[1] = ("b", new[1][1] + [("close", np.array([1.0]))])
+    assert mismatches(new)
+    assert mismatches(stream(tail=(np.nan,)))
+
+
+def test_renamed_or_missing_case():
+    new = stream()
+    new[1] = ("c", new[1][1])
+    assert any("'c'" in line and "'b'" in line for line in mismatches(new))
+    assert mismatches(stream()[:1])
+    # a stream the saved run has and this run lacks
+    assert not digest.against({"s": stream()}, {"s": stream(), "t": stream()},
+                              per_case=False)
+
+
+def test_se_save_and_against_round_trip(tmp_path, capsys):
+    path = tmp_path / "se.json"
+    assert digest.main(["se", "--save", str(path)]) == 0
+    assert digest.main(["se", "--against", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("largest relative difference 0\n") == 2
+    # one fixed-point float moved by 1e-11 relative fails and names its case
+    saved, moved = json.loads(path.read_text()), json.loads(path.read_text())
+    name, parts = moved["fixed-point"][3]
+    parts[1][1][0] *= 1 + 1e-11
+    assert not digest.against(saved, moved, per_case=False)
+    assert f"fixed-point: largest relative difference 1e-11 ({name})" in capsys.readouterr().out
+
+
+BENCHMARK_CONSTANTS = ("SE_BASE_GRID", "ORACLE_DRAWS", "ORACLE_LAMBDAS")
+
+
+def test_copied_benchmark_constants_match():
+    # the tool restates these workload inputs; they must not drift apart
+    workloads = ROOT / "perfbench" / "workloads.py"
+    if not workloads.exists():
+        pytest.skip("perfbench/ is not in this checkout")
+    tree = ast.parse(workloads.read_text(), filename=str(workloads))
+    found = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in BENCHMARK_CONSTANTS}
+    assert found == {name: getattr(digest, name) for name in BENCHMARK_CONSTANTS}
+    assert [loss.family for loss in digest.ORACLE_LOSSES] == list(digest.ORACLE_LAMBDAS)

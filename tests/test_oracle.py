@@ -404,7 +404,7 @@ class TestKinkedLinearProgram:
         # at 9016 quantile(0.2), 15 columns are active at the vertex against
         # 14 free v_i, so the square system of _primal_from_dual drops one
         # and leaves a gap of 0.49; these are the three degenerate vertices
-        # on the sweep of tools/oracle_digest.py, and the primal LP on the
+        # on the sweep of tools/digest.py oracle, and the primal LP on the
         # working set must take each to the LP optimum
         inst = pm_one_instance(seed)
         assert inst.A.shape == shape
