@@ -38,15 +38,18 @@ kind runs with one BLAS thread. The kinds:
   between commas or white space that parses as a float) replaced by '#',
   then the numeric cells. It also prints each exit code and one SHA-256 of
   each file's bytes.
-- `oracle` (stream `x_hat`). The kinked oracle's `x_hat` on 80
-  Gaussian-design draws (seeds 8000..8079) and 120 +-1-design draws (seeds
-  9000..9119, response rounded to 0.1 so that residuals tie at zero), each
-  of n = integers(20, 150) by p = integers(10, 200) with x = 1 on the
-  first 3 columns and N(0, 0.25) noise, for the absolute, quantile(0.2) and
-  quantile(0.7) losses at 0.3 and 0.05 of the zero-fit edge max |A' rho'(y)|;
-  then the four fits of the benchmark's `kinked_oracle` workload. It also
-  prints how many fits are uncertified (kkt_residual above 1e-4 lam
-  sqrt(n)) and the label of each.
+- `oracle` (streams `x_hat` and `objective`). The kinked oracle's fits on
+  80 Gaussian-design draws (seeds 8000..8079) and 120 +-1-design draws
+  (seeds 9000..9119, response rounded to 0.1 so that residuals tie at
+  zero), each of n = integers(20, 150) by p = integers(10, 200) with x = 1
+  on the first 3 columns and N(0, 0.25) noise, for the absolute,
+  quantile(0.2) and quantile(0.7) losses at 0.3 and 0.05 of the zero-fit
+  edge max |A' rho'(y)|; then the four fits of the benchmark's
+  `kinked_oracle` workload. The `x_hat` stream holds each fit, the
+  `objective` stream its objective: on a degenerate LP several fits are
+  optimal, so a fit can move to another optimal vertex while its objective
+  stays within the bound. It also prints how many fits are uncertified
+  (kkt_residual above 1e-4 lam sqrt(n)) and the label of each.
 
 `--save PATH` writes every stream as JSON. `--against PATH` compares a run
 with such a file: it prints the largest relative difference of the close
@@ -273,15 +276,16 @@ def oracle_fits():
 
 
 def oracle_streams():
-    cases, uncertified = [], []
+    cases, objectives, uncertified = [], [], []
     for label, inst, loss, lam in oracle_fits():
         res = solve_penalized(inst, loss, lam)
         cases.append((label, [("close", res.x_hat)]))
+        objectives.append((label, [("close", floats(res.objective))]))
         if res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n):
             uncertified.append(label)
     print(f"fits: {len(cases)}\nuncertified: {len(uncertified)}"
           + "".join(f"\n  {label}" for label in uncertified))
-    return {"x_hat": cases}
+    return {"x_hat": cases, "objective": objectives}
 
 
 # ---------------------------------------------------------------------------
