@@ -110,7 +110,8 @@ def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
     nearest = np.argsort(np.concatenate([to_box, to_row]))[:n]
     inside = np.ones(n, dtype=bool)
     inside[nearest[nearest < n]] = False
-    active = nearest[nearest >= n] - n
+    # in column order, so that the fit depends on the active set alone
+    active = np.sort(nearest[nearest >= n] - n)
     x = np.zeros(A.shape[1])
     if active.size:
         x[active] = np.linalg.lstsq(A[np.ix_(inside, active)], y[inside],

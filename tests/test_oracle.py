@@ -124,6 +124,20 @@ def se_tuned(loss):
     return tuned.lambda_star, tuned.result.amse
 
 
+# the draws and penalties of the benchmark's kinked_oracle workload
+BENCH_DRAWS = (20000, 20001)
+BENCH_LAMBDAS = {"absolute": 1.8612876045191418, "quantile": 0.9807552458290909}
+
+
+def benchmark_fits():
+    """(label, instance, loss, lam) of the kinked_oracle workload's four fits."""
+    spec = convergence_study_spec(replications=1)
+    for draw in BENCH_DRAWS:
+        inst = generate_instance(spec, draw)
+        for loss in (absolute(), quantile(0.7)):
+            yield f"{draw} {loss_label(loss)}", inst, loss, BENCH_LAMBDAS[loss.family]
+
+
 def corrected_penalty(inst, state):
     """Penalty level whose direct fit the AMP fixed point solves exactly."""
     kappa = state.onsager_frac
@@ -367,6 +381,16 @@ class TestKinkedLinearProgram:
         assert res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n)
         full = solve_penalized(inst, absolute(), lam)
         assert res.objective >= full.objective
+
+    def test_fit_does_not_depend_on_the_first_working_set(self, monkeypatch):
+        # each first working set takes its own path of rounds to the same
+        # active set, and the fit must come back in the same bits
+        for label, inst, loss, lam in benchmark_fits():
+            fits = set()
+            for first in (64, 96, 128):
+                monkeypatch.setattr(oracle, "_FIRST_COLUMNS", first)
+                fits.add(solve_penalized(inst, loss, lam).x_hat.tobytes())
+            assert len(fits) == 1, label
 
     def test_unclosed_gap_is_reported(self, monkeypatch):
         # a fit that misses the dual vertex, and a primal LP that misses it
