@@ -8,11 +8,13 @@ bounds the gradient's Lipschitz constant; it is monotone in the objective
 and certifies optimality through the analytic subgradient. Kinked data
 terms (kappa = 0: absolute, quantile) are a linear program (Koenker &
 Bassett 1978) whose dual is max y'v over v in [e_lo, e_hi]^n with
-|A'v| <= lam: it is solved exactly by HiGHS on a working set of columns,
-the fit comes back by complementary slackness, and the certificate is the
-larger of the dual infeasibility and the duality gap. At a degenerate dual
-vertex, where that fit leaves the gap open, the primal LP on the working
-set gives the fit instead. HiGHS runs with presolve off: the restricted
+|A'v| <= lam: it is solved exactly by HiGHS on a working set of columns
+that each round of column generation grows by a fixed number of the
+columns of largest excess |A_j'v| - lam, broken or not. The fit comes
+back by complementary slackness, and the certificate is the larger of
+the dual infeasibility and the duality gap. At a degenerate dual vertex,
+where that fit leaves the gap open, the primal LP on the working set
+gives the fit instead. HiGHS runs with presolve off: the restricted
 dual LP is small and dense, always feasible (v = 0) and bounded (the box),
 so presolve removes nothing, and it took more than a third of each solve.
 On the sweep of `tools/digest.py oracle` the fits are the same bits with
@@ -30,7 +32,10 @@ from scipy import optimize, sparse
 from .losses import loss_grad, loss_value, score_shape, soft_threshold
 
 # working-set sizes of the kinked dual LP: the first round's columns, and
-# the most any later round adds
+# the columns each later round adds, the broken ones and then those nearest
+# to breaking. Each round is a HiGHS solve from scratch, and padding a round
+# with columns that v nearly breaks, which the next v tends to break, saves
+# whole rounds for a few more rows
 _FIRST_COLUMNS = 64
 _ADDED_COLUMNS = 32
 
@@ -140,13 +145,15 @@ def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter):
 
     rho(r) is e_hi r for r > 0 and e_lo r for r < 0, so the dual is
     max y'v over v in [e_lo, e_hi]^n with |A'v| <= lam. Each round hands
-    HiGHS only the working set of columns, then adds the columns whose dual
-    constraint v breaks, most violated first; the loop ends when none is
-    broken, and every round adds at least one column. When the fit paired
-    with the final v leaves the duality gap above tol with no column
-    broken, `_restricted_primal` supplies the fit. The certificate is
-    the larger of the dual infeasibility max(0, max_j |A_j'v| - lam) over
-    all columns and the duality gap |objective - y'v|.
+    HiGHS only the working set of columns. While v breaks the dual
+    constraint of a column outside it, the round adds the _ADDED_COLUMNS
+    outside columns of largest excess |A_j'v| - lam, broken or not: the
+    broken ones, most violated first, then those v nearly breaks. The loop
+    ends when no column is broken. When the fit paired with the final v
+    leaves the duality gap above tol with no column broken,
+    `_restricted_primal` supplies the fit. The certificate is the larger
+    of the dual infeasibility max(0, max_j |A_j'v| - lam) over all columns
+    and the duality gap |objective - y'v|.
     """
     A, y = inst.A, inst.y
     work = np.zeros(inst.p, dtype=bool)
@@ -159,7 +166,8 @@ def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter):
         # work must stay the columns this v was solved on
         if broken.size == 0 or it >= max_iter:
             break
-        work[broken[np.argsort(-excess[broken])[:_ADDED_COLUMNS]]] = True
+        outside = np.flatnonzero(~work)
+        work[outside[np.argsort(-excess[outside])[:_ADDED_COLUMNS]]] = True
     x = _primal_from_dual(A, y, v, excess, work, e_lo, e_hi)
     objective = penalized_objective(inst, loss, lam, x)
     gap = abs(objective - float(y @ v))
@@ -183,14 +191,18 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     first, the best iterate comes back with its residual above tol rather
     than an exception. On the smooth path max_iter caps proximal-gradient
     steps and tol bounds the subgradient residual. On the kinked path
-    max_iter caps working-set rounds of the dual LP, which HiGHS solves
-    exactly with presolve off (on this small, dense, always feasible LP
-    presolve removes nothing and only costs time), and tol bounds its
-    certificate: the dual infeasibility and the duality gap. When the
-    rounds end with every column feasible but the fit recovered from a
-    degenerate vertex leaves the gap above tol, the primal LP restricted to
-    the working set is solved for the fit. A HiGHS status other than
-    optimal raises RuntimeError.
+    max_iter caps working-set rounds of the dual LP, each of which adds
+    the broken columns padded to a fixed count with those nearest to
+    breaking and which HiGHS solves exactly with presolve off (on this
+    small, dense, always feasible LP presolve removes nothing and only
+    costs time), and tol bounds its certificate: the dual infeasibility
+    and the duality gap. When the rounds end with every column feasible
+    but the fit recovered from a degenerate vertex leaves the gap above
+    tol, the primal LP restricted to the working set is solved for the fit.
+    Where the LP has several optimal fits, x_hat is the one that the path
+    of working sets reaches; the objective and the certificate do not
+    depend on that path. A HiGHS status other than optimal raises
+    RuntimeError.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")

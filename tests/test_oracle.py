@@ -307,8 +307,9 @@ class TestKinkedLinearProgram:
     @pytest.mark.parametrize("rounded", [False, True],
                              ids=["continuous", "rounded"])
     def test_matches_primal_linprog(self, loss, noise, rounded):
-        # p above the first working set, so the column generation runs;
-        # a response rounded to 0.1 makes residuals tie at zero
+        # p above the first working set, so the column generation runs, for
+        # the most rounds at the small penalty; a response rounded to 0.1
+        # makes residuals tie at zero
         for seed in range(4):
             rng = np.random.default_rng(100 + seed)
             inst = make_instance(rng, 50, 120, 8)
@@ -319,8 +320,9 @@ class TestKinkedLinearProgram:
             if rounded:
                 inst = ProblemInstance(A=inst.A, y=np.round(inst.y, 1),
                                        s=inst.s, x_true=inst.x_true)
-            assert_matches_linprog(inst, loss,
-                                   fraction_of_zero_edge(inst, loss, 0.3))
+            for frac in (0.3, 0.05):
+                assert_matches_linprog(inst, loss,
+                                       fraction_of_zero_edge(inst, loss, frac))
 
     @pytest.mark.parametrize("loss", [absolute(), quantile(0.2), quantile(0.7)],
                              ids=["absolute", "quantile_0.2", "quantile_0.7"])
@@ -381,6 +383,13 @@ class TestKinkedLinearProgram:
         assert res.kkt_residual > 1e-4 * lam * math.sqrt(inst.n)
         full = solve_penalized(inst, absolute(), lam)
         assert res.objective >= full.objective
+
+    def test_benchmark_fits_take_two_rounds(self):
+        # the second round's padded working set leaves no column broken
+        for label, inst, loss, lam in benchmark_fits():
+            res = solve_penalized(inst, loss, lam)
+            assert res.iterations == 2, label
+            assert res.kkt_residual <= 1e-4 * lam * math.sqrt(inst.n), label
 
     def test_fit_does_not_depend_on_the_first_working_set(self, monkeypatch):
         # each first working set takes its own path of rounds to the same
