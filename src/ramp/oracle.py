@@ -191,12 +191,12 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     first, the best iterate comes back with its residual above tol rather
     than an exception. On the smooth path max_iter caps proximal-gradient
     steps and tol bounds the subgradient residual. On the kinked path
-    max_iter caps working-set rounds of the dual LP, each of which adds
-    the broken columns padded to a fixed count with those nearest to
-    breaking and which HiGHS solves exactly with presolve off (on this
-    small, dense, always feasible LP presolve removes nothing and only
-    costs time), and tol bounds its certificate: the dual infeasibility
-    and the duality gap. When the rounds end with every column feasible
+    max_iter caps working-set rounds of the dual LP (each adds the broken
+    columns, padded to a fixed count with those nearest to breaking),
+    which HiGHS solves exactly with presolve off (on this small, dense,
+    always feasible LP presolve removes nothing and only costs time), and
+    tol bounds its certificate: the dual infeasibility and the duality
+    gap. When the rounds end with every column feasible
     but the fit recovered from a degenerate vertex leaves the gap above
     tol, the primal LP restricted to the working set is solved for the fit.
     Where the LP has several optimal fits, x_hat is the one that the path
