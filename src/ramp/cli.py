@@ -160,11 +160,14 @@ def _echo(options):
 # subcommands
 
 
+# the default draw of `solve` and `se`: the benchmark geometry and noise
+DRAW = convergence_study_spec()
+
 SOLVE_OPTIONS = {
-    "n": (int, 320), "p": (int, 500), "s": (int, 64), "loss": (str, "ls"),
+    "n": (int, DRAW.n), "p": (int, DRAW.p), "s": (int, DRAW.s), "loss": (str, "ls"),
     "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
-    "noise": (tuple(NOISE_LAWS), "normal"), "noise_param": (float, 0.2),
-    "design": (DESIGNS, "gaussian"), "seed": (int, 1),
+    "noise": (tuple(NOISE_LAWS), "normal"), "noise_param": (float, DRAW.noise.sigma_sq),
+    "design": (DESIGNS, DRAW.design), "seed": (int, 1),
     "tol": (float, SolverConfig.tol), "max_iter": (int, SolverConfig.max_iter),
     "out": (str, None),
 }
@@ -199,11 +202,12 @@ def cmd_solve(args, parser):
 
 
 SE_OPTIONS = {
-    "delta": (float, 0.64), "omega": (float, 0.128), "losses": (str, "ls"),
-    "gamma": (float, 1.0), "tau_q": (float, 0.7), "alpha": (float, 2.0),
-    "noise": (tuple(NOISE_LAWS), "normal"), "noise_param": (float, 0.2),
-    "init_tau_sq": (float, None), "tol": (float, SeConfig.tol),
-    "max_iter": (int, SeConfig.max_iter), "out": (str, None),
+    "delta": (float, DRAW.n / DRAW.p), "omega": (float, DRAW.s / DRAW.p),
+    "losses": (str, "ls"), "gamma": (float, 1.0), "tau_q": (float, 0.7),
+    "alpha": (float, 2.0), "noise": (tuple(NOISE_LAWS), "normal"),
+    "noise_param": (float, DRAW.noise.sigma_sq), "init_tau_sq": (float, None),
+    "tol": (float, SeConfig.tol), "max_iter": (int, SeConfig.max_iter),
+    "out": (str, None),
 }
 
 

@@ -124,11 +124,11 @@ def convergence_study_spec(replications=100):
 
 
 def design_study_spec():
-    """The benchmark geometry and noise, least squares on six alphas, and 30
-    draws seeded from 31000."""
-    return ExperimentSpec(n=320, p=500, s=64, noise=Normal(0.2),
-                          alphas=(1.1, 1.4, 1.7, 2.0, 2.4, 2.8),
-                          replications=30, base_seed=31_000)
+    """The benchmark draw, least squares on six alphas, and 30 draws seeded
+    from 31000."""
+    return replace(convergence_study_spec(), losses=(least_squares(),),
+                   alphas=(1.1, 1.4, 1.7, 2.0, 2.4, 2.8), replications=30,
+                   base_seed=31_000)
 
 
 def generate_instance(spec, seed):

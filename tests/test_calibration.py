@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
+from helpers import count_calls
 from ramp import calibration, state_evolution
 from ramp.calibration import (
     CalibrationError,
@@ -98,19 +99,6 @@ class TestKde:
             kde(np.array([1.0, 2.0]), method="epanechnikov")
 
 
-def counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 class TestSolveIncreasing:
     def test_step_map_returns_jump(self):
         # b/(1+b) times a step: Newton moves along the pieces, and the
@@ -181,9 +169,9 @@ class TestSolveIncreasing:
         # the exact walk over the sorted residuals evaluates no slope
         spec = convergence_study_spec(replications=1)
         inst = generate_instance(spec, 20_000)
-        calls = counting(monkeypatch, calibration, "effective_score_deriv")
+        calls = count_calls(monkeypatch, calibration, "effective_score_deriv")
         b = calibrate_smooth(CalibrationTarget(inst.slope, huber(1.0), inst.y))
-        assert len(calls) == 0
+        assert calls["effective_score_deriv"] == 0
         assert np.mean(effective_score_deriv(huber(1.0), inst.y, b)) == pytest.approx(inst.slope, rel=1e-8)
 
     def test_se_tau_update_curve_evaluations(self, monkeypatch):

@@ -1,31 +1,17 @@
 """The digest tool's comparator, its save/against round trip, and the
 benchmark constants it copies.
 
-tools/digest.py is loaded by path, as tests/test_imports.py reads
-perfbench/tracer.py. Loading it sets OPENBLAS_NUM_THREADS, which is undone
-here so that the other tests keep the environment they started with.
+tools/digest.py is loaded by path (`helpers.load_digest`), as
+tests/test_imports.py reads perfbench/tracer.py.
 """
 
 import ast
-import importlib.util
 import json
-import os
-from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_digest():
-    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "digest.py")
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):
-        spec.loader.exec_module(module)
-    return module
-
+from helpers import ROOT, load_digest
 
 digest = load_digest()
 

@@ -15,6 +15,7 @@ import numpy.testing as npt
 import pytest
 from scipy import optimize, sparse
 
+from helpers import load_digest, make_instance
 from ramp import oracle
 from ramp.experiments import convergence_study_spec, generate_instance
 from ramp.losses import (
@@ -40,14 +41,7 @@ from ramp.state_evolution import (
     tune_alpha,
 )
 
-
-def make_instance(rng, n, p, s, noise_sd=math.sqrt(0.2)):
-    A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, p))
-    x = np.zeros(p)
-    support = rng.choice(p, size=s, replace=False)
-    x[support] = rng.choice([-1.0, 1.0], size=s)
-    y = A @ x + rng.normal(0.0, noise_sd, n)
-    return ProblemInstance(A=A, y=y, s=s, x_true=x)
+digest = load_digest()
 
 
 def cd_lasso(A, y, lam, sweeps=4000):
@@ -84,29 +78,6 @@ def primal_lp_objective(inst, loss, lam):
     return float(res.fun)
 
 
-def pm_one_instance(seed):
-    """A +-1 design with a 0.1-rounded response, whose residuals tie at zero.
-
-    n and p are drawn from the seed; x = 1 on the first 3 columns, plus
-    N(0, 0.25) noise. Seed 9016 (n = 22, p = 157) lands quantile(0.2), and
-    seed 9082 (n = 42, p = 27) quantile(0.2) and quantile(0.7), at 0.3 of
-    the zero-fit edge on a degenerate dual vertex.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(20, 150))
-    p = int(rng.integers(10, 200))
-    A = rng.choice([-1.0, 1.0], size=(n, p)) / math.sqrt(n)
-    x = np.zeros(p)
-    x[:3] = 1.0
-    y = np.round(A @ x + rng.normal(0.0, 0.5, n), 1)
-    return ProblemInstance(A=A, y=y, s=3, x_true=x)
-
-
-def fraction_of_zero_edge(inst, loss, frac):
-    """The penalty frac of the way up to where the zero fit certifies itself."""
-    return frac * float(np.max(np.abs(inst.A.T @ loss_grad(loss, inst.y))))
-
-
 def assert_matches_linprog(inst, loss, lam):
     res = solve_penalized(inst, loss, lam)
     exact = primal_lp_objective(inst, loss, lam)
@@ -122,20 +93,6 @@ def se_tuned(loss):
     dist = DistributionModel(pm_one_prior(spec.s / spec.p), spec.noise)
     tuned = tune_alpha(dist, loss, spec.n / spec.p)
     return tuned.lambda_star, tuned.result.amse
-
-
-# the draws and penalties of the benchmark's kinked_oracle workload
-BENCH_DRAWS = (20000, 20001)
-BENCH_LAMBDAS = {"absolute": 1.8612876045191418, "quantile": 0.9807552458290909}
-
-
-def benchmark_fits():
-    """(label, instance, loss, lam) of the kinked_oracle workload's four fits."""
-    spec = convergence_study_spec(replications=1)
-    for draw in BENCH_DRAWS:
-        inst = generate_instance(spec, draw)
-        for loss in (absolute(), quantile(0.7)):
-            yield f"{draw} {loss_label(loss)}", inst, loss, BENCH_LAMBDAS[loss.family]
 
 
 def corrected_penalty(inst, state):
@@ -322,7 +279,7 @@ class TestKinkedLinearProgram:
                                        s=inst.s, x_true=inst.x_true)
             for frac in (0.3, 0.05):
                 assert_matches_linprog(inst, loss,
-                                       fraction_of_zero_edge(inst, loss, frac))
+                                       frac * digest.zero_fit_edge(inst, loss))
 
     @pytest.mark.parametrize("loss", [absolute(), quantile(0.2), quantile(0.7)],
                              ids=["absolute", "quantile_0.2", "quantile_0.7"])
@@ -333,7 +290,7 @@ class TestKinkedLinearProgram:
         for seed in (203, 204, 205):
             inst = make_instance(np.random.default_rng(seed), 160, 80, 8)
             assert_matches_linprog(inst, loss,
-                                   fraction_of_zero_edge(inst, loss, 0.005))
+                                   0.005 * digest.zero_fit_edge(inst, loss))
 
     @pytest.mark.parametrize("tau", [0.2, 0.7])
     def test_reflection_symmetry(self, tau):
@@ -342,7 +299,7 @@ class TestKinkedLinearProgram:
         inst = make_instance(rng, 60, 140, 8)
         flipped = ProblemInstance(A=inst.A, y=-inst.y, s=inst.s,
                                   x_true=-inst.x_true)
-        lam = fraction_of_zero_edge(inst, quantile(tau), 0.3)
+        lam = 0.3 * digest.zero_fit_edge(inst, quantile(tau))
         a = solve_penalized(inst, quantile(tau), lam)
         b = solve_penalized(flipped, quantile(1.0 - tau), lam)
         assert np.count_nonzero(a.x_hat) > 0
@@ -386,7 +343,7 @@ class TestKinkedLinearProgram:
 
     def test_benchmark_fits_take_two_rounds(self):
         # the second round's padded working set leaves no column broken
-        for label, inst, loss, lam in benchmark_fits():
+        for label, inst, loss, lam in digest.benchmark_fits():
             res = solve_penalized(inst, loss, lam)
             assert res.iterations == 2, label
             assert res.kkt_residual <= 1e-4 * lam * math.sqrt(inst.n), label
@@ -394,7 +351,7 @@ class TestKinkedLinearProgram:
     def test_fit_does_not_depend_on_the_first_working_set(self, monkeypatch):
         # each first working set takes its own path of rounds to the same
         # active set, and the fit must come back in the same bits
-        for label, inst, loss, lam in benchmark_fits():
+        for label, inst, loss, lam in digest.benchmark_fits():
             fits = set()
             for first in (64, 96, 128):
                 monkeypatch.setattr(oracle, "_FIRST_COLUMNS", first)
@@ -439,10 +396,10 @@ class TestKinkedLinearProgram:
         # and leaves a gap of 0.49; these are the three degenerate vertices
         # on the sweep of tools/digest.py oracle, and the primal LP on the
         # working set must take each to the LP optimum
-        inst = pm_one_instance(seed)
+        inst = digest.sweep_instance(seed, pm_one=True)
         assert inst.A.shape == shape
         loss = quantile(q)
-        assert_matches_linprog(inst, loss, fraction_of_zero_edge(inst, loss, 0.3))
+        assert_matches_linprog(inst, loss, 0.3 * digest.zero_fit_edge(inst, loss))
 
     def test_non_optimal_status_raises(self, monkeypatch):
         def stalled(c, **kwargs):
@@ -530,6 +487,6 @@ class TestPresolveOff:
     def test_rounded_pm_one_designs(self, monkeypatch, loss, seed):
         # 9016 and 9082 hold degenerate vertices that send some of the
         # quantile fits to the primal LP
-        inst = pm_one_instance(seed)
+        inst = digest.sweep_instance(seed, pm_one=True)
         self.assert_same_fit(monkeypatch, inst, loss,
-                             fraction_of_zero_edge(inst, loss, 0.3))
+                             0.3 * digest.zero_fit_edge(inst, loss))

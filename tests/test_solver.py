@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import count_calls, make_instance
 from ramp import solver
 from ramp.calibration import CalibrationError, CalibrationTarget, calibrate
 from ramp.experiments import convergence_study_spec, generate_instance
@@ -27,16 +28,6 @@ from ramp.solver import (
     rescaled_score,
     run_ramp,
 )
-
-
-def make_instance(rng, n, p, s, noise_sd=math.sqrt(0.2)):
-    """Gaussian design with unit-norm columns in expectation, +-1 signal."""
-    A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, p))
-    x = np.zeros(p)
-    support = rng.choice(p, size=s, replace=False)
-    x[support] = rng.choice([-1.0, 1.0], size=s)
-    y = A @ x + rng.normal(0.0, noise_sd, n)
-    return ProblemInstance(A=A, y=y, s=s, x_true=x)
 
 
 def subgradient_residual(inst, x, lam, grad):
@@ -416,16 +407,7 @@ class TestTracedLookups:
         # the benchmark tracer times a layer by replacing solver.<name>; a
         # pass that bound these functions any other way would hide them
         names = ("calibrate", "effective_score", "soft_threshold", "initial_state", "ramp_step")
-        calls = dict.fromkeys(names, 0)
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in names:
-            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        calls = count_calls(monkeypatch, solver, *names)
         inst = generate_instance(convergence_study_spec(), 20000)
         res = solver.run_ramp(inst, loss, SolverConfig(alpha=2.0))
         assert res.iterations > 1

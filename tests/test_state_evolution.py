@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import special, stats
 from scipy.optimize import brentq
 
+from helpers import count_calls
 from prior_sampling import amse_monte_carlo, sample_prior
 from ramp import state_evolution
 from ramp.calibration import CalibrationTarget, calibrate
@@ -321,7 +322,8 @@ class TestSlopeCurve:
             assert tau_sq == score_moments(loss, b, noise, sigma)[2] / (slope * slope)
 
     def test_warm_started_fixed_point_evaluations(self, monkeypatch):
-        calls = count_calls(monkeypatch)
+        calls = count_calls(monkeypatch, state_evolution, "se_tau_update",
+                            "score_moments")
         dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
         res = se_fixed_point(dist, absolute(), 0.64, alpha=2.0)
         assert res.converged
@@ -332,29 +334,14 @@ class TestSlopeCurve:
     def test_se_tune_cells_evaluation_count(self, monkeypatch):
         # the 12 cells of the benchmark's se_tune workload on its base grid
         # take 1157 window passes over 520 tau updates, every pass counted
-        calls = count_calls(monkeypatch)
+        calls = count_calls(monkeypatch, state_evolution, "se_tau_update",
+                            "score_moments")
         prior = pm_one_prior(0.128)
         for noise in (Normal(0.2), Laplace(1.0), StudentT(4.0), Cauchy(1.0)):
             for loss in (huber(1.0), absolute(), quantile(0.7)):
                 tune_alpha(DistributionModel(prior, noise), loss, 0.64,
                            alpha_grid=(1.0, 1.4, 1.8, 2.2, 2.6, 3.0))
         assert calls["score_moments"] <= 1250
-
-
-def count_calls(monkeypatch):
-    """Count the calls of se_tau_update and score_moments made through the
-    state_evolution module."""
-    calls = {}
-    for name in ("se_tau_update", "score_moments"):
-        original = getattr(state_evolution, name)
-        calls[name] = 0
-
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(state_evolution, name, wrapper)
-    return calls
 
 
 class TestPredictedB:
@@ -588,15 +575,9 @@ class TestSigmaUpdate:
         SignalPrior(0.3, ((0.1, -2.0), (0.15, -0.4), (0.2, 0.5), (0.25, 1.0), (0.3, 3.0))),
     ])
     def test_one_risk_call_per_atom(self, prior, monkeypatch):
-        calls = []
-
-        def counting(m, alpha):
-            calls.append(m)
-            return soft_threshold_risk(m, alpha)
-
-        monkeypatch.setattr(state_evolution, "soft_threshold_risk", counting)
+        calls = count_calls(monkeypatch, state_evolution, "soft_threshold_risk")
         se_sigma_update(0.4, 1.5, DistributionModel(prior, Normal(0.2)), 0.64)
-        assert len(calls) == len(prior.full_atoms)
+        assert calls["soft_threshold_risk"] == len(prior.full_atoms)
 
     def test_matches_sampling(self):
         tau_sq, alpha, delta = 0.4, 1.5, 0.64

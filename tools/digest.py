@@ -51,6 +51,12 @@ kind runs with one BLAS thread. The kinds:
   stays within the bound. It also prints how many fits are uncertified
   (kkt_residual above 1e-4 lam sqrt(n)) and the label of each.
 
+The tests reuse the `oracle` kind's fixtures: `sweep_instance` (one draw
+of the sweep), `zero_fit_edge` (the penalty where the zero fit becomes
+optimal) and `benchmark_fits` (the four `kinked_oracle` fits), and
+tests/test_digest.py pins `DRAW` and the copied workload constants to the
+benchmark's own statement of them.
+
 `--save PATH` writes every stream as JSON. `--against PATH` compares a run
 with such a file: it prints the largest relative difference of the close
 parts per stream (and per file, for `reports`), and exits 1 when that
@@ -98,8 +104,10 @@ def floats(*values):
 # ---------------------------------------------------------------------------
 # se
 
-DELTA = 0.64
-PRIOR = pm_one_prior(0.128)
+# the benchmark draw: its geometry, noise and draws 20000, 20001, ...
+DRAW = convergence_study_spec()
+DELTA = DRAW.n / DRAW.p
+PRIOR = pm_one_prior(DRAW.s / DRAW.p)
 # copies of perfbench/workloads.py's constants; tests/test_digest.py pins them
 SE_BASE_GRID = (1.0, 1.4, 1.8, 2.2, 2.6, 3.0)
 NOISES = (Normal(0.2), Laplace(1.0), StudentT(4.0), Cauchy(1.0), StudentT(8.0),
@@ -248,6 +256,9 @@ ORACLE_LOSSES = (absolute(), quantile(0.7))
 
 
 def sweep_instance(seed, pm_one):
+    """A draw of the sweep: n and p drawn from the seed, x = 1 on the first
+    3 columns, N(0, 0.25) noise; a +-1 design has its response rounded to
+    0.1, so that residuals tie at zero."""
     rng = np.random.default_rng(seed)
     n, p = int(rng.integers(20, 150)), int(rng.integers(10, 200))
     A = (rng.choice([-1.0, 1.0], size=(n, p)) / math.sqrt(n) if pm_one
@@ -258,21 +269,31 @@ def sweep_instance(seed, pm_one):
     return ProblemInstance(A=A, y=np.round(y, 1) if pm_one else y, s=3, x_true=x)
 
 
+def zero_fit_edge(inst, loss):
+    """max |A' rho'(y)|: the smallest penalty at which the zero fit is optimal."""
+    return float(np.max(np.abs(inst.A.T @ loss_grad(loss, inst.y))))
+
+
+def benchmark_fits():
+    """(label, instance, loss, lam) of the `kinked_oracle` workload's four fits."""
+    for draw in ORACLE_DRAWS:
+        inst = generate_instance(DRAW, draw)
+        for loss, lam in zip(ORACLE_LOSSES, ORACLE_LAMBDAS.values()):
+            yield f"{draw} {loss_label(loss)}", inst, loss, lam
+
+
 def oracle_fits():
     """(label, instance, loss, lam) of every fit, in digest order."""
     for pm_one, seeds in ((False, GAUSSIAN_SEEDS), (True, PM_ONE_SEEDS)):
         for seed in seeds:
             inst = sweep_instance(seed, pm_one)
             for loss in ORACLE_SWEEP_LOSSES:
-                edge = float(np.max(np.abs(inst.A.T @ loss_grad(loss, inst.y))))
+                edge = zero_fit_edge(inst, loss)
                 for frac in EDGE_FRACTIONS:
                     yield (f"{'pm1' if pm_one else 'gauss'} {seed} "
                            f"{loss_label(loss)} {frac}"), inst, loss, frac * edge
-    spec = convergence_study_spec(replications=1)
-    for draw in ORACLE_DRAWS:
-        inst = generate_instance(spec, draw)
-        for loss, lam in zip(ORACLE_LOSSES, ORACLE_LAMBDAS.values()):
-            yield f"bench {draw} {loss_label(loss)}", inst, loss, lam
+    for label, inst, loss, lam in benchmark_fits():
+        yield f"bench {label}", inst, loss, lam
 
 
 def oracle_streams():
