@@ -6,7 +6,6 @@ from .calibration import (
     calibrate,
     calibrate_nonsmooth,
     calibrate_smooth,
-    kde,
 )
 from .experiments import (
     ExperimentSpec,

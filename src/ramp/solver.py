@@ -78,6 +78,15 @@ class ProblemInstance:
         return self.s / self.n
 
 
+def check_budget(tol, max_iter):
+    """Reject a stopping tolerance that is not positive and finite, or an
+    iteration cap below 1: the budget of an iteration here and in SE."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be {'finite' if tol > 0 else 'positive'}, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: float
@@ -85,12 +94,9 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        check_budget(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ from .gauss import (
     truncated_moments,
 )
 from .losses import score_shape
-from .solver import lambda_of_theta
+from .solver import check_budget, lambda_of_theta
 
 # ---------------------------------------------------------------------------
 # signal prior
@@ -479,10 +479,7 @@ class SeConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        check_budget(self.tol, self.max_iter)
 
 
 _TAU_SQ_CAP = 1e14
@@ -590,8 +587,8 @@ def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
     """
     if dist.signal_prior is None:
         raise ValueError("state evolution needs a signal prior")
-    if alpha is None or not alpha >= 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if alpha is None or not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     omega = dist.signal_prior.omega
     if alpha == 0.0 and omega < 1.0:
         raise ValueError(

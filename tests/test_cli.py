@@ -156,6 +156,22 @@ class TestSolve:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,message", [
+    ("solve", "--alpha", "alpha must be positive and finite, got inf"),
+    ("solve", "--tol", "tol must be finite, got inf"),
+    ("se", "--alpha", "alpha must be nonnegative and finite, got inf"),
+    ("se", "--tol", "tol must be finite, got inf"),
+], ids=["solve-alpha", "solve-tol", "se-alpha", "se-tol"])
+def test_infinite_alpha_or_tol_rejected_before_any_output(tmp_path, capsys, command,
+                                                          flag, message):
+    # an infinite alpha thresholds every coordinate to zero and an infinite
+    # tol stops at once, so neither runs to a result
+    out = tmp_path / "sub"
+    assert run_cli(command, flag, "inf", "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSe:
     def test_fixed_point_summary(self, tmp_path):
         assert run_cli("se", "--losses", "ls,huber", "--alpha", "2",

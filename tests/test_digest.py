@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from helpers import ROOT, load_digest
+from ramp import cli
+from ramp.experiments import convergence_study_spec
 
 digest = load_digest()
 
@@ -91,16 +93,30 @@ def test_se_save_and_against_round_trip(tmp_path, capsys):
 
 
 BENCHMARK_CONSTANTS = ("SE_BASE_GRID", "ORACLE_DRAWS", "ORACLE_LAMBDAS")
+BENCHMARK_DRAW = ("DELTA", "OMEGA", "NOISE_VAR", "SOLVER_ALPHA")
 
 
-def test_copied_benchmark_constants_match():
-    # the tool restates these workload inputs; they must not drift apart
+def workload_constants(names):
+    """The values perfbench/workloads.py assigns to names, read as literals."""
     workloads = ROOT / "perfbench" / "workloads.py"
     if not workloads.exists():
         pytest.skip("perfbench/ is not in this checkout")
     tree = ast.parse(workloads.read_text(), filename=str(workloads))
-    found = {target.id: ast.literal_eval(node.value) for node in tree.body
-             if isinstance(node, ast.Assign) for target in node.targets
-             if isinstance(target, ast.Name) and target.id in BENCHMARK_CONSTANTS}
+    return {target.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and target.id in names}
+
+
+def test_copied_benchmark_constants_match():
+    # the tool restates these workload inputs; they must not drift apart
+    found = workload_constants(BENCHMARK_CONSTANTS)
     assert found == {name: getattr(digest, name) for name in BENCHMARK_CONSTANTS}
     assert [loss.family for loss in digest.ORACLE_LOSSES] == list(digest.ORACLE_LAMBDAS)
+    # the program states the draw once, in convergence_study_spec(), which
+    # the CLI defaults and the tool's DRAW read; the CLI's alpha is the
+    # solver workloads' alpha
+    spec = convergence_study_spec()
+    assert workload_constants(BENCHMARK_DRAW) == {
+        "DELTA": spec.n / spec.p, "OMEGA": spec.s / spec.p,
+        "NOISE_VAR": spec.noise.variance, "SOLVER_ALPHA": cli.SOLVE_OPTIONS["alpha"][1]}
+    assert cli.SE_OPTIONS["alpha"][1] == cli.SOLVE_OPTIONS["alpha"][1]

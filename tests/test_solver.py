@@ -84,6 +84,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"got {max_iter}"):
             SolverConfig(alpha=2.0, max_iter=max_iter)
 
+    def test_alpha_and_tol_must_be_finite(self):
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+            SolverConfig(alpha=math.inf)
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            SolverConfig(alpha=2.0, tol=math.inf)
+
 
 class TestScoreAndPenaltyMaps:
     def test_ls_identity_at_matched_scale(self):

@@ -760,6 +760,16 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match=f"got {max_iter}"):
             SeConfig(max_iter=max_iter)
 
+    def test_alpha_and_tol_must_be_finite(self):
+        # an infinite alpha once ran to a flagged divergence, and an
+        # infinite tol stopped after one iteration as converged
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            SeConfig(tol=math.inf)
+        dist = DistributionModel(pm_one_prior(0.128), Normal(0.2))
+        for loss in (least_squares(), absolute()):
+            with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+                se_fixed_point(dist, loss, 0.64, alpha=math.inf)
+
 
 class TestAmse:
     def test_closed_form_matches_sampling(self):
