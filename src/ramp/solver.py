@@ -80,7 +80,7 @@ class ProblemInstance:
 
 def check_budget(tol, max_iter):
     """Reject a stopping tolerance that is not positive and finite, or an
-    iteration cap below 1: the budget of an iteration here and in SE."""
+    iteration cap below 1; SolverConfig and SeConfig both check here."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be {'finite' if tol > 0 else 'positive'}, got {tol}")
     if not max_iter >= 1:

@@ -1,5 +1,5 @@
-"""The digest tool's comparator, its save/against round trip, and the
-benchmark constants it copies.
+"""The digest tool's comparator, its save/against round trip, the
+benchmark constants it copies, and ramp's statement of the benchmark draw.
 
 tools/digest.py is loaded by path (`helpers.load_digest`), as
 tests/test_imports.py reads perfbench/tracer.py.

@@ -104,7 +104,7 @@ def floats(*values):
 # ---------------------------------------------------------------------------
 # se
 
-# the benchmark draw: its geometry, noise and draws 20000, 20001, ...
+# the benchmark draw (geometry, design and noise), stated once by ramp
 DRAW = convergence_study_spec()
 DELTA = DRAW.n / DRAW.p
 PRIOR = pm_one_prior(DRAW.s / DRAW.p)
