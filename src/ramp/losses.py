@@ -52,12 +52,12 @@ ScoreShape = namedtuple("ScoreShape", ["kappa", "e_lo", "e_hi"])
 class LossSpec:
     """One loss family plus its parameters.
 
-    gamma is the Huber knee (required exactly when family == HUBER) and
-    tau_q the quantile level in (0, 1) (required exactly when
-    family == QUANTILE). The other two families take no parameters.
-    shape holds the family's (kappa, e_lo, e_hi), computed once here and
-    read through `score_shape`; it is not an argument and takes no part in
-    equality, hashing or repr.
+    gamma is the Huber knee, positive and finite (required exactly when
+    family == HUBER), and tau_q the quantile level in (0, 1) (required
+    exactly when family == QUANTILE). The other two families take no
+    parameters. shape holds the family's (kappa, e_lo, e_hi), computed once
+    here and read through `score_shape`; it is not an argument and takes no
+    part in equality, hashing or repr.
     """
 
     family: str
@@ -69,8 +69,8 @@ class LossSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
         if self.family == HUBER:
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError("huber loss needs gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ValueError("huber loss needs a finite gamma > 0")
         elif self.gamma is not None:
             raise ValueError("gamma only applies to the huber loss")
         if self.family == QUANTILE:

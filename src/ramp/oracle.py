@@ -9,8 +9,10 @@ and certifies optimality through the analytic subgradient. Kinked data
 terms (kappa = 0: absolute, quantile) are a linear program (Koenker &
 Bassett 1978) whose dual is max y'v over v in [e_lo, e_hi]^n with
 |A'v| <= lam: it is solved exactly by HiGHS on a working set of columns
-that each round of column generation grows by a fixed number of the
-columns of largest excess |A_j'v| - lam, broken or not. The fit comes
+that column generation grows round by round. Every round, the first
+from the zero fit's dual point v = rho'(y), adds the outside columns of
+largest excess |A_j'v| - lam: all that v breaks, padded by those nearest
+to breaking to a fixed count when fewer are broken. The fit comes
 back by complementary slackness, and the certificate is the larger of
 the dual infeasibility and the duality gap. At a degenerate dual vertex,
 where that fit leaves the gap open, the primal LP on the working set
@@ -31,12 +33,10 @@ from scipy import optimize, sparse
 
 from .losses import loss_grad, loss_value, score_shape, soft_threshold
 
-# working-set sizes of the kinked dual LP: the first round's columns, and
-# the columns each later round adds, the broken ones and then those nearest
-# to breaking. Each round is a HiGHS solve from scratch, and padding a round
-# with columns that v nearly breaks, which the next v tends to break, saves
-# whole rounds for a few more rows
-_FIRST_COLUMNS = 64
+# the fewest columns a round of the kinked dual LP adds: every broken one,
+# then those nearest to breaking. Each round is a HiGHS solve from scratch,
+# and padding a round with columns that v nearly breaks, which the next v
+# tends to break, saves whole rounds for a few more rows
 _ADDED_COLUMNS = 32
 
 
@@ -91,9 +91,17 @@ def _highs(cost, bounds, constraints, which):
 
 
 def _restricted_dual(A_work, y, lam, e_lo, e_hi):
-    """Maximize y'v over v in [e_lo, e_hi]^n with |A_work' v| <= lam."""
+    """Maximize y'v over v in [e_lo, e_hi]^n with |A_work' v| <= lam.
+
+    The rows A_work' go to HiGHS in the compressed-column form that scipy
+    would convert them to, read off A_work's rows: column i of A_work' is
+    row i of A_work.
+    """
+    n, k = A_work.shape
+    rows = sparse.csc_array((A_work.ravel(), np.tile(np.arange(k), n),
+                             np.arange(0, n * k + 1, k)), shape=(k, n))
     return _highs(-y, optimize.Bounds(e_lo, e_hi),
-                  optimize.LinearConstraint(A_work.T, -lam, lam), "dual")
+                  optimize.LinearConstraint(rows, -lam, lam), "dual")
 
 
 def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
@@ -111,7 +119,10 @@ def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
     """
     n = v.size
     to_box = np.minimum(v - e_lo, e_hi - v)
-    to_row = np.where(work, -excess / np.linalg.norm(A, axis=0), np.inf)
+    to_row = np.full(A.shape[1], np.inf)
+    # compress returns rows in A's C order, so each norm sums in the same
+    # order, and to the same bits, as over all of A
+    to_row[work] = -excess[work] / np.linalg.norm(A.compress(work, axis=1), axis=0)
     nearest = np.argsort(np.concatenate([to_box, to_row]))[:n]
     inside = np.ones(n, dtype=bool)
     inside[nearest[nearest < n]] = False
@@ -140,34 +151,37 @@ def _restricted_primal(A_work, y, lam, e_lo, e_hi):
     return x[:k] - x[k:2 * k]
 
 
-def _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter):
+def _solve_kinked(inst, loss, lam, e_lo, e_hi, excess, tol, max_iter):
     """Column generation on the dual LP of the kinked fit (Koenker-Bassett).
 
     rho(r) is e_hi r for r > 0 and e_lo r for r < 0, so the dual is
     max y'v over v in [e_lo, e_hi]^n with |A'v| <= lam. Each round hands
-    HiGHS only the working set of columns. While v breaks the dual
-    constraint of a column outside it, the round adds the _ADDED_COLUMNS
-    outside columns of largest excess |A_j'v| - lam, broken or not: the
-    broken ones, most violated first, then those v nearly breaks. The loop
-    ends when no column is broken. When the fit paired with the final v
-    leaves the duality gap above tol with no column broken,
-    `_restricted_primal` supplies the fit. The certificate is the larger
-    of the dual infeasibility max(0, max_j |A_j'v| - lam) over all columns
-    and the duality gap |objective - y'v|.
+    HiGHS only the working set of columns, which starts empty. A round
+    adds the outside columns of largest excess |A_j'v| - lam at the last
+    dual point v, max(_ADDED_COLUMNS, number broken) of them: every column
+    v breaks, most violated first, then, when fewer than _ADDED_COLUMNS
+    are broken, those v nearly breaks. The first round's v is the zero
+    fit's rho'(y), whose excess comes in as excess. The loop ends when no
+    column is broken. When the fit paired with the final v leaves the
+    duality gap above tol with no column broken, `_restricted_primal`
+    supplies the fit. The certificate is the larger of the dual
+    infeasibility max(0, max_j |A_j'v| - lam) over all columns and the
+    duality gap |objective - y'v|.
     """
     A, y = inst.A, inst.y
     work = np.zeros(inst.p, dtype=bool)
-    work[np.argsort(-np.abs(g0))[:_FIRST_COLUMNS]] = True
+    broken = np.flatnonzero(excess > 0.0)
     # a dual point needs one round even on a zero budget
     for it in range(1, max(max_iter, 1) + 1):
-        v = _restricted_dual(A[:, work], y, lam, e_lo, e_hi)
+        outside = np.flatnonzero(~work)
+        added = max(_ADDED_COLUMNS, broken.size)
+        work[outside[np.argsort(-excess[outside])[:added]]] = True
+        v = _restricted_dual(A.compress(work, axis=1), y, lam, e_lo, e_hi)
         excess = np.abs(A.T @ v) - lam
         broken = np.flatnonzero((excess > 0.0) & ~work)
         # work must stay the columns this v was solved on
         if broken.size == 0 or it >= max_iter:
             break
-        outside = np.flatnonzero(~work)
-        work[outside[np.argsort(-excess[outside])[:_ADDED_COLUMNS]]] = True
     x = _primal_from_dual(A, y, v, excess, work, e_lo, e_hi)
     objective = penalized_objective(inst, loss, lam, x)
     gap = abs(objective - float(y @ v))
@@ -191,12 +205,13 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     first, the best iterate comes back with its residual above tol rather
     than an exception. On the smooth path max_iter caps proximal-gradient
     steps and tol bounds the subgradient residual. On the kinked path
-    max_iter caps working-set rounds of the dual LP (each adds the broken
-    columns, padded to a fixed count with those nearest to breaking),
-    which HiGHS solves exactly with presolve off (on this small, dense,
-    always feasible LP presolve removes nothing and only costs time), and
-    tol bounds its certificate: the dual infeasibility and the duality
-    gap. When the rounds end with every column feasible
+    max_iter caps working-set rounds of the dual LP (each adds every
+    column the last dual point breaks, padded to a fixed count with those
+    nearest to breaking; the first round's point is the zero fit's
+    rho'(y)), which HiGHS solves exactly with presolve off (on this small,
+    dense, always feasible LP presolve removes nothing and only costs
+    time), and tol bounds its certificate: the dual infeasibility and the
+    duality gap. When the rounds end with every column feasible
     but the fit recovered from a degenerate vertex leaves the gap above
     tol, the primal LP restricted to the working set is solved for the fit.
     Where the LP has several optimal fits, x_hat is the one that the path
@@ -209,9 +224,10 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     if tol is None:
         tol = 1e-4 * lam * math.sqrt(inst.n)
 
-    # a zero fit certifies itself directly from the response
-    g0 = inst.A.T @ loss_grad(loss, inst.y)
-    if np.max(np.abs(g0)) <= lam:
+    # a zero fit certifies itself directly from the response: the excess
+    # |A_j' rho'(y)| - lam of its dual point rho'(y) is nowhere positive
+    excess = np.abs(inst.A.T @ loss_grad(loss, inst.y)) - lam
+    if np.max(excess) <= 0.0:
         zero = np.zeros(inst.p)
         return OracleResult(zero, penalized_objective(inst, loss, lam, zero),
                             0.0, 0)
@@ -219,7 +235,7 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     kappa, e_lo, e_hi = score_shape(loss)
     if kappa > 0.0:
         return _solve_smooth(inst, loss, lam, kappa, tol, max_iter)
-    return _solve_kinked(inst, loss, lam, e_lo, e_hi, g0, tol, max_iter)
+    return _solve_kinked(inst, loss, lam, e_lo, e_hi, excess, tol, max_iter)
 
 
 def check_oracle_distance(inst, loss, lam, ramp_result):

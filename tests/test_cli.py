@@ -172,6 +172,18 @@ def test_infinite_alpha_or_tol_rejected_before_any_output(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--loss", "huber", "--gamma", "inf"),
+    ("se", "--losses", "huber", "--gamma", "inf"),
+], ids=["solve", "se"])
+def test_infinite_huber_knee_rejected_before_any_output(tmp_path, capsys, argv):
+    # Huber with an infinite knee is least squares under a huber_inf label
+    out = tmp_path / "sub"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert "huber loss needs a finite gamma > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSe:
     def test_fixed_point_summary(self, tmp_path):
         assert run_cli("se", "--losses", "ls,huber", "--alpha", "2",

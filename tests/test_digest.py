@@ -92,6 +92,40 @@ def test_se_save_and_against_round_trip(tmp_path, capsys):
     assert f"fixed-point: largest relative difference 1e-11 ({name})" in capsys.readouterr().out
 
 
+def test_moved_cases_listed_with_their_other_streams(capsys):
+    # an oracle fit that moved to another optimal vertex: its x_hat is past
+    # the bound, its objective is not, and the run still fails
+    x_hat = [("fit a", [("close", np.array([1.0, 0.0]))]),
+             ("fit b", [("close", np.array([0.5, 0.5]))])]
+    objective = [("fit a", [("close", np.array([3.0]))]),
+                 ("fit b", [("close", np.array([2.0]))])]
+    moved = [x_hat[0], ("fit b", [("close", np.array([1.0, 0.0]))])]
+    nudged = [objective[0], ("fit b", [("close", np.array([2.0 * (1 + 4e-16)]))])]
+    assert not digest.against({"x_hat": moved, "objective": nudged},
+                              {"x_hat": x_hat, "objective": objective}, per_case=False)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["x_hat: largest relative difference 1 (fit b)",
+                     "1  fit b  (objective 4.44e-16)",
+                     "objective: largest relative difference 4.44e-16 (fit b)"]
+
+
+def test_reports_hold_standard_error(tmp_path, capsys, monkeypatch):
+    # a rejected run writes nothing but its message, which the stderr
+    # stream holds, so that a changed message shows against a save
+    monkeypatch.setattr(digest, "COMMANDS", (("solve_negative_alpha", "solve --alpha -1"),))
+    path = tmp_path / "reports.json"
+    assert digest.main(["reports", "--save", str(path)]) == 0
+    saved = json.loads(path.read_text())
+    assert saved["stderr"] == [["solve_negative_alpha", [
+        ["text", "error: alpha must be positive and finite, got #\n"], ["close", [-1.0]]]]]
+    assert digest.main(["reports", "--against", str(path)]) == 0
+    saved["stderr"][0][1][0][1] = "error: alpha must be positive, got #\n"
+    path.write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert digest.main(["reports", "--against", str(path)]) == 1
+    assert "MISMATCH solve_negative_alpha, part 0" in capsys.readouterr().out
+
+
 BENCHMARK_CONSTANTS = ("SE_BASE_GRID", "ORACLE_DRAWS", "ORACLE_LAMBDAS")
 BENCHMARK_DRAW = ("DELTA", "OMEGA", "NOISE_VAR", "SOLVER_ALPHA")
 

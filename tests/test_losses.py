@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -245,6 +247,10 @@ class TestSpecValidation:
             LossSpec(losses.HUBER)
         with pytest.raises(ValueError):
             LossSpec(losses.HUBER, gamma=-1.0)
+        # an infinite knee would run least squares under a Huber label
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite gamma"):
+                huber(gamma)
         with pytest.raises(ValueError):
             LossSpec(losses.QUANTILE, tau_q=1.0)
         with pytest.raises(ValueError):

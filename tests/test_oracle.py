@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import optimize, sparse
+from scipy import optimize
 
 from helpers import load_digest, make_instance
 from ramp import oracle
@@ -349,14 +349,53 @@ class TestKinkedLinearProgram:
             assert res.kkt_residual <= 1e-4 * lam * math.sqrt(inst.n), label
 
     def test_fit_does_not_depend_on_the_first_working_set(self, monkeypatch):
-        # each first working set takes its own path of rounds to the same
-        # active set, and the fit must come back in the same bits
+        # each round size gives its own first working set and path of rounds
+        # to the same active set, and the fit must come back in the same bits
         for label, inst, loss, lam in digest.benchmark_fits():
             fits = set()
-            for first in (64, 96, 128):
-                monkeypatch.setattr(oracle, "_FIRST_COLUMNS", first)
+            for added in (32, 64, 96):
+                monkeypatch.setattr(oracle, "_ADDED_COLUMNS", added)
                 fits.add(solve_penalized(inst, loss, lam).x_hat.tobytes())
             assert len(fits) == 1, label
+
+    @pytest.mark.parametrize("pm_one,seed,frac,wide_round", [
+        (False, 8001, 0.05, 0), (True, 9051, 0.3, 1)], ids=["gauss-8001", "pm1-9051"])
+    def test_each_round_admits_every_broken_column(self, monkeypatch, pm_one, seed,
+                                                   frac, wide_round):
+        # a round adds the max(_ADDED_COLUMNS, number broken) outside columns
+        # of largest excess at the last dual point (all of them when fewer
+        # are left), the first round at the zero fit's rho'(y); wide_round
+        # is a round that breaks more than _ADDED_COLUMNS of them (the
+        # first round, or the second)
+        rounds = []
+        real_dual = oracle._restricted_dual
+
+        def spy(A_work, *rest):
+            rounds.append((A_work, real_dual(A_work, *rest)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(oracle, "_restricted_dual", spy)
+        inst, loss = digest.sweep_instance(seed, pm_one), absolute()
+        lam = frac * digest.zero_fit_edge(inst, loss)
+        assert_matches_linprog(inst, loss, lam)
+        v = loss_grad(loss, inst.y)
+        first_broken = np.count_nonzero(np.abs(inst.A.T @ v) > lam)
+        assert rounds[0][0].shape[1] == max(oracle._ADDED_COLUMNS, first_broken)
+        work = np.zeros(inst.p, dtype=bool)
+        counts = []
+        for A_work, next_v in rounds:
+            excess = np.abs(inst.A.T @ v) - lam
+            broken = (excess > 0.0) & ~work
+            # the columns of this round's LP, found by value
+            new = (inst.A[:, :, None] == A_work[:, None, :]).all(axis=0).any(axis=1)
+            added = new & ~work
+            assert np.all(new[work]) and np.all(new[broken])
+            assert added.sum() == min(max(oracle._ADDED_COLUMNS, broken.sum()),
+                                      np.count_nonzero(~work))
+            assert excess[added].min() >= excess[~new].max(initial=-np.inf)
+            counts.append(int(broken.sum()))
+            work, v = new, next_v
+        assert counts[wide_round] > oracle._ADDED_COLUMNS
 
     def test_unclosed_gap_is_reported(self, monkeypatch):
         # a fit that misses the dual vertex, and a primal LP that misses it
@@ -413,14 +452,15 @@ class TestKinkedLinearProgram:
             solve_penalized(inst, absolute(), 0.8)
 
     def test_non_optimal_primal_status_raises(self, monkeypatch):
-        # with the fit of the dual vertex lost, the primal LP on the sparse
-        # matrix runs; a status other than optimal there must raise too
+        # with the fit of the dual vertex lost, the primal LP, the one over
+        # nonnegative variables with no upper bound, runs; a status other
+        # than optimal there must raise too
         monkeypatch.setattr(oracle, "_primal_from_dual",
                             lambda A, *rest: np.zeros(A.shape[1]))
         real_milp = oracle.optimize.milp
 
         def stalled_on_primal(c, **kwargs):
-            if sparse.issparse(kwargs["constraints"].A):
+            if np.all(kwargs["bounds"].ub == np.inf):
                 return optimize.OptimizeResult(status=1, x=None,
                                                message="Time limit reached.")
             return real_milp(c, **kwargs)

@@ -28,16 +28,19 @@ kind runs with one BLAS thread. The kinds:
   delta = 0.3, omega = 0.25, alpha = 0.1 (diverges), a run stopped by
   max_iter, a start from init_tau_sq and an unpenalized fit. Each adds its
   rows, its starred values and its flags.
-- `reports` (stream `reports`). 18 commands run in-process through
-  `ramp.cli.main`, each into its own temporary directory: the five default
-  `ramp bench` studies, seeded and unseeded reruns of the convergence and
-  design studies, four `ramp solve` runs that together reach every noise
-  law, three `ramp se` runs (one flagged diverged, exit 3) and two runs
-  that fail before writing (exit 1). A command gives its exit code and file
-  list, then each file its lines: the text with each numeric cell (a field
-  between commas or white space that parses as a float) replaced by '#',
-  then the numeric cells. It also prints each exit code and one SHA-256 of
-  each file's bytes.
+- `reports` (streams `reports` and `stderr`). 18 commands run in-process
+  through `ramp.cli.main`, each into its own temporary directory: the five
+  default `ramp bench` studies, seeded and unseeded reruns of the
+  convergence and design studies, four `ramp solve` runs that together
+  reach every noise law, three `ramp se` runs (one flagged diverged, exit
+  3) and two runs that fail before writing (exit 1). A command gives its
+  exit code and file list, then each file its lines: the text with each
+  numeric cell (a field between commas or white space that parses as a
+  float) replaced by '#', then the numeric cells. The `stderr` stream holds
+  what each command wrote to standard error, line by line in the same
+  form, so that a changed error message shows. It also prints each exit
+  code, each command's standard error and one SHA-256 of each file's
+  bytes.
 - `oracle` (streams `x_hat` and `objective`). The kinked oracle's fits on
   80 Gaussian-design draws (seeds 8000..8079) and 120 +-1-design draws
   (seeds 9000..9119, response rounded to 0.1 so that residuals tie at
@@ -59,9 +62,12 @@ benchmark's own statement of them.
 
 `--save PATH` writes every stream as JSON. `--against PATH` compares a run
 with such a file: it prints the largest relative difference of the close
-parts per stream (and per file, for `reports`), and exits 1 when that
-exceeds RTOL = 1e-12, or when a case name, a part count or layout, a text
-part, an exact part or a nan or inf differs.
+parts per stream, then each case beyond RTOL = 1e-12 (every case, for
+`reports`) beside its difference in the other streams that hold it, so
+that an `oracle` fit whose `x_hat` moved reads with its objective's
+difference. It exits 1 when a difference exceeds RTOL, or when a case
+name, a part count or layout, a text part, an exact part or a nan or inf
+differs.
 """
 
 from __future__ import annotations
@@ -72,7 +78,9 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -226,12 +234,14 @@ def line_parts(text):
 
 
 def report_streams():
-    cases = []
+    cases, errors = [], []
     with tempfile.TemporaryDirectory() as root:
         for name, command in COMMANDS:
             out = os.path.join(root, name)
-            code = cli.main(command.split() + ["--out", out])
-            print(f"exit {code}  {name}")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(command.split() + ["--out", out])
+            print(f"{err.getvalue()}exit {code}  {name}")
+            errors.append((name, line_parts(err.getvalue())))
             files = sorted(os.listdir(out)) if os.path.isdir(out) else []
             cases.append((name, [("text", f"exit {code}"), ("text", " ".join(files))]))
             for file in files:
@@ -239,7 +249,7 @@ def report_streams():
                     data = fh.read()
                 print(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}")
                 cases.append((f"{name}/{file}", line_parts(data.decode())))
-    return {"reports": cases}
+    return {"reports": cases, "stderr": errors}
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +367,23 @@ def compare(new, old):
 
 
 def against(streams, old, per_case):
-    """Print the largest difference of each stream (and of each case when
-    per_case) against a saved run, and every mismatch; whether all agree."""
+    """Print the largest difference of each stream against a saved run,
+    each case beyond RTOL (every case when per_case) beside its difference
+    in the other streams that hold it, and every mismatch; whether all
+    agree."""
     ok = list(streams) == list(old)
     if not ok:
         print(f"MISMATCH streams {list(streams)} against {list(old)}")
-    for key, cases in streams.items():
-        worst, mismatches = compare(cases, old.get(key, []))
+    found = {key: compare(cases, old.get(key, [])) for key, cases in streams.items()}
+    for key, (worst, mismatches) in found.items():
         top = max(worst, key=worst.get, default=None)
         print(f"{key}: largest relative difference {worst.get(top, 0.0):.3g}"
               + (f" ({top})" if worst.get(top) else ""))
-        for name, rel in worst.items() if per_case else ():
-            print(f"{rel:.3g}  {name}")
+        for name, rel in worst.items():
+            if per_case or rel > RTOL:
+                print(f"{rel:.3g}  {name}" + "".join(
+                    f"  ({other} {found[other][0][name]:.3g})" for other in found
+                    if other != key and name in found[other][0]))
         for line in mismatches[:20]:
             print(f"  MISMATCH {line[:200]}")
         ok &= not mismatches and worst.get(top, 0.0) <= RTOL
