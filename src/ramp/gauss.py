@@ -4,10 +4,10 @@ The moments are vectorized numpy working in float64, with the
 scipy.special erfc routine carrying the tail accuracy; nothing here
 samples.
 
-`norm_cdf_pdf` gives Phi and phi of a whole array in two new arrays, with
-one erfc and one exp call and the rest in place, bit for bit `norm_cdf`
-and `norm_pdf`. State evolution stacks both edges of a window into one
-(2, ...) array and evaluates them in this one pass. `soft_threshold_risk`
+`norm_cdf_pdf` gives Phi and phi of a whole array, in two new arrays or
+two given ones, with one erfc and one exp call and the rest in place, bit
+for bit `norm_cdf` and `norm_pdf`. State evolution stacks both edges of a
+window into one (2, ...) array and evaluates them in this one pass. `soft_threshold_risk`
 is the one scalar routine: it takes one mean in Python floats, with
 `math.erfc` and `math.exp`, since state evolution calls it once per prior
 atom.
@@ -34,17 +34,19 @@ def norm_cdf(x):
     return 0.5 * special.erfc(-x / _SQRT2)
 
 
-def norm_cdf_pdf(x):
-    """(Phi(x), phi(x)) of a float array x with ndim >= 1, in two new arrays.
+def norm_cdf_pdf(x, out=None):
+    """(Phi(x), phi(x)) of a float array x with ndim >= 1.
 
     The same operations as `norm_cdf` and `norm_pdf`, so the same bits:
     x / -sqrt 2 is -x / sqrt 2 exactly, and (-0.5 x) x is the product
-    `norm_pdf` takes; the scaling is done in place.
+    `norm_pdf` takes; the scaling is done in place. Written into the two
+    arrays of out, shaped like x, when given, else into two new arrays.
     """
-    cdf = np.divide(x, -_SQRT2)
+    cdf, pdf = (None, None) if out is None else out
+    cdf = np.divide(x, -_SQRT2, out=cdf)
     special.erfc(cdf, out=cdf)
     cdf *= 0.5
-    pdf = -0.5 * x
+    pdf = np.multiply(x, -0.5, out=pdf)
     pdf *= x
     np.exp(pdf, out=pdf)
     pdf *= _INV_SQRT_2PI

@@ -16,8 +16,13 @@ exact path. Heavy-tailed laws are integrated over W with Gauss-Legendre
 nodes on the inverse cdf, split at the median so the Laplace kink sits on
 a panel edge. `_window_edges` stacks both edges, at every node, in one
 (2, ...) array and evaluates them in one pass (`gauss.norm_cdf_pdf`: one
-erfc and one exp call), and the moments are summed in place, with the
-operations of the plain one-edge formulas and so with their bits.
+erfc and one exp call), with the operations of the plain one-edge
+formulas and so with their bits. The normal paths sum the moments in
+place from these terms, with the bits of the plain formulas. On the
+nodes, only the second moment inside the window, whose terms cancel, is
+formed per node; it and the edge terms are the rows of one array, and
+one product with the weights gives every sum (`_node_sums`), within a
+few ulps of averaging each node's moments.
 
 Every loss enters through its constants (kappa, e_lo, e_hi) from
 `losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
@@ -36,7 +41,8 @@ b it returns, with no further pass. The rows' (sigma_sq, b) converge
 geometrically, so a fixed-point run starts each Newton solve from b
 extrapolated to the new sigma_sq through its last three rows
 (`_predicted_b`): on the twelve cells of the benchmark's se_tune workload
-an update takes 2.2 window passes (1157 over 520 updates). Newton's
+an update takes 2.2 window passes (1146 over 515 updates with seed 1,
+1150 over 519 with seed 11; the seed shifts the alpha grid). Newton's
 stopping rule does not depend on the start, so each b is the same root
 to solver precision.
 At sigma = 0 the slope is a step map and Newton's bisection fallback
@@ -280,19 +286,43 @@ class DistributionModel:
 _NODES_PER_HALF = 220
 
 
-def _window_edges(lo, hi, mu, s):
+def _window_edges(lo, hi, mu, s, out=None):
     """Edge terms of the window (lo, hi] for v ~ N(mu, s^2), s > 0.
 
     Returns (e, Phi(e), phi(e)), each a (2, ...) array whose rows belong to
     the standardized lower edge a = (lo - mu)/s and upper edge
     c = (hi - mu)/s; both slope and E clip(v, lo, hi)^2 are built from
-    them. Both edges go through one `norm_cdf_pdf` pass. The edges of a
-    Huber or kinked window are finite, so no infinite-edge guard is needed.
-    Vectorized over mu.
+    them. Both edges go through one `norm_cdf_pdf` pass, into the two
+    arrays of out when given. The edges of a Huber or kinked window are
+    finite, so no infinite-edge guard is needed. Vectorized over mu.
     """
     e = np.subtract.outer((lo, hi), mu)
     e /= s
-    return (e,) + norm_cdf_pdf(e)
+    return (e,) + norm_cdf_pdf(e, out)
+
+
+def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
+    """E v^2 1{lo < v <= hi} for v ~ N(mu, s^2), from the edge terms.
+
+    The truncated-normal closed form
+
+        (mu^2 + s^2) P + 2 mu s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c))
+
+    with mu^2 and 2 mu given, in the operations of
+    `gauss.truncated_moments` and so with its bits. Its terms cancel when
+    the window is narrow against s, so it is formed at each mean before any
+    average. Overwrites e with (a phi(a), c phi(c)).
+    """
+    m2 = mu_sq + s * s
+    m2 *= p_in
+    t = mu_2 * s
+    t *= pdf[0] - pdf[1]
+    m2 += t
+    e *= pdf
+    t = e[0] - e[1]
+    t *= s * s
+    m2 += t
+    return m2
 
 
 def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
@@ -302,16 +332,10 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
     c clip(v, lo, hi), so the first and last values are E d1Phi/c and
     E Phi^2/c^2. Its edges move with b at rates rate_lo and rate_hi, so
     the derivative is the density of v at each edge times that edge's
-    rate. The second moment inside the window is the truncated-normal
-    closed form
-
-        (mu^2 + s^2) P + 2 mu s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c))
-
-    and the mass below the window is Phi(a), all on the edge terms of one
-    `_window_edges` pass. The moment takes the operations of
-    `gauss.truncated_moments` and so its bits, summed in place. At s = 0,
-    v is a point mass at mu, inside when lo < mu <= hi, with no density at
-    the edges. Vectorized over mu.
+    rate. The second moment inside the window is `_window_m2` and the mass
+    below the window is Phi(a), all on the edge terms of one
+    `_window_edges` pass. At s = 0, v is a point mass at mu, inside when
+    lo < mu <= hi, with no density at the edges. Vectorized over mu.
     """
     mu = np.asarray(mu, dtype=float)
     if s == 0.0:
@@ -325,17 +349,7 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
         p_in = cdf[1] - p_below
         dp_in = pdf[1] * (rate_hi / s)
         dp_in -= (rate_lo / s) * pdf[0]
-        m2 = mu * mu
-        m2 += s * s
-        m2 *= p_in
-        t = mu * 2.0
-        t *= s
-        t *= pdf[0] - pdf[1]
-        m2 += t
-        e *= pdf
-        t = e[0] - e[1]
-        t *= s * s
-        m2 += t
+        m2 = _window_m2(e, p_in, pdf, mu * mu, mu * 2.0, s)
     p_above = 1.0 - p_in
     p_above -= p_below
     m2 += hi * hi * np.maximum(p_above, 0.0)
@@ -345,12 +359,45 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
 
 @lru_cache(maxsize=32)
 def _noise_nodes(noise):
-    """Inverse-cdf Gauss-Legendre nodes for E over the noise law."""
+    """Inverse-cdf Gauss-Legendre nodes for E over the noise law.
+
+    Returns (w, weights, w^2, 2w), the last two for `_window_m2`. Every
+    caller shares these arrays, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(_NODES_PER_HALF)
     u = 0.25 * (x + 1.0)
     uu = np.concatenate([u, 0.5 + u])
     ww = np.concatenate([0.25 * w, 0.25 * w])
-    return np.asarray(noise.ppf(uu), dtype=float), ww
+    nodes = np.asarray(noise.ppf(uu), dtype=float)
+    arrays = (nodes, ww, nodes * nodes, nodes * 2.0)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _node_sums(lo, hi, rate_lo, rate_hi, noise, s):
+    """`_conditional` averaged over the noise law's nodes w, for s > 0.
+
+    Only the in-window second moment m2_in is formed per node
+    (`_window_m2`), because its terms cancel. It and P, Phi(a), 1 - Phi(c),
+    phi(a), phi(c) are the rows of one (6, nodes) array, and one product
+    with the weights gives all six sums. Then
+
+        E clip(v, lo, hi)^2 = sum w m2_in + hi^2 sum w (1 - Phi(c))
+                              + lo^2 sum w Phi(a),
+        dP/db = (rate_hi sum w phi(c) - rate_lo sum w phi(a))/s.
+
+    1 - Phi(c) is never negative, so no clamp is needed.
+    """
+    nodes, weights, nodes_sq, nodes_2 = _noise_nodes(noise)
+    rows = np.empty((6, nodes.size))
+    e, cdf, pdf = _window_edges(lo, hi, nodes, s, out=(rows[2:4], rows[4:6]))
+    np.subtract(cdf[1], cdf[0], out=rows[0])
+    rows[1] = _window_m2(e, rows[0], pdf, nodes_sq, nodes_2, s)
+    np.subtract(1.0, cdf[1], out=cdf[1])
+    p_in, m2_in, below, above, f_lo, f_hi = (rows @ weights).tolist()
+    return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s,
+            m2_in + hi * hi * above + lo * lo * below)
 
 
 def _noise_average(conditional, noise, sigma):
@@ -359,8 +406,8 @@ def _noise_average(conditional, noise, sigma):
     Exact for a law with normal components, whose v is normal given the
     component: a normal mixture, or a normal law as its one component
     (0.0 + 1.0 x is x, and no average here is -0.0, so the bits are those
-    of a direct evaluation). Gauss-Legendre nodes on the inverse cdf
-    otherwise, one dot product per entry.
+    of a direct evaluation). Otherwise, at sigma = 0, the point masses at
+    the noise law's nodes, one dot product per entry.
     """
     components = getattr(noise, "components", None)
     if components is not None:
@@ -369,7 +416,7 @@ def _noise_average(conditional, noise, sigma):
             for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
                 totals[i] += w * float(x)
         return tuple(totals)
-    nodes, weights = _noise_nodes(noise)
+    nodes, weights = _noise_nodes(noise)[:2]
     return tuple(float(weights @ x) for x in conditional(nodes, sigma))
 
 
@@ -383,10 +430,11 @@ def score_moments(loss, b, noise, sigma):
 
         dc/db P + c (e_hi f(hi) - e_lo f(lo)),   dc/db = kappa/(kappa + b)^2.
 
-    All three come from one pass of `_conditional` over the window, exact
-    for Normal and NormalMixture noise and by Gauss-Legendre quadrature
-    over the noise law otherwise; c and dc/db multiply the noise averages,
-    not the nodes. The infinite window of least squares gives (c, dc/db,
+    All three come from one pass over the window: exact for Normal and
+    NormalMixture noise (`_conditional` per component), by Gauss-Legendre
+    quadrature over the noise law otherwise (`_node_sums`, or at sigma = 0
+    `_conditional`'s point masses at the nodes); c and dc/db multiply the
+    noise averages, not the nodes. The infinite window of least squares gives (c, dc/db,
     c^2 (variance + sigma^2)) for every law and raises ValueError when the
     noise variance is infinite.
     """
@@ -400,8 +448,11 @@ def score_moments(loss, b, noise, sigma):
                 "unbounded-score moments diverge under infinite-variance noise")
         return c, dc, c * c * (var + sigma * sigma)
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-    p_in, dp_in, clip_sq = _noise_average(
-        lambda mu, s: _conditional(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
+    if sigma > 0.0 and getattr(noise, "components", None) is None:
+        p_in, dp_in, clip_sq = _node_sums(lo, hi, e_lo, e_hi, noise, sigma)
+    else:
+        p_in, dp_in, clip_sq = _noise_average(
+            lambda mu, s: _conditional(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
     return c * p_in, dc * p_in + c * dp_in, c * c * clip_sq
 
 

@@ -19,7 +19,8 @@ kind runs with one BLAS thread. The kinds:
   alpha*, lambda*, every SE row and the AMSE of every grid point, or the
   name of the exception a cell raises (least squares under Cauchy noise).
   Then `score_moments` of each pair at 25 values of b from 1e-3 to 1e3 and
-  sigma in {1e-3, 0.5, 30}, as two parts per point: the slope and
+  sigma in {0, 1e-3, 0.5, 30} (0 reaches the heavy-tailed laws'
+  point-mass branch), as two parts per point: the slope and
   E Phi^2, then, on a finite score window, the slope and its derivative in
   b. Then `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
   [-40, 40] for alpha in {0.05, 0.5, 1, 2, 3, 10}. The fixed-point stream
@@ -123,7 +124,7 @@ NOISES = (Normal(0.2), Laplace(1.0), StudentT(4.0), Cauchy(1.0), StudentT(8.0),
           NormalMixture(((0.5, 0.3), (0.5, 1.0))))
 LOSSES = (least_squares(), huber(1.0), huber(0.5), absolute(), quantile(0.7), quantile(0.3))
 B_GRID = np.geomspace(1e-3, 1e3, 25)
-SIGMAS = (1e-3, 0.5, 30.0)
+SIGMAS = (0.0, 1e-3, 0.5, 30.0)
 RISK_MEANS = (0.0, -1e3, 1e3, np.linspace(-40.0, 40.0, 401))
 RISK_ALPHAS = (0.05, 0.5, 1.0, 2.0, 3.0, 10.0)
 # (noise, loss, prior, delta, alpha, keyword arguments of se_fixed_point)
