@@ -13,8 +13,11 @@ one walk over the sorted u when kappa > 0 (Huber, `calibrate_smooth`); and
 as an order statistic of u when kappa = 0, where c = 1 (the kinked
 absolute and quantile losses, `calibrate_nonsmooth`). `solve_increasing`,
 safeguarded Newton on log b, solves the population equation for state
-evolution; it returns the root together with the curve's values there,
-so state evolution reads E Phi^2 at b from Newton's last evaluation.
+evolution; it returns the root together with the slope and a second
+curve at it, E Phi^2 for state evolution. It stops on the point it
+evaluated last, or, when the next Newton step is at most sqrt(1e-13) on
+log10 b, takes that step unevaluated and carries both curves there to
+first order, within the order of the step's square.
 """
 
 from __future__ import annotations
@@ -160,15 +163,17 @@ def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") 
 
 _LOG10_LIMIT = 12
 _LOG10_XTOL = 1e-13
+# a Newton step this short leaves an error of order its square, the stop above
+_LOG10_LAST_STEP = math.sqrt(_LOG10_XTOL)
 _MAX_NEWTON_EVALS = 200
 
 
 def solve_increasing(curve: Callable, target: float, start: Optional[float] = None):
-    """Root b of the nondecreasing map b -> curve(b)[0] = target, and curve(b).
+    """Root b of the nondecreasing map b -> f(b) = target, with f and g at b.
 
-    curve(b) returns a tuple (value, d value / d b, ...). Entries past the
-    second ride along, so a caller that needs more of the curve at the
-    root reads it from the returned tuple instead of evaluating again. The
+    curve(b) returns (f, df/db, g, dg/db): the map f, and a second curve g
+    that rides along, so a caller that needs g at the root reads it from
+    the result instead of evaluating again. Returns (b, (f(b), g(b))). The
     root is found by safeguarded Newton steps on log10 b, starting from
     `start` (b = 1 when None), the natural choice when a nearby root is
     known from a previous solve. Every evaluated point narrows a bracket
@@ -176,28 +181,34 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
     ends are known) is longer than half the step before last, is replaced
     by bisection on log10 b; while one side of the bracket is still
     unknown, the replacement moves a decade outward from the known side
-    instead, up to the limits [1e-12, 1e12]. Newton stops once the next
-    step would be below 1e-13 on log10 b, and returns (b, curve(b)) at the
-    last point it evaluated, not the stepped one. Where the map steps
-    across the target without touching it (a zero derivative gives no
-    Newton step), bisection returns the jump point.
+    instead, up to the limits [1e-12, 1e12].
+
+    Two rules stop the search. When the next step would be below 1e-13 on
+    log10 b, it returns the point it evaluated last, with the curve's
+    values there. When the next step is a Newton step inside the bracket
+    no longer than sqrt(1e-13) (about 3.2e-7) on log10 b, it takes that
+    step without evaluating the curve: Newton's error after the step is of
+    the order of its square, the scale of the first stop. It returns the
+    stepped b and f and g carried there to first order, f + df/db (b_new -
+    b) and likewise g, whose own error is of the same order. Where the map
+    steps across the target without touching it (a zero derivative gives
+    no Newton step), bisection returns the jump point.
 
     An unreachable target raises CalibrationError carrying the outermost
     points evaluated and the curve values there.
     """
     limit, ln10 = _LOG10_LIMIT, math.log(10.0)
     u = 0.0 if start is None else min(max(math.log10(start), -limit), limit)
-    lo = hi = None                 # (u, value) of the bracket ends so far
-    outer_lo = outer_hi = None     # (u, value) of the outermost points
+    lo = hi = None                 # (u, f) of the bracket ends so far
+    outer_lo = outer_hi = None     # (u, f) of the outermost points
     step = step_old = 2.0 * limit
     for _ in range(_MAX_NEWTON_EVALS):
         b = 10.0 ** u
-        values = curve(b)
-        f, df = values[:2]
-        g = f - target
-        if g == 0.0:
-            return b, values
-        if g < 0.0:
+        f, df, g, dg = curve(b)
+        gap = f - target
+        if gap == 0.0:
+            return b, (f, g)
+        if gap < 0.0:
             lo = (u, f)
         else:
             hi = (u, f)
@@ -207,10 +218,11 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
             outer_hi = (u, f)
         a = -limit if lo is None else lo[0]
         c = limit if hi is None else hi[0]
-        newton = u - g / (df * b * ln10) if df > 0.0 else math.nan
+        newton = u - gap / (df * b * ln10) if df > 0.0 else math.nan
         step_older, step_old = step_old, step
-        if a < newton < c and (lo is None or hi is None
-                               or abs(newton - u) <= 0.5 * abs(step_older)):
+        take_newton = a < newton < c and (lo is None or hi is None
+                                          or abs(newton - u) <= 0.5 * abs(step_older))
+        if take_newton:
             u_next = newton
         elif lo is not None and hi is not None:
             u_next = 0.5 * (a + c)
@@ -222,7 +234,10 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
             break
         step = u_next - u
         if abs(step) <= _LOG10_XTOL:
-            return b, values
+            return b, (f, g)
+        if take_newton and abs(step) <= _LOG10_LAST_STEP:
+            b_next = 10.0 ** u_next
+            return b_next, (f + df * (b_next - b), g + dg * (b_next - b))
         u = u_next
     lo_b, hi_b = 10.0 ** outer_lo[0], 10.0 ** outer_hi[0]
     missed = "not bracketed" if lo is None or hi is None else "not settled"

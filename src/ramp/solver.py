@@ -131,7 +131,10 @@ class RampResult:
     @property
     def iterations(self):
         """The number of passes, counting the bootstrap pass: the number of
-        trace rows, one more than the last row's t."""
+        trace rows, one more than the last row's t. `state_evolution.SeResult`
+        counts the other way: its iterations is the t of its last row and
+        leaves out the start row, so for the same number of rows it reads
+        one less."""
         return len(self.trace)
 
 

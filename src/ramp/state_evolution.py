@@ -31,18 +31,23 @@ E d1Phi is c times the mass of the window and E Phi^2 is c^2 E clip(v,
 lo, hi)^2; c and its derivative kappa/(kappa + b)^2 multiply the noise
 averages. The derivative of the slope in b takes, besides dc/db, the
 density of W + sigma Z at each window edge times the rate e_lo or e_hi at
-which that edge moves, from the same normal pieces. `score_moments` is
-the one window kernel: one pass over the edges gives the slope, its
-derivative in b and E Phi^2. Least squares, whose window is the whole
-line, reads the noise variance for every law. The tau update finds b by
-safeguarded Newton steps on log b (`calibration.solve_increasing` on
-`score_moments`) and takes E Phi^2 from Newton's last evaluation, at the
-b it returns, with no further pass. The rows' (sigma_sq, b) converge
+which that edge moves, from the same normal pieces; the derivative of
+E clip^2 takes each edge times its rate times the mass beyond it.
+`score_moments` is the one window kernel: one pass over the edges gives
+the slope, E Phi^2 and their derivatives in b. Least squares, whose
+window is the whole line, reads the noise variance for every law. The
+tau update finds b by safeguarded Newton steps on log b
+(`calibration.solve_increasing` on `score_moments`), with E Phi^2 riding
+along. Once Newton's next step is at most 3.2e-7 on log10 b, it takes
+that step without a window pass and carries E Phi^2 there to first
+order, with an error of the order of the step's square (within 3e-13
+relative of a fresh pass on the tested cases); otherwise it reads E Phi^2
+at the point it evaluated last. The rows' (sigma_sq, b) converge
 geometrically, so a fixed-point run starts each Newton solve from b
 extrapolated to the new sigma_sq through its last three rows
 (`_predicted_b`): on the twelve cells of the benchmark's se_tune workload
-an update takes 2.2 window passes (1146 over 515 updates with seed 1,
-1150 over 519 with seed 11; the seed shifts the alpha grid). Newton's
+an update takes 1.56 window passes (802 over 515 updates with seed 1),
+against 2.23 (1146) when Newton evaluated its last step. Newton's
 stopping rule does not depend on the start, so each b is the same root
 to solver precision.
 At sigma = 0 the slope is a step map and Newton's bisection fallback
@@ -326,16 +331,18 @@ def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
 
 
 def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
-    """(P(v in window), its derivative in b, E clip(v, lo, hi)^2), v ~ N(mu, s^2).
+    """(P, dP/db, E clip^2, d E clip^2/db) of the window (lo, hi], v ~ N(mu, s^2).
 
-    The window (lo, hi] is the score window, on which Phi(v; b) =
-    c clip(v, lo, hi), so the first and last values are E d1Phi/c and
-    E Phi^2/c^2. Its edges move with b at rates rate_lo and rate_hi, so
-    the derivative is the density of v at each edge times that edge's
-    rate. The second moment inside the window is `_window_m2` and the mass
-    below the window is Phi(a), all on the edge terms of one
-    `_window_edges` pass. At s = 0, v is a point mass at mu, inside when
-    lo < mu <= hi, with no density at the edges. Vectorized over mu.
+    P is the mass of v in the score window, on which Phi(v; b) =
+    c clip(v, lo, hi), so P and E clip(v, lo, hi)^2 are E d1Phi/c and
+    E Phi^2/c^2. The edges move with b at rates rate_lo and rate_hi, so
+    dP/db is the density of v at each edge times that edge's rate, and
+    d E clip^2/db = 2 (hi rate_hi P_above + lo rate_lo P_below), the clip
+    being an edge outside the window. The second moment inside the window
+    is `_window_m2` and the mass below the window is Phi(a), all on the
+    edge terms of one `_window_edges` pass. At s = 0, v is a point mass at
+    mu, inside when lo < mu <= hi, with no density at the edges.
+    Vectorized over mu.
     """
     mu = np.asarray(mu, dtype=float)
     if s == 0.0:
@@ -352,9 +359,13 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
         m2 = _window_m2(e, p_in, pdf, mu * mu, mu * 2.0, s)
     p_above = 1.0 - p_in
     p_above -= p_below
-    m2 += hi * hi * np.maximum(p_above, 0.0)
+    p_above = np.maximum(p_above, 0.0)
+    m2 += hi * hi * p_above
     m2 += lo * lo * p_below
-    return p_in, dp_in, m2
+    dm2 = (hi * rate_hi) * p_above
+    dm2 += (lo * rate_lo) * p_below
+    dm2 *= 2.0
+    return p_in, dp_in, m2, dm2
 
 
 @lru_cache(maxsize=32)
@@ -385,7 +396,9 @@ def _node_sums(lo, hi, rate_lo, rate_hi, noise, s):
 
         E clip(v, lo, hi)^2 = sum w m2_in + hi^2 sum w (1 - Phi(c))
                               + lo^2 sum w Phi(a),
-        dP/db = (rate_hi sum w phi(c) - rate_lo sum w phi(a))/s.
+        dP/db = (rate_hi sum w phi(c) - rate_lo sum w phi(a))/s,
+        d E clip^2/db = 2 (hi rate_hi sum w (1 - Phi(c))
+                           + lo rate_lo sum w Phi(a)).
 
     1 - Phi(c) is never negative, so no clamp is needed.
     """
@@ -397,46 +410,52 @@ def _node_sums(lo, hi, rate_lo, rate_hi, noise, s):
     np.subtract(1.0, cdf[1], out=cdf[1])
     p_in, m2_in, below, above, f_lo, f_hi = (rows @ weights).tolist()
     return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s,
-            m2_in + hi * hi * above + lo * lo * below)
+            m2_in + hi * hi * above + lo * lo * below,
+            2.0 * (hi * rate_hi * above + lo * rate_lo * below))
 
 
 def _noise_average(conditional, noise, sigma):
-    """Average over W of the triple conditional(mu, s) for v ~ N(mu, s^2).
+    """Average over W of the tuple conditional(mu, s) for v ~ N(mu, s^2).
 
     Exact for a law with normal components, whose v is normal given the
     component: a normal mixture, or a normal law as its one component
-    (0.0 + 1.0 x is x, and no average here is -0.0, so the bits are those
-    of a direct evaluation). Otherwise, at sigma = 0, the point masses at
-    the noise law's nodes, one dot product per entry.
+    (1.0 x is x, so the bits are those of a direct evaluation). Otherwise,
+    at sigma = 0, the point masses at the noise law's nodes, one dot
+    product per entry.
     """
     components = getattr(noise, "components", None)
     if components is not None:
-        totals = [0.0, 0.0, 0.0]
+        totals = None
         for w, v in components:
-            for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
-                totals[i] += w * float(x)
+            terms = [w * float(x) for x in conditional(0.0, math.sqrt(v + sigma * sigma))]
+            totals = terms if totals is None else [t + x for t, x in zip(totals, terms)]
         return tuple(totals)
     nodes, weights = _noise_nodes(noise)[:2]
     return tuple(float(weights @ x) for x in conditional(nodes, sigma))
 
 
 def score_moments(loss, b, noise, sigma):
-    """Population (E d1Phi(v; b), its derivative in b, E Phi(v; b)^2), v = W + sigma Z.
+    """Population slope E d1Phi(v; b), E Phi(v; b)^2 and their derivatives in b.
 
-    With P the mass of v in the score window (lo, hi] = (kappa + b)(e_lo,
-    e_hi], the slope is c P and E Phi^2 is c^2 E clip(v, lo, hi)^2. The
+    Returns (slope, d slope/db, E Phi^2, d E Phi^2/db), v = W + sigma Z:
+    the (f, f', g, g') curve of `calibration.solve_increasing`. With P the
+    mass of v in the score window (lo, hi] = (kappa + b)(e_lo, e_hi] and
+    M = E clip(v, lo, hi)^2, the slope is c P and E Phi^2 is c^2 M. The
     edges move with b at rates e_lo and e_hi, so with f the density of v
-    the derivative is
+    and dc/db = kappa/(kappa + b)^2 the derivatives are
 
-        dc/db P + c (e_hi f(hi) - e_lo f(lo)),   dc/db = kappa/(kappa + b)^2.
+        d slope/db = dc/db P + c (e_hi f(hi) - e_lo f(lo)),
+        d E Phi^2/db = 2 c dc/db M + c^2 2 (hi e_hi P_above + lo e_lo P_below),
 
-    All three come from one pass over the window: exact for Normal and
-    NormalMixture noise (`_conditional` per component), by Gauss-Legendre
-    quadrature over the noise law otherwise (`_node_sums`, or at sigma = 0
-    `_conditional`'s point masses at the nodes); c and dc/db multiply the
-    noise averages, not the nodes. The infinite window of least squares gives (c, dc/db,
-    c^2 (variance + sigma^2)) for every law and raises ValueError when the
-    noise variance is infinite.
+    P_above and P_below the masses of v above and below the window, where
+    the clip is the edge. All four come from one pass over the window:
+    exact for Normal and NormalMixture noise (`_conditional` per
+    component), by Gauss-Legendre quadrature over the noise law otherwise
+    (`_node_sums`, or at sigma = 0 `_conditional`'s point masses at the
+    nodes); c and dc/db multiply the noise averages, not the nodes. The
+    infinite window of least squares gives (c, dc/db, c^2 (variance +
+    sigma^2), 2 c dc/db (variance + sigma^2)) for every law and raises
+    ValueError when the noise variance is infinite.
     """
     kappa, e_lo, e_hi = score_shape(loss)
     c = b / (kappa + b)
@@ -446,14 +465,16 @@ def score_moments(loss, b, noise, sigma):
         if not math.isfinite(var):
             raise ValueError(
                 "unbounded-score moments diverge under infinite-variance noise")
-        return c, dc, c * c * (var + sigma * sigma)
+        m = var + sigma * sigma
+        return c, dc, c * c * m, 2.0 * c * dc * m
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
     if sigma > 0.0 and getattr(noise, "components", None) is None:
-        p_in, dp_in, clip_sq = _node_sums(lo, hi, e_lo, e_hi, noise, sigma)
+        p_in, dp_in, clip_sq, dclip_sq = _node_sums(lo, hi, e_lo, e_hi, noise, sigma)
     else:
-        p_in, dp_in, clip_sq = _noise_average(
+        p_in, dp_in, clip_sq, dclip_sq = _noise_average(
             lambda mu, s: _conditional(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
-    return c * p_in, dc * p_in + c * dp_in, c * c * clip_sq
+    return (c * p_in, dc * p_in + c * dp_in, c * c * clip_sq,
+            2.0 * c * dc * clip_sq + c * c * dclip_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +493,12 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     `score_moments`, the slope and its analytic derivative in b, from
     b_start (b = 1 when None; a fixed-point run passes `_predicted_b` of
     its rows), and raises CalibrationError when the slope is not bracketed
-    on [1e-12, 1e12]. E Phi^2 is the third value of its last evaluation,
-    at the b it returns.
+    on [1e-12, 1e12]. E Phi^2 rides along with its derivative in b: Newton
+    either stops on an evaluated point and reads E Phi^2 there, or takes a
+    last step of at most 3.2e-7 on log10 b without a window pass and
+    carries E Phi^2 to the stepped b to first order, within the order of
+    the step's square (the slope and tau equations then hold within 3e-13
+    relative of a fresh pass at b on the tested cases).
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
@@ -483,9 +508,9 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     kappa, _, e_hi = score_shape(loss)
     if math.isinf(e_hi):
         b = kappa * slope / (1.0 - slope)
-        _, _, sq = score_moments(loss, b, noise, sigma)
+        sq = score_moments(loss, b, noise, sigma)[2]
     else:
-        b, (_, _, sq) = solve_increasing(
+        b, (_, sq) = solve_increasing(
             lambda bb: score_moments(loss, bb, noise, sigma), slope, start=b_start)
     return sq / (slope * slope), b
 
@@ -543,7 +568,10 @@ class SeResult:
     Row 0 is the start and row t the state after t iterations. The starred
     values are the entries of the last row, nan when the run diverged, and
     iterations is the t of the last row, 0 when there are no rows (a run
-    flagged diverged without iterating).
+    flagged diverged without iterating). It leaves out row 0, itself one
+    tau update; `solver.RampResult.iterations` counts every row, the
+    bootstrap pass included, so it reads one more for the same number of
+    rows.
     """
 
     rows: tuple

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import brentq
 
@@ -19,6 +22,11 @@ from ramp.experiments import convergence_study_spec, generate_instance
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, \
     score_shape, window_u
 from ramp.state_evolution import DistributionModel, Laplace, pm_one_prior, se_tau_update
+
+
+def bare(f, df):
+    """A point of solve_increasing's (f, f', g, g') curve with no g riding along."""
+    return f, df, 0.0, 0.0
 
 
 def exact_lad_root(slope):
@@ -107,7 +115,7 @@ class TestSolveIncreasing:
         for jump in (2.5, 3e-7, 4e8):
             def curve(b):
                 step = 0.3 if b < jump else 0.9
-                return step * b / (1.0 + b), step / (1.0 + b) ** 2
+                return bare(step * b / (1.0 + b), step / (1.0 + b) ** 2)
 
             # at the jump the map steps from 0.3 c to 0.9 c, c = b/(1+b)
             b, _ = solve_increasing(curve, 0.6 * jump / (1.0 + jump))
@@ -119,47 +127,86 @@ class TestSolveIncreasing:
 
     def test_newton_root(self):
         def curve(b):
-            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2
+            return bare(b / (1.0 + b), 1.0 / (1.0 + b) ** 2)
 
         for start in (None, 1e-9, 0.4, 1e9):
             b, _ = solve_increasing(curve, 0.3, start=start)
             assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
-        sqrt = lambda b: (np.sqrt(b), 0.5 / np.sqrt(b))
+        sqrt = lambda b: bare(np.sqrt(b), 0.5 / np.sqrt(b))
         assert solve_increasing(sqrt, 1e3)[0] == pytest.approx(1e6, rel=1e-13)
         assert solve_increasing(sqrt, 1e-4)[0] == pytest.approx(1e-8, rel=1e-13)
 
     def test_newton_step_map_falls_back_to_bisection(self):
         # a zero derivative gives no Newton step: widen, then bisect
         for jump in (2.5, 3e-7, 4e8):
-            b, _ = solve_increasing(lambda bb: (0.0 if bb < jump else 1.0, 0.0), 0.5)
+            b, _ = solve_increasing(lambda bb: bare(0.0 if bb < jump else 1.0, 0.0), 0.5)
             assert b == pytest.approx(jump, rel=1e-12)
 
     def test_returns_the_curve_at_its_root(self):
-        # the values returned are those of the last evaluation, at the b
-        # returned, with every entry the curve gives: Newton's stop, the
-        # bisection fallback on a step map, and an exact hit
+        # f and g at the b returned: exactly those of the last evaluation
+        # when it stops on an evaluated point (the bisection fallback on a
+        # step map, an exact hit), and within 3e-13 relative of a fresh
+        # evaluation after a last Newton step of at most 3.2e-7 on log10 b,
+        # whose first-order carry errs by the order of the step's square
         def smooth(b):
-            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b
+            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b
 
         def step(b):
-            return (0.0 if b < 2.5 else 1.0), 0.0, -b
+            return (0.0 if b < 2.5 else 1.0), 0.0, -b, -1.0
 
-        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
-                                     (step, 0.5, None), (smooth, 0.5, None)):
+        for curve, target in ((step, 0.5), (smooth, 0.5)):
+            b, values = solve_increasing(curve, target)
+            assert values == curve(b)[::2]
+        score = lambda bb: state_evolution.score_moments(absolute(), bb, Laplace(1.0), 0.6)
+        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9), (score, 0.2, None)):
             b, values = solve_increasing(curve, target, start=start)
-            assert values == curve(b)
-        b, values = solve_increasing(
-            lambda bb: state_evolution.score_moments(absolute(), bb, Laplace(1.0), 0.6), 0.2)
-        assert values == state_evolution.score_moments(absolute(), b, Laplace(1.0), 0.6)
+            assert_allclose(values, curve(b)[::2], rtol=3e-13, atol=0)
+
+    def test_last_newton_step_is_not_evaluated(self):
+        # near the root Newton takes its last step without evaluating and
+        # carries f and g from the last evaluated point b0 to first order;
+        # for g = b^2 the carry is b^2 - (b - b0)^2 exactly
+        points = []
+
+        def curve(b):
+            points.append(b)
+            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b
+
+        b, (f, g) = solve_increasing(curve, 0.3, start=1e9)
+        b0 = points[-1]
+        assert b not in points
+        assert 1e-13 < abs(math.log10(b / b0)) <= math.sqrt(1e-13)
+        assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
+        assert f == curve(b0)[0] + curve(b0)[1] * (b - b0)
+        assert g == pytest.approx(b * b - (b - b0) ** 2, rel=1e-15)
+
+    def test_newton_stops_on_an_evaluated_point(self):
+        # f = log10 b is linear in Newton's variable, so one step lands on
+        # the root to rounding, and the search stops there (an exact hit,
+        # or a next step below 1e-13): it returns the point it evaluated
+        # last, with its values
+        points = []
+
+        def curve(b):
+            points.append(b)
+            return math.log10(b), 1.0 / (b * math.log(10.0)), -b, -1.0
+
+        for target in (0.3, 0.7, 2.5, -4.2):
+            points.clear()
+            b, values = solve_increasing(curve, target, start=1e-3)
+            assert len(points) == 2
+            assert b == points[-1]
+            assert values == curve(b)[::2]
+            assert b == pytest.approx(10.0 ** target, rel=1e-14)
 
     def test_newton_unreachable_target_carries_bracket(self):
         with pytest.raises(CalibrationError) as err:
-            solve_increasing(lambda b: (b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 1.0,
+            solve_increasing(lambda b: bare(b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 1.0,
                              start=0.5)
         assert err.value.grid_hi == 1e12
         assert err.value.value_hi < 1.0
         with pytest.raises(CalibrationError) as err:
-            solve_increasing(lambda b: (0.5 + b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 0.2,
+            solve_increasing(lambda b: bare(0.5 + b / (1.0 + b), 1.0 / (1.0 + b) ** 2), 0.2,
                              start=0.5)
         assert err.value.grid_lo == 1e-12
         assert err.value.value_lo > 0.2
@@ -175,8 +222,8 @@ class TestSolveIncreasing:
         assert np.mean(effective_score_deriv(huber(1.0), inst.y, b)) == pytest.approx(inst.slope, rel=1e-8)
 
     def test_se_tau_update_curve_evaluations(self, monkeypatch):
-        # Newton runs on score_moments and E Phi^2 comes from its last
-        # evaluation: the last pass is at the root, and no b is passed twice
+        # Newton runs on score_moments, E Phi^2 riding along, and no b is
+        # passed twice
         dist = DistributionModel(pm_one_prior(0.128), Laplace(1.0))
         points = []
         original = state_evolution.score_moments
@@ -186,9 +233,15 @@ class TestSolveIncreasing:
             return original(loss, b, noise, sigma)
 
         monkeypatch.setattr(state_evolution, "score_moments", recording)
-        _, b = se_tau_update(0.5, dist, absolute(), 0.2)
+        tau_sq, b = se_tau_update(0.5, dist, absolute(), 0.2)
         assert 1 <= len(points) <= 25
-        assert points[-1] == b
+        # b is the last point evaluated or one Newton step of at most
+        # 3.2e-7 on log10 b past it; either way the slope and tau equations
+        # hold at b within 3e-13 relative against a fresh pass
+        assert abs(math.log10(b / points[-1])) <= math.sqrt(1e-13)
+        slope_b, _, sq_b, _ = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))
+        assert slope_b == pytest.approx(0.2, rel=3e-13)
+        assert tau_sq == pytest.approx(sq_b / 0.2 ** 2, rel=3e-13)
         assert len(set(points)) == len(points)
         deriv = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))[0]
         assert deriv == pytest.approx(0.2, rel=1e-10)
@@ -275,8 +328,8 @@ class TestCalibrateNonsmooth:
         # and its root is the analytic one
         slope = 0.2
         b, _ = solve_increasing(
-            lambda bb: (float(plugin_slope_curve(absolute(), bb, stats.norm.cdf, stats.norm.pdf)),
-                        2.0 * bb * bb * stats.norm.pdf(bb)),
+            lambda bb: bare(float(plugin_slope_curve(absolute(), bb, stats.norm.cdf, stats.norm.pdf)),
+                            2.0 * bb * bb * stats.norm.pdf(bb)),
             slope)
         assert b == pytest.approx(exact_lad_root(slope), rel=1e-10)
 

@@ -159,20 +159,22 @@ class TestNoiseLaws:
 class TestScoreMoments:
     def test_least_squares_reads_the_variance(self):
         # the infinite window needs no average over the law: a normal
-        # mixture gives c^2 (variance + sigma^2) as a quadrature law does
+        # mixture gives c^2 (variance + sigma^2) as a quadrature law does,
+        # and its derivative in b is 2 c dc/db (variance + sigma^2)
         b, sigma = 0.4, 0.7
-        c = b / (1 + b)
+        c, dc = b / (1 + b), 1.0 / (1 + b) ** 2
         for noise in (NormalMixture(((0.5, 0.3), (0.5, 1.0))),
                       NormalMixture(((0.9, 0.1), (0.1, 5.0))), Normal(0.2), Laplace(1.0)):
+            m = noise.variance + sigma * sigma
             assert score_moments(least_squares(), b, noise, sigma) == (
-                c, 1.0 / (1 + b) ** 2, c * c * (noise.variance + sigma * sigma))
+                c, dc, c * c * m, 2.0 * c * dc * m)
 
     def test_least_squares_exact_for_any_noise(self):
         b, sigma = 0.4, 0.7
         c = b / (1 + b)
         for noise in (Normal(0.2), Laplace(1.0), StudentT(4.0),
                       NormalMixture(((0.5, 0.3), (0.5, 1.0)))):
-            d, _, q = score_moments(least_squares(), b, noise, sigma)
+            d, _, q, _ = score_moments(least_squares(), b, noise, sigma)
             assert d == pytest.approx(c, rel=1e-12)
             assert q == pytest.approx(c * c * (noise.variance + sigma ** 2), rel=1e-10)
 
@@ -180,7 +182,7 @@ class TestScoreMoments:
         b, sigma = 0.8, 0.5
         s = math.sqrt(0.2 + sigma ** 2)
         p, m2 = gaussian_window_moments(s, -b, b)
-        d, _, q = score_moments(absolute(), b, Normal(0.2), sigma)
+        d, _, q, _ = score_moments(absolute(), b, Normal(0.2), sigma)
         assert d == pytest.approx(p, rel=1e-10)
         assert q == pytest.approx(m2 + b * b * (1 - p), rel=1e-10)
 
@@ -190,7 +192,7 @@ class TestScoreMoments:
         k = (1 + b) * gamma
         c = b / (1 + b)
         p, m2 = gaussian_window_moments(s, -k, k)
-        d, _, q = score_moments(huber(gamma), b, Normal(0.2), sigma)
+        d, _, q, _ = score_moments(huber(gamma), b, Normal(0.2), sigma)
         assert d == pytest.approx(c * p, rel=1e-10)
         assert q == pytest.approx(c * c * m2 + (b * gamma) ** 2 * (1 - p), rel=1e-10)
 
@@ -201,7 +203,7 @@ class TestScoreMoments:
         p, m2 = gaussian_window_moments(s, lo, hi)
         p_above = stats.norm.sf(hi / s)
         p_below = stats.norm.cdf(lo / s)
-        d, _, q = score_moments(quantile(tq), b, Normal(1.0), sigma)
+        d, _, q, _ = score_moments(quantile(tq), b, Normal(1.0), sigma)
         assert d == pytest.approx(p, rel=1e-10)
         assert q == pytest.approx(m2 + hi * hi * p_above + lo * lo * p_below, rel=1e-10)
 
@@ -211,9 +213,9 @@ class TestScoreMoments:
         # independent reference: the window pieces conditional on w, by
         # scipy's ndtr, integrated adaptively against the noise density on
         # each side of 0 (the nodes' panel edge and the Laplace kink); the
-        # slope, its derivative in b and E Phi^2 from one integrand. The
-        # derivative is the weakest of the three on 440 nodes (8.5e-12 at
-        # Laplace, Huber, b = 3, sigma = 1).
+        # slope, E Phi^2 and their derivatives in b from one integrand. The
+        # slope's derivative is the weakest of the four on 440 nodes
+        # (8.5e-12 at Laplace, Huber, b = 3, sigma = 1).
         from scipy.integrate import quad
 
         density = law_density(noise)
@@ -232,16 +234,18 @@ class TestScoreMoments:
                     m2 = ((w * w + sigma * sigma) * p + 2 * w * sigma * (pdf_a - pdf_z)
                           + sigma * sigma * (a * pdf_a - z * pdf_z))
                     return (p, (e_hi * pdf_z - e_lo * pdf_a) / sigma,
-                            m2 + hi * hi * above + lo * lo * below)
+                            m2 + hi * hi * above + lo * lo * below,
+                            2.0 * (hi * e_hi * above + lo * e_lo * below))
 
                 def integral(i):
                     return sum(quad(lambda w: pieces(w)[i] * density(w), x, y,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                                for x, y in ((-np.inf, 0.0), (0.0, np.inf)))
 
-                p, dp, sq = (integral(i) for i in range(3))
+                p, dp, sq, dsq = (integral(i) for i in range(4))
                 assert_allclose(score_moments(loss, b, noise, sigma),
-                                (c * p, dc * p + c * dp, c * c * sq), rtol=1e-11, atol=0)
+                                (c * p, dc * p + c * dp, c * c * sq,
+                                 2.0 * c * dc * sq + c * c * dsq), rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("noise,loss,b", [
         (Laplace(1.0), absolute(), 0.9),
@@ -257,7 +261,7 @@ class TestScoreMoments:
         v = noise.sample(rng, n) + sigma * rng.standard_normal(n)
         d_samples = effective_score_deriv(loss, v, b)
         q_samples = effective_score(loss, v, b) ** 2
-        d, _, q = score_moments(loss, b, noise, sigma)
+        d, _, q, _ = score_moments(loss, b, noise, sigma)
         assert abs(d - d_samples.mean()) < 4 * d_samples.std(ddof=1) / math.sqrt(n)
         assert abs(q - q_samples.mean()) < 4 * q_samples.std(ddof=1) / math.sqrt(n)
 
@@ -266,20 +270,23 @@ class TestScoreMoments:
         # norm_cdf, give the same bits as truncated_moments calls over the
         # window and (-inf, lo]; at s = 0 the point mass gives
         # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2 and no edge density. The
-        # window (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
+        # derivative of E clip^2 reads the same tail masses. The window
+        # (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
         mu = state_evolution._noise_nodes(Laplace(1.0))[0]
         for loss, b in ((absolute(), 0.7), (quantile(0.3), 1.9), (huber(1.0), 0.4)):
             kappa, e_lo, e_hi = score_shape(loss)
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c = b / (kappa + b)
             for s in (0.6, 0.0):
-                p, dp, clip_sq = state_evolution._conditional(lo, hi, e_lo, e_hi, mu, s)
+                p, dp, clip_sq, dclip_sq = state_evolution._conditional(lo, hi, e_lo, e_hi, mu, s)
                 p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
                 p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
                 p_above = np.maximum(1.0 - p_in - p_below, 0.0)
                 np.testing.assert_array_equal(p, p_in)
                 np.testing.assert_array_equal(
                     clip_sq, m2_in + hi * hi * p_above + lo * lo * p_below)
+                np.testing.assert_array_equal(
+                    dclip_sq, 2.0 * (hi * e_hi * p_above + lo * e_lo * p_below))
                 if s == 0.0:
                     np.testing.assert_array_equal(dp, np.zeros_like(mu))
                     phi = effective_score(loss, mu, b)
@@ -304,12 +311,43 @@ class TestSlopeCurve:
     def test_derivative_matches_central_difference(self, noise, loss):
         sigma = 0.6
         for b in (0.05, 0.4, 1.5, 6.0):
-            _, deriv, _ = score_moments(loss, b, noise, sigma)
+            _, deriv, _, _ = score_moments(loss, b, noise, sigma)
             h = 1e-5 * b
             fd = (score_moments(loss, b + h, noise, sigma)[0]
                   - score_moments(loss, b - h, noise, sigma)[0]) / (2.0 * h)
             assert deriv > 0
             assert deriv == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("noise", SLOPE_NOISES)
+    @pytest.mark.parametrize("loss", SLOPE_LOSSES)
+    def test_second_moment_derivative_matches_central_difference(self, noise, loss):
+        # the fourth value, d E Phi^2/db, against a central difference of
+        # the third; at sigma = 0 a heavy-tailed law is point masses at its
+        # nodes, and E Phi^2 has a kink wherever a window edge crosses one,
+        # none of them within h of these b. The absolute term allows the
+        # difference quotient's rounding, a few ulps of E Phi^2 over h: it
+        # matters only where the window holds nearly all the mass and the
+        # derivative is near 0 (Normal(0.2), absolute, b = 6).
+        for sigma in (0.6, 0.0):
+            for b in (0.05, 0.4, 1.5, 6.0):
+                _, _, sq, deriv = score_moments(loss, b, noise, sigma)
+                h = 1e-5 * b
+                fd = (score_moments(loss, b + h, noise, sigma)[2]
+                      - score_moments(loss, b - h, noise, sigma)[2]) / (2.0 * h)
+                assert deriv >= 0
+                assert deriv == pytest.approx(fd, rel=1e-7, abs=100 * np.finfo(float).eps * sq / h)
+
+    def test_least_squares_second_moment_derivative(self):
+        # the closed form 2 c dc/db (variance + sigma^2) against a central
+        # difference, for every law with a finite variance
+        for noise in SLOPE_NOISES[:4]:
+            for sigma in (0.6, 0.0):
+                for b in (0.05, 0.4, 1.5, 6.0):
+                    deriv = score_moments(least_squares(), b, noise, sigma)[3]
+                    h = 1e-5 * b
+                    fd = (score_moments(least_squares(), b + h, noise, sigma)[2]
+                          - score_moments(least_squares(), b - h, noise, sigma)[2]) / (2.0 * h)
+                    assert deriv == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("noise", SLOPE_NOISES)
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
@@ -330,8 +368,14 @@ class TestSlopeCurve:
                                  -12.0, 12.0, xtol=1e-14)
             tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
             assert b == pytest.approx(ref, rel=1e-12)
-            # E Phi^2 is read from Newton's evaluation at the b returned
-            assert tau_sq == score_moments(loss, b, noise, sigma)[2] / (slope * slope)
+            # Newton's last step may skip the window pass and carry E Phi^2
+            # to b to first order: the tau equation, and off the step maps
+            # of sigma = 0 the slope equation, hold at b within 3e-13
+            # relative against a fresh pass
+            fresh_slope, _, fresh_sq, _ = score_moments(loss, b, noise, sigma)
+            assert tau_sq == pytest.approx(fresh_sq / (slope * slope), rel=3e-13)
+            if sigma > 0.0:
+                assert fresh_slope == pytest.approx(slope, rel=3e-13)
 
     def test_warm_started_fixed_point_evaluations(self, monkeypatch):
         calls = count_calls(monkeypatch, state_evolution, "se_tau_update",
@@ -340,12 +384,14 @@ class TestSlopeCurve:
         res = se_fixed_point(dist, absolute(), 0.64, alpha=2.0)
         assert res.converged
         assert calls["se_tau_update"] == res.iterations + 1
-        # 17 window passes over 6 updates, the first from b = 1
+        # 13 window passes over 6 updates, the first from b = 1 (17 when
+        # Newton evaluated its last step)
         assert calls["score_moments"] / calls["se_tau_update"] <= 4
 
     def test_se_tune_cells_evaluation_count(self, monkeypatch):
         # the 12 cells of the benchmark's se_tune workload on its base grid
-        # take 1157 window passes over 520 tau updates, every pass counted
+        # take 808 window passes over 520 tau updates, every pass counted
+        # (1157 when Newton evaluated its last step)
         calls = count_calls(monkeypatch, state_evolution, "se_tau_update",
                             "score_moments")
         prior = pm_one_prior(0.128)
@@ -353,7 +399,7 @@ class TestSlopeCurve:
             for loss in (huber(1.0), absolute(), quantile(0.7)):
                 tune_alpha(DistributionModel(prior, noise), loss, 0.64,
                            alpha_grid=(1.0, 1.4, 1.8, 2.2, 2.6, 3.0))
-        assert calls["score_moments"] <= 1250
+        assert calls["score_moments"] <= 840
 
 
 class TestPredictedB:
@@ -423,7 +469,7 @@ class TestNormalIsOneComponentMixture:
 
 # The edge terms written as plain expressions, one edge and one call at a
 # time: the formulas the stacked, in-place pass must reproduce bit for bit.
-# plain_window is the per-node triple; plain_node_sums is the quadrature
+# plain_window is the per-node tuple; plain_node_sums is the quadrature
 # kernel's form, which sums the edge terms by weight.
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -445,7 +491,8 @@ def plain_window(lo, hi, rate_lo, rate_hi, mu, s):
              + s * s * (a * pdf_a - c * pdf_c))
     p_above = np.maximum(1.0 - p_in - cdf_a, 0.0)
     return (p_in, (rate_hi / s) * pdf_c - (rate_lo / s) * pdf_a,
-            m2_in + hi * hi * p_above + lo * lo * cdf_a)
+            m2_in + hi * hi * p_above + lo * lo * cdf_a,
+            2.0 * (hi * rate_hi * p_above + lo * rate_lo * cdf_a))
 
 
 def plain_node_sums(lo, hi, rate_lo, rate_hi, noise, s):
@@ -459,7 +506,8 @@ def plain_node_sums(lo, hi, rate_lo, rate_hi, noise, s):
              + s * s * (a * pdf_a - c * pdf_c))
     p_in, m2_in, below, above, f_lo, f_hi = (
         np.array([p_in, m2_in, cdf_a, 1.0 - cdf_c, pdf_a, pdf_c]) @ weights)
-    return p_in, (rate_hi * f_hi - rate_lo * f_lo) / s, m2_in + hi * hi * above + lo * lo * below
+    return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s, m2_in + hi * hi * above + lo * lo * below,
+            2.0 * (hi * rate_hi * above + lo * rate_lo * below))
 
 
 def plain_risk(m, alpha, cdf=plain_cdf, pdf=plain_pdf):
@@ -512,19 +560,23 @@ class TestEdgeTermsBitIdentity:
     @pytest.mark.parametrize("noise", BIT_NOISES)
     @pytest.mark.parametrize("loss", BIT_LOSSES)
     def test_score_moments_and_slope_curve(self, noise, loss):
-        # all three outputs of the one window pass: the slope, its
-        # derivative in b and E Phi^2. A normal mixture gives the bits of
-        # the plain per-component triple. A quadrature law gives the bits
-        # of the node sums written out, and agrees with the per-node triple
-        # averaged entry by entry within 1e-14 relative.
+        # all four outputs of the one window pass: the slope, E Phi^2 and
+        # their derivatives in b. A normal mixture gives the bits of the
+        # plain per-component tuple. A quadrature law gives the bits of the
+        # node sums written out, and agrees with the per-node tuple
+        # averaged entry by entry within 1e-14 relative; the derivative of
+        # E Phi^2 within that or one rounding of its tail masses
+        # (1 - Phi(c) per node against 1 - P - Phi(a)), which is larger
+        # where the window holds nearly all the mass.
         kappa, e_lo, e_hi = score_shape(loss)
         quadrature = not hasattr(noise, "components")
         for b in (0.01, 0.3, 1.0, 4.0, 200.0):
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c, dc = b / (kappa + b), kappa / (kappa + b) ** 2
 
-            def moments(p_in, dp_in, clip_sq):
-                return c * p_in, dc * p_in + c * dp_in, c * c * clip_sq
+            def moments(p_in, dp_in, clip_sq, dclip_sq):
+                return (c * p_in, dc * p_in + c * dp_in, c * c * clip_sq,
+                        2.0 * c * dc * clip_sq + c * c * dclip_sq)
 
             for sigma in (1e-3, 0.3, 1.0, 30.0):
                 got = score_moments(loss, b, noise, sigma)
@@ -533,7 +585,10 @@ class TestEdgeTermsBitIdentity:
                 if quadrature:
                     assert same_bits(got, moments(*plain_node_sums(lo, hi, e_lo, e_hi,
                                                                    noise, sigma)))
-                    assert_allclose(got, per_node, rtol=1e-14, atol=0)
+                    assert_allclose(got[:3], per_node[:3], rtol=1e-14, atol=0)
+                    tails = 2.0 * c * c * (hi * e_hi + lo * e_lo)
+                    assert_allclose(got[3], per_node[3], rtol=1e-14,
+                                    atol=tails * np.finfo(float).eps)
                 else:
                     assert same_bits(got, per_node)
 
@@ -598,7 +653,7 @@ class TestTauUpdate:
         sample = noise.sample(rng, n) + sigma * rng.standard_normal(n)
         b = calibrate(CalibrationTarget(slope, loss, sample))
         _, b_pop = se_tau_update(sigma_sq, dist, loss, slope)
-        _, deriv, _ = score_moments(loss, b_pop, noise, sigma)
+        _, deriv, _, _ = score_moments(loss, b_pop, noise, sigma)
         scale = b_pop / (1.0 + b_pop) if loss.gamma is not None else 1.0
         p_in = slope / scale
         se = scale * math.sqrt(p_in * (1.0 - p_in) / n) / deriv

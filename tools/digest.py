@@ -22,7 +22,8 @@ kind runs with one BLAS thread. The kinds:
   sigma in {0, 1e-3, 0.5, 30} (0 reaches the heavy-tailed laws'
   point-mass branch), as two parts per point: the slope and
   E Phi^2, then, on a finite score window, the slope and its derivative in
-  b. Then `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
+  b (the derivative of E Phi^2, its fourth value, is not digested). Then
+  `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
   [-40, 40] for alpha in {0.05, 0.5, 1, 2, 3, 10}. The fixed-point stream
   holds `se_fixed_point` runs the sweep never reaches: least squares under
   Cauchy noise (flagged diverged without iterating), least squares at
@@ -159,7 +160,7 @@ def curve_parts(noise, loss):
     for sigma in SIGMAS:
         for b in B_GRID:
             try:
-                slope, deriv, sq = score_moments(loss, b, noise, sigma)
+                slope, deriv, sq = score_moments(loss, b, noise, sigma)[:3]
             except ValueError as exc:
                 out.append(("text", type(exc).__name__))
                 continue
