@@ -13,11 +13,12 @@ one walk over the sorted u when kappa > 0 (Huber, `calibrate_smooth`); and
 as an order statistic of u when kappa = 0, where c = 1 (the kinked
 absolute and quantile losses, `calibrate_nonsmooth`). `solve_increasing`,
 safeguarded Newton on log b, solves the population equation for state
-evolution; it returns the root together with the slope and a second
-curve at it, E Phi^2 for state evolution. It stops on the point it
-evaluated last, or, when the next Newton step is at most sqrt(1e-13) on
-log10 b, takes that step unevaluated and carries both curves there to
-first order, within the order of the step's square.
+evolution; it returns the root together with a second curve at it,
+E Phi^2 for state evolution. It stops on the point it evaluated last,
+or, on a continuous curve whose next Newton step moves b by a relative
+sqrt(1e-13)/2 or less, takes that step unevaluated and carries the
+second curve there to first order, within the order of the step's
+square.
 """
 
 from __future__ import annotations
@@ -163,36 +164,42 @@ def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") 
 
 _LOG10_LIMIT = 12
 _LOG10_XTOL = 1e-13
-# a Newton step this short leaves an error of order its square, the stop above
-_LOG10_LAST_STEP = math.sqrt(_LOG10_XTOL)
+# a Newton step this short moves b by a relative sqrt(_LOG10_XTOL)/2, so the
+# error it leaves, of order its square, is within the stop above
+_LOG10_LAST_STEP = 0.5 * math.sqrt(_LOG10_XTOL) / math.log(10.0)
 _MAX_NEWTON_EVALS = 200
 
 
-def solve_increasing(curve: Callable, target: float, start: Optional[float] = None):
-    """Root b of the nondecreasing map b -> f(b) = target, with f and g at b.
+def solve_increasing(curve: Callable, target: float, start: Optional[float] = None,
+                     continuous: bool = False):
+    """Root b of the nondecreasing map b -> f(b) = target, and g at b.
 
     curve(b) returns (f, df/db, g, dg/db): the map f, and a second curve g
     that rides along, so a caller that needs g at the root reads it from
-    the result instead of evaluating again. Returns (b, (f(b), g(b))). The
-    root is found by safeguarded Newton steps on log10 b, starting from
-    `start` (b = 1 when None), the natural choice when a nearby root is
-    known from a previous solve. Every evaluated point narrows a bracket
-    around the root. A Newton step that leaves the bracket, or (once both
-    ends are known) is longer than half the step before last, is replaced
-    by bisection on log10 b; while one side of the bracket is still
-    unknown, the replacement moves a decade outward from the known side
-    instead, up to the limits [1e-12, 1e12].
+    the result instead of evaluating again. Returns (b, g(b)). The root is
+    found by safeguarded Newton steps on log10 b, starting from `start`
+    (b = 1 when None), the natural choice when a nearby root is known from
+    a previous solve. Every evaluated point narrows a bracket around the
+    root. A Newton step that leaves the bracket, or (once both ends are
+    known) is longer than half the step before last, is replaced by
+    bisection on log10 b; while one side of the bracket is still unknown,
+    the replacement moves a decade outward from the known side instead,
+    up to the limits [1e-12, 1e12].
 
     Two rules stop the search. When the next step would be below 1e-13 on
-    log10 b, it returns the point it evaluated last, with the curve's
-    values there. When the next step is a Newton step inside the bracket
-    no longer than sqrt(1e-13) (about 3.2e-7) on log10 b, it takes that
-    step without evaluating the curve: Newton's error after the step is of
-    the order of its square, the scale of the first stop. It returns the
-    stepped b and f and g carried there to first order, f + df/db (b_new -
-    b) and likewise g, whose own error is of the same order. Where the map
-    steps across the target without touching it (a zero derivative gives
-    no Newton step), bisection returns the jump point.
+    log10 b, it returns the point it evaluated last, with g there. When
+    the caller declares f `continuous` and the next step is a Newton step
+    inside the bracket that moves b by a relative sqrt(1e-13)/2 or less
+    (about 6.9e-8 on log10 b), it takes that step without evaluating the
+    curve: Newton's error after the step is of the order of its square,
+    within the first stop. It returns the stepped b and g carried there to
+    first order, g + dg/db (b_new - b), whose own error is of the same
+    order: (b_new - b)^2 |g''|/2, at most 1e-13/4 relative when
+    b^2 |g''|/(2 g) is at most 1. Without that declaration every step is
+    evaluated, as a map with jumps needs: a jump inside the last step
+    would go unseen. Where the map steps across the target without
+    touching it (a zero derivative gives no Newton step), bisection
+    returns the jump point.
 
     An unreachable target raises CalibrationError carrying the outermost
     points evaluated and the curve values there.
@@ -207,7 +214,7 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
         f, df, g, dg = curve(b)
         gap = f - target
         if gap == 0.0:
-            return b, (f, g)
+            return b, g
         if gap < 0.0:
             lo = (u, f)
         else:
@@ -234,10 +241,10 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
             break
         step = u_next - u
         if abs(step) <= _LOG10_XTOL:
-            return b, (f, g)
-        if take_newton and abs(step) <= _LOG10_LAST_STEP:
+            return b, g
+        if continuous and take_newton and abs(step) <= _LOG10_LAST_STEP:
             b_next = 10.0 ** u_next
-            return b_next, (f + df * (b_next - b), g + dg * (b_next - b))
+            return b_next, g + dg * (b_next - b)
         u = u_next
     lo_b, hi_b = 10.0 ** outer_lo[0], 10.0 ** outer_hi[0]
     missed = "not bracketed" if lo is None or hi is None else "not settled"

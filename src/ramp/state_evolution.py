@@ -38,20 +38,22 @@ the slope, E Phi^2 and their derivatives in b. Least squares, whose
 window is the whole line, reads the noise variance for every law. The
 tau update finds b by safeguarded Newton steps on log b
 (`calibration.solve_increasing` on `score_moments`), with E Phi^2 riding
-along. Once Newton's next step is at most 3.2e-7 on log10 b, it takes
-that step without a window pass and carries E Phi^2 there to first
-order, with an error of the order of the step's square (within 3e-13
-relative of a fresh pass on the tested cases); otherwise it reads E Phi^2
-at the point it evaluated last. The rows' (sigma_sq, b) converge
-geometrically, so a fixed-point run starts each Newton solve from b
-extrapolated to the new sigma_sq through its last three rows
+along. For sigma > 0, once Newton's next step moves b by a relative
+sqrt(1e-13)/2 or less (about 6.9e-8 on log10 b), it takes that step
+without a window pass and carries E Phi^2 there to first order, with an
+error of the order of the step's square (the tau equation then holds
+within 1e-13 relative of a fresh pass on the tested cases); otherwise it
+reads E Phi^2 at the point it evaluated last. The rows' (sigma_sq, b)
+converge geometrically, so a fixed-point run starts each Newton solve
+from b extrapolated to the new sigma_sq through its last three rows
 (`_predicted_b`): on the twelve cells of the benchmark's se_tune workload
-an update takes 1.56 window passes (802 over 515 updates with seed 1),
+an update takes 1.62 window passes (833 over 515 updates with seed 1),
 against 2.23 (1146) when Newton evaluated its last step. Newton's
 stopping rule does not depend on the start, so each b is the same root
 to solver precision.
-At sigma = 0 the slope is a step map and Newton's bisection fallback
-finds its jump. The sigma update takes one scalar soft-threshold risk
+At sigma = 0 the slope is a step map: Newton evaluates every step, so a
+jump inside its last step is not missed, and its bisection fallback
+finds the jump. The sigma update takes one scalar soft-threshold risk
 call per prior atom, in Python floats: on the three atoms of the +-1
 prior a vectorized call spent its time in numpy's per-call overhead.
 The zero-estimate start of a fixed point does not depend on alpha, so
@@ -419,16 +421,16 @@ def _noise_average(conditional, noise, sigma):
 
     Exact for a law with normal components, whose v is normal given the
     component: a normal mixture, or a normal law as its one component
-    (1.0 x is x, so the bits are those of a direct evaluation). Otherwise,
-    at sigma = 0, the point masses at the noise law's nodes, one dot
-    product per entry.
+    (0.0 + 1.0 x is x, and no average here is -0.0, so the bits are those
+    of a direct evaluation). Otherwise, at sigma = 0, the point masses at
+    the noise law's nodes, one dot product per entry.
     """
     components = getattr(noise, "components", None)
     if components is not None:
-        totals = None
+        totals = [0.0] * 4
         for w, v in components:
-            terms = [w * float(x) for x in conditional(0.0, math.sqrt(v + sigma * sigma))]
-            totals = terms if totals is None else [t + x for t, x in zip(totals, terms)]
+            for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
+                totals[i] += w * float(x)
         return tuple(totals)
     nodes, weights = _noise_nodes(noise)[:2]
     return tuple(float(weights @ x) for x in conditional(nodes, sigma))
@@ -494,11 +496,13 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     b_start (b = 1 when None; a fixed-point run passes `_predicted_b` of
     its rows), and raises CalibrationError when the slope is not bracketed
     on [1e-12, 1e12]. E Phi^2 rides along with its derivative in b: Newton
-    either stops on an evaluated point and reads E Phi^2 there, or takes a
-    last step of at most 3.2e-7 on log10 b without a window pass and
-    carries E Phi^2 to the stepped b to first order, within the order of
-    the step's square (the slope and tau equations then hold within 3e-13
-    relative of a fresh pass at b on the tested cases).
+    either stops on an evaluated point and reads E Phi^2 there, or, for
+    sigma > 0, where the slope is continuous in b, takes a last step of at
+    most 6.9e-8 on log10 b without a window pass and carries E Phi^2 to
+    the stepped b to first order, within the order of the step's square
+    (the tau equation then holds within 1e-13 relative of a fresh pass at
+    b on the tested cases, and the slope equation within the stop's 1e-13
+    on log10 b). At sigma = 0 every step is evaluated.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
@@ -510,8 +514,9 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
         b = kappa * slope / (1.0 - slope)
         sq = score_moments(loss, b, noise, sigma)[2]
     else:
-        b, (_, sq) = solve_increasing(
-            lambda bb: score_moments(loss, bb, noise, sigma), slope, start=b_start)
+        b, sq = solve_increasing(
+            lambda bb: score_moments(loss, bb, noise, sigma), slope, start=b_start,
+            continuous=sigma > 0.0)
     return sq / (slope * slope), b
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.optimize import brentq
 
@@ -143,48 +142,60 @@ class TestSolveIncreasing:
             assert b == pytest.approx(jump, rel=1e-12)
 
     def test_returns_the_curve_at_its_root(self):
-        # f and g at the b returned: exactly those of the last evaluation
-        # when it stops on an evaluated point (the bisection fallback on a
-        # step map, an exact hit), and within 3e-13 relative of a fresh
-        # evaluation after a last Newton step of at most 3.2e-7 on log10 b,
-        # whose first-order carry errs by the order of the step's square
+        # g at the b returned. By default every step is evaluated, and g is
+        # that of the last evaluation, at the b returned: Newton's stop, the
+        # bisection fallback on a step map, and an exact hit. On a curve
+        # declared continuous a last Newton step of at most 6.9e-8 on
+        # log10 b may go unevaluated, with g carried there to first order:
+        # g then holds within 1e-13 relative of a fresh evaluation at b,
+        # and f = target within the stop's 1e-13 on log10 b (the Newton
+        # step a fresh evaluation would take)
         def smooth(b):
             return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b
 
         def step(b):
             return (0.0 if b < 2.5 else 1.0), 0.0, -b, -1.0
 
-        for curve, target in ((step, 0.5), (smooth, 0.5)):
-            b, values = solve_increasing(curve, target)
-            assert values == curve(b)[::2]
         score = lambda bb: state_evolution.score_moments(absolute(), bb, Laplace(1.0), 0.6)
-        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9), (score, 0.2, None)):
-            b, values = solve_increasing(curve, target, start=start)
-            assert_allclose(values, curve(b)[::2], rtol=3e-13, atol=0)
+        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
+                                     (step, 0.5, None), (smooth, 0.5, None), (score, 0.2, None)):
+            b, g = solve_increasing(curve, target, start=start)
+            assert g == curve(b)[2]
+        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
+                                     (smooth, 0.5, None), (score, 0.2, None)):
+            b, g = solve_increasing(curve, target, start=start, continuous=True)
+            f, df, g_fresh, _ = curve(b)
+            assert g == pytest.approx(g_fresh, rel=1e-13, abs=0)
+            assert abs(f - target) <= 1e-13 * math.log(10.0) * b * df
 
     def test_last_newton_step_is_not_evaluated(self):
-        # near the root Newton takes its last step without evaluating and
-        # carries f and g from the last evaluated point b0 to first order;
-        # for g = b^2 the carry is b^2 - (b - b0)^2 exactly
+        # on a continuous curve Newton takes its last step without
+        # evaluating and carries g from the last evaluated point b0 to
+        # first order; for g = b^2 the carry is b^2 - (b - b0)^2 exactly.
+        # By default the same search evaluates that step too
         points = []
 
         def curve(b):
             points.append(b)
             return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b
 
-        b, (f, g) = solve_increasing(curve, 0.3, start=1e9)
+        b, g = solve_increasing(curve, 0.3, start=1e-3, continuous=True)
         b0 = points[-1]
         assert b not in points
-        assert 1e-13 < abs(math.log10(b / b0)) <= math.sqrt(1e-13)
+        assert 1e-13 < abs(math.log10(b / b0)) <= 0.5 * math.sqrt(1e-13) / math.log(10.0)
         assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
-        assert f == curve(b0)[0] + curve(b0)[1] * (b - b0)
-        assert g == pytest.approx(b * b - (b - b0) ** 2, rel=1e-15)
+        assert g == pytest.approx(b * b - (b - b0) ** 2, rel=1e-15, abs=0)
+        evaluated = len(points)
+        points.clear()
+        b, g = solve_increasing(curve, 0.3, start=1e-3)
+        assert len(points) > evaluated
+        assert b == points[-1] and g == b * b
 
     def test_newton_stops_on_an_evaluated_point(self):
         # f = log10 b is linear in Newton's variable, so one step lands on
         # the root to rounding, and the search stops there (an exact hit,
         # or a next step below 1e-13): it returns the point it evaluated
-        # last, with its values
+        # last, with g there, on a curve declared continuous too
         points = []
 
         def curve(b):
@@ -193,10 +204,10 @@ class TestSolveIncreasing:
 
         for target in (0.3, 0.7, 2.5, -4.2):
             points.clear()
-            b, values = solve_increasing(curve, target, start=1e-3)
+            b, g = solve_increasing(curve, target, start=1e-3, continuous=True)
             assert len(points) == 2
             assert b == points[-1]
-            assert values == curve(b)[::2]
+            assert g == -b
             assert b == pytest.approx(10.0 ** target, rel=1e-14)
 
     def test_newton_unreachable_target_carries_bracket(self):
@@ -236,12 +247,13 @@ class TestSolveIncreasing:
         tau_sq, b = se_tau_update(0.5, dist, absolute(), 0.2)
         assert 1 <= len(points) <= 25
         # b is the last point evaluated or one Newton step of at most
-        # 3.2e-7 on log10 b past it; either way the slope and tau equations
-        # hold at b within 3e-13 relative against a fresh pass
-        assert abs(math.log10(b / points[-1])) <= math.sqrt(1e-13)
-        slope_b, _, sq_b, _ = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))
-        assert slope_b == pytest.approx(0.2, rel=3e-13)
-        assert tau_sq == pytest.approx(sq_b / 0.2 ** 2, rel=3e-13)
+        # 6.9e-8 on log10 b past it; either way the tau equation holds at b
+        # within 1e-13 relative against a fresh pass, and the slope
+        # equation within the stop's 1e-13 on log10 b
+        assert abs(math.log10(b / points[-1])) <= 0.5 * math.sqrt(1e-13) / math.log(10.0)
+        slope_b, deriv_b, sq_b, _ = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))
+        assert abs(slope_b - 0.2) <= 1e-13 * math.log(10.0) * b * deriv_b
+        assert tau_sq == pytest.approx(sq_b / 0.2 ** 2, rel=1e-13, abs=0)
         assert len(set(points)) == len(points)
         deriv = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))[0]
         assert deriv == pytest.approx(0.2, rel=1e-10)
