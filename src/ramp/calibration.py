@@ -14,11 +14,12 @@ as an order statistic of u when kappa = 0, where c = 1 (the kinked
 absolute and quantile losses, `calibrate_nonsmooth`). `solve_increasing`,
 safeguarded Newton on log b, solves the population equation for state
 evolution; it returns the root together with a second curve at it,
-E Phi^2 for state evolution. It stops on the point it evaluated last,
-or, on a continuous curve whose next Newton step moves b by a relative
-sqrt(1e-13)/2 or less, takes that step unevaluated and carries the
-second curve there to first order, within the order of the step's
-square.
+E Phi^2 for state evolution. On a continuous curve its steps are
+Halley's wherever Halley's correction to Newton's step is small. It
+stops on the point it evaluated last, or, on a continuous curve whose
+next Halley step moves b by a relative cbrt(1e-13)/2 or less, takes that
+step unevaluated and carries the second curve there to second order,
+within the order of the step's cube.
 """
 
 from __future__ import annotations
@@ -164,9 +165,9 @@ def kde(residuals, bandwidth_h: Optional[float] = None, method: str = "kernel") 
 
 _LOG10_LIMIT = 12
 _LOG10_XTOL = 1e-13
-# a Newton step this short moves b by a relative sqrt(_LOG10_XTOL)/2, so the
-# error it leaves, of order its square, is within the stop above
-_LOG10_LAST_STEP = 0.5 * math.sqrt(_LOG10_XTOL) / math.log(10.0)
+# a Halley step this short moves b by a relative cbrt(_LOG10_XTOL)/2, so the
+# error it leaves, of order its cube, is within the stop above
+_LOG10_LAST_STEP = 0.5 * _LOG10_XTOL ** (1.0 / 3.0) / math.log(10.0)
 _MAX_NEWTON_EVALS = 200
 
 
@@ -174,32 +175,37 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
                      continuous: bool = False):
     """Root b of the nondecreasing map b -> f(b) = target, and g at b.
 
-    curve(b) returns (f, df/db, g, dg/db): the map f, and a second curve g
-    that rides along, so a caller that needs g at the root reads it from
-    the result instead of evaluating again. Returns (b, g(b)). The root is
-    found by safeguarded Newton steps on log10 b, starting from `start`
-    (b = 1 when None), the natural choice when a nearby root is known from
-    a previous solve. Every evaluated point narrows a bracket around the
-    root. A Newton step that leaves the bracket, or (once both ends are
-    known) is longer than half the step before last, is replaced by
-    bisection on log10 b; while one side of the bracket is still unknown,
-    the replacement moves a decade outward from the known side instead,
-    up to the limits [1e-12, 1e12].
+    curve(b) returns (f, df/db, g, dg/db, d2f/db2, d2g/db2): the map f, and
+    a second curve g that rides along, so a caller that needs g at the
+    root reads it from the result instead of evaluating again. Returns
+    (b, g(b)). The root is found by safeguarded Newton steps on log10 b,
+    starting from `start` (b = 1 when None), the natural choice when a
+    nearby root is known from a previous solve. Every evaluated point
+    narrows a bracket around the root. A step that leaves the bracket, or
+    (once both ends are known) is longer than half the step before last,
+    is replaced by bisection on log10 b; while one side of the bracket is
+    still unknown, the replacement moves a decade outward from the known
+    side instead, up to the limits [1e-12, 1e12].
+
+    When the caller declares f `continuous`, the step is Halley's, Newton's
+    step n = -F/F' on F(u) = f(10^u) - target shortened to n/(1 + n F''/(2 F')),
+    whenever its correction is small, |n F''/F'| <= 1/2; otherwise, and
+    always without that declaration, it is Newton's. Halley's error after a
+    step is of the order of the step's cube, Newton's of its square.
 
     Two rules stop the search. When the next step would be below 1e-13 on
-    log10 b, it returns the point it evaluated last, with g there. When
-    the caller declares f `continuous` and the next step is a Newton step
-    inside the bracket that moves b by a relative sqrt(1e-13)/2 or less
-    (about 6.9e-8 on log10 b), it takes that step without evaluating the
-    curve: Newton's error after the step is of the order of its square,
-    within the first stop. It returns the stepped b and g carried there to
-    first order, g + dg/db (b_new - b), whose own error is of the same
-    order: (b_new - b)^2 |g''|/2, at most 1e-13/4 relative when
-    b^2 |g''|/(2 g) is at most 1. Without that declaration every step is
-    evaluated, as a map with jumps needs: a jump inside the last step
-    would go unseen. Where the map steps across the target without
-    touching it (a zero derivative gives no Newton step), bisection
-    returns the jump point.
+    log10 b, it returns the point it evaluated last, with g there. When the
+    next step is a Halley step inside the bracket that moves b by a
+    relative cbrt(1e-13)/2 or less (about 1.0e-5 on log10 b), it takes that
+    step without evaluating the curve: the error left is of the order of
+    the step's cube, within the first stop. It returns the stepped b and g
+    carried there to second order, g + dg/db db + d2g/db2 db^2/2, whose own
+    error is of the same order, |d3g/db3| |db|^3/6: at most 2.1e-15
+    relative when b^3 |d3g/db3|/g is at most 1. Without the declaration
+    every step is evaluated, as a map with jumps needs: a jump inside the
+    last step would go unseen. Where the map steps across the target
+    without touching it (a zero derivative gives no Newton step),
+    bisection returns the jump point.
 
     An unreachable target raises CalibrationError carrying the outermost
     points evaluated and the curve values there.
@@ -211,7 +217,7 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
     step = step_old = 2.0 * limit
     for _ in range(_MAX_NEWTON_EVALS):
         b = 10.0 ** u
-        f, df, g, dg = curve(b)
+        f, df, g, dg, d2f, d2g = curve(b)
         gap = f - target
         if gap == 0.0:
             return b, g
@@ -225,7 +231,18 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
             outer_hi = (u, f)
         a = -limit if lo is None else lo[0]
         c = limit if hi is None else hi[0]
-        newton = u - gap / (df * b * ln10) if df > 0.0 else math.nan
+        halley = False
+        if df > 0.0:
+            newton = -gap / (df * b * ln10)
+            if continuous:
+                # n F''/F', with F''/F' = ln10 (1 + b f''/f') on u = log10 b
+                correction = newton * ln10 * (1.0 + b * d2f / df)
+                halley = abs(correction) <= 0.5
+                if halley:
+                    newton /= 1.0 + 0.5 * correction
+            newton += u
+        else:
+            newton = math.nan
         step_older, step_old = step_old, step
         take_newton = a < newton < c and (lo is None or hi is None
                                           or abs(newton - u) <= 0.5 * abs(step_older))
@@ -242,9 +259,10 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
         step = u_next - u
         if abs(step) <= _LOG10_XTOL:
             return b, g
-        if continuous and take_newton and abs(step) <= _LOG10_LAST_STEP:
+        if halley and take_newton and abs(step) <= _LOG10_LAST_STEP:
             b_next = 10.0 ** u_next
-            return b_next, g + dg * (b_next - b)
+            db = b_next - b
+            return b_next, g + db * (dg + 0.5 * db * d2g)
         u = u_next
     lo_b, hi_b = 10.0 ** outer_lo[0], 10.0 ** outer_hi[0]
     missed = "not bracketed" if lo is None or hi is None else "not settled"

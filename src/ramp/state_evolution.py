@@ -32,25 +32,30 @@ lo, hi)^2; c and its derivative kappa/(kappa + b)^2 multiply the noise
 averages. The derivative of the slope in b takes, besides dc/db, the
 density of W + sigma Z at each window edge times the rate e_lo or e_hi at
 which that edge moves, from the same normal pieces; the derivative of
-E clip^2 takes each edge times its rate times the mass beyond it.
-`score_moments` is the one window kernel: one pass over the edges gives
-the slope, E Phi^2 and their derivatives in b. Least squares, whose
-window is the whole line, reads the noise variance for every law. The
-tau update finds b by safeguarded Newton steps on log b
-(`calibration.solve_increasing` on `score_moments`), with E Phi^2 riding
-along. For sigma > 0, once Newton's next step moves b by a relative
-sqrt(1e-13)/2 or less (about 6.9e-8 on log10 b), it takes that step
-without a window pass and carries E Phi^2 there to first order, with an
-error of the order of the step's square (the tau equation then holds
-within 1e-13 relative of a fresh pass on the tested cases); otherwise it
-reads E Phi^2 at the point it evaluated last. The rows' (sigma_sq, b)
-converge geometrically, so a fixed-point run starts each Newton solve
-from b extrapolated to the new sigma_sq through its last three rows
-(`_predicted_b`): on the twelve cells of the benchmark's se_tune workload
-an update takes 1.62 window passes (833 over 515 updates with seed 1),
-against 2.23 (1146) when Newton evaluated its last step. Newton's
-stopping rule does not depend on the start, so each b is the same root
-to solver precision.
+E clip^2 takes each edge times its rate times the mass beyond it. The
+second derivatives take the slope of the normal density at each edge
+and, for E clip^2, the edge density against the mass beyond; the pass
+already forms every edge term they read. `score_moments` is the one
+window kernel: one pass over the edges gives the slope, E Phi^2 and
+their first and second derivatives in b. Least squares, whose window is
+the whole line, reads the noise variance for every law. The tau update
+finds b by safeguarded steps on log b (`calibration.solve_increasing` on
+`score_moments`), with E Phi^2 riding along. For sigma > 0 the steps
+are Halley's, third order, wherever Halley's correction to Newton's
+step is small, and Newton's elsewhere; once the next Halley step moves
+b by a relative cbrt(1e-13)/2 or less (about 1.0e-5 on log10 b), it
+takes that step without a window pass and carries E Phi^2 there to
+second order, with an error of the order of the step's cube (the tau
+equation then holds within 1e-13 relative of a fresh pass on the
+tested cases); otherwise it reads E Phi^2 at the point it evaluated
+last. The rows' (sigma_sq, b) converge geometrically, so a fixed-point
+run starts each solve from b extrapolated to the new sigma_sq through
+its last three rows (`_predicted_b`): on the twelve cells of the
+benchmark's se_tune workload an update takes 1.32 window passes (679
+over 515 updates with seed 1), against 1.62 (833) with Newton's steps
+and an unevaluated last step only below 6.9e-8 on log10 b, and 2.23
+(1146) when Newton evaluated its last step. The stopping rule does not
+depend on the start, so each b is the same root to solver precision.
 At sigma = 0 the slope is a step map: Newton evaluates every step, so a
 jump inside its last step is not missed, and its bisection fallback
 finds the jump. The sigma update takes one scalar soft-threshold risk
@@ -71,7 +76,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -97,11 +102,13 @@ class SignalPrior:
     """Sparse atomic prior: mass 1 - omega at zero, the rest on given atoms.
 
     atoms lists (prob, value) pairs for the conditional nonzero part; probs
-    must sum to one and values must be nonzero.
+    must sum to one and values must be nonzero. full_atoms, built once
+    here, lists all atoms including the point mass at zero.
     """
 
     omega: float
     atoms: tuple
+    full_atoms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.omega <= 1.0:
@@ -115,12 +122,9 @@ class SignalPrior:
         if any(a == 0.0 or not math.isfinite(a) for _, a in atoms):
             raise ValueError("atom values must be nonzero and finite")
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def full_atoms(self):
-        """All atoms including the point mass at zero."""
         zero = ((1.0 - self.omega, 0.0),) if self.omega < 1.0 else ()
-        return zero + tuple((self.omega * p, a) for p, a in self.atoms)
+        object.__setattr__(self, "full_atoms",
+                           zero + tuple((self.omega * p, a) for p, a in atoms))
 
     @property
     def second_moment(self):
@@ -299,13 +303,15 @@ def _window_edges(lo, hi, mu, s, out=None):
     Returns (e, Phi(e), phi(e)), each a (2, ...) array whose rows belong to
     the standardized lower edge a = (lo - mu)/s and upper edge
     c = (hi - mu)/s; both slope and E clip(v, lo, hi)^2 are built from
-    them. Both edges go through one `norm_cdf_pdf` pass, into the two
-    arrays of out when given. The edges of a Huber or kinked window are
-    finite, so no infinite-edge guard is needed. Vectorized over mu.
+    them. Both edges go through one `norm_cdf_pdf` pass. The three arrays
+    are written into those of out when given. The edges of a Huber or
+    kinked window are finite, so no infinite-edge guard is needed.
+    Vectorized over mu.
     """
-    e = np.subtract.outer((lo, hi), mu)
+    e_out, cdf_pdf_out = (None, None) if out is None else (out[0], out[1:])
+    e = np.subtract.outer((lo, hi), mu, out=e_out)
     e /= s
-    return (e,) + norm_cdf_pdf(e, out)
+    return (e,) + norm_cdf_pdf(e, cdf_pdf_out)
 
 
 def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
@@ -333,25 +339,35 @@ def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
 
 
 def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
-    """(P, dP/db, E clip^2, d E clip^2/db) of the window (lo, hi], v ~ N(mu, s^2).
+    """P, E clip^2 and their first and second derivatives in b, v ~ N(mu, s^2).
 
-    P is the mass of v in the score window, on which Phi(v; b) =
-    c clip(v, lo, hi), so P and E clip(v, lo, hi)^2 are E d1Phi/c and
-    E Phi^2/c^2. The edges move with b at rates rate_lo and rate_hi, so
-    dP/db is the density of v at each edge times that edge's rate, and
-    d E clip^2/db = 2 (hi rate_hi P_above + lo rate_lo P_below), the clip
-    being an edge outside the window. The second moment inside the window
-    is `_window_m2` and the mass below the window is Phi(a), all on the
-    edge terms of one `_window_edges` pass. At s = 0, v is a point mass at
-    mu, inside when lo < mu <= hi, with no density at the edges.
-    Vectorized over mu.
+    Returns (P, dP/db, E clip^2, d E clip^2/db, d2P/db2, d2 E clip^2/db2)
+    for the window (lo, hi]. P is the mass of v in the score window, on
+    which Phi(v; b) = c clip(v, lo, hi), so P and E clip(v, lo, hi)^2 are
+    E d1Phi/c and E Phi^2/c^2. The edges move with b at rates rate_lo and
+    rate_hi, so dP/db is the density of v at each edge times that edge's
+    rate, and d E clip^2/db = 2 (hi rate_hi P_above + lo rate_lo P_below),
+    the clip being an edge outside the window. Differentiating once more,
+    with the standardized edges a and c,
+
+        d2P/db2 = (rate_lo^2 a phi(a) - rate_hi^2 c phi(c))/s^2,
+        d2 E clip^2/db2 = 2 (rate_hi^2 (P_above - hi phi(c)/s)
+                             + rate_lo^2 (P_below + lo phi(a)/s)).
+
+    The second moment inside the window is `_window_m2`, which leaves
+    a phi(a) and c phi(c) in the edge array, and the mass below the window
+    is Phi(a), all on the edge terms of one `_window_edges` pass. At s = 0,
+    v is a point mass at mu, inside when lo < mu <= hi, with no density at
+    the edges. Vectorized over mu.
     """
     mu = np.asarray(mu, dtype=float)
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
         dp_in = np.zeros_like(p_in)
+        d2p_in = dp_in
         m2 = mu * mu * p_in
         p_below = (mu <= lo).astype(float)
+        f_lo = f_hi = 0.0
     else:
         e, cdf, pdf = _window_edges(lo, hi, mu, s)
         p_below = cdf[0]
@@ -359,6 +375,9 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
         dp_in = pdf[1] * (rate_hi / s)
         dp_in -= (rate_lo / s) * pdf[0]
         m2 = _window_m2(e, p_in, pdf, mu * mu, mu * 2.0, s)
+        d2p_in = e[0] * (rate_lo * rate_lo / (s * s))
+        d2p_in -= (rate_hi * rate_hi / (s * s)) * e[1]
+        f_lo, f_hi = pdf / s
     p_above = 1.0 - p_in
     p_above -= p_below
     p_above = np.maximum(p_above, 0.0)
@@ -367,7 +386,10 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
     dm2 = (hi * rate_hi) * p_above
     dm2 += (lo * rate_lo) * p_below
     dm2 *= 2.0
-    return p_in, dp_in, m2, dm2
+    d2m2 = (rate_hi * rate_hi) * (p_above - hi * f_hi)
+    d2m2 += (rate_lo * rate_lo) * (p_below + lo * f_lo)
+    d2m2 *= 2.0
+    return p_in, dp_in, m2, dm2, d2p_in, d2m2
 
 
 @lru_cache(maxsize=32)
@@ -393,27 +415,33 @@ def _node_sums(lo, hi, rate_lo, rate_hi, noise, s):
 
     Only the in-window second moment m2_in is formed per node
     (`_window_m2`), because its terms cancel. It and P, Phi(a), 1 - Phi(c),
-    phi(a), phi(c) are the rows of one (6, nodes) array, and one product
-    with the weights gives all six sums. Then
+    phi(a), phi(c), a phi(a), c phi(c) are the rows of one (8, nodes)
+    array, and one product with the weights gives all eight sums. Then
 
         E clip(v, lo, hi)^2 = sum w m2_in + hi^2 sum w (1 - Phi(c))
                               + lo^2 sum w Phi(a),
         dP/db = (rate_hi sum w phi(c) - rate_lo sum w phi(a))/s,
         d E clip^2/db = 2 (hi rate_hi sum w (1 - Phi(c))
-                           + lo rate_lo sum w Phi(a)).
+                           + lo rate_lo sum w Phi(a)),
+        d2P/db2 = (rate_lo^2 sum w a phi(a) - rate_hi^2 sum w c phi(c))/s^2,
+        d2 E clip^2/db2 = 2 (rate_hi^2 (sum w (1 - Phi(c)) - hi sum w phi(c)/s)
+                             + rate_lo^2 (sum w Phi(a) + lo sum w phi(a)/s)).
 
     1 - Phi(c) is never negative, so no clamp is needed.
     """
     nodes, weights, nodes_sq, nodes_2 = _noise_nodes(noise)
-    rows = np.empty((6, nodes.size))
-    e, cdf, pdf = _window_edges(lo, hi, nodes, s, out=(rows[2:4], rows[4:6]))
+    rows = np.empty((8, nodes.size))
+    e, cdf, pdf = _window_edges(lo, hi, nodes, s, out=(rows[6:8], rows[2:4], rows[4:6]))
     np.subtract(cdf[1], cdf[0], out=rows[0])
     rows[1] = _window_m2(e, rows[0], pdf, nodes_sq, nodes_2, s)
     np.subtract(1.0, cdf[1], out=cdf[1])
-    p_in, m2_in, below, above, f_lo, f_hi = (rows @ weights).tolist()
+    p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = (rows @ weights).tolist()
     return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s,
             m2_in + hi * hi * above + lo * lo * below,
-            2.0 * (hi * rate_hi * above + lo * rate_lo * below))
+            2.0 * (hi * rate_hi * above + lo * rate_lo * below),
+            (rate_lo * rate_lo * xf_lo - rate_hi * rate_hi * xf_hi) / (s * s),
+            2.0 * (rate_hi * rate_hi * (above - hi * f_hi / s)
+                   + rate_lo * rate_lo * (below + lo * f_lo / s)))
 
 
 def _noise_average(conditional, noise, sigma):
@@ -421,13 +449,14 @@ def _noise_average(conditional, noise, sigma):
 
     Exact for a law with normal components, whose v is normal given the
     component: a normal mixture, or a normal law as its one component
-    (0.0 + 1.0 x is x, and no average here is -0.0, so the bits are those
-    of a direct evaluation). Otherwise, at sigma = 0, the point masses at
-    the noise law's nodes, one dot product per entry.
+    (0.0 + 1.0 x is x, and no first moment or first derivative here is
+    -0.0, so their bits are those of a direct evaluation; a second
+    derivative of -0.0 reads 0.0). Otherwise, at sigma = 0, the point
+    masses at the noise law's nodes, one dot product per entry.
     """
     components = getattr(noise, "components", None)
     if components is not None:
-        totals = [0.0] * 4
+        totals = [0.0] * 6
         for w, v in components:
             for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
                 totals[i] += w * float(x)
@@ -439,44 +468,65 @@ def _noise_average(conditional, noise, sigma):
 def score_moments(loss, b, noise, sigma):
     """Population slope E d1Phi(v; b), E Phi(v; b)^2 and their derivatives in b.
 
-    Returns (slope, d slope/db, E Phi^2, d E Phi^2/db), v = W + sigma Z:
-    the (f, f', g, g') curve of `calibration.solve_increasing`. With P the
-    mass of v in the score window (lo, hi] = (kappa + b)(e_lo, e_hi] and
-    M = E clip(v, lo, hi)^2, the slope is c P and E Phi^2 is c^2 M. The
-    edges move with b at rates e_lo and e_hi, so with f the density of v
-    and dc/db = kappa/(kappa + b)^2 the derivatives are
+    Returns (slope, d slope/db, E Phi^2, d E Phi^2/db, d2 slope/db2,
+    d2 E Phi^2/db2), v = W + sigma Z: the (f, f', g, g', f'', g'') curve of
+    `calibration.solve_increasing`. With P the mass of v in the score
+    window (lo, hi] = (kappa + b)(e_lo, e_hi] and M = E clip(v, lo, hi)^2,
+    the slope is c P and E Phi^2 is c^2 M, with c = b/(kappa + b),
+    c' = kappa/(kappa + b)^2 and c'' = -2 kappa/(kappa + b)^3. The edges
+    move with b at rates e_lo and e_hi, so with f the density of v
 
-        d slope/db = dc/db P + c (e_hi f(hi) - e_lo f(lo)),
-        d E Phi^2/db = 2 c dc/db M + c^2 2 (hi e_hi P_above + lo e_lo P_below),
+        P' = e_hi f(hi) - e_lo f(lo),
+        M' = 2 (hi e_hi P_above + lo e_lo P_below),
+        P'' = (e_lo^2 E[z_lo phi(z_lo)] - e_hi^2 E[z_hi phi(z_hi)])/s^2,
+        M'' = 2 (e_hi^2 (P_above - hi f(hi)) + e_lo^2 (P_below + lo f(lo))),
 
     P_above and P_below the masses of v above and below the window, where
-    the clip is the edge. All four come from one pass over the window:
-    exact for Normal and NormalMixture noise (`_conditional` per
-    component), by Gauss-Legendre quadrature over the noise law otherwise
-    (`_node_sums`, or at sigma = 0 `_conditional`'s point masses at the
-    nodes); c and dc/db multiply the noise averages, not the nodes. The
-    infinite window of least squares gives (c, dc/db, c^2 (variance +
-    sigma^2), 2 c dc/db (variance + sigma^2)) for every law and raises
-    ValueError when the noise variance is infinite.
+    the clip is the edge, and z_lo, z_hi the edges standardized as the
+    normal v given W (or given a mixture component) is, with sd s. Then
+
+        d slope/db = c' P + c P',      d2 slope/db2 = c'' P + 2 c' P' + c P'',
+        d E Phi^2/db = 2 c c' M + c^2 M',
+        d2 E Phi^2/db2 = 2 c'^2 M + 2 c c'' M + 4 c c' M' + c^2 M''.
+
+    All six come from one pass over the window: exact for Normal and
+    NormalMixture noise (`_conditional` per component), by Gauss-Legendre
+    quadrature over the noise law otherwise (`_node_sums`, or at sigma = 0
+    `_conditional`'s point masses at the nodes, whose P' and P'' are 0 and
+    whose derivatives are those between the jumps); c and its derivatives
+    multiply the noise averages, not the nodes. The quadrature has no node
+    beyond |w| of about 21.1 for t(4) and 10.4 for Laplace, so once the
+    window holds every node by many sigma, P reads exactly 1 and P', P''
+    all but vanish: the kinked losses' slope reads 1 and f', f'' nearly 0
+    (2.2e-22 and -2.0e-21 at t(4), absolute, b = 30, sigma = 1). A target
+    there gives Newton no usable step, and the search falls back to
+    bisection. The infinite window of least squares gives (c, c', c^2 m,
+    2 c c' m, c'', (2 c'^2 + 2 c c'') m), m = variance + sigma^2, for
+    every law and raises ValueError when the noise variance is infinite.
     """
     kappa, e_lo, e_hi = score_shape(loss)
     c = b / (kappa + b)
     dc = kappa / (kappa + b) ** 2
+    d2c = -2.0 * kappa / (kappa + b) ** 3
     if math.isinf(e_hi):
         var = noise.variance
         if not math.isfinite(var):
             raise ValueError(
                 "unbounded-score moments diverge under infinite-variance noise")
         m = var + sigma * sigma
-        return c, dc, c * c * m, 2.0 * c * dc * m
+        return c, dc, c * c * m, 2.0 * c * dc * m, d2c, 2.0 * (dc * dc + c * d2c) * m
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
     if sigma > 0.0 and getattr(noise, "components", None) is None:
-        p_in, dp_in, clip_sq, dclip_sq = _node_sums(lo, hi, e_lo, e_hi, noise, sigma)
+        p_in, dp_in, clip_sq, dclip_sq, d2p_in, d2clip_sq = _node_sums(
+            lo, hi, e_lo, e_hi, noise, sigma)
     else:
-        p_in, dp_in, clip_sq, dclip_sq = _noise_average(
+        p_in, dp_in, clip_sq, dclip_sq, d2p_in, d2clip_sq = _noise_average(
             lambda mu, s: _conditional(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
     return (c * p_in, dc * p_in + c * dp_in, c * c * clip_sq,
-            2.0 * c * dc * clip_sq + c * c * dclip_sq)
+            2.0 * c * dc * clip_sq + c * c * dclip_sq,
+            d2c * p_in + 2.0 * dc * dp_in + c * d2p_in,
+            2.0 * (dc * dc + c * d2c) * clip_sq + 4.0 * c * dc * dclip_sq
+            + c * c * d2clip_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +541,20 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. An infinite score window
     (least squares) has the closed form b = kappa slope/(1 - slope), as in
     `calibration.calibrate_smooth`, and one `score_moments` call there.
-    Otherwise `solve_increasing` takes safeguarded Newton steps on
-    `score_moments`, the slope and its analytic derivative in b, from
+    Otherwise `solve_increasing` takes safeguarded steps on
+    `score_moments`, the slope and its analytic derivatives in b, from
     b_start (b = 1 when None; a fixed-point run passes `_predicted_b` of
     its rows), and raises CalibrationError when the slope is not bracketed
-    on [1e-12, 1e12]. E Phi^2 rides along with its derivative in b: Newton
-    either stops on an evaluated point and reads E Phi^2 there, or, for
-    sigma > 0, where the slope is continuous in b, takes a last step of at
-    most 6.9e-8 on log10 b without a window pass and carries E Phi^2 to
-    the stepped b to first order, within the order of the step's square
-    (the tau equation then holds within 1e-13 relative of a fresh pass at
-    b on the tested cases, and the slope equation within the stop's 1e-13
-    on log10 b). At sigma = 0 every step is evaluated.
+    on [1e-12, 1e12]. E Phi^2 rides along with its derivatives in b. For
+    sigma > 0, where the slope is continuous in b, the steps are Halley's
+    where its correction to Newton's step is small and Newton's elsewhere,
+    and the search either stops on an evaluated point and reads E Phi^2
+    there, or takes a last Halley step of at most 1.0e-5 on log10 b
+    without a window pass and carries E Phi^2 to the stepped b to second
+    order, within the order of the step's cube (the tau equation then
+    holds within 1e-13 relative of a fresh pass at b on the tested cases,
+    and the slope equation within the stop's 1e-13 on log10 b). At
+    sigma = 0 the steps are Newton's and every one is evaluated.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
@@ -709,9 +761,10 @@ def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
             converged = True
             break
 
-    diffs = np.diff([r[2] for r in rows])
-    monotone = not diverged and bool(np.all(diffs <= config.tol)
-                                     or np.all(diffs >= -config.tol))
+    taus = [r[2] for r in rows]
+    diffs = [y - x for x, y in zip(taus, taus[1:])]
+    monotone = not diverged and (all(d <= config.tol for d in diffs)
+                                 or all(d >= -config.tol for d in diffs))
     return SeResult(tuple(rows), delta, converged, diverged, monotone), start
 
 

@@ -24,8 +24,18 @@ from ramp.state_evolution import DistributionModel, Laplace, pm_one_prior, se_ta
 
 
 def bare(f, df):
-    """A point of solve_increasing's (f, f', g, g') curve with no g riding along."""
-    return f, df, 0.0, 0.0
+    """A point of solve_increasing's (f, f', g, g', f'', g'') curve with no g
+    riding along, for the default search, which reads no f''."""
+    return f, df, 0.0, 0.0, 0.0, 0.0
+
+
+def smooth(b):
+    """f = b/(1 + b) and g = b^2, with their true first and second derivatives."""
+    return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b, -2.0 / (1.0 + b) ** 3, 2.0
+
+
+# the longest step solve_increasing takes without evaluating, on log10 b
+LAST_STEP = 0.5 * 1e-13 ** (1.0 / 3.0) / math.log(10.0)
 
 
 def exact_lad_root(slope):
@@ -145,16 +155,13 @@ class TestSolveIncreasing:
         # g at the b returned. By default every step is evaluated, and g is
         # that of the last evaluation, at the b returned: Newton's stop, the
         # bisection fallback on a step map, and an exact hit. On a curve
-        # declared continuous a last Newton step of at most 6.9e-8 on
-        # log10 b may go unevaluated, with g carried there to first order:
+        # declared continuous a last Halley step of at most 1.0e-5 on
+        # log10 b may go unevaluated, with g carried there to second order:
         # g then holds within 1e-13 relative of a fresh evaluation at b,
         # and f = target within the stop's 1e-13 on log10 b (the Newton
         # step a fresh evaluation would take)
-        def smooth(b):
-            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b
-
         def step(b):
-            return (0.0 if b < 2.5 else 1.0), 0.0, -b, -1.0
+            return (0.0 if b < 2.5 else 1.0), 0.0, -b, -1.0, 0.0, 0.0
 
         score = lambda bb: state_evolution.score_moments(absolute(), bb, Laplace(1.0), 0.6)
         for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
@@ -164,43 +171,70 @@ class TestSolveIncreasing:
         for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
                                      (smooth, 0.5, None), (score, 0.2, None)):
             b, g = solve_increasing(curve, target, start=start, continuous=True)
-            f, df, g_fresh, _ = curve(b)
+            f, df, g_fresh = curve(b)[:3]
             assert g == pytest.approx(g_fresh, rel=1e-13, abs=0)
             assert abs(f - target) <= 1e-13 * math.log(10.0) * b * df
 
-    def test_last_newton_step_is_not_evaluated(self):
-        # on a continuous curve Newton takes its last step without
-        # evaluating and carries g from the last evaluated point b0 to
-        # first order; for g = b^2 the carry is b^2 - (b - b0)^2 exactly.
+    def test_last_halley_step_is_not_evaluated(self):
+        # on a continuous curve the search takes its last Halley step
+        # without evaluating and carries g from the last evaluated point b0
+        # to second order; g = b^2 has g'' = 2, so the carry is b^2 to
+        # rounding, where a first-order carry would read b^2 - (b - b0)^2.
         # By default the same search evaluates that step too
         points = []
 
         def curve(b):
             points.append(b)
-            return b / (1.0 + b), 1.0 / (1.0 + b) ** 2, b * b, 2.0 * b
+            return smooth(b)
 
         b, g = solve_increasing(curve, 0.3, start=1e-3, continuous=True)
         b0 = points[-1]
         assert b not in points
-        assert 1e-13 < abs(math.log10(b / b0)) <= 0.5 * math.sqrt(1e-13) / math.log(10.0)
+        assert 1e-13 < abs(math.log10(b / b0)) <= LAST_STEP
         assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
-        assert g == pytest.approx(b * b - (b - b0) ** 2, rel=1e-15, abs=0)
+        assert g == pytest.approx(b * b, rel=4e-16, abs=0)
         evaluated = len(points)
         points.clear()
         b, g = solve_increasing(curve, 0.3, start=1e-3)
         assert len(points) > evaluated
         assert b == points[-1] and g == b * b
 
+    def test_refused_halley_correction_takes_newton_step(self):
+        # from b = 0.05 the Newton step towards b/(1 + b) = 0.3 on log10 b
+        # is n = 2.42 inside the open bracket, and Halley's correction
+        # n F''/F' = 5.0 is above 1/2: the plain Newton step is taken and
+        # evaluated. From b = 0.3 the correction is 0.21 and Halley's
+        # shorter step n/(1 + correction/2) is taken
+        ln10 = math.log(10.0)
+        for start, halley in ((0.05, False), (0.3, True)):
+            points = []
+
+            def curve(b):
+                points.append(b)
+                return smooth(b)
+
+            b, _ = solve_increasing(curve, 0.3, start=start, continuous=True)
+            b0 = points[0]
+            f, df, _, _, d2f, _ = smooth(b0)
+            newton = -(f - 0.3) / (df * b0 * ln10)
+            correction = newton * ln10 * (1.0 + b0 * d2f / df)
+            assert (abs(correction) <= 0.5) == halley
+            step = newton / (1.0 + 0.5 * correction) if halley else newton
+            assert points[1] == 10.0 ** (math.log10(start) + step)
+            assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
+
     def test_newton_stops_on_an_evaluated_point(self):
-        # f = log10 b is linear in Newton's variable, so one step lands on
-        # the root to rounding, and the search stops there (an exact hit,
-        # or a next step below 1e-13): it returns the point it evaluated
-        # last, with g there, on a curve declared continuous too
+        # f = log10 b is linear in Newton's variable, so Halley's correction
+        # is 0, one step lands on the root to rounding, and the search
+        # stops there (an exact hit, or a next step below 1e-13): it
+        # returns the point it evaluated last, with g there, on a curve
+        # declared continuous too
         points = []
+        ln10 = math.log(10.0)
 
         def curve(b):
             points.append(b)
-            return math.log10(b), 1.0 / (b * math.log(10.0)), -b, -1.0
+            return math.log10(b), 1.0 / (b * ln10), -b, -1.0, -1.0 / (b * b * ln10), 0.0
 
         for target in (0.3, 0.7, 2.5, -4.2):
             points.clear()
@@ -246,12 +280,12 @@ class TestSolveIncreasing:
         monkeypatch.setattr(state_evolution, "score_moments", recording)
         tau_sq, b = se_tau_update(0.5, dist, absolute(), 0.2)
         assert 1 <= len(points) <= 25
-        # b is the last point evaluated or one Newton step of at most
-        # 6.9e-8 on log10 b past it; either way the tau equation holds at b
+        # b is the last point evaluated or one Halley step of at most
+        # 1.0e-5 on log10 b past it; either way the tau equation holds at b
         # within 1e-13 relative against a fresh pass, and the slope
         # equation within the stop's 1e-13 on log10 b
-        assert abs(math.log10(b / points[-1])) <= 0.5 * math.sqrt(1e-13) / math.log(10.0)
-        slope_b, deriv_b, sq_b, _ = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))
+        assert abs(math.log10(b / points[-1])) <= LAST_STEP
+        slope_b, deriv_b, sq_b = original(absolute(), b, Laplace(1.0), np.sqrt(0.5))[:3]
         assert abs(slope_b - 0.2) <= 1e-13 * math.log(10.0) * b * deriv_b
         assert tau_sq == pytest.approx(sq_b / 0.2 ** 2, rel=1e-13, abs=0)
         assert len(set(points)) == len(points)

@@ -160,21 +160,23 @@ class TestScoreMoments:
     def test_least_squares_reads_the_variance(self):
         # the infinite window needs no average over the law: a normal
         # mixture gives c^2 (variance + sigma^2) as a quadrature law does,
-        # and its derivative in b is 2 c dc/db (variance + sigma^2)
+        # its derivative in b is 2 c dc/db (variance + sigma^2), and the
+        # second derivatives are d2c/db2 and 2 (dc^2 + c d2c) (variance +
+        # sigma^2)
         b, sigma = 0.4, 0.7
-        c, dc = b / (1 + b), 1.0 / (1 + b) ** 2
+        c, dc, d2c = b / (1 + b), 1.0 / (1 + b) ** 2, -2.0 / (1 + b) ** 3
         for noise in (NormalMixture(((0.5, 0.3), (0.5, 1.0))),
                       NormalMixture(((0.9, 0.1), (0.1, 5.0))), Normal(0.2), Laplace(1.0)):
             m = noise.variance + sigma * sigma
             assert score_moments(least_squares(), b, noise, sigma) == (
-                c, dc, c * c * m, 2.0 * c * dc * m)
+                c, dc, c * c * m, 2.0 * c * dc * m, d2c, 2.0 * (dc * dc + c * d2c) * m)
 
     def test_least_squares_exact_for_any_noise(self):
         b, sigma = 0.4, 0.7
         c = b / (1 + b)
         for noise in (Normal(0.2), Laplace(1.0), StudentT(4.0),
                       NormalMixture(((0.5, 0.3), (0.5, 1.0)))):
-            d, _, q, _ = score_moments(least_squares(), b, noise, sigma)
+            d, _, q = score_moments(least_squares(), b, noise, sigma)[:3]
             assert d == pytest.approx(c, rel=1e-12)
             assert q == pytest.approx(c * c * (noise.variance + sigma ** 2), rel=1e-10)
 
@@ -182,7 +184,7 @@ class TestScoreMoments:
         b, sigma = 0.8, 0.5
         s = math.sqrt(0.2 + sigma ** 2)
         p, m2 = gaussian_window_moments(s, -b, b)
-        d, _, q, _ = score_moments(absolute(), b, Normal(0.2), sigma)
+        d, _, q = score_moments(absolute(), b, Normal(0.2), sigma)[:3]
         assert d == pytest.approx(p, rel=1e-10)
         assert q == pytest.approx(m2 + b * b * (1 - p), rel=1e-10)
 
@@ -192,7 +194,7 @@ class TestScoreMoments:
         k = (1 + b) * gamma
         c = b / (1 + b)
         p, m2 = gaussian_window_moments(s, -k, k)
-        d, _, q, _ = score_moments(huber(gamma), b, Normal(0.2), sigma)
+        d, _, q = score_moments(huber(gamma), b, Normal(0.2), sigma)[:3]
         assert d == pytest.approx(c * p, rel=1e-10)
         assert q == pytest.approx(c * c * m2 + (b * gamma) ** 2 * (1 - p), rel=1e-10)
 
@@ -203,7 +205,7 @@ class TestScoreMoments:
         p, m2 = gaussian_window_moments(s, lo, hi)
         p_above = stats.norm.sf(hi / s)
         p_below = stats.norm.cdf(lo / s)
-        d, _, q, _ = score_moments(quantile(tq), b, Normal(1.0), sigma)
+        d, _, q = score_moments(quantile(tq), b, Normal(1.0), sigma)[:3]
         assert d == pytest.approx(p, rel=1e-10)
         assert q == pytest.approx(m2 + hi * hi * p_above + lo * lo * p_below, rel=1e-10)
 
@@ -213,9 +215,11 @@ class TestScoreMoments:
         # independent reference: the window pieces conditional on w, by
         # scipy's ndtr, integrated adaptively against the noise density on
         # each side of 0 (the nodes' panel edge and the Laplace kink); the
-        # slope, E Phi^2 and their derivatives in b from one integrand. The
-        # slope's derivative is the weakest of the four on 440 nodes
-        # (8.5e-12 at Laplace, Huber, b = 3, sigma = 1).
+        # slope, E Phi^2 and their first and second derivatives in b from
+        # one integrand. The slope's derivative is the weakest of the first
+        # four on 440 nodes (8.5e-12 at Laplace, Huber, b = 3, sigma = 1);
+        # the second derivatives, of sharper integrands, are within 1.5e-10
+        # (E Phi^2's at Laplace, absolute, b = 1, sigma = 0.3).
         from scipy.integrate import quad
 
         density = law_density(noise)
@@ -225,6 +229,7 @@ class TestScoreMoments:
         for b in (0.3, 1.0, 3.0):
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c, dc = b / (kappa + b), kappa / (kappa + b) ** 2
+            d2c = -2.0 * kappa / (kappa + b) ** 3
             for sigma in (0.3, 1.0):
                 def pieces(w):
                     a, z = (lo - w) / sigma, (hi - w) / sigma
@@ -235,17 +240,27 @@ class TestScoreMoments:
                           + sigma * sigma * (a * pdf_a - z * pdf_z))
                     return (p, (e_hi * pdf_z - e_lo * pdf_a) / sigma,
                             m2 + hi * hi * above + lo * lo * below,
-                            2.0 * (hi * e_hi * above + lo * e_lo * below))
+                            2.0 * (hi * e_hi * above + lo * e_lo * below),
+                            a * pdf_a, z * pdf_z, below, above, pdf_a / sigma, pdf_z / sigma)
 
                 def integral(i):
                     return sum(quad(lambda w: pieces(w)[i] * density(w), x, y,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                                for x, y in ((-np.inf, 0.0), (0.0, np.inf)))
 
-                p, dp, sq, dsq = (integral(i) for i in range(4))
-                assert_allclose(score_moments(loss, b, noise, sigma),
-                                (c * p, dc * p + c * dp, c * c * sq,
-                                 2.0 * c * dc * sq + c * c * dsq), rtol=1e-11, atol=0)
+                p, dp, sq, dsq, xf_lo, xf_hi, below, above, f_lo, f_hi = (
+                    integral(i) for i in range(10))
+                # the second derivatives from their terms' integrals: quad
+                # warns of roundoff on the combined integrand of E Phi^2's,
+                # a difference of nearly equal tail and edge terms
+                d2p = (e_lo * e_lo * xf_lo - e_hi * e_hi * xf_hi) / sigma ** 2
+                d2sq = 2.0 * (e_hi * e_hi * (above - hi * f_hi) + e_lo * e_lo * (below + lo * f_lo))
+                got = score_moments(loss, b, noise, sigma)
+                assert_allclose(got[:4], (c * p, dc * p + c * dp, c * c * sq,
+                                          2.0 * c * dc * sq + c * c * dsq), rtol=1e-11, atol=0)
+                assert_allclose(got[4:], (d2c * p + 2.0 * dc * dp + c * d2p,
+                                          2.0 * (dc * dc + c * d2c) * sq + 4.0 * c * dc * dsq
+                                          + c * c * d2sq), rtol=5e-10, atol=0)
 
     @pytest.mark.parametrize("noise,loss,b", [
         (Laplace(1.0), absolute(), 0.9),
@@ -261,7 +276,7 @@ class TestScoreMoments:
         v = noise.sample(rng, n) + sigma * rng.standard_normal(n)
         d_samples = effective_score_deriv(loss, v, b)
         q_samples = effective_score(loss, v, b) ** 2
-        d, _, q, _ = score_moments(loss, b, noise, sigma)
+        d, _, q = score_moments(loss, b, noise, sigma)[:3]
         assert abs(d - d_samples.mean()) < 4 * d_samples.std(ddof=1) / math.sqrt(n)
         assert abs(q - q_samples.mean()) < 4 * q_samples.std(ddof=1) / math.sqrt(n)
 
@@ -269,7 +284,9 @@ class TestScoreMoments:
         # the window kernel's mass and second moment, with p_below by
         # norm_cdf, give the same bits as truncated_moments calls over the
         # window and (-inf, lo]; at s = 0 the point mass gives
-        # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2 and no edge density. The
+        # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2 and no edge density, so the
+        # mass has no derivatives and E clip^2's second derivative is that
+        # of the clip alone, 2 (e_hi^2 P_above + e_lo^2 P_below). The
         # derivative of E clip^2 reads the same tail masses. The window
         # (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
         mu = state_evolution._noise_nodes(Laplace(1.0))[0]
@@ -278,7 +295,8 @@ class TestScoreMoments:
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c = b / (kappa + b)
             for s in (0.6, 0.0):
-                p, dp, clip_sq, dclip_sq = state_evolution._conditional(lo, hi, e_lo, e_hi, mu, s)
+                p, dp, clip_sq, dclip_sq, d2p, d2clip_sq = state_evolution._conditional(
+                    lo, hi, e_lo, e_hi, mu, s)
                 p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
                 p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
                 p_above = np.maximum(1.0 - p_in - p_below, 0.0)
@@ -289,6 +307,9 @@ class TestScoreMoments:
                     dclip_sq, 2.0 * (hi * e_hi * p_above + lo * e_lo * p_below))
                 if s == 0.0:
                     np.testing.assert_array_equal(dp, np.zeros_like(mu))
+                    np.testing.assert_array_equal(d2p, np.zeros_like(mu))
+                    np.testing.assert_array_equal(
+                        d2clip_sq, 2.0 * (e_hi * e_hi * p_above + e_lo * e_lo * p_below))
                     phi = effective_score(loss, mu, b)
                     assert_allclose(c * c * clip_sq, phi * phi, rtol=1e-15)
 
@@ -311,7 +332,7 @@ class TestSlopeCurve:
     def test_derivative_matches_central_difference(self, noise, loss):
         sigma = 0.6
         for b in (0.05, 0.4, 1.5, 6.0):
-            _, deriv, _, _ = score_moments(loss, b, noise, sigma)
+            deriv = score_moments(loss, b, noise, sigma)[1]
             h = 1e-5 * b
             fd = (score_moments(loss, b + h, noise, sigma)[0]
                   - score_moments(loss, b - h, noise, sigma)[0]) / (2.0 * h)
@@ -330,24 +351,75 @@ class TestSlopeCurve:
         # derivative is near 0 (Normal(0.2), absolute, b = 6).
         for sigma in (0.6, 0.0):
             for b in (0.05, 0.4, 1.5, 6.0):
-                _, _, sq, deriv = score_moments(loss, b, noise, sigma)
+                sq, deriv = score_moments(loss, b, noise, sigma)[2:4]
                 h = 1e-5 * b
                 fd = (score_moments(loss, b + h, noise, sigma)[2]
                       - score_moments(loss, b - h, noise, sigma)[2]) / (2.0 * h)
                 assert deriv >= 0
                 assert deriv == pytest.approx(fd, rel=1e-7, abs=100 * np.finfo(float).eps * sq / h)
 
+    @pytest.mark.parametrize("noise", SLOPE_NOISES)
+    @pytest.mark.parametrize("loss", SLOPE_LOSSES)
+    def test_second_derivatives_match_central_difference(self, noise, loss):
+        # the fifth and sixth values, d2 slope/db2 and d2 E Phi^2/db2,
+        # against central differences of the second and fourth. h scales
+        # with sigma too, so that the difference resolves the edge terms'
+        # width. The absolute term allows the difference quotient's
+        # rounding: a few ulps of the first derivative over h, which for
+        # E Phi^2 reads its tail masses (Normal(0.2), absolute, b = 5,
+        # where the window holds nearly all the mass).
+        kappa, e_lo, e_hi = score_shape(loss)
+        eps = np.finfo(float).eps
+        for sigma in (0.05, 0.5, 3.6):
+            for b in (0.05, 0.4, 1.5, 5.0):
+                got = score_moments(loss, b, noise, sigma)
+                h = 1e-4 * min(b, sigma)
+                up = score_moments(loss, b + h, noise, sigma)
+                down = score_moments(loss, b - h, noise, sigma)
+                c, hi, lo = b / (kappa + b), (kappa + b) * e_hi, (kappa + b) * e_lo
+                tails = 2.0 * c * c * (hi * e_hi + lo * e_lo)
+                assert got[4] == pytest.approx((up[1] - down[1]) / (2.0 * h), rel=1e-6,
+                                               abs=10 * eps * abs(got[1]) / h)
+                assert got[5] == pytest.approx((up[3] - down[3]) / (2.0 * h), rel=1e-6,
+                                               abs=10 * eps * tails / h)
+
+    @pytest.mark.parametrize("noise", SLOPE_NOISES)
+    @pytest.mark.parametrize("loss", SLOPE_LOSSES)
+    def test_second_derivatives_at_zero_sigma(self, noise, loss):
+        # at sigma = 0 a heavy-tailed law is point masses at its nodes:
+        # the mass inside the window has no derivatives between its jumps,
+        # so the slope's second derivative is c'' P, 0 for the kinked
+        # losses (c = 1), and E Phi^2's is that of c^2 and the clip; both
+        # against central differences where no edge crosses a node within
+        # h of these b. A normal law's second derivatives are its own.
+        kappa = score_shape(loss).kappa
+        for b in (0.05, 0.4, 1.5, 5.0):
+            got = score_moments(loss, b, noise, 0.0)
+            h = 1e-5 * b
+            up = score_moments(loss, b + h, noise, 0.0)
+            down = score_moments(loss, b - h, noise, 0.0)
+            if not hasattr(noise, "components"):
+                c, d2c = b / (kappa + b), -2.0 * kappa / (kappa + b) ** 3
+                assert got[4] == pytest.approx(d2c * got[0] / c, rel=1e-14, abs=0)
+                if kappa == 0.0:
+                    assert got[4] == 0.0
+            assert got[4] == pytest.approx((up[1] - down[1]) / (2.0 * h), rel=1e-6, abs=1e-12)
+            assert got[5] == pytest.approx((up[3] - down[3]) / (2.0 * h), rel=1e-6)
+
     def test_least_squares_second_moment_derivative(self):
-        # the closed form 2 c dc/db (variance + sigma^2) against a central
-        # difference, for every law with a finite variance
+        # the closed forms 2 c dc/db (variance + sigma^2), d2c/db2 and
+        # 2 (dc^2 + c d2c) (variance + sigma^2) against central
+        # differences, for every law with a finite variance
         for noise in SLOPE_NOISES[:4]:
             for sigma in (0.6, 0.0):
                 for b in (0.05, 0.4, 1.5, 6.0):
-                    deriv = score_moments(least_squares(), b, noise, sigma)[3]
+                    got = score_moments(least_squares(), b, noise, sigma)
                     h = 1e-5 * b
-                    fd = (score_moments(least_squares(), b + h, noise, sigma)[2]
-                          - score_moments(least_squares(), b - h, noise, sigma)[2]) / (2.0 * h)
-                    assert deriv == pytest.approx(fd, rel=1e-7)
+                    up = score_moments(least_squares(), b + h, noise, sigma)
+                    down = score_moments(least_squares(), b - h, noise, sigma)
+                    assert got[3] == pytest.approx((up[2] - down[2]) / (2.0 * h), rel=1e-7)
+                    assert got[4] == pytest.approx((up[1] - down[1]) / (2.0 * h), rel=1e-7)
+                    assert got[5] == pytest.approx((up[3] - down[3]) / (2.0 * h), rel=1e-7)
 
     @pytest.mark.parametrize("noise", SLOPE_NOISES)
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
@@ -368,14 +440,14 @@ class TestSlopeCurve:
                                  -12.0, 12.0, xtol=1e-14)
             tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
             assert b == pytest.approx(ref, rel=1e-12)
-            fresh_slope, fresh_deriv, fresh_sq, _ = score_moments(loss, b, noise, sigma)
+            fresh_slope, fresh_deriv, fresh_sq = score_moments(loss, b, noise, sigma)[:3]
             if sigma == 0.0:
                 # a step map: every step is evaluated, and E Phi^2 is read
                 # from the pass at the b returned
                 assert tau_sq == fresh_sq / (slope * slope)
                 continue
-            # Newton's last step may skip the window pass and carry E Phi^2
-            # to b to first order: the tau equation holds within 1e-13
+            # the last Halley step may skip the window pass and carry E Phi^2
+            # to b to second order: the tau equation holds within 1e-13
             # relative against a fresh pass at b, and the slope equation
             # within the stop's 1e-13 on log10 b (the Newton step a fresh
             # pass at b would take)
@@ -410,14 +482,16 @@ class TestSlopeCurve:
         res = se_fixed_point(dist, absolute(), 0.64, alpha=2.0)
         assert res.converged
         assert calls["se_tau_update"] == res.iterations + 1
-        # 13 window passes over 6 updates, the first from b = 1 (17 when
-        # Newton evaluated its last step)
+        # 10 window passes over 6 updates, the first from b = 1 (13 when
+        # Newton's last step went unevaluated only below 6.9e-8 on log10 b,
+        # 17 when Newton evaluated its last step)
         assert calls["score_moments"] / calls["se_tau_update"] <= 4
 
     def test_se_tune_cells_evaluation_count(self, monkeypatch):
         # the 12 cells of the benchmark's se_tune workload on its base grid
-        # take 840 window passes over 520 tau updates, every pass counted
-        # (1157 when Newton evaluated its last step)
+        # take 686 window passes over 520 tau updates, every pass counted
+        # (840 with Newton's steps and its last one unevaluated only below
+        # 6.9e-8 on log10 b, 1157 when Newton evaluated its last step)
         calls = count_calls(monkeypatch, state_evolution, "se_tau_update",
                             "score_moments")
         prior = pm_one_prior(0.128)
@@ -425,7 +499,7 @@ class TestSlopeCurve:
             for loss in (huber(1.0), absolute(), quantile(0.7)):
                 tune_alpha(DistributionModel(prior, noise), loss, 0.64,
                            alpha_grid=(1.0, 1.4, 1.8, 2.2, 2.6, 3.0))
-        assert calls["score_moments"] <= 870
+        assert calls["score_moments"] <= 700
 
 
 class TestPredictedB:
@@ -518,22 +592,29 @@ def plain_window(lo, hi, rate_lo, rate_hi, mu, s):
     p_above = np.maximum(1.0 - p_in - cdf_a, 0.0)
     return (p_in, (rate_hi / s) * pdf_c - (rate_lo / s) * pdf_a,
             m2_in + hi * hi * p_above + lo * lo * cdf_a,
-            2.0 * (hi * rate_hi * p_above + lo * rate_lo * cdf_a))
+            2.0 * (hi * rate_hi * p_above + lo * rate_lo * cdf_a),
+            a * pdf_a * (rate_lo * rate_lo / (s * s)) - (rate_hi * rate_hi / (s * s)) * (c * pdf_c),
+            2.0 * (rate_hi * rate_hi * (p_above - hi * (pdf_c / s))
+                   + rate_lo * rate_lo * (cdf_a + lo * (pdf_a / s))))
 
 
 def plain_node_sums(lo, hi, rate_lo, rate_hi, noise, s):
     # the per-node second moment in the window, then one product of the
-    # six rows with the quadrature weights
+    # eight rows with the quadrature weights
     w, weights = state_evolution._noise_nodes(noise)[:2]
     a, c = (lo - w) / s, (hi - w) / s
     cdf_a, cdf_c, pdf_a, pdf_c = plain_cdf(a), plain_cdf(c), plain_pdf(a), plain_pdf(c)
     p_in = cdf_c - cdf_a
     m2_in = ((w * w + s * s) * p_in + 2.0 * w * s * (pdf_a - pdf_c)
              + s * s * (a * pdf_a - c * pdf_c))
-    p_in, m2_in, below, above, f_lo, f_hi = (
-        np.array([p_in, m2_in, cdf_a, 1.0 - cdf_c, pdf_a, pdf_c]) @ weights)
+    p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = (
+        np.array([p_in, m2_in, cdf_a, 1.0 - cdf_c, pdf_a, pdf_c, a * pdf_a, c * pdf_c])
+        @ weights).tolist()
     return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s, m2_in + hi * hi * above + lo * lo * below,
-            2.0 * (hi * rate_hi * above + lo * rate_lo * below))
+            2.0 * (hi * rate_hi * above + lo * rate_lo * below),
+            (rate_lo * rate_lo * xf_lo - rate_hi * rate_hi * xf_hi) / (s * s),
+            2.0 * (rate_hi * rate_hi * (above - hi * f_hi / s)
+                   + rate_lo * rate_lo * (below + lo * f_lo / s)))
 
 
 def plain_risk(m, alpha, cdf=plain_cdf, pdf=plain_pdf):
@@ -586,23 +667,27 @@ class TestEdgeTermsBitIdentity:
     @pytest.mark.parametrize("noise", BIT_NOISES)
     @pytest.mark.parametrize("loss", BIT_LOSSES)
     def test_score_moments_and_slope_curve(self, noise, loss):
-        # all four outputs of the one window pass: the slope, E Phi^2 and
-        # their derivatives in b. A normal mixture gives the bits of the
-        # plain per-component tuple. A quadrature law gives the bits of the
-        # node sums written out, and agrees with the per-node tuple
-        # averaged entry by entry within 1e-14 relative; the derivative of
-        # E Phi^2 within that or one rounding of its tail masses
-        # (1 - Phi(c) per node against 1 - P - Phi(a)), which is larger
-        # where the window holds nearly all the mass.
+        # all six outputs of the one window pass: the slope, E Phi^2 and
+        # their first and second derivatives in b. A normal mixture gives
+        # the bits of the plain per-component tuple. A quadrature law gives
+        # the bits of the node sums written out, and agrees with the
+        # per-node tuple averaged entry by entry within 1e-14 relative; the
+        # derivative of E Phi^2 within that or one rounding of its tail
+        # masses (1 - Phi(c) per node against 1 - P - Phi(a)), which is
+        # larger where the window holds nearly all the mass.
         kappa, e_lo, e_hi = score_shape(loss)
         quadrature = not hasattr(noise, "components")
         for b in (0.01, 0.3, 1.0, 4.0, 200.0):
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c, dc = b / (kappa + b), kappa / (kappa + b) ** 2
+            d2c = -2.0 * kappa / (kappa + b) ** 3
 
-            def moments(p_in, dp_in, clip_sq, dclip_sq):
+            def moments(p_in, dp_in, clip_sq, dclip_sq, d2p_in, d2clip_sq):
                 return (c * p_in, dc * p_in + c * dp_in, c * c * clip_sq,
-                        2.0 * c * dc * clip_sq + c * c * dclip_sq)
+                        2.0 * c * dc * clip_sq + c * c * dclip_sq,
+                        d2c * p_in + 2.0 * dc * dp_in + c * d2p_in,
+                        2.0 * (dc * dc + c * d2c) * clip_sq + 4.0 * c * dc * dclip_sq
+                        + c * c * d2clip_sq)
 
             for sigma in (1e-3, 0.3, 1.0, 30.0):
                 got = score_moments(loss, b, noise, sigma)
@@ -614,6 +699,14 @@ class TestEdgeTermsBitIdentity:
                     assert_allclose(got[:3], per_node[:3], rtol=1e-14, atol=0)
                     tails = 2.0 * c * c * (hi * e_hi + lo * e_lo)
                     assert_allclose(got[3], per_node[3], rtol=1e-14,
+                                    atol=tails * np.finfo(float).eps)
+                    # the second derivatives add terms that nearly cancel
+                    # on a wide normal part (c''P + 2c'P' + cP'' on Huber
+                    # at sigma = 30, 4.2e-12 apart), and that of E Phi^2
+                    # reads the same tail masses as the first
+                    assert_allclose(got[4], per_node[4], rtol=1e-11, atol=0)
+                    tails = 2.0 * c * c * (e_hi * e_hi + e_lo * e_lo)
+                    assert_allclose(got[5], per_node[5], rtol=1e-11,
                                     atol=tails * np.finfo(float).eps)
                 else:
                     assert same_bits(got, per_node)
@@ -679,7 +772,7 @@ class TestTauUpdate:
         sample = noise.sample(rng, n) + sigma * rng.standard_normal(n)
         b = calibrate(CalibrationTarget(slope, loss, sample))
         _, b_pop = se_tau_update(sigma_sq, dist, loss, slope)
-        _, deriv, _, _ = score_moments(loss, b_pop, noise, sigma)
+        deriv = score_moments(loss, b_pop, noise, sigma)[1]
         scale = b_pop / (1.0 + b_pop) if loss.gamma is not None else 1.0
         p_in = slope / scale
         se = scale * math.sqrt(p_in * (1.0 - p_in) / n) / deriv

@@ -22,7 +22,9 @@ kind runs with one BLAS thread. The kinds:
   sigma in {0, 1e-3, 0.5, 30} (0 reaches the heavy-tailed laws'
   point-mass branch), as two parts per point: the slope and
   E Phi^2, then, on a finite score window, the slope and its derivative in
-  b (the derivative of E Phi^2, its fourth value, is not digested). Then
+  b (the fourth, fifth and sixth values, the derivative of E Phi^2 and
+  the second derivatives of the slope and E Phi^2, are not digested, so
+  a save from before they were returned still compares). Then
   `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
   [-40, 40] for alpha in {0.05, 0.5, 1, 2, 3, 10}. The fixed-point stream
   holds `se_fixed_point` runs the sweep never reaches: least squares under
