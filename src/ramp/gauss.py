@@ -7,10 +7,17 @@ samples.
 `norm_cdf_pdf` gives Phi and phi of a whole array, in two new arrays or
 two given ones, with one erfc and one exp call and the rest in place, bit
 for bit `norm_cdf` and `norm_pdf`. State evolution stacks both edges of a
-window into one (2, ...) array and evaluates them in this one pass. `soft_threshold_risk`
-is the one scalar routine: it takes one mean in Python floats, with
-`math.erfc` and `math.exp`, since state evolution calls it once per prior
-atom.
+window into one (2, ...) array and evaluates them in this one pass.
+
+`soft_threshold_risk` is this module's scalar routine: it takes one mean
+in Python floats, with `math.erfc` and `math.exp`, since state evolution
+calls it once per prior atom, and its bits are those of math's routines.
+State evolution's window for a normal noise component
+(`state_evolution._conditional`) is scalar too, but calls scipy's erfc
+and numpy's exp on its floats, the routines of `norm_cdf_pdf`: math's
+round differently in the last bit, and the window's normal path keeps
+the bits of the plain array formulas that its quadrature path also
+reproduces.
 """
 
 from __future__ import annotations

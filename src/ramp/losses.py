@@ -233,8 +233,11 @@ def effective_score_deriv(spec: LossSpec, z, b):
 def soft_threshold(x, theta):
     """eta(x; theta): shrink x toward zero by theta with a closed dead zone.
 
-    Returns x - theta for x > theta, x + theta for x < -theta, else 0.
-    Points with |x| exactly equal to theta land in the dead zone.
+    Returns x - theta for x > theta, x + theta for x < -theta, else a
+    zero: max(|x| - theta, 0) times sign(x), so -0.0 for a negative x in
+    the dead zone (soft_threshold(-0.3, 0.5) has its sign bit set) and
+    0.0 for x >= 0 or x = -0.0. Points with |x| exactly equal to theta
+    land in the dead zone.
     Elementwise in both arguments; theta must be nonnegative.
     """
     if theta < 0 if isinstance(theta, float) else np.any(np.asarray(theta) < 0):

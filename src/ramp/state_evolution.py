@@ -12,17 +12,22 @@ truncated-normal closed forms conditional on W, all built from the four
 edge terms Phi(a), Phi(c), phi(a), phi(c) at the standardized window edges.
 A normal mixture therefore collapses exactly, one closed form per
 component; normal noise is the one-component mixture and takes the same
-exact path. Heavy-tailed laws are integrated over W with Gauss-Legendre
-nodes on the inverse cdf, split at the median so the Laplace kink sits on
-a panel edge. `_window_edges` stacks both edges, at every node, in one
-(2, ...) array and evaluates them in one pass (`gauss.norm_cdf_pdf`: one
-erfc and one exp call), with the operations of the plain one-edge
-formulas and so with their bits. The normal paths sum the moments in
-place from these terms, with the bits of the plain formulas. On the
-nodes, only the second moment inside the window, whose terms cancel, is
-formed per node; it and the edge terms are the rows of one array, and
-one product with the weights gives every sum (`_node_sums`), within a
-few ulps of averaging each node's moments.
+exact path. A component has the one mean 0, so its closed form is taken
+on Python floats (`_conditional`), with two scalar erfc and two scalar
+exp calls: scipy's and numpy's, the routines of `gauss.norm_cdf_pdf`, in
+its operations, so the values have the bits of the plain array formulas
+(math's erfc and exp round differently). A numpy pass on one mean spent
+about 14 us, nearly all of it numpy's per-call overhead; the float form
+takes about 2 us. Heavy-tailed laws are integrated over W with
+Gauss-Legendre nodes on the inverse cdf, split at the median so the
+Laplace kink sits on a panel edge. `_window_edges` stacks both edges, at
+every node, in one (2, nodes) array and evaluates them in one pass
+(`gauss.norm_cdf_pdf`: one erfc and one exp call), with the operations of
+the plain one-edge formulas and so with their bits. Only the second
+moment inside the window, whose terms cancel, is formed per node; it and
+the edge terms are the rows of one array, and one product with the
+weights gives every sum (`_node_sums`), within a few ulps of averaging
+each node's moments.
 
 Every loss enters through its constants (kappa, e_lo, e_hi) from
 `losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
@@ -84,6 +89,8 @@ from scipy import special
 
 from .calibration import solve_increasing
 from .gauss import (
+    _INV_SQRT_2PI,
+    _SQRT2,
     gamma_cap,
     norm_cdf_pdf,
     soft_threshold_risk,
@@ -297,24 +304,22 @@ class DistributionModel:
 _NODES_PER_HALF = 220
 
 
-def _window_edges(lo, hi, mu, s, out=None):
+def _window_edges(lo, hi, mu, s, out):
     """Edge terms of the window (lo, hi] for v ~ N(mu, s^2), s > 0.
 
     Returns (e, Phi(e), phi(e)), each a (2, ...) array whose rows belong to
     the standardized lower edge a = (lo - mu)/s and upper edge
     c = (hi - mu)/s; both slope and E clip(v, lo, hi)^2 are built from
-    them. Both edges go through one `norm_cdf_pdf` pass. The three arrays
-    are written into those of out when given. The edges of a Huber or
-    kinked window are finite, so no infinite-edge guard is needed.
-    Vectorized over mu.
+    them. Both edges go through one `norm_cdf_pdf` pass, written into the
+    three arrays of out. The edges of a Huber or kinked window are finite,
+    so no infinite-edge guard is needed. Vectorized over mu.
     """
-    e_out, cdf_pdf_out = (None, None) if out is None else (out[0], out[1:])
-    e = np.subtract.outer((lo, hi), mu, out=e_out)
+    e = np.subtract.outer((lo, hi), mu, out=out[0])
     e /= s
-    return (e,) + norm_cdf_pdf(e, cdf_pdf_out)
+    return (e,) + norm_cdf_pdf(e, out[1:])
 
 
-def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
+def _window_m2(e, p_in, pdf, mu_sq, mu_2, s, out):
     """E v^2 1{lo < v <= hi} for v ~ N(mu, s^2), from the edge terms.
 
     The truncated-normal closed form
@@ -324,9 +329,9 @@ def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
     with mu^2 and 2 mu given, in the operations of
     `gauss.truncated_moments` and so with its bits. Its terms cancel when
     the window is narrow against s, so it is formed at each mean before any
-    average. Overwrites e with (a phi(a), c phi(c)).
+    average. Written into out; overwrites e with (a phi(a), c phi(c)).
     """
-    m2 = mu_sq + s * s
+    m2 = np.add(mu_sq, s * s, out=out)
     m2 *= p_in
     t = mu_2 * s
     t *= pdf[0] - pdf[1]
@@ -335,7 +340,6 @@ def _window_m2(e, p_in, pdf, mu_sq, mu_2, s):
     t = e[0] - e[1]
     t *= s * s
     m2 += t
-    return m2
 
 
 def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
@@ -354,42 +358,38 @@ def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
         d2 E clip^2/db2 = 2 (rate_hi^2 (P_above - hi phi(c)/s)
                              + rate_lo^2 (P_below + lo phi(a)/s)).
 
-    The second moment inside the window is `_window_m2`, which leaves
-    a phi(a) and c phi(c) in the edge array, and the mass below the window
-    is Phi(a), all on the edge terms of one `_window_edges` pass. At s = 0,
-    v is a point mass at mu, inside when lo < mu <= hi, with no density at
-    the edges. Vectorized over mu.
+    For s > 0, mu is one float and the six values are Python floats, taken
+    once per normal component by `_noise_average`: the mass below the
+    window is Phi(a), and the second moment inside it is the closed form
+    of `_window_m2`. Phi and phi take scipy's erfc and numpy's exp on the
+    two edges, in the operations of `gauss.norm_cdf_pdf`, so the values
+    have the bits of the plain array formulas. At s = 0, v is a point mass
+    at mu, inside when lo < mu <= hi, with no density at the edges;
+    vectorized over mu.
     """
-    mu = np.asarray(mu, dtype=float)
     if s == 0.0:
         p_in = ((mu > lo) & (mu <= hi)).astype(float)
-        dp_in = np.zeros_like(p_in)
-        d2p_in = dp_in
-        m2 = mu * mu * p_in
         p_below = (mu <= lo).astype(float)
-        f_lo = f_hi = 0.0
-    else:
-        e, cdf, pdf = _window_edges(lo, hi, mu, s)
-        p_below = cdf[0]
-        p_in = cdf[1] - p_below
-        dp_in = pdf[1] * (rate_hi / s)
-        dp_in -= (rate_lo / s) * pdf[0]
-        m2 = _window_m2(e, p_in, pdf, mu * mu, mu * 2.0, s)
-        d2p_in = e[0] * (rate_lo * rate_lo / (s * s))
-        d2p_in -= (rate_hi * rate_hi / (s * s)) * e[1]
-        f_lo, f_hi = pdf / s
-    p_above = 1.0 - p_in
-    p_above -= p_below
-    p_above = np.maximum(p_above, 0.0)
-    m2 += hi * hi * p_above
-    m2 += lo * lo * p_below
-    dm2 = (hi * rate_hi) * p_above
-    dm2 += (lo * rate_lo) * p_below
-    dm2 *= 2.0
-    d2m2 = (rate_hi * rate_hi) * (p_above - hi * f_hi)
-    d2m2 += (rate_lo * rate_lo) * (p_below + lo * f_lo)
-    d2m2 *= 2.0
-    return p_in, dp_in, m2, dm2, d2p_in, d2m2
+        p_above = 1.0 - p_in - p_below  # exactly one of the three is 1
+        zero = np.zeros_like(p_in)
+        return (p_in, zero, mu * mu * p_in + hi * hi * p_above + lo * lo * p_below,
+                2.0 * (hi * rate_hi * p_above + lo * rate_lo * p_below), zero,
+                2.0 * (rate_hi * rate_hi * p_above + rate_lo * rate_lo * p_below))
+    a, c = (lo - mu) / s, (hi - mu) / s
+    p_below = float(special.erfc(a / -_SQRT2)) * 0.5
+    p_in = float(special.erfc(c / -_SQRT2)) * 0.5 - p_below
+    pdf_a = float(np.exp((a * -0.5) * a)) * _INV_SQRT_2PI
+    pdf_c = float(np.exp((c * -0.5) * c)) * _INV_SQRT_2PI
+    xf_a, xf_c = a * pdf_a, c * pdf_c
+    m2_in = ((mu * mu + s * s) * p_in + mu * 2.0 * s * (pdf_a - pdf_c)
+             + (xf_a - xf_c) * (s * s))
+    p_above = max(1.0 - p_in - p_below, 0.0)
+    return (p_in, pdf_c * (rate_hi / s) - (rate_lo / s) * pdf_a,
+            m2_in + hi * hi * p_above + lo * lo * p_below,
+            2.0 * (hi * rate_hi * p_above + lo * rate_lo * p_below),
+            xf_a * (rate_lo * rate_lo / (s * s)) - (rate_hi * rate_hi / (s * s)) * xf_c,
+            2.0 * (rate_hi * rate_hi * (p_above - hi * (pdf_c / s))
+                   + rate_lo * rate_lo * (p_below + lo * (pdf_a / s))))
 
 
 @lru_cache(maxsize=32)
@@ -433,7 +433,7 @@ def _node_sums(lo, hi, rate_lo, rate_hi, noise, s):
     rows = np.empty((8, nodes.size))
     e, cdf, pdf = _window_edges(lo, hi, nodes, s, out=(rows[6:8], rows[2:4], rows[4:6]))
     np.subtract(cdf[1], cdf[0], out=rows[0])
-    rows[1] = _window_m2(e, rows[0], pdf, nodes_sq, nodes_2, s)
+    _window_m2(e, rows[0], pdf, nodes_sq, nodes_2, s, out=rows[1])
     np.subtract(1.0, cdf[1], out=cdf[1])
     p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = (rows @ weights).tolist()
     return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s,
@@ -459,7 +459,7 @@ def _noise_average(conditional, noise, sigma):
         totals = [0.0] * 6
         for w, v in components:
             for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
-                totals[i] += w * float(x)
+                totals[i] += w * x
         return tuple(totals)
     nodes, weights = _noise_nodes(noise)[:2]
     return tuple(float(weights @ x) for x in conditional(nodes, sigma))

@@ -295,8 +295,12 @@ class TestScoreMoments:
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             c = b / (kappa + b)
             for s in (0.6, 0.0):
-                p, dp, clip_sq, dclip_sq, d2p, d2clip_sq = state_evolution._conditional(
-                    lo, hi, e_lo, e_hi, mu, s)
+                if s > 0.0:  # one float mean at a time
+                    got = np.array([state_evolution._conditional(lo, hi, e_lo, e_hi, m, s)
+                                    for m in mu.tolist()]).T
+                else:
+                    got = state_evolution._conditional(lo, hi, e_lo, e_hi, mu, s)
+                p, dp, clip_sq, dclip_sq, d2p, d2clip_sq = got
                 p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
                 p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
                 p_above = np.maximum(1.0 - p_in - p_below, 0.0)
@@ -639,8 +643,10 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+# the last mixture's wide component has a variance far above sigma^2: a
+# window sits near its center while its edges lie far in the narrow one's tails
 BIT_NOISES = (Normal(0.2), NormalMixture(((0.9, 0.1), (0.1, 5.0))), Laplace(1.0),
-              StudentT(4.0), Cauchy(1.0))
+              StudentT(4.0), Cauchy(1.0), NormalMixture(((0.95, 1e-4), (0.05, 400.0))))
 BIT_LOSSES = (huber(1.0), huber(0.5), absolute(), quantile(0.7), quantile(0.3))
 
 
@@ -657,7 +663,8 @@ class TestEdgeTermsBitIdentity:
         cases += [(rng.normal(0.0, 3.0, 440), -abs(rng.normal(0.0, 2.0)),
                    abs(rng.normal(0.0, 2.0)), rng.uniform(0.05, 2.0)) for _ in range(20)]
         for mu, lo, hi, s in cases:
-            e, cdf, pdf = state_evolution._window_edges(lo, hi, mu, s)
+            e, cdf, pdf = state_evolution._window_edges(
+                lo, hi, mu, s, out=np.empty((3, 2) + np.shape(mu)))
             for row, edge in enumerate((lo, hi)):
                 x = (edge - mu) / s
                 assert same_bits(e[row], x)
@@ -710,6 +717,28 @@ class TestEdgeTermsBitIdentity:
                                     atol=tails * np.finfo(float).eps)
                 else:
                     assert same_bits(got, per_node)
+
+    def test_float_window_on_random_windows(self):
+        # the window at one float mean gives Python floats with the bits of
+        # the plain formulas on numpy scalars. The standardized edges reach
+        # past 8.3, where Phi rounds to exactly 1, and past 38.6, where phi
+        # underflows to 0 (and Phi below -38.5); s runs from 1e-3 to 30
+        rng = np.random.default_rng(29)
+        zs = (0.0, 0.4, 2.0, 8.4, 12.0, 38.7, 45.0, 1e3)
+        cases = [(a, c, s, mu) for a in zs for c in zs
+                 for s in (1e-3, 0.3, 30.0) for mu in (0.0, -0.7 * s)]
+        cases += [(float(rng.choice(zs) * rng.uniform(0.9, 1.1)),
+                   float(rng.choice(zs) * rng.uniform(0.9, 1.1)),
+                   float(10.0 ** rng.uniform(-3.0, 1.5)), float(rng.normal(0.0, 2.0)))
+                  for _ in range(2000)]
+        for a, c, s, mu in cases:
+            lo, hi = mu - a * s, mu + c * s
+            if not lo < hi:
+                continue
+            rate_lo, rate_hi = -float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))
+            got = state_evolution._conditional(lo, hi, rate_lo, rate_hi, mu, s)
+            assert all(type(x) is float for x in got)
+            assert same_bits(got, plain_window(lo, hi, rate_lo, rate_hi, np.float64(mu), s))
 
     def test_cached_nodes_are_read_only(self):
         # every caller shares the cached node arrays, so a write raises and

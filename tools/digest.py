@@ -20,11 +20,12 @@ kind runs with one BLAS thread. The kinds:
   name of the exception a cell raises (least squares under Cauchy noise).
   Then `score_moments` of each pair at 25 values of b from 1e-3 to 1e3 and
   sigma in {0, 1e-3, 0.5, 30} (0 reaches the heavy-tailed laws'
-  point-mass branch), as two parts per point: the slope and
-  E Phi^2, then, on a finite score window, the slope and its derivative in
-  b (the fourth, fifth and sixth values, the derivative of E Phi^2 and
-  the second derivatives of the slope and E Phi^2, are not digested, so
-  a save from before they were returned still compares). Then
+  point-mass branch), as two parts per point: the slope, E Phi^2 and the
+  first and second derivatives of E Phi^2 in b, then, on a finite score
+  window, the slope and its first and second derivatives in b. So every
+  value that steers the tau update's steps is digested; a save made by
+  an earlier version of this tool, which digested fewer, does not
+  compare. Then
   `soft_threshold_risk` at m = 0, at m = +-1e3 and on 401 means in
   [-40, 40] for alpha in {0.05, 0.5, 1, 2, 3, 10}. The fixed-point stream
   holds `se_fixed_point` runs the sweep never reaches: least squares under
@@ -162,13 +163,13 @@ def curve_parts(noise, loss):
     for sigma in SIGMAS:
         for b in B_GRID:
             try:
-                slope, deriv, sq = score_moments(loss, b, noise, sigma)[:3]
+                slope, deriv, sq, dsq, d2slope, d2sq = score_moments(loss, b, noise, sigma)
             except ValueError as exc:
                 out.append(("text", type(exc).__name__))
                 continue
-            out.append(("close", floats(slope, sq)))
+            out.append(("close", floats(slope, sq, dsq, d2sq)))
             if finite:
-                out.append(("close", floats(slope, deriv)))
+                out.append(("close", floats(slope, deriv, d2slope)))
     return out
 
 
