@@ -20,7 +20,12 @@ gives the fit instead. HiGHS runs with presolve off: the restricted
 dual LP is small and dense, always feasible (v = 0) and bounded (the box),
 so presolve removes nothing, and it took more than a third of each solve.
 On the sweep of `tools/digest.py oracle` the fits are the same bits with
-it on or off, for the primal LP too.
+it on or off, for the primal LP too. Each LP goes to scipy's own HiGHS
+binding (`scipy.optimize._highspy._core`, the module `milp` drives) as
+compressed-column numpy arrays: `milp` copied them element by element
+into HiGHS's vectors and looped over the basis in Python, which cost
+more than half as much as the simplex on the benchmark's dual LPs. The
+solutions are the same bits as `milp`'s with presolve off.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+)
 
 from .losses import loss_grad, loss_value, score_shape, soft_threshold
 
@@ -76,53 +88,69 @@ def _kkt_from_grad(grad, lam, x):
     return max(float(m_on), m_off)
 
 
-def _highs(cost, bounds, constraints, which):
-    """Minimize cost'z over bounds and constraints with HiGHS, presolve off.
+def _highs(cost, col_lower, col_upper, row_lower, row_upper, start, index,
+           value, which):
+    """Minimize cost'z over col_lower <= z <= col_upper and row_lower <=
+    Mz <= row_upper with HiGHS, presolve off, and return z.
 
-    which names the LP in the RuntimeError that a status other than
-    optimal raises.
+    M comes in compressed-column form: column j holds value[start[j]:
+    start[j+1]] in rows index[start[j]:start[j+1]], with int32 start and
+    index. The arrays go to scipy's HiGHS binding as they are. which names
+    the LP in the RuntimeError that an error status from loading or
+    solving it, or a model status other than optimal, raises.
     """
-    res = optimize.milp(cost, bounds=bounds, constraints=constraints,
-                        options={"presolve": False})
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS stopped with status {res.status} on the "
-                           f"kinked {which} LP: {res.message}")
-    return res.x
+    lp = _Highs()
+    lp.setOptionValue("log_to_console", False)
+    lp.setOptionValue("presolve", "off")
+    num_col = cost.size
+    status = lp.passModel(num_col, row_lower.size, value.size,
+                          MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+                          cost, col_lower, col_upper, row_lower, row_upper,
+                          start, index, value, np.zeros(num_col, dtype=np.int32))
+    if status != HighsStatus.kError:
+        status = lp.run()
+    model = lp.getModelStatus()
+    if status == HighsStatus.kError or model != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"HiGHS returned {status.name} with model status "
+                           f"'{lp.modelStatusToString(model)}' on the kinked "
+                           f"{which} LP")
+    return np.array(lp.getSolution().col_value)
 
 
 def _restricted_dual(A_work, y, lam, e_lo, e_hi):
     """Maximize y'v over v in [e_lo, e_hi]^n with |A_work' v| <= lam.
 
-    The rows A_work' go to HiGHS in the compressed-column form that scipy
-    would convert them to, read off A_work's rows: column i of A_work' is
-    row i of A_work.
+    The rows A_work' go to HiGHS as arrays, read off A_work's rows with no
+    sparse matrix built: column i of A_work' is row i of A_work, so the
+    values are A_work in C order, each column holds rows 0..k-1, and
+    column i starts at i k.
     """
     n, k = A_work.shape
-    rows = sparse.csc_array((A_work.ravel(), np.tile(np.arange(k), n),
-                             np.arange(0, n * k + 1, k)), shape=(k, n))
-    return _highs(-y, optimize.Bounds(e_lo, e_hi),
-                  optimize.LinearConstraint(rows, -lam, lam), "dual")
+    return _highs(-y, np.full(n, e_lo), np.full(n, e_hi), np.full(k, -lam),
+                  np.full(k, lam), np.arange(0, n * k + 1, k, dtype=np.int32),
+                  np.tile(np.arange(k, dtype=np.int32), n), A_work.ravel(),
+                  "dual")
 
 
-def _primal_from_dual(A, y, v, excess, work, e_lo, e_hi):
+def _primal_from_dual(A, y, v, excess, work, A_work, e_lo, e_hi):
     """The fit that complementary slackness pairs with the dual vertex v.
 
-    excess is |A'v| - lam per column, and work marks the columns the LP
-    saw. A vertex of that LP has n active constraints, box faces and
-    column rows; they are taken as the n nearest to v, in distance from v
-    to each face, which stays right when HiGHS leaves active rows off by
-    its feasibility tolerance. Off the active columns S the fit is zero,
-    and every v_i off its box faces forces a zero residual, so x_S solves
-    the square system A[Z, S] x_S = y_Z. At a nondegenerate vertex its
-    solution is the primal optimum; otherwise the duality gap exposes the
-    miss.
+    excess is |A'v| - lam per column, work marks the columns the LP saw,
+    and A_work holds them. A vertex of that LP has n active constraints,
+    box faces and column rows; they are taken as the n nearest to v, in
+    distance from v to each face, which stays right when HiGHS leaves
+    active rows off by its feasibility tolerance. Off the active columns S
+    the fit is zero, and every v_i off its box faces forces a zero
+    residual, so x_S solves the square system A[Z, S] x_S = y_Z. At a
+    nondegenerate vertex its solution is the primal optimum; otherwise the
+    duality gap exposes the miss.
     """
     n = v.size
     to_box = np.minimum(v - e_lo, e_hi - v)
     to_row = np.full(A.shape[1], np.inf)
-    # compress returns rows in A's C order, so each norm sums in the same
-    # order, and to the same bits, as over all of A
-    to_row[work] = -excess[work] / np.linalg.norm(A.compress(work, axis=1), axis=0)
+    # A_work is A.compress(work, axis=1), rows in A's C order, so each norm
+    # sums in the same order, and to the same bits, as over all of A
+    to_row[work] = -excess[work] / np.linalg.norm(A_work, axis=0)
     nearest = np.argsort(np.concatenate([to_box, to_row]))[:n]
     inside = np.ones(n, dtype=bool)
     inside[nearest[nearest < n]] = False
@@ -146,8 +174,8 @@ def _restricted_primal(A_work, y, lam, e_lo, e_hi):
     eye = sparse.identity(n, format="csc")
     cost = np.concatenate([np.full(2 * k, lam), np.full(n, e_hi), np.full(n, -e_lo)])
     rows = sparse.hstack([A_work, -A_work, eye, -eye], format="csc")
-    x = _highs(cost, optimize.Bounds(0.0, np.inf),
-               optimize.LinearConstraint(rows, y, y), "primal")
+    x = _highs(cost, np.zeros(cost.size), np.full(cost.size, np.inf), y, y,
+               rows.indptr, rows.indices, rows.data, "primal")
     return x[:k] - x[k:2 * k]
 
 
@@ -176,13 +204,14 @@ def _solve_kinked(inst, loss, lam, e_lo, e_hi, excess, tol, max_iter):
         outside = np.flatnonzero(~work)
         added = max(_ADDED_COLUMNS, broken.size)
         work[outside[np.argsort(-excess[outside])[:added]]] = True
-        v = _restricted_dual(A.compress(work, axis=1), y, lam, e_lo, e_hi)
+        A_work = A.compress(work, axis=1)
+        v = _restricted_dual(A_work, y, lam, e_lo, e_hi)
         excess = np.abs(A.T @ v) - lam
         broken = np.flatnonzero((excess > 0.0) & ~work)
         # work must stay the columns this v was solved on
         if broken.size == 0 or it >= max_iter:
             break
-    x = _primal_from_dual(A, y, v, excess, work, e_lo, e_hi)
+    x = _primal_from_dual(A, y, v, excess, work, A_work, e_lo, e_hi)
     objective = penalized_objective(inst, loss, lam, x)
     gap = abs(objective - float(y @ v))
     if broken.size == 0 and gap > tol:
@@ -210,7 +239,9 @@ def solve_penalized(inst, loss, lam, tol=None, max_iter=100_000):
     nearest to breaking; the first round's point is the zero fit's
     rho'(y)), which HiGHS solves exactly with presolve off (on this small,
     dense, always feasible LP presolve removes nothing and only costs
-    time), and tol bounds its certificate: the dual infeasibility and the
+    time), handed to scipy's HiGHS binding as arrays (through `milp`, their
+    per-element copy into HiGHS cost more than half the simplex's time),
+    and tol bounds its certificate: the dual infeasibility and the
     duality gap. When the rounds end with every column feasible
     but the fit recovered from a degenerate vertex leaves the gap above
     tol, the primal LP restricted to the working set is solved for the fit.

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
 
 from helpers import load_digest, make_instance
 from ramp import oracle
@@ -311,13 +311,13 @@ class TestKinkedLinearProgram:
     def test_working_set_never_holds_every_column(self, loss, monkeypatch):
         # the full n x p LP is what overran the memory budget
         widths = []
-        real_milp = oracle.optimize.milp
 
-        def spy(c, **kwargs):
-            widths.append(kwargs["constraints"].A.shape[0])
-            return real_milp(c, **kwargs)
+        class Spy(oracle._Highs):
+            def passModel(self, *model):
+                widths.append(model[1])  # the LP's row count
+                return super().passModel(*model)
 
-        monkeypatch.setattr(oracle.optimize, "milp", spy)
+        monkeypatch.setattr(oracle, "_Highs", Spy)
         spec = convergence_study_spec(replications=1)
         lam = se_tuned(loss)[0]
         for draw in (20000, 20001):
@@ -441,14 +441,17 @@ class TestKinkedLinearProgram:
         assert_matches_linprog(inst, loss, 0.3 * digest.zero_fit_edge(inst, loss))
 
     def test_non_optimal_status_raises(self, monkeypatch):
-        def stalled(c, **kwargs):
-            return optimize.OptimizeResult(status=1, x=None,
-                                           message="Time limit reached.")
+        # a zero time limit stops HiGHS before the dual LP's optimum
+        class Stalled(oracle._Highs):
+            def run(self):
+                self.setOptionValue("time_limit", 0.0)
+                return super().run()
 
-        monkeypatch.setattr(oracle.optimize, "milp", stalled)
+        monkeypatch.setattr(oracle, "_Highs", Stalled)
         rng = np.random.default_rng(5)
         inst = make_instance(rng, 40, 60, 6)
-        with pytest.raises(RuntimeError, match="status 1"):
+        with pytest.raises(RuntimeError,
+                           match="'Time limit reached' on the kinked dual LP"):
             solve_penalized(inst, absolute(), 0.8)
 
     def test_non_optimal_primal_status_raises(self, monkeypatch):
@@ -457,19 +460,64 @@ class TestKinkedLinearProgram:
         # than optimal there must raise too
         monkeypatch.setattr(oracle, "_primal_from_dual",
                             lambda A, *rest: np.zeros(A.shape[1]))
-        real_milp = oracle.optimize.milp
 
-        def stalled_on_primal(c, **kwargs):
-            if np.all(kwargs["bounds"].ub == np.inf):
-                return optimize.OptimizeResult(status=1, x=None,
-                                               message="Time limit reached.")
-            return real_milp(c, **kwargs)
+        class StalledOnPrimal(oracle._Highs):
+            def passModel(self, *model):
+                if np.all(model[8] == np.inf):  # the column upper bounds
+                    self.setOptionValue("time_limit", 0.0)
+                return super().passModel(*model)
 
-        monkeypatch.setattr(oracle.optimize, "milp", stalled_on_primal)
+        monkeypatch.setattr(oracle, "_Highs", StalledOnPrimal)
         rng = np.random.default_rng(5)
         inst = make_instance(rng, 40, 60, 6)
-        with pytest.raises(RuntimeError, match="kinked primal LP"):
+        with pytest.raises(RuntimeError,
+                           match="'Time limit reached' on the kinked primal LP"):
             solve_penalized(inst, absolute(), 0.8)
+
+    @pytest.mark.parametrize("lp,args,message", [
+        # the row bounds -lam <= A'v <= lam cross: no v is feasible
+        ("dual", (-1.0, -1.0, 1.0), "model status 'Infeasible' on the kinked dual LP"),
+        # HiGHS rejects a NaN row bound when the model is passed
+        ("primal", (1.0, -1.0, 1.0),
+         "returned kError with model status 'Not Set' on the kinked primal LP"),
+    ], ids=["infeasible-dual", "rejected-primal"])
+    def test_highs_error_status_raises(self, lp, args, message):
+        rng = np.random.default_rng(5)
+        A_work, y = rng.standard_normal((30, 8)), rng.standard_normal(30)
+        if lp == "primal":
+            y[3] = np.nan
+        solve = oracle._restricted_dual if lp == "dual" else oracle._restricted_primal
+        with pytest.raises(RuntimeError, match=message):
+            solve(A_work, y, *args)
+
+    def test_highs_binding_matches_milp(self, monkeypatch):
+        # oracle._highs hands its arrays to scipy's private HiGHS binding;
+        # the public milp, given the same LP with presolve off, must return
+        # the same solution bits, on every dual LP of the benchmark fits and
+        # on the primal LPs of the degenerate rounded +-1 vertices
+        lps = []
+        real_highs = oracle._highs
+
+        def spy(*lp):
+            lps.append((lp, real_highs(*lp)))
+            return lps[-1][1]
+
+        monkeypatch.setattr(oracle, "_highs", spy)
+        for label, inst, loss, lam in digest.benchmark_fits():
+            solve_penalized(inst, loss, lam)
+        for seed in (9016, 9082):
+            inst = digest.sweep_instance(seed, pm_one=True)
+            for loss in (quantile(0.2), quantile(0.7)):
+                solve_penalized(inst, loss, 0.3 * digest.zero_fit_edge(inst, loss))
+        which = [lp[-1] for lp, _ in lps]
+        assert which.count("dual") >= 8 and which.count("primal") >= 2
+        for (cost, lo, hi, row_lo, row_hi, start, index, value, _), x in lps:
+            rows = sparse.csc_array((value, index, start), shape=(row_lo.size, cost.size))
+            res = optimize.milp(cost, bounds=optimize.Bounds(lo, hi),
+                                constraints=optimize.LinearConstraint(rows, row_lo, row_hi),
+                                options={"presolve": False})
+            assert res.status == 0, res.message
+            assert res.x.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("loss", [absolute(), quantile(0.7)],
                              ids=["absolute", "quantile_0.7"])
@@ -500,15 +548,22 @@ class TestPresolveOff:
     def assert_same_fit(monkeypatch, inst, loss, lam):
         off = solve_penalized(inst, loss, lam)
         seen = []
-        real_milp = oracle.optimize.milp
 
-        def default_presolve(c, **kwargs):
-            seen.append(kwargs.pop("options"))
-            return real_milp(c, **kwargs)
+        class DefaultPresolve(oracle._Highs):
+            def __init__(self):
+                super().__init__()
+                self.options = {}
+                seen.append(self.options)
 
-        monkeypatch.setattr(oracle.optimize, "milp", default_presolve)
+            def setOptionValue(self, name, value):
+                # HiGHS's default presolve, "choose", in place of "off"
+                self.options[name] = value
+                return super().setOptionValue(
+                    name, "choose" if name == "presolve" else value)
+
+        monkeypatch.setattr(oracle, "_Highs", DefaultPresolve)
         on = solve_penalized(inst, loss, lam)
-        assert seen and all(opt == {"presolve": False} for opt in seen)
+        assert seen and all(opt["presolve"] == "off" for opt in seen)
         assert off.x_hat.tobytes() == on.x_hat.tobytes()
         assert off.objective == on.objective
         assert off.iterations == on.iterations
