@@ -6,18 +6,18 @@ samples.
 
 `norm_cdf_pdf` gives Phi and phi of a whole array, in two new arrays or
 two given ones, with one erfc and one exp call and the rest in place, bit
-for bit `norm_cdf` and `norm_pdf`. State evolution stacks both edges of a
-window into one (2, ...) array and evaluates them in this one pass.
+for bit `norm_cdf` and `norm_pdf`. State evolution's quadrature window
+stacks both edges of a window, at every noise node, into one (2, nodes)
+array and evaluates them in this one pass.
 
 `soft_threshold_risk` is this module's scalar routine: it takes one mean
 in Python floats, with `math.erfc` and `math.exp`, since state evolution
 calls it once per prior atom, and its bits are those of math's routines.
-State evolution's window for a normal noise component
-(`state_evolution._conditional`) is scalar too, but calls scipy's erfc
+State evolution's window for one normal noise component
+(`state_evolution._normal_sums`) is scalar too, but calls scipy's erfc
 and numpy's exp on its floats, the routines of `norm_cdf_pdf`: math's
-round differently in the last bit, and the window's normal path keeps
-the bits of the plain array formulas that its quadrature path also
-reproduces.
+round differently in the last bit, and the component window keeps the
+bits of the plain array formulas, as the quadrature window does.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def soft_threshold_risk(m, alpha):
     pdf_a = math.exp((-0.5 * a) * a) * _INV_SQRT_2PI
     pdf_b = math.exp((-0.5 * b) * b) * _INV_SQRT_2PI
     r = (1.0 - cdf_a + cdf_b) * (1.0 + alpha * alpha)
-    r += (cdf_a - cdf_b) * (m * m)
+    if cdf_a != cdf_b:  # else m^2 may overflow, and 0 * inf is nan
+        r += (cdf_a - cdf_b) * (m * m)
     r += b * pdf_a
     r -= a * pdf_b
     return r

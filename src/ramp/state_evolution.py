@@ -8,66 +8,46 @@ empirical residuals. Fixed points feed the benchmark tables and the
 tuning of the threshold multiplier alpha.
 
 Expectations over the effective residual W + sigma Z are computed from
-truncated-normal closed forms conditional on W, all built from the four
-edge terms Phi(a), Phi(c), phi(a), phi(c) at the standardized window edges.
-A normal mixture therefore collapses exactly, one closed form per
-component; normal noise is the one-component mixture and takes the same
-exact path. A component has the one mean 0, so its closed form is taken
-on Python floats (`_conditional`), with two scalar erfc and two scalar
-exp calls: scipy's and numpy's, the routines of `gauss.norm_cdf_pdf`, in
-its operations, so the values have the bits of the plain array formulas
-(math's erfc and exp round differently). A numpy pass on one mean spent
-about 14 us, nearly all of it numpy's per-call overhead; the float form
-takes about 2 us. Heavy-tailed laws are integrated over W with
-Gauss-Legendre nodes on the inverse cdf, split at the median so the
-Laplace kink sits on a panel edge. `_window_edges` stacks both edges, at
-every node, in one (2, nodes) array and evaluates them in one pass
-(`gauss.norm_cdf_pdf`: one erfc and one exp call), with the operations of
-the plain one-edge formulas and so with their bits. Only the second
-moment inside the window, whose terms cancel, is formed per node; it and
-the edge terms are the rows of one array, and one product with the
-weights gives every sum (`_node_sums`), within a few ulps of averaging
-each node's moments.
+truncated-normal closed forms given v's normal part, all built from the
+edge terms Phi and phi at the standardized window edges. A normal
+mixture therefore collapses exactly, one closed form per component
+(`_normal_sums`, on Python floats); normal noise is the one-component
+mixture and takes the same exact path. Heavy-tailed laws are integrated
+over W with Gauss-Legendre nodes on the inverse cdf, split at the median
+so the Laplace kink sits on a panel edge (`_node_sums`, one numpy pass
+over every node). Either helper returns the same eight window sums, and
+one block of `score_moments` turns them into the six values the tau
+update reads.
 
 Every loss enters through its constants (kappa, e_lo, e_hi) from
 `losses.score_shape`: Phi(v; b) = c clip(v, lo, hi) with c = b/(kappa + b)
 and the score window (lo, hi] = (kappa + b)(e_lo, e_hi]. So the slope
 E d1Phi is c times the mass of the window and E Phi^2 is c^2 E clip(v,
-lo, hi)^2; c and its derivative kappa/(kappa + b)^2 multiply the noise
-averages. The derivative of the slope in b takes, besides dc/db, the
-density of W + sigma Z at each window edge times the rate e_lo or e_hi at
-which that edge moves, from the same normal pieces; the derivative of
-E clip^2 takes each edge times its rate times the mass beyond it. The
-second derivatives take the slope of the normal density at each edge
-and, for E clip^2, the edge density against the mass beyond; the pass
-already forms every edge term they read. `score_moments` is the one
-window kernel: one pass over the edges gives the slope, E Phi^2 and
-their first and second derivatives in b. Least squares, whose window is
-the whole line, reads the noise variance for every law. The tau update
-finds b by safeguarded steps on log b (`calibration.solve_increasing` on
-`score_moments`), with E Phi^2 riding along. For sigma > 0 the steps
-are Halley's, third order, wherever Halley's correction to Newton's
-step is small, and Newton's elsewhere; once the next Halley step moves
-b by a relative cbrt(1e-13)/2 or less (about 1.0e-5 on log10 b), it
-takes that step without a window pass and carries E Phi^2 there to
-second order, with an error of the order of the step's cube (the tau
-equation then holds within 1e-13 relative of a fresh pass on the
-tested cases); otherwise it reads E Phi^2 at the point it evaluated
-last. The rows' (sigma_sq, b) converge geometrically, so a fixed-point
-run starts each solve from b extrapolated to the new sigma_sq through
-its last three rows (`_predicted_b`): on the twelve cells of the
-benchmark's se_tune workload an update takes 1.32 window passes (679
-over 515 updates with seed 1), against 1.62 (833) with Newton's steps
-and an unevaluated last step only below 6.9e-8 on log10 b, and 2.23
-(1146) when Newton evaluated its last step. The stopping rule does not
-depend on the start, so each b is the same root to solver precision.
-At sigma = 0 the slope is a step map: Newton evaluates every step, so a
-jump inside its last step is not missed, and its bisection fallback
-finds the jump. The sigma update takes one scalar soft-threshold risk
-call per prior atom, in Python floats: on the three atoms of the +-1
-prior a vectorized call spent its time in numpy's per-call overhead.
-The zero-estimate start of a fixed point does not depend on alpha, so
-`tune_alpha` computes it once per grid.
+lo, hi)^2; c and its derivatives multiply the noise averages. The
+derivatives of the slope in b take, besides those of c, the density of
+W + sigma Z at each window edge times the rate e_lo or e_hi at which that
+edge moves, and the slope of that density; those of E clip^2 take each
+edge times its rate times the mass beyond it, and the edge density
+against that mass. Least squares, whose window is the whole line, reads
+the noise variance for every law. The tau update finds b by safeguarded
+steps on log b (`calibration.solve_increasing` on `score_moments`), with
+E Phi^2 riding along. For sigma > 0 the steps are Halley's, third order,
+wherever Halley's correction to Newton's step is small, and Newton's
+elsewhere; once the next Halley step moves b by a relative
+cbrt(1e-13)/2 or less (about 1.0e-5 on log10 b), it takes that step
+without a window pass and carries E Phi^2 there to second order, with
+an error of the order of the step's cube (the tau equation then holds
+within 1e-13 relative of a fresh pass on the tested cases); otherwise it
+reads E Phi^2 at the point it evaluated last. The rows' (sigma_sq, b)
+converge geometrically, so a fixed-point run starts each solve from b
+extrapolated to the new sigma_sq through its last three rows
+(`_predicted_b`). The stopping rule does not depend on the start, so
+each b is the same root to solver precision. At sigma = 0 the slope is
+a step map: Newton evaluates every step, so a jump inside its last step
+is not missed, and its bisection fallback finds the jump. The sigma
+update takes one scalar soft-threshold risk call per prior atom, in
+Python floats. The zero-estimate start of a fixed point does not depend
+on alpha, so `tune_alpha` computes it once per grid.
 
 A fixed point is recorded as its rows (t, sigma_sq, tau_sq, b, theta),
 one per iteration: the starred values of `SeResult` are the last row.
@@ -304,100 +284,38 @@ class DistributionModel:
 _NODES_PER_HALF = 220
 
 
-def _window_edges(lo, hi, mu, s, out):
-    """Edge terms of the window (lo, hi] for v ~ N(mu, s^2), s > 0.
+def _normal_sums(lo, hi, s):
+    """The eight window sums of v ~ N(0, s^2), s > 0, as Python floats.
 
-    Returns (e, Phi(e), phi(e)), each a (2, ...) array whose rows belong to
-    the standardized lower edge a = (lo - mu)/s and upper edge
-    c = (hi - mu)/s; both slope and E clip(v, lo, hi)^2 are built from
-    them. Both edges go through one `norm_cdf_pdf` pass, written into the
-    three arrays of out. The edges of a Huber or kinked window are finite,
-    so no infinite-edge guard is needed. Vectorized over mu.
+    Returns (P, M_in, P_below, P_above, f(lo), f(hi), g(lo), g(hi)) for the
+    window (lo, hi] with standardized edges a = lo/s and c = hi/s: the mass
+    P = Phi(c) - Phi(a) inside it, the second moment inside it
+
+        M_in = s^2 P + s^2 (a phi(a) - c phi(c)),
+
+    the masses Phi(a) below and 1 - P - Phi(a) above (clamped at 0), the
+    density f = phi(z)/s of v at each edge, and g = z phi(z)/s^2, the
+    slope of that density. Phi and phi take scipy's erfc and numpy's exp
+    on the two scalar edges in the operations of `gauss.norm_cdf_pdf`, so
+    the values have the bits of the plain array formulas.
     """
-    e = np.subtract.outer((lo, hi), mu, out=out[0])
-    e /= s
-    return (e,) + norm_cdf_pdf(e, out[1:])
-
-
-def _window_m2(e, p_in, pdf, mu_sq, mu_2, s, out):
-    """E v^2 1{lo < v <= hi} for v ~ N(mu, s^2), from the edge terms.
-
-    The truncated-normal closed form
-
-        (mu^2 + s^2) P + 2 mu s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c))
-
-    with mu^2 and 2 mu given, in the operations of
-    `gauss.truncated_moments` and so with its bits. Its terms cancel when
-    the window is narrow against s, so it is formed at each mean before any
-    average. Written into out; overwrites e with (a phi(a), c phi(c)).
-    """
-    m2 = np.add(mu_sq, s * s, out=out)
-    m2 *= p_in
-    t = mu_2 * s
-    t *= pdf[0] - pdf[1]
-    m2 += t
-    e *= pdf
-    t = e[0] - e[1]
-    t *= s * s
-    m2 += t
-
-
-def _conditional(lo, hi, rate_lo, rate_hi, mu, s):
-    """P, E clip^2 and their first and second derivatives in b, v ~ N(mu, s^2).
-
-    Returns (P, dP/db, E clip^2, d E clip^2/db, d2P/db2, d2 E clip^2/db2)
-    for the window (lo, hi]. P is the mass of v in the score window, on
-    which Phi(v; b) = c clip(v, lo, hi), so P and E clip(v, lo, hi)^2 are
-    E d1Phi/c and E Phi^2/c^2. The edges move with b at rates rate_lo and
-    rate_hi, so dP/db is the density of v at each edge times that edge's
-    rate, and d E clip^2/db = 2 (hi rate_hi P_above + lo rate_lo P_below),
-    the clip being an edge outside the window. Differentiating once more,
-    with the standardized edges a and c,
-
-        d2P/db2 = (rate_lo^2 a phi(a) - rate_hi^2 c phi(c))/s^2,
-        d2 E clip^2/db2 = 2 (rate_hi^2 (P_above - hi phi(c)/s)
-                             + rate_lo^2 (P_below + lo phi(a)/s)).
-
-    For s > 0, mu is one float and the six values are Python floats, taken
-    once per normal component by `_noise_average`: the mass below the
-    window is Phi(a), and the second moment inside it is the closed form
-    of `_window_m2`. Phi and phi take scipy's erfc and numpy's exp on the
-    two edges, in the operations of `gauss.norm_cdf_pdf`, so the values
-    have the bits of the plain array formulas. At s = 0, v is a point mass
-    at mu, inside when lo < mu <= hi, with no density at the edges;
-    vectorized over mu.
-    """
-    if s == 0.0:
-        p_in = ((mu > lo) & (mu <= hi)).astype(float)
-        p_below = (mu <= lo).astype(float)
-        p_above = 1.0 - p_in - p_below  # exactly one of the three is 1
-        zero = np.zeros_like(p_in)
-        return (p_in, zero, mu * mu * p_in + hi * hi * p_above + lo * lo * p_below,
-                2.0 * (hi * rate_hi * p_above + lo * rate_lo * p_below), zero,
-                2.0 * (rate_hi * rate_hi * p_above + rate_lo * rate_lo * p_below))
-    a, c = (lo - mu) / s, (hi - mu) / s
+    a, c = lo / s, hi / s
     p_below = float(special.erfc(a / -_SQRT2)) * 0.5
     p_in = float(special.erfc(c / -_SQRT2)) * 0.5 - p_below
     pdf_a = float(np.exp((a * -0.5) * a)) * _INV_SQRT_2PI
     pdf_c = float(np.exp((c * -0.5) * c)) * _INV_SQRT_2PI
     xf_a, xf_c = a * pdf_a, c * pdf_c
-    m2_in = ((mu * mu + s * s) * p_in + mu * 2.0 * s * (pdf_a - pdf_c)
-             + (xf_a - xf_c) * (s * s))
-    p_above = max(1.0 - p_in - p_below, 0.0)
-    return (p_in, pdf_c * (rate_hi / s) - (rate_lo / s) * pdf_a,
-            m2_in + hi * hi * p_above + lo * lo * p_below,
-            2.0 * (hi * rate_hi * p_above + lo * rate_lo * p_below),
-            xf_a * (rate_lo * rate_lo / (s * s)) - (rate_hi * rate_hi / (s * s)) * xf_c,
-            2.0 * (rate_hi * rate_hi * (p_above - hi * (pdf_c / s))
-                   + rate_lo * rate_lo * (p_below + lo * (pdf_a / s))))
+    return (p_in, (s * s) * p_in + (xf_a - xf_c) * (s * s), p_below,
+            max(1.0 - p_in - p_below, 0.0), pdf_a / s, pdf_c / s,
+            xf_a / (s * s), xf_c / (s * s))
 
 
 @lru_cache(maxsize=32)
 def _noise_nodes(noise):
     """Inverse-cdf Gauss-Legendre nodes for E over the noise law.
 
-    Returns (w, weights, w^2, 2w), the last two for `_window_m2`. Every
-    caller shares these arrays, so they are read-only.
+    Returns (w, weights, w^2, 2w), the last two for the second moment in
+    the window. Every caller shares these arrays, so they are read-only.
     """
     x, w = np.polynomial.legendre.leggauss(_NODES_PER_HALF)
     u = 0.25 * (x + 1.0)
@@ -410,59 +328,48 @@ def _noise_nodes(noise):
     return arrays
 
 
-def _node_sums(lo, hi, rate_lo, rate_hi, noise, s):
-    """`_conditional` averaged over the noise law's nodes w, for s > 0.
+def _node_sums(lo, hi, noise, s):
+    """The eight window sums over the noise law's nodes w, v ~ N(w, s^2).
 
-    Only the in-window second moment m2_in is formed per node
-    (`_window_m2`), because its terms cancel. It and P, Phi(a), 1 - Phi(c),
-    phi(a), phi(c), a phi(a), c phi(c) are the rows of one (8, nodes)
-    array, and one product with the weights gives all eight sums. Then
+    Returns the weighted sums of (P, M_in, Phi(a), 1 - Phi(c), phi(a),
+    phi(c), a phi(a), c phi(c)) with a = (lo - w)/s and c = (hi - w)/s,
+    the density terms not yet divided by s. Both edges, at every node, are
+    rows of one (8, nodes) array and take Phi and phi in one
+    `gauss.norm_cdf_pdf` pass (one erfc and one exp call), with the
+    operations of the plain one-edge formulas and so with their bits. Only
+    the second moment inside the window,
 
-        E clip(v, lo, hi)^2 = sum w m2_in + hi^2 sum w (1 - Phi(c))
-                              + lo^2 sum w Phi(a),
-        dP/db = (rate_hi sum w phi(c) - rate_lo sum w phi(a))/s,
-        d E clip^2/db = 2 (hi rate_hi sum w (1 - Phi(c))
-                           + lo rate_lo sum w Phi(a)),
-        d2P/db2 = (rate_lo^2 sum w a phi(a) - rate_hi^2 sum w c phi(c))/s^2,
-        d2 E clip^2/db2 = 2 (rate_hi^2 (sum w (1 - Phi(c)) - hi sum w phi(c)/s)
-                             + rate_lo^2 (sum w Phi(a) + lo sum w phi(a)/s)).
+        M_in = (w^2 + s^2) P + 2 w s (phi(a) - phi(c)) + s^2 (a phi(a) - c phi(c)),
 
-    1 - Phi(c) is never negative, so no clamp is needed.
+    whose terms cancel when the window is narrow against s, is formed per
+    node, in the operations of `gauss.truncated_moments`; then one product
+    with the weights gives all eight sums. At s = 0, v is a point mass at
+    w, inside when lo < w <= hi, with no density at the edges.
     """
     nodes, weights, nodes_sq, nodes_2 = _noise_nodes(noise)
     rows = np.empty((8, nodes.size))
-    e, cdf, pdf = _window_edges(lo, hi, nodes, s, out=(rows[6:8], rows[2:4], rows[4:6]))
-    np.subtract(cdf[1], cdf[0], out=rows[0])
-    _window_m2(e, rows[0], pdf, nodes_sq, nodes_2, s, out=rows[1])
-    np.subtract(1.0, cdf[1], out=cdf[1])
-    p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = (rows @ weights).tolist()
-    return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s,
-            m2_in + hi * hi * above + lo * lo * below,
-            2.0 * (hi * rate_hi * above + lo * rate_lo * below),
-            (rate_lo * rate_lo * xf_lo - rate_hi * rate_hi * xf_hi) / (s * s),
-            2.0 * (rate_hi * rate_hi * (above - hi * f_hi / s)
-                   + rate_lo * rate_lo * (below + lo * f_lo / s)))
-
-
-def _noise_average(conditional, noise, sigma):
-    """Average over W of the tuple conditional(mu, s) for v ~ N(mu, s^2).
-
-    Exact for a law with normal components, whose v is normal given the
-    component: a normal mixture, or a normal law as its one component
-    (0.0 + 1.0 x is x, and no first moment or first derivative here is
-    -0.0, so their bits are those of a direct evaluation; a second
-    derivative of -0.0 reads 0.0). Otherwise, at sigma = 0, the point
-    masses at the noise law's nodes, one dot product per entry.
-    """
-    components = getattr(noise, "components", None)
-    if components is not None:
-        totals = [0.0] * 6
-        for w, v in components:
-            for i, x in enumerate(conditional(0.0, math.sqrt(v + sigma * sigma))):
-                totals[i] += w * x
-        return tuple(totals)
-    nodes, weights = _noise_nodes(noise)[:2]
-    return tuple(float(weights @ x) for x in conditional(nodes, sigma))
+    if s == 0.0:
+        rows[0] = (nodes > lo) & (nodes <= hi)
+        np.multiply(nodes_sq, rows[0], out=rows[1])
+        rows[2] = nodes <= lo
+        rows[3] = nodes > hi
+        rows[4:] = 0.0
+    else:
+        e = np.subtract.outer((lo, hi), nodes, out=rows[6:8])
+        e /= s
+        cdf, pdf = norm_cdf_pdf(e, out=(rows[2:4], rows[4:6]))
+        p_in = np.subtract(cdf[1], cdf[0], out=rows[0])
+        m2 = np.add(nodes_sq, s * s, out=rows[1])
+        m2 *= p_in
+        t = nodes_2 * s
+        t *= pdf[0] - pdf[1]
+        m2 += t
+        e *= pdf
+        t = e[0] - e[1]
+        t *= s * s
+        m2 += t
+        np.subtract(1.0, cdf[1], out=cdf[1])  # never negative
+    return (rows @ weights).tolist()
 
 
 def score_moments(loss, b, noise, sigma):
@@ -474,35 +381,40 @@ def score_moments(loss, b, noise, sigma):
     window (lo, hi] = (kappa + b)(e_lo, e_hi] and M = E clip(v, lo, hi)^2,
     the slope is c P and E Phi^2 is c^2 M, with c = b/(kappa + b),
     c' = kappa/(kappa + b)^2 and c'' = -2 kappa/(kappa + b)^3. The edges
-    move with b at rates e_lo and e_hi, so with f the density of v
+    move with b at rates e_lo and e_hi. Given v's normal part (W, or a
+    mixture component) it has sd s, its edges standardize to z_lo and
+    z_hi, and the eight window sums are the averages over that part of
+    P, M_in (the second moment inside the window), P_below, P_above (the
+    masses below and above it, where the clip is the edge), and of
+    phi(z_lo), phi(z_hi), z_lo phi(z_lo) and z_hi phi(z_hi). From them,
+    with f(lo) = E phi(z_lo)/s the density of v at lo,
 
+        M = M_in + hi^2 P_above + lo^2 P_below,
         P' = e_hi f(hi) - e_lo f(lo),
         M' = 2 (hi e_hi P_above + lo e_lo P_below),
         P'' = (e_lo^2 E[z_lo phi(z_lo)] - e_hi^2 E[z_hi phi(z_hi)])/s^2,
         M'' = 2 (e_hi^2 (P_above - hi f(hi)) + e_lo^2 (P_below + lo f(lo))),
 
-    P_above and P_below the masses of v above and below the window, where
-    the clip is the edge, and z_lo, z_hi the edges standardized as the
-    normal v given W (or given a mixture component) is, with sd s. Then
+    and then
 
         d slope/db = c' P + c P',      d2 slope/db2 = c'' P + 2 c' P' + c P'',
         d E Phi^2/db = 2 c c' M + c^2 M',
         d2 E Phi^2/db2 = 2 c'^2 M + 2 c c'' M + 4 c c' M' + c^2 M''.
 
-    All six come from one pass over the window: exact for Normal and
-    NormalMixture noise (`_conditional` per component), by Gauss-Legendre
-    quadrature over the noise law otherwise (`_node_sums`, or at sigma = 0
-    `_conditional`'s point masses at the nodes, whose P' and P'' are 0 and
-    whose derivatives are those between the jumps); c and its derivatives
-    multiply the noise averages, not the nodes. The quadrature has no node
-    beyond |w| of about 21.1 for t(4) and 10.4 for Laplace, so once the
-    window holds every node by many sigma, P reads exactly 1 and P', P''
-    all but vanish: the kinked losses' slope reads 1 and f', f'' nearly 0
-    (2.2e-22 and -2.0e-21 at t(4), absolute, b = 30, sigma = 1). A target
-    there gives Newton no usable step, and the search falls back to
-    bisection. The infinite window of least squares gives (c, c', c^2 m,
-    2 c c' m, c'', (2 c'^2 + 2 c c'') m), m = variance + sigma^2, for
-    every law and raises ValueError when the noise variance is infinite.
+    A law with normal components (Normal, NormalMixture) is averaged
+    exactly: `_normal_sums` per component, whose density terms are already
+    divided by its sd, summed by weight. Any other law is integrated by
+    Gauss-Legendre quadrature over its nodes (`_node_sums`), with s =
+    sigma; at sigma = 0 v is a point mass at each node, and P' and P''
+    vanish between the jumps. The quadrature has no node beyond |w| of
+    about 21.1 for t(4) and 10.4 for Laplace, so once the window holds
+    every node by many sigma, P reads exactly 1 and P', P'' all but
+    vanish: the kinked losses' slope reads 1 and f', f'' nearly 0 (2.2e-22
+    and -2.0e-21 at t(4), absolute, b = 30, sigma = 1). A target there
+    gives Newton no usable step, and the search falls back to bisection.
+    The infinite window of least squares gives (c, c', c^2 m, 2 c c' m,
+    c'', (2 c'^2 + 2 c c'') m), m = variance + sigma^2, for every law and
+    raises ValueError when the noise variance is infinite.
     """
     kappa, e_lo, e_hi = score_shape(loss)
     c = b / (kappa + b)
@@ -516,12 +428,23 @@ def score_moments(loss, b, noise, sigma):
         m = var + sigma * sigma
         return c, dc, c * c * m, 2.0 * c * dc * m, d2c, 2.0 * (dc * dc + c * d2c) * m
     lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-    if sigma > 0.0 and getattr(noise, "components", None) is None:
-        p_in, dp_in, clip_sq, dclip_sq, d2p_in, d2clip_sq = _node_sums(
-            lo, hi, e_lo, e_hi, noise, sigma)
+    components = getattr(noise, "components", None)
+    if components is None:
+        sums = _node_sums(lo, hi, noise, sigma)
+        s = sigma or 1.0  # at sigma = 0 the density sums are 0
     else:
-        p_in, dp_in, clip_sq, dclip_sq, d2p_in, d2clip_sq = _noise_average(
-            lambda mu, s: _conditional(lo, hi, e_lo, e_hi, mu, s), noise, sigma)
+        sums = [0.0] * 8
+        for w, v in components:
+            sums = [t + w * x for t, x in
+                    zip(sums, _normal_sums(lo, hi, math.sqrt(v + sigma * sigma)))]
+        s = 1.0  # each component's density terms are divided by its own sd
+    p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = sums
+    clip_sq = m2_in + hi * hi * above + lo * lo * below
+    dp_in = (e_hi * f_hi - e_lo * f_lo) / s
+    dclip_sq = 2.0 * (hi * e_hi * above + lo * e_lo * below)
+    d2p_in = (e_lo * e_lo * xf_lo - e_hi * e_hi * xf_hi) / (s * s)
+    d2clip_sq = 2.0 * (e_hi * e_hi * (above - hi * f_hi / s)
+                       + e_lo * e_lo * (below + lo * f_lo / s))
     return (c * p_in, dc * p_in + c * dp_in, c * c * clip_sq,
             2.0 * c * dc * clip_sq + c * c * dclip_sq,
             d2c * p_in + 2.0 * dc * dp_in + c * d2p_in,
@@ -538,7 +461,8 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     """Calibrate b on the current residual law and advance tau_sq.
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
-    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2. An infinite score window
+    tau_sq = E Phi(W + sigma Z; b)^2 / slope^2; a sigma_sq that is not
+    finite and nonnegative raises ValueError. An infinite score window
     (least squares) has the closed form b = kappa slope/(1 - slope), as in
     `calibration.calibrate_smooth`, and one `score_moments` call there.
     Otherwise `solve_increasing` takes safeguarded steps on
@@ -558,6 +482,8 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
+    if not 0.0 <= sigma_sq < math.inf:
+        raise ValueError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
     sigma = math.sqrt(sigma_sq)
     noise = dist.noise
 
@@ -746,20 +672,23 @@ def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
     sigma_sq, tau_sq, b = start
     rows = [(0, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq))]
     converged = diverged = False
-    for t in range(1, config.max_iter + 1):
-        prev = tau_sq
-        sigma_sq = se_sigma_update(prev, alpha, dist, delta)
-        # the rows converge geometrically, so b extrapolated through the
-        # last rows to the new sigma_sq starts Newton next to its root
-        tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
-                                  b_start=_predicted_b(rows, sigma_sq))
-        rows.append((t, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq)))
-        if not math.isfinite(tau_sq) or tau_sq > _TAU_SQ_CAP:
-            diverged = True
-            break
-        if abs(tau_sq - prev) < config.tol:
-            converged = True
-            break
+    # a start near tau_sq = 0 puts the window edges past 1.3e154 residual
+    # sds, where phi is 0 but its exponent overflows in `norm_cdf_pdf`
+    with np.errstate(over="ignore"):
+        for t in range(1, config.max_iter + 1):
+            prev = tau_sq
+            sigma_sq = se_sigma_update(prev, alpha, dist, delta)
+            # the rows converge geometrically, so b extrapolated through the
+            # last rows to the new sigma_sq starts Newton next to its root
+            tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
+                                      b_start=_predicted_b(rows, sigma_sq))
+            rows.append((t, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq)))
+            if not math.isfinite(tau_sq) or tau_sq > _TAU_SQ_CAP:
+                diverged = True
+                break
+            if abs(tau_sq - prev) < config.tol:
+                converged = True
+                break
 
     taus = [r[2] for r in rows]
     diffs = [y - x for x, y in zip(taus, taus[1:])]

@@ -311,6 +311,19 @@ class TestSe:
         assert proc.returncode == 0
         assert proc.stderr.splitlines()[0] == "least_squares: tau*^2 0.365766482169"
 
+    def test_smallest_init_tau_sq_runs_without_warnings(self, tmp_path):
+        # the first window lies past 1.3e154 residual sds, where phi is 0
+        # and its exponent overflows; the run neither fails nor warns
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramp.cli", "se", "--init-tau-sq", "1e-320",
+             "--noise", "laplace", "--noise-param", "1", "--losses", "lad",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+
     def test_reruns_are_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -30,20 +30,24 @@ def mismatches(new, old=None):
 
 
 def test_identical_streams_agree():
+    # each case's largest difference, with the part and element where it
+    # is first taken
     worst, found = digest.compare(stream(), stream())
-    assert worst == {"a": 0.0, "b": 0.0}
+    assert worst == {"a": (0.0, 1, 0), "b": (0.0, 0, 0)}
     assert found == []
     assert digest.against({"s": stream()}, {"s": stream()}, per_case=False)
 
 
 def test_relative_bound():
-    # the moved entry is large, so only a relative measure keeps it in bound
+    # the moved entry is large, so only a relative measure keeps it in bound;
+    # it is entry 1 of part 2
     worst, found = digest.compare(stream(big=3.0e5 * (1 + 5e-13)), stream())
-    assert found == [] and 4e-13 < worst["a"] <= digest.RTOL
+    assert found == [] and 4e-13 < worst["a"][0] <= digest.RTOL
+    assert worst["a"][1:] == (2, 1)
     assert digest.against({"s": stream(big=3.0e5 * (1 + 5e-13))}, {"s": stream()},
                           per_case=False)
     worst, found = digest.compare(stream(big=3.0e5 * (1 + 2e-12)), stream())
-    assert found == [] and worst["a"] > digest.RTOL
+    assert found == [] and worst["a"][0] > digest.RTOL
     assert not digest.against({"s": stream(big=3.0e5 * (1 + 2e-12))}, {"s": stream()},
                               per_case=False)
 
@@ -84,12 +88,15 @@ def test_se_save_and_against_round_trip(tmp_path, capsys):
     assert digest.main(["se", "--against", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.count("largest relative difference 0\n") == 2
-    # one fixed-point float moved by 1e-11 relative fails and names its case
+    # one fixed-point float moved by 1e-11 relative fails and names its
+    # case, part and element
     saved, moved = json.loads(path.read_text()), json.loads(path.read_text())
     name, parts = moved["fixed-point"][3]
-    parts[1][1][0] *= 1 + 1e-11
+    parts[1][1][2] *= 1 + 1e-11
     assert not digest.against(saved, moved, per_case=False)
-    assert f"fixed-point: largest relative difference 1e-11 ({name})" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"fixed-point: largest relative difference 1e-11 ({name}, part 1[2])" in out
+    assert f"1e-11  {name}  part 1[2]\n" in out
 
 
 def test_moved_cases_listed_with_their_other_streams(capsys):
@@ -104,9 +111,9 @@ def test_moved_cases_listed_with_their_other_streams(capsys):
     assert not digest.against({"x_hat": moved, "objective": nudged},
                               {"x_hat": x_hat, "objective": objective}, per_case=False)
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["x_hat: largest relative difference 1 (fit b)",
-                     "1  fit b  (objective 4.44e-16)",
-                     "objective: largest relative difference 4.44e-16 (fit b)"]
+    assert lines == ["x_hat: largest relative difference 1 (fit b, part 0[1])",
+                     "1  fit b  part 0[1]  (objective 4.44e-16)",
+                     "objective: largest relative difference 4.44e-16 (fit b, part 0[0])"]
 
 
 def test_reports_hold_standard_error(tmp_path, capsys, monkeypatch):

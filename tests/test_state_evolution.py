@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from helpers import count_calls
 from prior_sampling import amse_monte_carlo, sample_prior
 from ramp import state_evolution
 from ramp.calibration import CalibrationTarget, calibrate
-from ramp.gauss import soft_threshold_risk
+from ramp.gauss import norm_pdf, soft_threshold_risk
 from ramp.losses import absolute, effective_score, effective_score_deriv, huber, least_squares, quantile, \
     score_shape, soft_threshold
 from ramp.solver import lambda_of_theta
@@ -281,41 +282,40 @@ class TestScoreMoments:
         assert abs(q - q_samples.mean()) < 4 * q_samples.std(ddof=1) / math.sqrt(n)
 
     def test_conditional_moments_match_truncated_route(self):
-        # the window kernel's mass and second moment, with p_below by
-        # norm_cdf, give the same bits as truncated_moments calls over the
-        # window and (-inf, lo]; at s = 0 the point mass gives
-        # c^2 clip(mu, lo, hi)^2 = Phi(mu)^2 and no edge density, so the
-        # mass has no derivatives and E clip^2's second derivative is that
-        # of the clip alone, 2 (e_hi^2 P_above + e_lo^2 P_below). The
-        # derivative of E clip^2 reads the same tail masses. The window
-        # (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
-        mu = state_evolution._noise_nodes(Laplace(1.0))[0]
+        # the window sums' masses and second moment give the bits of
+        # truncated_moments calls over the window, (-inf, lo] and (hi, inf]:
+        # for one normal component, on the windows the Laplace nodes shift
+        # to mean 0, and summed over the nodes for s > 0 and for the point
+        # masses at s = 0, which have no density at the edges. There E Phi^2
+        # is the node average of Phi(w)^2 = c^2 clip(w, lo, hi)^2. The
+        # window (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
+        noise = Laplace(1.0)
+        nodes, weights = state_evolution._noise_nodes(noise)[:2]
         for loss, b in ((absolute(), 0.7), (quantile(0.3), 1.9), (huber(1.0), 0.4)):
             kappa, e_lo, e_hi = score_shape(loss)
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-            c = b / (kappa + b)
             for s in (0.6, 0.0):
-                if s > 0.0:  # one float mean at a time
-                    got = np.array([state_evolution._conditional(lo, hi, e_lo, e_hi, m, s)
-                                    for m in mu.tolist()]).T
+                p_in, _, m2_in = state_evolution.truncated_moments(nodes, s, lo, hi)
+                below = state_evolution.truncated_moments(nodes, s, -np.inf, lo)[0]
+                above = state_evolution.truncated_moments(nodes, s, hi, np.inf)[0]
+                sums = state_evolution._node_sums(lo, hi, noise, s)
+                ref = np.zeros((8, nodes.size))
+                ref[:4] = p_in, m2_in, below, above
+                if s > 0.0:
+                    a, c = (lo - nodes) / s, (hi - nodes) / s
+                    ref[4:] = norm_pdf(a), norm_pdf(c), a * norm_pdf(a), c * norm_pdf(c)
+                assert same_bits(sums, ref @ weights)
+                if s > 0.0:  # one float component at a time
+                    for w in nodes.tolist():
+                        got = state_evolution._normal_sums(lo - w, hi - w, s)
+                        p0, _, m2 = state_evolution.truncated_moments(0.0, s, lo - w, hi - w)
+                        p_below = state_evolution.truncated_moments(0.0, s, -np.inf, lo - w)[0]
+                        assert same_bits(got[:3], (p0, m2, p_below))
+                        assert got[3] == max(1.0 - p0 - p_below, 0.0)
                 else:
-                    got = state_evolution._conditional(lo, hi, e_lo, e_hi, mu, s)
-                p, dp, clip_sq, dclip_sq, d2p, d2clip_sq = got
-                p_in, _, m2_in = state_evolution.truncated_moments(mu, s, lo, hi)
-                p_below, _, _ = state_evolution.truncated_moments(mu, s, -np.inf, lo)
-                p_above = np.maximum(1.0 - p_in - p_below, 0.0)
-                np.testing.assert_array_equal(p, p_in)
-                np.testing.assert_array_equal(
-                    clip_sq, m2_in + hi * hi * p_above + lo * lo * p_below)
-                np.testing.assert_array_equal(
-                    dclip_sq, 2.0 * (hi * e_hi * p_above + lo * e_lo * p_below))
-                if s == 0.0:
-                    np.testing.assert_array_equal(dp, np.zeros_like(mu))
-                    np.testing.assert_array_equal(d2p, np.zeros_like(mu))
-                    np.testing.assert_array_equal(
-                        d2clip_sq, 2.0 * (e_hi * e_hi * p_above + e_lo * e_lo * p_below))
-                    phi = effective_score(loss, mu, b)
-                    assert_allclose(c * c * clip_sq, phi * phi, rtol=1e-15)
+                    phi = effective_score(loss, nodes, b)
+                    assert_allclose(score_moments(loss, b, noise, 0.0)[2],
+                                    weights @ (phi * phi), rtol=1e-14)
 
     def test_least_squares_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -571,10 +571,11 @@ class TestNormalIsOneComponentMixture:
         assert normal.result.rows == twin.result.rows
 
 
-# The edge terms written as plain expressions, one edge and one call at a
-# time: the formulas the stacked, in-place pass must reproduce bit for bit.
-# plain_window is the per-node tuple; plain_node_sums is the quadrature
-# kernel's form, which sums the edge terms by weight.
+# The window written as plain expressions, one edge and one call at a time:
+# the formulas the kernel must reproduce bit for bit. plain_terms gives the
+# eight window terms at each mean; summed by the quadrature weights, or by
+# the mixture weights at mean 0, they are the window sums, and
+# plain_moments turns sums (or each node's terms) into the six values.
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -587,33 +588,28 @@ def plain_pdf(x):
     return INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def plain_window(lo, hi, rate_lo, rate_hi, mu, s):
+def plain_terms(lo, hi, mu, s):
+    """P, M_in, Phi(a), 1 - Phi(c), phi(a), phi(c), a phi(a), c phi(c) at mu."""
     a, c = (lo - mu) / s, (hi - mu) / s
     cdf_a, cdf_c, pdf_a, pdf_c = plain_cdf(a), plain_cdf(c), plain_pdf(a), plain_pdf(c)
     p_in = cdf_c - cdf_a
     m2_in = ((mu * mu + s * s) * p_in + 2.0 * mu * s * (pdf_a - pdf_c)
              + s * s * (a * pdf_a - c * pdf_c))
-    p_above = np.maximum(1.0 - p_in - cdf_a, 0.0)
-    return (p_in, (rate_hi / s) * pdf_c - (rate_lo / s) * pdf_a,
-            m2_in + hi * hi * p_above + lo * lo * cdf_a,
-            2.0 * (hi * rate_hi * p_above + lo * rate_lo * cdf_a),
-            a * pdf_a * (rate_lo * rate_lo / (s * s)) - (rate_hi * rate_hi / (s * s)) * (c * pdf_c),
-            2.0 * (rate_hi * rate_hi * (p_above - hi * (pdf_c / s))
-                   + rate_lo * rate_lo * (cdf_a + lo * (pdf_a / s))))
+    return np.array([p_in, m2_in, cdf_a, 1.0 - cdf_c, pdf_a, pdf_c, a * pdf_a, c * pdf_c])
 
 
-def plain_node_sums(lo, hi, rate_lo, rate_hi, noise, s):
-    # the per-node second moment in the window, then one product of the
-    # eight rows with the quadrature weights
-    w, weights = state_evolution._noise_nodes(noise)[:2]
-    a, c = (lo - w) / s, (hi - w) / s
-    cdf_a, cdf_c, pdf_a, pdf_c = plain_cdf(a), plain_cdf(c), plain_pdf(a), plain_pdf(c)
-    p_in = cdf_c - cdf_a
-    m2_in = ((w * w + s * s) * p_in + 2.0 * w * s * (pdf_a - pdf_c)
-             + s * s * (a * pdf_a - c * pdf_c))
-    p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = (
-        np.array([p_in, m2_in, cdf_a, 1.0 - cdf_c, pdf_a, pdf_c, a * pdf_a, c * pdf_c])
-        @ weights).tolist()
+def plain_component(lo, hi, s):
+    """The terms of one normal component at mean 0, as floats: the mass above
+    is 1 - P - Phi(a), clamped at 0, and the density terms are divided by
+    s and s^2."""
+    p_in, m2_in, cdf_a, _, pdf_a, pdf_c, xf_a, xf_c = plain_terms(lo, hi, np.float64(0.0), s)
+    return [float(x) for x in (p_in, m2_in, cdf_a, max(1.0 - p_in - cdf_a, 0.0),
+                               pdf_a / s, pdf_c / s, xf_a / (s * s), xf_c / (s * s))]
+
+
+def plain_moments(sums, s, lo, hi, rate_lo, rate_hi):
+    """(P, P', M, M', P'', M'') from the eight sums, density terms over s."""
+    p_in, m2_in, below, above, f_lo, f_hi, xf_lo, xf_hi = sums
     return (p_in, (rate_hi * f_hi - rate_lo * f_lo) / s, m2_in + hi * hi * above + lo * lo * below,
             2.0 * (hi * rate_hi * above + lo * rate_lo * below),
             (rate_lo * rate_lo * xf_lo - rate_hi * rate_hi * xf_hi) / (s * s),
@@ -650,38 +646,50 @@ BIT_NOISES = (Normal(0.2), NormalMixture(((0.9, 0.1), (0.1, 5.0))), Laplace(1.0)
 BIT_LOSSES = (huber(1.0), huber(0.5), absolute(), quantile(0.7), quantile(0.3))
 
 
+@dataclass(frozen=True)
+class NodeTable:
+    """A law whose 440 quadrature nodes are given, in order."""
+
+    nodes: tuple
+
+    def ppf(self, u):
+        return np.array(self.nodes)
+
+
 class TestEdgeTermsBitIdentity:
-    """The stacked, in-place edge pass gives the bits of the plain formulas."""
+    """The stacked, in-place window pass gives the bits of the plain formulas."""
 
     def test_window_edges_on_nodes_and_random_edges(self):
+        # the node sums, on the heavy-tailed laws' nodes and on random nodes,
+        # and one normal component's sums, against the plain terms
         rng = np.random.default_rng(7)
-        cases = [(mu, lo, hi, s)
-                 for mu in [state_evolution._noise_nodes(noise)[0]
-                            for noise in (Laplace(1.0), StudentT(4.0), Cauchy(1.0))] + [0.0]
+        laws = [Laplace(1.0), StudentT(4.0), Cauchy(1.0)]
+        cases = [(noise, lo, hi, s) for noise in laws + [None]
                  for lo, hi in ((-1.4, 1.4), (-0.3, 0.7), (-5.0, 2.5))
                  for s in (1e-3, 0.3, 1.0, 20.0)]
-        cases += [(rng.normal(0.0, 3.0, 440), -abs(rng.normal(0.0, 2.0)),
-                   abs(rng.normal(0.0, 2.0)), rng.uniform(0.05, 2.0)) for _ in range(20)]
-        for mu, lo, hi, s in cases:
-            e, cdf, pdf = state_evolution._window_edges(
-                lo, hi, mu, s, out=np.empty((3, 2) + np.shape(mu)))
-            for row, edge in enumerate((lo, hi)):
-                x = (edge - mu) / s
-                assert same_bits(e[row], x)
-                assert same_bits(cdf[row], plain_cdf(x))
-                assert same_bits(pdf[row], plain_pdf(x))
+        cases += [(NodeTable(tuple(rng.normal(0.0, 3.0, 440).tolist())),
+                   -abs(rng.normal(0.0, 2.0)), abs(rng.normal(0.0, 2.0)),
+                   rng.uniform(0.05, 2.0)) for _ in range(20)]
+        for noise, lo, hi, s in cases:
+            if noise is None:
+                assert same_bits(state_evolution._normal_sums(lo, hi, s),
+                                 plain_component(lo, hi, s))
+                continue
+            nodes, weights = state_evolution._noise_nodes(noise)[:2]
+            assert same_bits(state_evolution._node_sums(lo, hi, noise, s),
+                             plain_terms(lo, hi, nodes, s) @ weights)
 
     @pytest.mark.parametrize("noise", BIT_NOISES)
     @pytest.mark.parametrize("loss", BIT_LOSSES)
     def test_score_moments_and_slope_curve(self, noise, loss):
         # all six outputs of the one window pass: the slope, E Phi^2 and
         # their first and second derivatives in b. A normal mixture gives
-        # the bits of the plain per-component tuple. A quadrature law gives
-        # the bits of the node sums written out, and agrees with the
-        # per-node tuple averaged entry by entry within 1e-14 relative; the
-        # derivative of E Phi^2 within that or one rounding of its tail
-        # masses (1 - Phi(c) per node against 1 - P - Phi(a)), which is
-        # larger where the window holds nearly all the mass.
+        # the bits of its components' plain terms summed by weight. A
+        # quadrature law gives the bits of the plain terms summed by the
+        # node weights, and agrees with each node's six values averaged
+        # entry by entry within 1e-14 relative; the derivative of E Phi^2
+        # within that or a few roundings of its tail masses, which is larger
+        # where the window holds nearly all the mass.
         kappa, e_lo, e_hi = score_shape(loss)
         quadrature = not hasattr(noise, "components")
         for b in (0.01, 0.3, 1.0, 4.0, 200.0):
@@ -698,31 +706,38 @@ class TestEdgeTermsBitIdentity:
 
             for sigma in (1e-3, 0.3, 1.0, 30.0):
                 got = score_moments(loss, b, noise, sigma)
-                per_node = moments(*state_evolution._noise_average(
-                    lambda mu, s: plain_window(lo, hi, e_lo, e_hi, mu, s), noise, sigma))
-                if quadrature:
-                    assert same_bits(got, moments(*plain_node_sums(lo, hi, e_lo, e_hi,
-                                                                   noise, sigma)))
-                    assert_allclose(got[:3], per_node[:3], rtol=1e-14, atol=0)
-                    tails = 2.0 * c * c * (hi * e_hi + lo * e_lo)
-                    assert_allclose(got[3], per_node[3], rtol=1e-14,
-                                    atol=tails * np.finfo(float).eps)
-                    # the second derivatives add terms that nearly cancel
-                    # on a wide normal part (c''P + 2c'P' + cP'' on Huber
-                    # at sigma = 30, 4.2e-12 apart), and that of E Phi^2
-                    # reads the same tail masses as the first
-                    assert_allclose(got[4], per_node[4], rtol=1e-11, atol=0)
-                    tails = 2.0 * c * c * (e_hi * e_hi + e_lo * e_lo)
-                    assert_allclose(got[5], per_node[5], rtol=1e-11,
-                                    atol=tails * np.finfo(float).eps)
-                else:
-                    assert same_bits(got, per_node)
+                if not quadrature:
+                    sums = [0.0] * 8
+                    for w, v in noise.components:
+                        sums = [t + w * x for t, x in
+                                zip(sums, plain_component(lo, hi, math.sqrt(v + sigma * sigma)))]
+                    assert same_bits(got, moments(*plain_moments(sums, 1.0, lo, hi, e_lo, e_hi)))
+                    continue
+                nodes, weights = state_evolution._noise_nodes(noise)[:2]
+                terms = plain_terms(lo, hi, nodes, sigma)
+                assert same_bits(got, moments(*plain_moments(
+                    (terms @ weights).tolist(), sigma, lo, hi, e_lo, e_hi)))
+                per_node = moments(*(float(weights @ x) for x in plain_moments(
+                    terms, sigma, lo, hi, e_lo, e_hi)))
+                assert_allclose(got[:3], per_node[:3], rtol=1e-14, atol=0)
+                tails = 2.0 * c * c * (hi * e_hi + lo * e_lo)
+                assert_allclose(got[3], per_node[3], rtol=1e-14,
+                                atol=tails * np.finfo(float).eps)
+                # the second derivatives add terms that nearly cancel on a
+                # wide normal part (c''P + 2c'P' + cP'' on Huber at
+                # sigma = 30, 4.2e-12 apart), and that of E Phi^2 reads the
+                # same tail masses as the first
+                assert_allclose(got[4], per_node[4], rtol=1e-11, atol=0)
+                tails = 2.0 * c * c * (e_hi * e_hi + e_lo * e_lo)
+                assert_allclose(got[5], per_node[5], rtol=1e-11,
+                                atol=tails * np.finfo(float).eps)
 
     def test_float_window_on_random_windows(self):
-        # the window at one float mean gives Python floats with the bits of
-        # the plain formulas on numpy scalars. The standardized edges reach
-        # past 8.3, where Phi rounds to exactly 1, and past 38.6, where phi
-        # underflows to 0 (and Phi below -38.5); s runs from 1e-3 to 30
+        # one normal component's sums are Python floats with the bits of the
+        # plain formulas on numpy scalars. The standardized edges reach past
+        # 8.3, where Phi rounds to exactly 1, and past 38.6, where phi
+        # underflows to 0 (and Phi below -38.5); s runs from 1e-3 to 30, and
+        # mu shifts the window off center
         rng = np.random.default_rng(29)
         zs = (0.0, 0.4, 2.0, 8.4, 12.0, 38.7, 45.0, 1e3)
         cases = [(a, c, s, mu) for a in zs for c in zs
@@ -735,10 +750,9 @@ class TestEdgeTermsBitIdentity:
             lo, hi = mu - a * s, mu + c * s
             if not lo < hi:
                 continue
-            rate_lo, rate_hi = -float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))
-            got = state_evolution._conditional(lo, hi, rate_lo, rate_hi, mu, s)
+            got = state_evolution._normal_sums(lo, hi, s)
             assert all(type(x) is float for x in got)
-            assert same_bits(got, plain_window(lo, hi, rate_lo, rate_hi, np.float64(mu), s))
+            assert same_bits(got, plain_component(lo, hi, s))
 
     def test_cached_nodes_are_read_only(self):
         # every caller shares the cached node arrays, so a write raises and
@@ -751,6 +765,13 @@ class TestEdgeTermsBitIdentity:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert same_bits(score_moments(absolute(), 0.7, noise, 0.5), before)
+
+    def test_soft_threshold_risk_far_means(self):
+        # past |m| of about 1.34e154 m^2 overflows, but both cdfs are equal
+        # there and the m^2 term is 0: the risk is its limit 1 + alpha^2
+        for m in (1.4e154, -1.4e154, 1e300, -1e300):
+            for alpha in (0.0, 0.5, 2.0, 12.0):
+                assert soft_threshold_risk(m, alpha) == 1.0 + alpha * alpha
 
     def test_soft_threshold_risk(self):
         # the plain formula in math's erfc and exp gives the bits; numpy's
@@ -812,6 +833,15 @@ class TestTauUpdate:
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 se_tau_update(0.5, dist, absolute(), bad)
+
+    @pytest.mark.parametrize("sigma_sq", (-1e-3, math.inf, math.nan))
+    def test_sigma_sq_validation(self, sigma_sq):
+        for noise in (Normal(1.0), Laplace(1.0)):
+            dist = DistributionModel(pm_one_prior(0.128), noise)
+            for loss in (absolute(), least_squares()):
+                with pytest.raises(ValueError, match=f"sigma_sq must be finite and "
+                                                     f"nonnegative, got {sigma_sq}"):
+                    se_tau_update(sigma_sq, dist, loss, 0.2)
 
 
 class TestSigmaUpdate:
@@ -995,6 +1025,19 @@ class TestFixedPoint:
             se_fixed_point(dist, absolute(), 0.64, alpha=0.0)
         with pytest.raises(ValueError):
             se_fixed_point(DistributionModel(None, Normal(1.0)), absolute(), 0.64, alpha=2.0)
+
+    @pytest.mark.parametrize("noise", (Normal(0.2), Laplace(1.0)))
+    @pytest.mark.parametrize("loss", (least_squares(), huber(1.0), absolute()))
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_init_tau_sq_reaches_the_default_fixed_point(self, noise, loss):
+        # from tau_sq = 5e-324 the prior atoms sit near 1e162 sds out, where
+        # the soft-threshold risk is 1 + alpha^2, and the first window's
+        # edges lie past 1.3e154 residual sds, where phi is 0
+        dist = DistributionModel(pm_one_prior(0.128), noise)
+        tiny = se_fixed_point(dist, loss, 0.64, alpha=2.0, init_tau_sq=5e-324)
+        default = se_fixed_point(dist, loss, 0.64, alpha=2.0)
+        assert tiny.converged and not tiny.diverged
+        assert abs(tiny.tau_star_sq - default.tau_star_sq) < SeConfig().tol
 
     @pytest.mark.parametrize("init_tau_sq", (-1.0, math.inf, math.nan))
     def test_init_tau_sq_validation(self, init_tau_sq):

@@ -70,9 +70,10 @@ with such a file: it prints the largest relative difference of the close
 parts per stream, then each case beyond RTOL = 1e-12 (every case, for
 `reports`) beside its difference in the other streams that hold it, so
 that an `oracle` fit whose `x_hat` moved reads with its objective's
-difference. It exits 1 when a difference exceeds RTOL, or when a case
-name, a part count or layout, a text part, an exact part or a nan or inf
-differs.
+difference. A difference that is not 0 is printed with its place: `part
+156[2]` is entry 2 of the case's part 156, counted from 0. It exits 1
+when a difference exceeds RTOL, or when a case name, a part count or
+layout, a text part, an exact part or a nan or inf differs.
 """
 
 from __future__ import annotations
@@ -337,20 +338,26 @@ def sha256(cases):
 
 
 def rel_diff(a, b):
-    """Largest |a - b| / max(|a|, |b|) over finite pairs, and whether the
-    nonfinite entries (nan, inf) sit at the same places with the same values."""
+    """Largest |a - b| / max(|a|, |b|) over finite pairs, the index of the
+    entry where it is taken, and whether the nonfinite entries (nan, inf)
+    sit at the same places with the same values."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     fin = np.isfinite(a) & np.isfinite(b)
     same = bool(np.all(fin | (a == b) | (np.isnan(a) & np.isnan(b))))
-    scale = np.maximum(np.abs(a[fin]), np.abs(b[fin]))
-    diff = np.abs(a[fin] - b[fin])
+    idx = np.flatnonzero(fin)
+    scale = np.maximum(np.abs(a[idx]), np.abs(b[idx]))
+    diff = np.abs(a[idx] - b[idx])
     rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
-    return (float(rel.max()) if rel.size else 0.0), same
+    if not rel.size:
+        return 0.0, 0, same
+    k = int(rel.argmax())
+    return float(rel[k]), int(idx[k]), same
 
 
 def compare(new, old):
-    """({case name: largest relative difference of its float parts},
-    mismatches) of two streams; the caller bounds the differences."""
+    """({case name: (largest relative difference of its float parts, part,
+    element)}, mismatches) of two streams, the part and element indices
+    locating that difference; the caller bounds the differences."""
     worst, mismatches = {}, []
     if len(new) != len(old):
         mismatches.append(f"{len(new)} cases against {len(old)}")
@@ -361,13 +368,13 @@ def compare(new, old):
             continue
         for i, ((kind, value), (_, old_value)) in enumerate(zip(parts, old_parts)):
             if kind == "text" or len(value) != len(old_value):
-                rel, same = 0.0, kind == "text" and value == old_value
+                rel, j, same = 0.0, 0, kind == "text" and value == old_value
             else:
-                rel, same = rel_diff(value, old_value)
+                rel, j, same = rel_diff(value, old_value)
             if not same or (kind == "exact" and rel > 0.0):
                 mismatches.append(f"{name}, part {i}: {value} against {old_value}")
-            elif kind != "text":
-                worst[name] = max(worst.get(name, 0.0), rel)
+            elif kind != "text" and rel > worst.get(name, (-1.0,))[0]:
+                worst[name] = (rel, i, j)
     return worst, mismatches
 
 
@@ -382,16 +389,17 @@ def against(streams, old, per_case):
     found = {key: compare(cases, old.get(key, [])) for key, cases in streams.items()}
     for key, (worst, mismatches) in found.items():
         top = max(worst, key=worst.get, default=None)
-        print(f"{key}: largest relative difference {worst.get(top, 0.0):.3g}"
-              + (f" ({top})" if worst.get(top) else ""))
-        for name, rel in worst.items():
+        top_rel, part, element = worst.get(top, (0.0, 0, 0))
+        print(f"{key}: largest relative difference {top_rel:.3g}"
+              + (f" ({top}, part {part}[{element}])" if top_rel else ""))
+        for name, (rel, part, element) in worst.items():
             if per_case or rel > RTOL:
-                print(f"{rel:.3g}  {name}" + "".join(
-                    f"  ({other} {found[other][0][name]:.3g})" for other in found
-                    if other != key and name in found[other][0]))
+                print(f"{rel:.3g}  {name}" + (f"  part {part}[{element}]" if rel else "")
+                      + "".join(f"  ({other} {found[other][0][name][0]:.3g})"
+                                for other in found if other != key and name in found[other][0]))
         for line in mismatches[:20]:
             print(f"  MISMATCH {line[:200]}")
-        ok &= not mismatches and worst.get(top, 0.0) <= RTOL
+        ok &= not mismatches and top_rel <= RTOL
     return ok
 
 
