@@ -211,6 +211,10 @@ SE_OPTIONS = {
 }
 
 
+SE_HELP = {"tol": "relative stop of the fixed point's root finder: |T(x) - x| <= "
+                  f"tol x, T the map from tau^2 to the next (default {SeConfig.tol:g})"}
+
+
 def cmd_se(args, parser):
     options = resolve_options(args, parser, SE_OPTIONS)
     loss_names = [x for x in options["losses"].split(",") if x.strip()]
@@ -319,15 +323,17 @@ def cmd_bench(args, parser):
 # wiring
 
 
-def _add_options(sub, table, func):
-    """One flag per table key, --key-with-dashes; unset flags stay None."""
+def _add_options(sub, table, func, helps=None):
+    """One flag per table key, --key-with-dashes, with its text in helps;
+    unset flags stay None."""
+    helps = helps or {}
     sub.add_argument("--config", help="flat key=value config file")
     for key, (kind, _) in table.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(kind, tuple):
-            sub.add_argument(flag, dest=key, choices=kind)
+            sub.add_argument(flag, dest=key, choices=kind, help=helps.get(key))
         else:
-            sub.add_argument(flag, dest=key, type=kind)
+            sub.add_argument(flag, dest=key, type=kind, help=helps.get(key))
     sub.add_argument("-v", "--verbose", action="store_true")
     sub.set_defaults(func=func)
 
@@ -340,8 +346,8 @@ def build_parser():
 
     _add_options(subs.add_parser("solve", help="run the solver on a "
                                  "synthetic draw"), SOLVE_OPTIONS, cmd_solve)
-    _add_options(subs.add_parser("se", help="iterate the scale recursion to "
-                                 "its fixed point"), SE_OPTIONS, cmd_se)
+    _add_options(subs.add_parser("se", help="find the scale recursion's "
+                                 "fixed point"), SE_OPTIONS, cmd_se, SE_HELP)
     _add_options(subs.add_parser("bench", help="run a scripted benchmark "
                                  "study"), BENCH_OPTIONS, cmd_bench)
     return parser

@@ -1,11 +1,11 @@
 """State evolution for the robust AMP iteration.
 
-Tracks the scalar channel pair (sigma_sq, tau_sq) across iterations for a
-given signal prior, noise law, loss, and threshold policy. The tau update
-calibrates the score parameter b so that the population slope
-E d1Phi(W + sigma Z; b) equals s/n, the equation the solver solves on its
-empirical residuals. Fixed points feed the benchmark tables and the
-tuning of the threshold multiplier alpha.
+Maps the scalar channel pair (sigma_sq, tau_sq) through one iteration for
+a given signal prior, noise law, loss, and threshold policy, and finds its
+fixed point. The tau update calibrates the score parameter b so that the
+population slope E d1Phi(W + sigma Z; b) equals s/n, the equation the
+solver solves on its empirical residuals. Fixed points feed the benchmark
+tables and the tuning of the threshold multiplier alpha.
 
 Expectations over the effective residual W + sigma Z are computed from
 truncated-normal closed forms given v's normal part, all built from the
@@ -39,7 +39,7 @@ without a window pass and carries E Phi^2 there to second order, with
 an error of the order of the step's cube (the tau equation then holds
 within 1e-13 relative of a fresh pass on the tested cases); otherwise it
 reads E Phi^2 at the point it evaluated last. The rows' (sigma_sq, b)
-converge geometrically, so a fixed-point run starts each solve from b
+converge on the fixed point, so a fixed-point run starts each solve from b
 extrapolated to the new sigma_sq through its last three rows
 (`_predicted_b`). The stopping rule does not depend on the start, so
 each b is the same root to solver precision. At sigma = 0 the slope is
@@ -49,9 +49,15 @@ update takes one scalar soft-threshold risk call per prior atom, in
 Python floats. The zero-estimate start of a fixed point does not depend
 on alpha, so `tune_alpha` computes it once per grid.
 
-A fixed point is recorded as its rows (t, sigma_sq, tau_sq, b, theta),
-one per iteration: the starred values of `SeResult` are the last row.
-`se_fixed_point` and `tune_alpha` share one checked run.
+Let T be SE's scalar map from tau_sq to the next tau_sq: one sigma
+update, then one tau update. The fixed point is the root of
+T(tau_sq) - tau_sq, found by safeguarded secant steps that stop once
+|T(x) - x| <= tol x, tol = 1e-13 relative by default, the tau update's own
+stop; a last plain step from T(x) ends the run. A run is recorded as its
+rows (t, sigma_sq, tau_sq, b, theta), one per evaluation of T: the rows
+are the root finder's points, not SE's per-iteration trajectory, and the
+starred values of `SeResult` are the last row. `se_fixed_point` and
+`tune_alpha` share one checked run.
 
 Every expectation here is a deterministic integral, so the recursion has
 one path and a fixed point is a deterministic function of its inputs.
@@ -293,11 +299,13 @@ def _normal_sums(lo, hi, s):
 
         M_in = s^2 P + s^2 (a phi(a) - c phi(c)),
 
-    the masses Phi(a) below and 1 - P - Phi(a) above (clamped at 0), the
-    density f = phi(z)/s of v at each edge, and g = z phi(z)/s^2, the
-    slope of that density. Phi and phi take scipy's erfc and numpy's exp
-    on the two scalar edges in the operations of `gauss.norm_cdf_pdf`, so
-    the values have the bits of the plain array formulas.
+    the masses Phi(a) below and erfc(c/sqrt 2)/2 above, the upper tail
+    taken directly so that it keeps its relative accuracy where the window
+    holds nearly all the mass, the density f = phi(z)/s of v at each edge,
+    and g = z phi(z)/s^2, the slope of that density. Phi and phi take
+    scipy's erfc and numpy's exp on the two scalar edges in the operations
+    of `gauss.norm_cdf_pdf`, so the values have the bits of the plain array
+    formulas.
     """
     a, c = lo / s, hi / s
     p_below = float(special.erfc(a / -_SQRT2)) * 0.5
@@ -306,7 +314,7 @@ def _normal_sums(lo, hi, s):
     pdf_c = float(np.exp((c * -0.5) * c)) * _INV_SQRT_2PI
     xf_a, xf_c = a * pdf_a, c * pdf_c
     return (p_in, (s * s) * p_in + (xf_a - xf_c) * (s * s), p_below,
-            max(1.0 - p_in - p_below, 0.0), pdf_a / s, pdf_c / s,
+            float(special.erfc(c / _SQRT2)) * 0.5, pdf_a / s, pdf_c / s,
             xf_a / (s * s), xf_c / (s * s))
 
 
@@ -534,7 +542,15 @@ def _prior_risk(prior, tau, alpha):
 
 @dataclass(frozen=True)
 class SeConfig:
-    tol: float = 1e-6
+    """Stop of a fixed-point run: |T(x) - x| <= tol x, at most max_iter evaluations.
+
+    T is SE's scalar map tau_sq -> tau_sq, one sigma update then one tau
+    update. tol is relative, and its default 1e-13 is the tau update's
+    own stop; every evaluation of T, the final plain step included,
+    counts against max_iter.
+    """
+
+    tol: float = 1e-13
     max_iter: int = 500
 
     def __post_init__(self):
@@ -548,9 +564,15 @@ _TAU_SQ_CAP = 1e14
 class SeResult:
     """A fixed-point run: its rows (t, sigma_sq, tau_sq, b, theta) and flags.
 
-    Row 0 is the start and row t the state after t iterations. The starred
-    values are the entries of the last row, nan when the run diverged, and
-    iterations is the t of the last row, 0 when there are no rows (a run
+    Row 0 is the start and row t the t-th evaluation of T by the root
+    finder: sigma_sq is the sigma update of the point x it evaluated,
+    and tau_sq, b and theta = alpha tau are the tau update there, T(x).
+    The points are secant steps, so the rows are not SE's per-iteration
+    trajectory. A converged run ends with one plain step from T of the
+    accepted root, so the last row's sigma_sq is the sigma update of the
+    previous row's tau_sq. The starred values are the entries of the last
+    row, nan when the run diverged, and iterations is the t of the last
+    row, the number of T evaluations, 0 when there are no rows (a run
     flagged diverged without iterating). It leaves out row 0, itself one
     tau update; `solver.RampResult.iterations` counts every row, the
     bootstrap pass included, so it reads one more for the same number of
@@ -561,7 +583,6 @@ class SeResult:
     delta: float
     converged: bool
     diverged: bool
-    monotone: bool
 
     def _last(self, i):
         return math.nan if self.diverged else self.rows[-1][i]
@@ -596,14 +617,16 @@ class SeResult:
 
 def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
                    config=SeConfig()):
-    """Iterate the two channel updates until tau_sq settles.
+    """The fixed point of the two channel updates, as a root of T(tau_sq) - tau_sq.
 
     The threshold is theta_t = alpha * tau_t and the slope is omega / delta.
     alpha = 0 is the unpenalized M-estimator: the denoiser is the identity,
     every coordinate is fitted, so omega must be 1 and the slope is p/n,
     which needs delta > 1. The run starts from the zero estimate unless
-    init_tau_sq is given. An unbounded score (least squares) under
-    infinite-variance noise is flagged diverged without iterating.
+    init_tau_sq is given, and stops once |T(x) - x| <= config.tol x; the
+    rows are its evaluations of T (see `SeResult`). An unbounded score
+    (least squares) under infinite-variance noise is flagged diverged
+    without iterating.
     """
     return _run(dist, loss, delta, alpha, config, init_tau_sq=init_tau_sq)[0]
 
@@ -612,23 +635,30 @@ def _predicted_b(rows, sigma_sq):
     """Newton's start for the tau update at sigma_sq, from the rows so far.
 
     The polynomial in sigma_sq through the (sigma_sq, b) of the last rows
-    with a finite b, evaluated at sigma_sq: the quadratic through three,
-    the line through two, the last b alone. None when no row has a finite
-    b (an init_tau_sq start), which starts Newton at b = 1. The last b
-    when two of the sigma_sq are equal or the value is not finite and
-    positive.
+    with a finite b, at most three, evaluated at sigma_sq: the quadratic
+    through three, the line through two, the last b alone. Only row 0 can
+    have no finite b (an init_tau_sq start); when it is the only row, None
+    starts Newton at b = 1. The last b when two of the sigma_sq are equal
+    or the value is not finite and positive.
     """
-    pts = [(r[1], r[3]) for r in rows[-3:] if math.isfinite(r[3])]
-    if not pts:
-        return None
-    xs = [x for x, _ in pts]
-    b = 0.0  # stays 0, and so gives the last b, when two sigma_sq are equal
-    if len(set(xs)) == len(xs):
-        for i, (xi, bi) in enumerate(pts):
-            for xj in xs[:i] + xs[i + 1:]:
-                bi *= (sigma_sq - xj) / (xi - xj)
-            b += bi
-    return b if math.isfinite(b) and b > 0.0 else pts[-1][1]
+    x2, b2 = rows[-1][1], rows[-1][3]
+    if len(rows) < 2 or not math.isfinite(rows[-2][3]):
+        return b2 if math.isfinite(b2) else None
+    x1, b1 = rows[-2][1], rows[-2][3]
+    if x1 == x2:
+        return b2
+    d1, d2 = sigma_sq - x1, sigma_sq - x2
+    if len(rows) < 3 or not math.isfinite(rows[-3][3]):
+        b = b1 * d2 / (x1 - x2) + b2 * d1 / (x2 - x1)
+    else:
+        x0, b0 = rows[-3][1], rows[-3][3]
+        if x0 in (x1, x2):
+            return b2
+        d0 = sigma_sq - x0
+        b = (b0 * d1 * d2 / ((x0 - x1) * (x0 - x2))
+             + b1 * d0 * d2 / ((x1 - x0) * (x1 - x2))
+             + b2 * d0 * d1 / ((x2 - x0) * (x2 - x1)))
+    return b if math.isfinite(b) and b > 0.0 else b2
 
 
 # the entries of a row of `_run`, in order
@@ -640,12 +670,21 @@ def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
 
     Validates the prior, alpha, the geometry and init_tau_sq; flags an
     infinite score window under infinite-variance noise (E Phi^2 = inf)
-    diverged without a start; else iterates from row 0 = start =
-    (sigma_sq, tau_sq, b). Without init_tau_sq or a start, the start is
-    the zero estimate: all signal energy is in the residual,
+    diverged without a start; else finds the root of F(x) = T(x) - x from
+    row 0 = start = (sigma_sq, tau_sq, b). Without init_tau_sq or a start,
+    the start is the zero estimate: all signal energy is in the residual,
     sigma_sq = E X^2 / delta, and tau_sq, b are its first tau update. It
     does not depend on alpha, so `tune_alpha` passes it to the next alpha.
-    Returns (result, start), start None when the run was flagged.
+
+    The first point is the start's tau_sq, and each next point is the
+    secant step through the last two (x, F(x)), or the plain step T(x)
+    when there is only one, when the two F are equal, or when the secant
+    point is not finite, not positive or above `_TAU_SQ_CAP`. Each T is
+    one row. A T that is not finite or above the cap flags the run
+    diverged. Once |F(x)| <= config.tol x, the run takes one plain step
+    from T(x), its last row, and is converged; a run out of evaluations
+    first is neither. Returns (result, start), start None when the run
+    was flagged.
     """
     if dist.signal_prior is None:
         raise ValueError("state evolution needs a signal prior")
@@ -664,37 +703,41 @@ def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
                 f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
         start = (math.nan, float(init_tau_sq), math.nan)
     if math.isinf(score_shape(loss).e_hi) and not math.isfinite(dist.noise.variance):
-        return SeResult((), delta, converged=False, diverged=True, monotone=False), None
+        return SeResult((), delta, converged=False, diverged=True), None
     if start is None:
         sigma_sq = dist.signal_prior.second_moment / delta
         start = (sigma_sq, *se_tau_update(sigma_sq, dist, loss, slope))
 
-    sigma_sq, tau_sq, b = start
-    rows = [(0, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq))]
-    converged = diverged = False
+    sigma_sq, x, b = start
+    rows = [(0, sigma_sq, x, b, alpha * math.sqrt(x))]
+    converged = diverged = found = False
+    x_prev = f_prev = None
     # a start near tau_sq = 0 puts the window edges past 1.3e154 residual
     # sds, where phi is 0 but its exponent overflows in `norm_cdf_pdf`
     with np.errstate(over="ignore"):
         for t in range(1, config.max_iter + 1):
-            prev = tau_sq
-            sigma_sq = se_sigma_update(prev, alpha, dist, delta)
-            # the rows converge geometrically, so b extrapolated through the
-            # last rows to the new sigma_sq starts Newton next to its root
+            sigma_sq = se_sigma_update(x, alpha, dist, delta)
+            # b extrapolated through the last rows to the new sigma_sq
+            # starts Newton next to its root
             tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope,
                                       b_start=_predicted_b(rows, sigma_sq))
             rows.append((t, sigma_sq, tau_sq, b, alpha * math.sqrt(tau_sq)))
             if not math.isfinite(tau_sq) or tau_sq > _TAU_SQ_CAP:
                 diverged = True
                 break
-            if abs(tau_sq - prev) < config.tol:
+            if found:
                 converged = True
                 break
+            f = tau_sq - x
+            found = abs(f) <= config.tol * x
+            step = tau_sq
+            if not found and x_prev is not None and f != f_prev:
+                secant = x - f * (x - x_prev) / (f - f_prev)
+                if 0.0 < secant <= _TAU_SQ_CAP:
+                    step = secant
+            x_prev, f_prev, x = x, f, step
 
-    taus = [r[2] for r in rows]
-    diffs = [y - x for x, y in zip(taus, taus[1:])]
-    monotone = not diverged and (all(d <= config.tol for d in diffs)
-                                 or all(d >= -config.tol for d in diffs))
-    return SeResult(tuple(rows), delta, converged, diverged, monotone), start
+    return SeResult(tuple(rows), delta, converged, diverged), start
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +778,12 @@ def tune_alpha(dist, loss, delta, alpha_grid=None):
     """Minimize the fixed-point AMSE over a grid of threshold multipliers.
 
     Each grid point gives the same result as `se_fixed_point` from the zero
-    estimate, with every one of its checks. The zero start does not depend
-    on alpha, so it is computed once, at the first grid point that needs
-    it, and every alpha iterates from it. An empty grid raises ValueError;
-    a grid where no alpha converges raises RuntimeError.
+    estimate under the default `SeConfig`, with every one of its checks:
+    the root of T(tau_sq) - tau_sq to a relative 1e-13, whose rows are its
+    evaluations of T. The zero start does not depend on alpha, so it is
+    computed once, at the first grid point that needs it, and every alpha
+    starts from it. An empty grid raises ValueError; a grid where no alpha
+    converges raises RuntimeError.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
     if not grid:

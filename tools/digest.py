@@ -192,7 +192,7 @@ def se_streams():
                       [row_parts(res),
                        ("close", floats(res.sigma_star_sq, res.tau_star_sq,
                                         res.b_star, res.theta_star)),
-                       ("exact", floats(res.converged, res.diverged, res.monotone))]))
+                       ("exact", floats(res.converged, res.diverged))]))
     print(f"cells: {len(NOISES) * len(LOSSES)}")
     return {"se": sweep, "fixed-point": fixed}
 
