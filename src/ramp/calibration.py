@@ -14,12 +14,11 @@ as an order statistic of u when kappa = 0, where c = 1 (the kinked
 absolute and quantile losses, `calibrate_nonsmooth`). `solve_increasing`,
 safeguarded Newton on log b, solves the population equation for state
 evolution; it returns the root together with a second curve at it,
-E Phi^2 for state evolution. On a continuous curve its steps are
-Halley's wherever Halley's correction to Newton's step is small. It
-stops on the point it evaluated last, or, on a continuous curve whose
-next Halley step moves b by a relative cbrt(1e-13)/2 or less, takes that
-step unevaluated and carries the second curve there to second order,
-within the order of the step's cube.
+E Phi^2 for state evolution. Its steps are Halley's wherever Halley's
+correction to Newton's step is small. It stops on the point it evaluated
+last, or, when its next Halley step moves b by a relative cbrt(1e-13)/2
+or less, takes that step unevaluated and carries the second curve there
+to second order, within the order of the step's cube.
 """
 
 from __future__ import annotations
@@ -171,8 +170,7 @@ _LOG10_LAST_STEP = 0.5 * _LOG10_XTOL ** (1.0 / 3.0) / math.log(10.0)
 _MAX_NEWTON_EVALS = 200
 
 
-def solve_increasing(curve: Callable, target: float, start: Optional[float] = None,
-                     continuous: bool = False):
+def solve_increasing(curve: Callable, target: float, start: Optional[float] = None):
     """Root b of the nondecreasing map b -> f(b) = target, and g at b.
 
     curve(b) returns (f, df/db, g, dg/db, d2f/db2, d2g/db2): the map f, and
@@ -187,10 +185,9 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
     still unknown, the replacement moves a decade outward from the known
     side instead, up to the limits [1e-12, 1e12].
 
-    When the caller declares f `continuous`, the step is Halley's, Newton's
-    step n = -F/F' on F(u) = f(10^u) - target shortened to n/(1 + n F''/(2 F')),
-    whenever its correction is small, |n F''/F'| <= 1/2; otherwise, and
-    always without that declaration, it is Newton's. Halley's error after a
+    The step is Halley's, Newton's step n = -F/F' on F(u) = f(10^u) - target
+    shortened to n/(1 + n F''/(2 F')), whenever its correction is small,
+    |n F''/F'| <= 1/2; otherwise it is Newton's. Halley's error after a
     step is of the order of the step's cube, Newton's of its square.
 
     Two rules stop the search. When the next step would be below 1e-13 on
@@ -201,11 +198,9 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
     the step's cube, within the first stop. It returns the stepped b and g
     carried there to second order, g + dg/db db + d2g/db2 db^2/2, whose own
     error is of the same order, |d3g/db3| |db|^3/6: at most 2.1e-15
-    relative when b^3 |d3g/db3|/g is at most 1. Without the declaration
-    every step is evaluated, as a map with jumps needs: a jump inside the
-    last step would go unseen. Where the map steps across the target
-    without touching it (a zero derivative gives no Newton step),
-    bisection returns the jump point.
+    relative when b^3 |d3g/db3|/g is at most 1. Where the map steps
+    across the target without touching it (a zero derivative gives no
+    Newton step), bisection returns the jump point.
 
     An unreachable target raises CalibrationError carrying the outermost
     points evaluated and the curve values there.
@@ -234,12 +229,11 @@ def solve_increasing(curve: Callable, target: float, start: Optional[float] = No
         halley = False
         if df > 0.0:
             newton = -gap / (df * b * ln10)
-            if continuous:
-                # n F''/F', with F''/F' = ln10 (1 + b f''/f') on u = log10 b
-                correction = newton * ln10 * (1.0 + b * d2f / df)
-                halley = abs(correction) <= 0.5
-                if halley:
-                    newton /= 1.0 + 0.5 * correction
+            # n F''/F', with F''/F' = ln10 (1 + b f''/f') on u = log10 b
+            correction = newton * ln10 * (1.0 + b * d2f / df)
+            halley = abs(correction) <= 0.5
+            if halley:
+                newton /= 1.0 + 0.5 * correction
             newton += u
         else:
             newton = math.nan

@@ -212,7 +212,9 @@ SE_OPTIONS = {
 
 
 SE_HELP = {"tol": "relative stop of the fixed point's root finder: |T(x) - x| <= "
-                  f"tol x, T the map from tau^2 to the next (default {SeConfig.tol:g})"}
+                  f"tol x, T the map from tau^2 to the next (default {SeConfig.tol:g})",
+           "init_tau_sq": "starting tau^2, finite and positive (default: the "
+                          "zero-estimate start, sigma^2 = E X^2/delta)"}
 
 
 def cmd_se(args, parser):

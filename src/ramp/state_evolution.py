@@ -31,23 +31,23 @@ edge times its rate times the mass beyond it, and the edge density
 against that mass. Least squares, whose window is the whole line, reads
 the noise variance for every law. The tau update finds b by safeguarded
 steps on log b (`calibration.solve_increasing` on `score_moments`), with
-E Phi^2 riding along. For sigma > 0 the steps are Halley's, third order,
-wherever Halley's correction to Newton's step is small, and Newton's
-elsewhere; once the next Halley step moves b by a relative
-cbrt(1e-13)/2 or less (about 1.0e-5 on log10 b), it takes that step
-without a window pass and carries E Phi^2 there to second order, with
-an error of the order of the step's cube (the tau equation then holds
-within 1e-13 relative of a fresh pass on the tested cases); otherwise it
-reads E Phi^2 at the point it evaluated last. The rows' (sigma_sq, b)
+E Phi^2 riding along. The steps are Halley's, third order, wherever
+Halley's correction to Newton's step is small, and Newton's elsewhere;
+once the next Halley step moves b by a relative cbrt(1e-13)/2 or less
+(about 1.0e-5 on log10 b), it takes that step without a window pass and
+carries E Phi^2 there to second order, with an error of the order of the
+step's cube (the tau equation then holds within 1e-13 relative of a
+fresh pass on the tested cases); otherwise it reads E Phi^2 at the point
+it evaluated last. The rows' (sigma_sq, b)
 converge on the fixed point, so a fixed-point run starts each solve from b
 extrapolated to the new sigma_sq through its last three rows
 (`_predicted_b`). The stopping rule does not depend on the start, so
-each b is the same root to solver precision. At sigma = 0 the slope is
-a step map: Newton evaluates every step, so a jump inside its last step
-is not missed, and its bisection fallback finds the jump. The sigma
-update takes one scalar soft-threshold risk call per prior atom, in
-Python floats. The zero-estimate start of a fixed point does not depend
-on alpha, so `tune_alpha` computes it once per grid.
+each b is the same root to solver precision. SE starts from the zero
+estimate, or from a given tau_sq > 0, so sigma > 0 on every pass and
+W + sigma Z has a density. The sigma update takes one scalar
+soft-threshold risk call per prior atom, in Python floats. The
+zero-estimate start of a fixed point does not depend on alpha, so
+`tune_alpha` computes it once per grid.
 
 Let T be SE's scalar map from tau_sq to the next tau_sq: one sigma
 update, then one tau update. The fixed point is the root of
@@ -351,32 +351,24 @@ def _node_sums(lo, hi, noise, s):
 
     whose terms cancel when the window is narrow against s, is formed per
     node, in the operations of `gauss.truncated_moments`; then one product
-    with the weights gives all eight sums. At s = 0, v is a point mass at
-    w, inside when lo < w <= hi, with no density at the edges.
+    with the weights gives all eight sums. s must be positive.
     """
     nodes, weights, nodes_sq, nodes_2 = _noise_nodes(noise)
     rows = np.empty((8, nodes.size))
-    if s == 0.0:
-        rows[0] = (nodes > lo) & (nodes <= hi)
-        np.multiply(nodes_sq, rows[0], out=rows[1])
-        rows[2] = nodes <= lo
-        rows[3] = nodes > hi
-        rows[4:] = 0.0
-    else:
-        e = np.subtract.outer((lo, hi), nodes, out=rows[6:8])
-        e /= s
-        cdf, pdf = norm_cdf_pdf(e, out=(rows[2:4], rows[4:6]))
-        p_in = np.subtract(cdf[1], cdf[0], out=rows[0])
-        m2 = np.add(nodes_sq, s * s, out=rows[1])
-        m2 *= p_in
-        t = nodes_2 * s
-        t *= pdf[0] - pdf[1]
-        m2 += t
-        e *= pdf
-        t = e[0] - e[1]
-        t *= s * s
-        m2 += t
-        np.subtract(1.0, cdf[1], out=cdf[1])  # never negative
+    e = np.subtract.outer((lo, hi), nodes, out=rows[6:8])
+    e /= s
+    cdf, pdf = norm_cdf_pdf(e, out=(rows[2:4], rows[4:6]))
+    p_in = np.subtract(cdf[1], cdf[0], out=rows[0])
+    m2 = np.add(nodes_sq, s * s, out=rows[1])
+    m2 *= p_in
+    t = nodes_2 * s
+    t *= pdf[0] - pdf[1]
+    m2 += t
+    e *= pdf
+    t = e[0] - e[1]
+    t *= s * s
+    m2 += t
+    np.subtract(1.0, cdf[1], out=cdf[1])  # never negative
     return (rows @ weights).tolist()
 
 
@@ -413,10 +405,9 @@ def score_moments(loss, b, noise, sigma):
     exactly: `_normal_sums` per component, whose density terms are already
     divided by its sd, summed by weight. Any other law is integrated by
     Gauss-Legendre quadrature over its nodes (`_node_sums`), with s =
-    sigma; at sigma = 0 v is a point mass at each node, and P' and P''
-    vanish between the jumps. The quadrature has no node beyond |w| of
-    about 21.1 for t(4) and 10.4 for Laplace, so once the window holds
-    every node by many sigma, P reads exactly 1 and P', P'' all but
+    sigma, which must then be positive. The quadrature has no node beyond
+    |w| of about 21.1 for t(4) and 10.4 for Laplace, so once the window
+    holds every node by many sigma, P reads exactly 1 and P', P'' all but
     vanish: the kinked losses' slope reads 1 and f', f'' nearly 0 (2.2e-22
     and -2.0e-21 at t(4), absolute, b = 30, sigma = 1). A target there
     gives Newton no usable step, and the search falls back to bisection.
@@ -439,7 +430,7 @@ def score_moments(loss, b, noise, sigma):
     components = getattr(noise, "components", None)
     if components is None:
         sums = _node_sums(lo, hi, noise, sigma)
-        s = sigma or 1.0  # at sigma = 0 the density sums are 0
+        s = sigma
     else:
         sums = [0.0] * 8
         for w, v in components:
@@ -470,28 +461,27 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
 
     Returns (tau_sq, b) where b solves E d1Phi(W + sigma Z; b) = slope and
     tau_sq = E Phi(W + sigma Z; b)^2 / slope^2; a sigma_sq that is not
-    finite and nonnegative raises ValueError. An infinite score window
+    finite and positive raises ValueError. An infinite score window
     (least squares) has the closed form b = kappa slope/(1 - slope), as in
     `calibration.calibrate_smooth`, and one `score_moments` call there.
     Otherwise `solve_increasing` takes safeguarded steps on
     `score_moments`, the slope and its analytic derivatives in b, from
     b_start (b = 1 when None; a fixed-point run passes `_predicted_b` of
     its rows), and raises CalibrationError when the slope is not bracketed
-    on [1e-12, 1e12]. E Phi^2 rides along with its derivatives in b. For
-    sigma > 0, where the slope is continuous in b, the steps are Halley's
-    where its correction to Newton's step is small and Newton's elsewhere,
-    and the search either stops on an evaluated point and reads E Phi^2
-    there, or takes a last Halley step of at most 1.0e-5 on log10 b
-    without a window pass and carries E Phi^2 to the stepped b to second
-    order, within the order of the step's cube (the tau equation then
-    holds within 1e-13 relative of a fresh pass at b on the tested cases,
-    and the slope equation within the stop's 1e-13 on log10 b). At
-    sigma = 0 the steps are Newton's and every one is evaluated.
+    on [1e-12, 1e12]. E Phi^2 rides along with its derivatives in b. The
+    steps are Halley's where its correction to Newton's step is small and
+    Newton's elsewhere, and the search either stops on an evaluated point
+    and reads E Phi^2 there, or takes a last Halley step of at most 1.0e-5
+    on log10 b without a window pass and carries E Phi^2 to the stepped b
+    to second order, within the order of the step's cube (the tau
+    equation then holds within 1e-13 relative of a fresh pass at b on the
+    tested cases, and the slope equation within the stop's 1e-13 on
+    log10 b).
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope must be in (0, 1), got {slope}")
-    if not 0.0 <= sigma_sq < math.inf:
-        raise ValueError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
+    if not 0.0 < sigma_sq < math.inf:
+        raise ValueError(f"sigma_sq must be finite and positive, got {sigma_sq}")
     sigma = math.sqrt(sigma_sq)
     noise = dist.noise
 
@@ -501,8 +491,7 @@ def se_tau_update(sigma_sq, dist, loss, slope, b_start=None):
         sq = score_moments(loss, b, noise, sigma)[2]
     else:
         b, sq = solve_increasing(
-            lambda bb: score_moments(loss, bb, noise, sigma), slope, start=b_start,
-            continuous=sigma > 0.0)
+            lambda bb: score_moments(loss, bb, noise, sigma), slope, start=b_start)
     return sq / (slope * slope), b
 
 
@@ -623,8 +612,10 @@ def se_fixed_point(dist, loss, delta, alpha, init_tau_sq=None,
     alpha = 0 is the unpenalized M-estimator: the denoiser is the identity,
     every coordinate is fitted, so omega must be 1 and the slope is p/n,
     which needs delta > 1. The run starts from the zero estimate unless
-    init_tau_sq is given, and stops once |T(x) - x| <= config.tol x; the
-    rows are its evaluations of T (see `SeResult`). An unbounded score
+    init_tau_sq is given, which must be finite and positive, and stops once
+    |T(x) - x| <= config.tol x; the rows are its evaluations of T (see
+    `SeResult`). A start so small that its sigma update underflows to 0
+    raises ValueError from the tau update. An unbounded score
     (least squares) under infinite-variance noise is flagged diverged
     without iterating.
     """
@@ -698,9 +689,9 @@ def _run(dist, loss, delta, alpha, config, init_tau_sq=None, start=None):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"slope omega/delta = {slope} must be in (0, 1)")
     if init_tau_sq is not None:
-        if not 0.0 <= init_tau_sq < math.inf:
+        if not 0.0 < init_tau_sq < math.inf:
             raise ValueError(
-                f"init_tau_sq must be finite and nonnegative, got {init_tau_sq}")
+                f"init_tau_sq must be finite and positive, got {init_tau_sq}")
         start = (math.nan, float(init_tau_sq), math.nan)
     if math.isinf(score_shape(loss).e_hi) and not math.isfinite(dist.noise.variance):
         return SeResult((), delta, converged=False, diverged=True), None

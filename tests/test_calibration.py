@@ -25,7 +25,7 @@ from ramp.state_evolution import DistributionModel, Laplace, pm_one_prior, se_ta
 
 def bare(f, df):
     """A point of solve_increasing's (f, f', g, g', f'', g'') curve with no g
-    riding along, for the default search, which reads no f''."""
+    riding along and f'' = 0."""
     return f, df, 0.0, 0.0, 0.0, 0.0
 
 
@@ -152,52 +152,42 @@ class TestSolveIncreasing:
             assert b == pytest.approx(jump, rel=1e-12)
 
     def test_returns_the_curve_at_its_root(self):
-        # g at the b returned. By default every step is evaluated, and g is
-        # that of the last evaluation, at the b returned: Newton's stop, the
-        # bisection fallback on a step map, and an exact hit. On a curve
-        # declared continuous a last Halley step of at most 1.0e-5 on
+        # g at the b returned. A last Halley step of at most 1.0e-5 on
         # log10 b may go unevaluated, with g carried there to second order:
         # g then holds within 1e-13 relative of a fresh evaluation at b,
         # and f = target within the stop's 1e-13 on log10 b (the Newton
-        # step a fresh evaluation would take)
+        # step a fresh evaluation would take). The bisection fallback on a
+        # step map returns a point it evaluated, with g there
         def step(b):
             return (0.0 if b < 2.5 else 1.0), 0.0, -b, -1.0, 0.0, 0.0
 
+        b, g = solve_increasing(step, 0.5)
+        assert g == step(b)[2]
         score = lambda bb: state_evolution.score_moments(absolute(), bb, Laplace(1.0), 0.6)
         for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
-                                     (step, 0.5, None), (smooth, 0.5, None), (score, 0.2, None)):
-            b, g = solve_increasing(curve, target, start=start)
-            assert g == curve(b)[2]
-        for curve, target, start in ((smooth, 0.3, None), (smooth, 0.3, 1e9),
                                      (smooth, 0.5, None), (score, 0.2, None)):
-            b, g = solve_increasing(curve, target, start=start, continuous=True)
+            b, g = solve_increasing(curve, target, start=start)
             f, df, g_fresh = curve(b)[:3]
             assert g == pytest.approx(g_fresh, rel=1e-13, abs=0)
             assert abs(f - target) <= 1e-13 * math.log(10.0) * b * df
 
     def test_last_halley_step_is_not_evaluated(self):
-        # on a continuous curve the search takes its last Halley step
-        # without evaluating and carries g from the last evaluated point b0
-        # to second order; g = b^2 has g'' = 2, so the carry is b^2 to
-        # rounding, where a first-order carry would read b^2 - (b - b0)^2.
-        # By default the same search evaluates that step too
+        # the search takes its last Halley step without evaluating and
+        # carries g from the last evaluated point b0 to second order;
+        # g = b^2 has g'' = 2, so the carry is b^2 to rounding, where a
+        # first-order carry would read b^2 - (b - b0)^2
         points = []
 
         def curve(b):
             points.append(b)
             return smooth(b)
 
-        b, g = solve_increasing(curve, 0.3, start=1e-3, continuous=True)
+        b, g = solve_increasing(curve, 0.3, start=1e-3)
         b0 = points[-1]
         assert b not in points
         assert 1e-13 < abs(math.log10(b / b0)) <= LAST_STEP
         assert b == pytest.approx(3.0 / 7.0, rel=1e-13)
         assert g == pytest.approx(b * b, rel=4e-16, abs=0)
-        evaluated = len(points)
-        points.clear()
-        b, g = solve_increasing(curve, 0.3, start=1e-3)
-        assert len(points) > evaluated
-        assert b == points[-1] and g == b * b
 
     def test_refused_halley_correction_takes_newton_step(self):
         # from b = 0.05 the Newton step towards b/(1 + b) = 0.3 on log10 b
@@ -213,7 +203,7 @@ class TestSolveIncreasing:
                 points.append(b)
                 return smooth(b)
 
-            b, _ = solve_increasing(curve, 0.3, start=start, continuous=True)
+            b, _ = solve_increasing(curve, 0.3, start=start)
             b0 = points[0]
             f, df, _, _, d2f, _ = smooth(b0)
             newton = -(f - 0.3) / (df * b0 * ln10)
@@ -227,8 +217,7 @@ class TestSolveIncreasing:
         # f = log10 b is linear in Newton's variable, so Halley's correction
         # is 0, one step lands on the root to rounding, and the search
         # stops there (an exact hit, or a next step below 1e-13): it
-        # returns the point it evaluated last, with g there, on a curve
-        # declared continuous too
+        # returns the point it evaluated last, with g there
         points = []
         ln10 = math.log(10.0)
 
@@ -238,7 +227,7 @@ class TestSolveIncreasing:
 
         for target in (0.3, 0.7, 2.5, -4.2):
             points.clear()
-            b, g = solve_increasing(curve, target, start=1e-3, continuous=True)
+            b, g = solve_increasing(curve, target, start=1e-3)
             assert len(points) == 2
             assert b == points[-1]
             assert g == -b

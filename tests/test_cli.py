@@ -266,8 +266,23 @@ class TestSe:
         assert run_cli("se", "--losses", "ls", "--init-tau-sq", "-1",
                        "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert "init_tau_sq must be finite and nonnegative, got -1.0" in err
+        assert "init_tau_sq must be finite and positive, got -1.0" in err
         assert not out.exists()
+
+    def test_zero_init_tau_sq_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sub"
+        assert run_cli("se", "--losses", "ls,lad", "--init-tau-sq", "0",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "init_tau_sq must be finite and positive, got 0.0" in err
+        assert not out.exists()
+
+    def test_help_states_the_init_tau_sq_range(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se", "--help")
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "starting tau^2, finite and positive (default: the zero-estimate start" in help_text
 
     def test_nonpositive_tol_rejected(self, tmp_path, capsys):
         assert run_cli("se", "--losses", "ls", "--tol", "0",

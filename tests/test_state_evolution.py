@@ -285,37 +285,27 @@ class TestScoreMoments:
         # the window sums' masses and second moment give the bits of
         # truncated_moments calls over the window, (-inf, lo] and (hi, inf]:
         # for one normal component, on the windows the Laplace nodes shift
-        # to mean 0, and summed over the nodes for s > 0 and for the point
-        # masses at s = 0, which have no density at the edges. There E Phi^2
-        # is the node average of Phi(w)^2 = c^2 clip(w, lo, hi)^2. The
-        # window (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
-        noise = Laplace(1.0)
+        # to mean 0, and summed over the nodes. The window
+        # (lo, hi] = (kappa + b)(e_lo, e_hi] comes from losses.
+        noise, s = Laplace(1.0), 0.6
         nodes, weights = state_evolution._noise_nodes(noise)[:2]
         for loss, b in ((absolute(), 0.7), (quantile(0.3), 1.9), (huber(1.0), 0.4)):
             kappa, e_lo, e_hi = score_shape(loss)
             lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
-            for s in (0.6, 0.0):
-                p_in, _, m2_in = state_evolution.truncated_moments(nodes, s, lo, hi)
-                below = state_evolution.truncated_moments(nodes, s, -np.inf, lo)[0]
-                above = state_evolution.truncated_moments(nodes, s, hi, np.inf)[0]
-                sums = state_evolution._node_sums(lo, hi, noise, s)
-                ref = np.zeros((8, nodes.size))
-                ref[:4] = p_in, m2_in, below, above
-                if s > 0.0:
-                    a, c = (lo - nodes) / s, (hi - nodes) / s
-                    ref[4:] = norm_pdf(a), norm_pdf(c), a * norm_pdf(a), c * norm_pdf(c)
-                assert same_bits(sums, ref @ weights)
-                if s > 0.0:  # one float component at a time
-                    for w in nodes.tolist():
-                        got = state_evolution._normal_sums(lo - w, hi - w, s)
-                        p0, _, m2 = state_evolution.truncated_moments(0.0, s, lo - w, hi - w)
-                        p_below = state_evolution.truncated_moments(0.0, s, -np.inf, lo - w)[0]
-                        assert same_bits(got[:3], (p0, m2, p_below))
-                        assert got[3] == float(special.erfc((hi - w) / s / SQRT2)) * 0.5
-                else:
-                    phi = effective_score(loss, nodes, b)
-                    assert_allclose(score_moments(loss, b, noise, 0.0)[2],
-                                    weights @ (phi * phi), rtol=1e-14)
+            p_in, _, m2_in = state_evolution.truncated_moments(nodes, s, lo, hi)
+            below = state_evolution.truncated_moments(nodes, s, -np.inf, lo)[0]
+            above = state_evolution.truncated_moments(nodes, s, hi, np.inf)[0]
+            sums = state_evolution._node_sums(lo, hi, noise, s)
+            a, c = (lo - nodes) / s, (hi - nodes) / s
+            ref = np.array([p_in, m2_in, below, above, norm_pdf(a), norm_pdf(c),
+                            a * norm_pdf(a), c * norm_pdf(c)])
+            assert same_bits(sums, ref @ weights)
+            for w in nodes.tolist():  # one float component at a time
+                got = state_evolution._normal_sums(lo - w, hi - w, s)
+                p0, _, m2 = state_evolution.truncated_moments(0.0, s, lo - w, hi - w)
+                p_below = state_evolution.truncated_moments(0.0, s, -np.inf, lo - w)[0]
+                assert same_bits(got[:3], (p0, m2, p_below))
+                assert got[3] == float(special.erfc((hi - w) / s / SQRT2)) * 0.5
 
     @pytest.mark.parametrize("c", (6.5, 9.0, 12.0))
     def test_normal_upper_tail_keeps_relative_accuracy(self, c):
@@ -355,20 +345,18 @@ class TestSlopeCurve:
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
     def test_second_moment_derivative_matches_central_difference(self, noise, loss):
         # the fourth value, d E Phi^2/db, against a central difference of
-        # the third; at sigma = 0 a heavy-tailed law is point masses at its
-        # nodes, and E Phi^2 has a kink wherever a window edge crosses one,
-        # none of them within h of these b. The absolute term allows the
-        # difference quotient's rounding, a few ulps of E Phi^2 over h: it
-        # matters only where the window holds nearly all the mass and the
-        # derivative is near 0 (Normal(0.2), absolute, b = 6).
-        for sigma in (0.6, 0.0):
-            for b in (0.05, 0.4, 1.5, 6.0):
-                sq, deriv = score_moments(loss, b, noise, sigma)[2:4]
-                h = 1e-5 * b
-                fd = (score_moments(loss, b + h, noise, sigma)[2]
-                      - score_moments(loss, b - h, noise, sigma)[2]) / (2.0 * h)
-                assert deriv >= 0
-                assert deriv == pytest.approx(fd, rel=1e-7, abs=100 * np.finfo(float).eps * sq / h)
+        # the third. The absolute term allows the difference quotient's
+        # rounding, a few ulps of E Phi^2 over h: it matters only where the
+        # window holds nearly all the mass and the derivative is near 0
+        # (Normal(0.2), absolute, b = 6).
+        sigma = 0.6
+        for b in (0.05, 0.4, 1.5, 6.0):
+            sq, deriv = score_moments(loss, b, noise, sigma)[2:4]
+            h = 1e-5 * b
+            fd = (score_moments(loss, b + h, noise, sigma)[2]
+                  - score_moments(loss, b - h, noise, sigma)[2]) / (2.0 * h)
+            assert deriv >= 0
+            assert deriv == pytest.approx(fd, rel=1e-7, abs=100 * np.finfo(float).eps * sq / h)
 
     @pytest.mark.parametrize("noise", SLOPE_NOISES)
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
@@ -395,28 +383,43 @@ class TestSlopeCurve:
                 assert got[5] == pytest.approx((up[3] - down[3]) / (2.0 * h), rel=1e-6,
                                                abs=10 * eps * tails / h)
 
-    @pytest.mark.parametrize("noise", SLOPE_NOISES)
+    @pytest.mark.parametrize("noise", SLOPE_NOISES[2:])
     @pytest.mark.parametrize("loss", SLOPE_LOSSES)
-    def test_second_derivatives_at_zero_sigma(self, noise, loss):
-        # at sigma = 0 a heavy-tailed law is point masses at its nodes:
-        # the mass inside the window has no derivatives between its jumps,
-        # so the slope's second derivative is c'' P, 0 for the kinked
-        # losses (c = 1), and E Phi^2's is that of c^2 and the clip; both
-        # against central differences where no edge crosses a node within
-        # h of these b. A normal law's second derivatives are its own.
-        kappa = score_shape(loss).kappa
+    def test_small_sigma_meets_the_point_mass_limit(self, noise, loss):
+        # as sigma -> 0 a quadrature law's v = W + sigma Z tends to point
+        # masses at its nodes: P and M = E clip(v, lo, hi)^2 become sums
+        # over the nodes, the edge densities vanish, and so the slope's
+        # derivatives are c' P and c'' P (0 for the kinked losses, c = 1).
+        # The density path must reach that limit down to the smallest
+        # sigma that SE meets, sqrt(5e-324) from init_tau_sq = 5e-324, with
+        # no 0/0 from dividing by s. At that sigma every node more than
+        # about 3e-8 from an edge overflows the square in
+        # gauss.norm_cdf_pdf, whose exp then reads 0, as it should.
+        # E Phi^2's derivatives against central differences, where no edge
+        # comes within h of a node.
+        kappa, e_lo, e_hi = score_shape(loss)
+        nodes, weights = state_evolution._noise_nodes(noise)[:2]
         for b in (0.05, 0.4, 1.5, 5.0):
-            got = score_moments(loss, b, noise, 0.0)
+            lo, hi = (kappa + b) * e_lo, (kappa + b) * e_hi
             h = 1e-5 * b
-            up = score_moments(loss, b + h, noise, 0.0)
-            down = score_moments(loss, b - h, noise, 0.0)
-            if not hasattr(noise, "components"):
-                c, d2c = b / (kappa + b), -2.0 * kappa / (kappa + b) ** 3
-                assert got[4] == pytest.approx(d2c * got[0] / c, rel=1e-14, abs=0)
+            clearance = min(np.min(np.abs(nodes - lo)), np.min(np.abs(nodes - hi)))
+            c, dc, d2c = b / (kappa + b), kappa / (kappa + b) ** 2, -2.0 * kappa / (kappa + b) ** 3
+            p = weights[(nodes > lo) & (nodes <= hi)].sum()
+            m = weights @ np.clip(nodes, lo, hi) ** 2
+            for sigma in (1e-8, math.sqrt(5e-324)):
+                assert clearance > h * max(abs(e_lo), e_hi) + 40.0 * sigma
+                got = score_moments(loss, b, noise, sigma)
+                up = score_moments(loss, b + h, noise, sigma)
+                down = score_moments(loss, b - h, noise, sigma)
+                assert all(math.isfinite(x) for x in got)
+                assert got[0] == pytest.approx(c * p, rel=1e-14, abs=0)
+                assert got[2] == pytest.approx(c * c * m, rel=1e-13, abs=0)
+                assert got[1] == pytest.approx(dc * p, rel=1e-14, abs=0)
+                assert got[4] == pytest.approx(d2c * p, rel=1e-14, abs=0)
                 if kappa == 0.0:
-                    assert got[4] == 0.0
-            assert got[4] == pytest.approx((up[1] - down[1]) / (2.0 * h), rel=1e-6, abs=1e-12)
-            assert got[5] == pytest.approx((up[3] - down[3]) / (2.0 * h), rel=1e-6)
+                    assert got[1] == 0.0 and got[4] == 0.0
+                assert got[3] == pytest.approx((up[2] - down[2]) / (2.0 * h), rel=1e-7)
+                assert got[5] == pytest.approx((up[3] - down[3]) / (2.0 * h), rel=1e-6)
 
     def test_least_squares_second_moment_derivative(self):
         # the closed forms 2 c dc/db (variance + sigma^2), d2c/db2 and
@@ -438,13 +441,10 @@ class TestSlopeCurve:
     @pytest.mark.filterwarnings("error")
     def test_newton_matches_bracketed_brent(self, noise, loss):
         # Brent's method on log10 b, on the slope of score_moments, is the
-        # reference; at sigma = 0 that slope is a step map on the noise
-        # nodes, whose jump Newton's bisection fallback finds, and the
-        # point mass has no edge density (no 0/0 from dividing by s)
+        # reference
         dist = DistributionModel(pm_one_prior(0.128), noise)
         # the far-off starts stand for an extrapolated b that lands badly
         for sigma_sq, slope, start in ((0.5, 0.2, None), (0.05, 0.2, 3.0), (2.0, 0.6, 0.01),
-                                       (0.0, 0.2, None), (0.0, 0.6, 3.0),
                                        (0.5, 0.2, 1e-9), (0.5, 0.2, 1e9),
                                        (2.0, 0.6, 1e-9), (2.0, 0.6, 1e9)):
             sigma = math.sqrt(sigma_sq)
@@ -453,11 +453,6 @@ class TestSlopeCurve:
             tau_sq, b = se_tau_update(sigma_sq, dist, loss, slope, b_start=start)
             assert b == pytest.approx(ref, rel=1e-12)
             fresh_slope, fresh_deriv, fresh_sq = score_moments(loss, b, noise, sigma)[:3]
-            if sigma == 0.0:
-                # a step map: every step is evaluated, and E Phi^2 is read
-                # from the pass at the b returned
-                assert tau_sq == fresh_sq / (slope * slope)
-                continue
             # the last Halley step may skip the window pass and carry E Phi^2
             # to b to second order: the tau equation holds within 1e-13
             # relative against a fresh pass at b, and the slope equation
@@ -465,27 +460,6 @@ class TestSlopeCurve:
             # pass at b would take)
             assert tau_sq == pytest.approx(fresh_sq / (slope * slope), rel=1e-13, abs=0)
             assert abs(fresh_slope - slope) <= 1e-13 * math.log(10.0) * b * fresh_deriv
-
-    def test_newton_finds_a_jump_past_its_last_step(self):
-        # at sigma = 0 the Huber slope on Laplace noise is c(b) times the
-        # node mass inside the window (1 + b)(-1, 1], a step map that jumps
-        # where an edge reaches a node. 1e-9 above the slope below the jump
-        # at the node nearest |w| = 2, Newton runs along the lower piece
-        # towards its root just past the jump, and its last step, short
-        # enough to be skipped on a continuous curve, crosses the jump:
-        # evaluating it finds the jump, where Brent's method stops
-        noise, loss = Laplace(1.0), huber(1.0)
-        dist = DistributionModel(pm_one_prior(0.128), noise)
-        nodes = np.abs(state_evolution._noise_nodes(noise)[0])
-        jump = nodes[np.argmin(np.abs(nodes - 2.0))] - 1.0
-        slope = score_moments(loss, jump * (1.0 - 1e-15), noise, 0.0)[0] * (1.0 + 1e-9)
-        assert score_moments(loss, jump * (1.0 + 1e-15), noise, 0.0)[0] > slope
-        ref = 10.0 ** brentq(lambda e: score_moments(loss, 10.0 ** e, noise, 0.0)[0] - slope,
-                             -12.0, 12.0, xtol=1e-14)
-        for start in (None, 3.0, 0.01):
-            tau_sq, b = se_tau_update(0.0, dist, loss, slope, b_start=start)
-            assert b == pytest.approx(ref, rel=1e-12)
-            assert tau_sq == score_moments(loss, b, noise, 0.0)[2] / (slope * slope)
 
     def test_warm_started_fixed_point_evaluations(self, monkeypatch):
         calls = count_calls(monkeypatch, state_evolution, "se_tau_update",
@@ -801,7 +775,7 @@ class TestTauUpdate:
         slope = 0.2
         for noise in (Normal(0.2), Laplace(1.0), StudentT(8.0)):
             dist = DistributionModel(pm_one_prior(0.128), noise)
-            for sigma_sq in (0.0, 0.3, 2.0):
+            for sigma_sq in (0.3, 2.0):
                 tau_sq, b = se_tau_update(sigma_sq, dist, least_squares(), slope)
                 assert b == pytest.approx(slope / (1 - slope), rel=1e-14)
                 assert tau_sq == pytest.approx(noise.variance + sigma_sq, rel=1e-12)
@@ -843,13 +817,13 @@ class TestTauUpdate:
             with pytest.raises(ValueError):
                 se_tau_update(0.5, dist, absolute(), bad)
 
-    @pytest.mark.parametrize("sigma_sq", (-1e-3, math.inf, math.nan))
+    @pytest.mark.parametrize("sigma_sq", (-1e-3, 0.0, math.inf, math.nan))
     def test_sigma_sq_validation(self, sigma_sq):
         for noise in (Normal(1.0), Laplace(1.0)):
             dist = DistributionModel(pm_one_prior(0.128), noise)
             for loss in (absolute(), least_squares()):
                 with pytest.raises(ValueError, match=f"sigma_sq must be finite and "
-                                                     f"nonnegative, got {sigma_sq}"):
+                                                     f"positive, got {sigma_sq}"):
                     se_tau_update(sigma_sq, dist, loss, 0.2)
 
 
@@ -1087,7 +1061,18 @@ class TestFixedPoint:
         assert tiny.converged and not tiny.diverged
         assert abs(tiny.tau_star_sq - default.tau_star_sq) <= 1e-12 * default.tau_star_sq
 
-    @pytest.mark.parametrize("init_tau_sq", (-1.0, math.inf, math.nan))
+    @pytest.mark.parametrize("noise", (Normal(0.2), Laplace(1.0)))
+    @pytest.mark.parametrize("loss", (least_squares(), huber(1.0), absolute()))
+    @pytest.mark.filterwarnings("error")
+    def test_start_whose_sigma_update_underflows_is_rejected(self, noise, loss):
+        # unpenalized at delta = 10 the sigma update is tau_sq/10, which
+        # rounds 5e-324 to 0: the tau update rejects sigma_sq = 0 rather
+        # than divide by it
+        dist = DistributionModel(pm_one_prior(1.0), noise)
+        with pytest.raises(ValueError, match="sigma_sq must be finite and positive, got 0.0"):
+            se_fixed_point(dist, loss, 10.0, alpha=0.0, init_tau_sq=5e-324)
+
+    @pytest.mark.parametrize("init_tau_sq", (-1.0, 0.0, math.inf, math.nan))
     def test_init_tau_sq_validation(self, init_tau_sq):
         # also before the least-squares divergence gate returns early
         for noise in (Normal(1.0), Cauchy(1.0)):
